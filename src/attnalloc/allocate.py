@@ -34,6 +34,21 @@ class SearchSpaceError(ValueError):
     """Brute-force grid would exceed the allowed number of combinations."""
 
 
+def _check_feasible(n: int, budget: float, floor: float) -> None:
+    """Reject non-finite inputs, a floor of 1 K or less, and budgets below n floors."""
+    for name, value in (("budget", budget), ("floor", floor)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if floor <= 1.0:
+        raise ValueError("floor must exceed 1 K so log terms stay positive")
+    deficit = n * floor - budget
+    if deficit > 1e-9 * max(1.0, budget):
+        raise InfeasibleError(
+            f"budget {budget} K cannot cover {n} floors of "
+            f"{floor} K (deficit {deficit:.6g} K)"
+        )
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
     weights: np.ndarray
@@ -47,14 +62,7 @@ class AllocationProblem:
         if (weights < 0).any() or not np.isfinite(weights).all():
             raise ValueError("weights must be finite and non-negative")
         object.__setattr__(self, "weights", weights)
-        if self.floor <= 1.0:
-            raise ValueError("floor must exceed 1 K so log terms stay positive")
-        deficit = self.n * self.floor - self.budget
-        if deficit > 1e-9 * max(1.0, self.budget):
-            raise InfeasibleError(
-                f"budget {self.budget} K cannot cover {self.n} floors of "
-                f"{self.floor} K (deficit {deficit:.6g} K)"
-            )
+        _check_feasible(self.n, self.budget, self.floor)
 
     @property
     def n(self) -> int:
@@ -130,14 +138,7 @@ def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationR
     """Every object gets budget / n (feasibility guarantees this meets the floor)."""
     if n_objects < 1:
         raise ValueError("n_objects must be >= 1")
-    if floor <= 1.0:
-        raise ValueError("floor must exceed 1 K")
-    deficit = n_objects * floor - budget
-    if deficit > 1e-9 * max(1.0, budget):
-        raise InfeasibleError(
-            f"budget {budget} K cannot cover {n_objects} floors of {floor} K "
-            f"(deficit {deficit:.6g} K)"
-        )
+    _check_feasible(n_objects, budget, floor)
     share = budget / n_objects
     return AllocationResult(
         capacities=np.full(n_objects, share),

@@ -137,6 +137,11 @@ def _cmd_eval(args):
     levels = np.full((model.num_users, model.num_objects), 0, dtype=np.int64)
     seen = set()
     for user, obj, level in truth_records:
+        if not (0 <= user < model.num_users and 0 <= obj < model.num_objects):
+            raise ValueError(
+                f"ground-truth pair ({user}, {obj}) lies outside the model's "
+                f"{model.num_users} users x {model.num_objects} objects"
+            )
         levels[user, obj] = level
         seen.add((user, obj))
     if (levels == 0).any():

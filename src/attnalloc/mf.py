@@ -9,6 +9,7 @@ clamped to the 1..5 level range at prediction time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class FitConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("learning_rate", "regularization", "init_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FitError(f"{name} must be finite, got {value!r}")
         if self.f < 1:
             raise FitError("latent dimension f must be >= 1")
         if self.learning_rate <= 0:
@@ -91,54 +96,70 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
 
     Records are sorted by (user, object) and then visited in a seeded random
     order each epoch, so the result is a pure function of (records, config).
+
+    The loop runs on Python floats in lists, because numpy's per-call
+    overhead on f-element rows cost more than the arithmetic. The dot product
+    is an explicit sequential sum, so the result does not depend on the
+    host's BLAS kernel (nor on the Python version's float ``sum``).
+    Raises ``FitError`` as soon as an epoch's squared error is non-finite.
     """
     config.validate()
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
 
-    triples = records.sorted_list()
-    users = np.array([t[0] for t in triples])
-    objects = np.array([t[1] for t in triples])
-    levels = np.array([t[2] for t in triples], dtype=np.float64)
-    nu = num_users if num_users is not None else int(users.max()) + 1
-    no = num_objects if num_objects is not None else int(objects.max()) + 1
-    if users.max() >= nu or objects.max() >= no:
+    rows = [(u, o, float(level)) for u, o, level in records.sorted_list()]
+    max_user = max(r[0] for r in rows)
+    max_object = max(r[1] for r in rows)
+    nu = num_users if num_users is not None else max_user + 1
+    no = num_objects if num_objects is not None else max_object + 1
+    if max_user >= nu or max_object >= no:
         raise FitError("record ids exceed the requested model dimensions")
 
     rng = np.random.default_rng(config.seed)
     f = config.f
-    U = rng.uniform(-0.05, 0.05, size=(nu, f)) * config.init_scale
-    V = rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale
-    bu = np.zeros(nu)
-    bo = np.zeros(no)
-    mu = float(levels.mean())
+    U = (rng.uniform(-0.05, 0.05, size=(nu, f)) * config.init_scale).tolist()
+    V = (rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale).tolist()
+    bu = [0.0] * nu
+    bo = [0.0] * no
+    mu = float(np.mean([r[2] for r in rows]))
 
     lr = config.learning_rate
     # multiplicative shrinkage, floored at full shrink so huge regularization
     # stays numerically stable instead of diverging
     decay = max(0.0, 1.0 - lr * config.regularization)
 
+    ks = range(f)
     curve = []
-    n = len(triples)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
+    n = len(rows)
+    for epoch in range(config.epochs):
         sq = 0.0
-        for i in order:
-            u, o = users[i], objects[i]
+        for i in rng.permutation(n).tolist():
+            u, o, level = rows[i]
             uf = U[u]
             vf = V[o]
-            err = levels[i] - (mu + bu[u] + bo[o] + uf @ vf)
+            dot = 0.0
+            for k in ks:
+                dot += uf[k] * vf[k]
+            err = level - (mu + bu[u] + bo[o] + dot)
             sq += err * err
-            new_u = uf * decay + lr * err * vf
-            new_v = vf * decay + lr * err * uf
-            U[u] = new_u
-            V[o] = new_v
-            bu[u] = bu[u] * decay + lr * err
-            bo[o] = bo[o] * decay + lr * err
+            step = lr * err
+            for k in ks:
+                a = uf[k]
+                b = vf[k]
+                uf[k] = a * decay + step * b
+                vf[k] = b * decay + step * a
+            bu[u] = bu[u] * decay + step
+            bo[o] = bo[o] * decay + step
+        if not math.isfinite(sq):
+            raise FitError(
+                f"SGD diverged in epoch {epoch + 1} of {config.epochs}: squared error "
+                f"is {sq}; learning_rate {lr} is too large"
+            )
         curve.append(sq / n)
 
     return FactorModel(
-        user_factors=U, object_factors=V, user_bias=bu, object_bias=bo,
+        user_factors=np.array(U), object_factors=np.array(V),
+        user_bias=np.array(bu), object_bias=np.array(bo),
         mu=mu, training_curve=tuple(curve),
     )
 

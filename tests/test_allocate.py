@@ -146,3 +146,16 @@ def test_summary_and_csv(tmp_path):
     assert lines[0] == "object_id,weight,capacity_k"
     assert len(lines) == 3
     assert lines[1].startswith("0,4.0,25.0")
+
+
+@pytest.mark.parametrize("budget, floor, name", [
+    (float("nan"), 15.0, "budget"),
+    (float("inf"), 15.0, "budget"),
+    (40.0, float("nan"), "floor"),
+    (40.0, float("inf"), "floor"),
+])
+def test_non_finite_budget_or_floor_rejected(budget, floor, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        AllocationProblem(np.array([1.0, 2.0]), budget, floor)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        allocate_uniform(2, budget, floor)

@@ -163,3 +163,65 @@ def test_bad_config_file(tmp_path, capsys):
 
 def test_fit_missing_records(capsys):
     assert run(capsys, "fit", "--records", "nope.csv")[0] == EXIT_DATA
+
+
+def _write_tiny_records(path):
+    path.write_text("user_id,object_id,level\n0,0,5\n0,1,1\n1,0,2\n")
+
+
+@pytest.mark.parametrize("line, name", [
+    ("learning_rate = nan", "learning_rate"),
+    ("regularization = nan", "regularization"),
+    ("init_scale = inf", "init_scale"),
+])
+def test_fit_rejects_non_finite_config(tmp_path, capsys, line, name):
+    records = tmp_path / "records.csv"
+    _write_tiny_records(records)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[fit]\n{line}\n")
+    code, _, err = run(capsys, "fit", "--config", str(cfg), "--records", str(records),
+                       "--out", str(tmp_path / "model.json"))
+    assert code == EXIT_DATA
+    assert name in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_fit_divergence_exits_2(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    _write_tiny_records(records)
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("[fit]\nlearning_rate = 5.0\n")
+    code, _, err = run(capsys, "fit", "--config", str(cfg), "--records", str(records),
+                       "--out", str(tmp_path / "model.json"))
+    assert code == EXIT_DATA
+    assert "learning_rate" in err and "diverged" in err
+
+
+@pytest.mark.parametrize("budget, floor, name", [
+    ("nan", "15", "budget"), ("inf", "15", "budget"),
+    ("40", "nan", "floor"), ("40", "inf", "floor"),
+])
+def test_allocate_non_finite_budget_or_floor(tmp_path, capsys, budget, floor, name):
+    out = tmp_path / "alloc.csv"
+    code, stdout, err = run(capsys, "allocate", "--weights", "1,2", "--budget", budget,
+                            "--floor", floor, "--out", str(out))
+    assert code == EXIT_DATA
+    assert f"{name} must be finite" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_eval_truth_wider_than_model(tmp_path, capsys):
+    import numpy as np
+
+    from attnalloc import FactorModel, SparseAttentionRecords, save_records
+    from attnalloc.mf import save_model
+
+    model = tmp_path / "model.json"
+    save_model(FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), np.zeros(2),
+                           mu=3.0), model)
+    truth = tmp_path / "truth.csv"
+    save_records(SparseAttentionRecords(frozenset(
+        (u, o, 3) for u in range(2) for o in range(3))), truth)
+    code, _, err = run(capsys, "eval", "--model", str(model), "--truth", str(truth))
+    assert code == EXIT_DATA
+    assert "(0, 2)" in err and "2 users x 2 objects" in err

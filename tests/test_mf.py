@@ -211,3 +211,116 @@ def test_model_version_check(tmp_path):
     path.write_text(path.read_text().replace("attn-mf/1", "attn-mf/9"))
     with pytest.raises(ValueError, match="version"):
         load_model(path)
+
+
+def _reference_fit_mf(records, config, num_users=None, num_objects=None):
+    """The original numpy-vector SGD loop, kept as the slow oracle for fit_mf."""
+    config.validate()
+    if len(records) == 0:
+        raise FitError("cannot fit on empty records")
+
+    triples = records.sorted_list()
+    users = np.array([t[0] for t in triples])
+    objects = np.array([t[1] for t in triples])
+    levels = np.array([t[2] for t in triples], dtype=np.float64)
+    nu = num_users if num_users is not None else int(users.max()) + 1
+    no = num_objects if num_objects is not None else int(objects.max()) + 1
+    if users.max() >= nu or objects.max() >= no:
+        raise FitError("record ids exceed the requested model dimensions")
+
+    rng = np.random.default_rng(config.seed)
+    f = config.f
+    U = rng.uniform(-0.05, 0.05, size=(nu, f)) * config.init_scale
+    V = rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale
+    bu = np.zeros(nu)
+    bo = np.zeros(no)
+    mu = float(levels.mean())
+
+    lr = config.learning_rate
+    # multiplicative shrinkage, floored at full shrink so huge regularization
+    # stays numerically stable instead of diverging
+    decay = max(0.0, 1.0 - lr * config.regularization)
+
+    curve = []
+    n = len(triples)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        sq = 0.0
+        for i in order:
+            u, o = users[i], objects[i]
+            uf = U[u]
+            vf = V[o]
+            err = levels[i] - (mu + bu[u] + bo[o] + uf @ vf)
+            sq += err * err
+            new_u = uf * decay + lr * err * vf
+            new_v = vf * decay + lr * err * uf
+            U[u] = new_u
+            V[o] = new_v
+            bu[u] = bu[u] * decay + lr * err
+            bo[o] = bo[o] * decay + lr * err
+        curve.append(sq / n)
+
+    return FactorModel(
+        user_factors=U, object_factors=V, user_bias=bu, object_bias=bo,
+        mu=mu, training_curve=tuple(curve),
+    )
+
+
+def _random_records(seed, users=10, objects=12, density=0.6):
+    rng = np.random.default_rng(seed)
+    return SparseAttentionRecords(frozenset(
+        (u, o, int(rng.integers(1, 6)))
+        for u in range(users) for o in range(objects) if rng.random() < density
+    ))
+
+
+def _assert_fits_agree(records, config, **dims):
+    fast = fit_mf(records, config, **dims)
+    ref = _reference_fit_mf(records, config, **dims)
+    for name in ("user_factors", "object_factors", "user_bias", "object_bias"):
+        got, want = getattr(fast, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(fast.training_curve, ref.training_curve, rtol=1e-12, atol=0)
+    assert fast.mu == ref.mu
+
+
+@pytest.mark.parametrize("config", [
+    FitConfig(f=1, epochs=30),
+    FitConfig(f=6, epochs=30),
+    FitConfig(regularization=1e6, epochs=10),
+    FitConfig(init_scale=3.0, epochs=30, seed=5),
+], ids=["f1", "f6", "decay-floored", "init-scale-3"])
+def test_fit_matches_reference_loop(config):
+    _assert_fits_agree(_random_records(seed=2), config)
+
+
+def test_fit_matches_reference_with_padded_dimensions():
+    # ids 0..9 x 0..11 observed; the model is larger on both axes, and the
+    # unobserved rows keep their initial draws
+    _assert_fits_agree(_random_records(seed=4), FitConfig(epochs=20),
+                       num_users=13, num_objects=17)
+
+
+def test_fit_matches_reference_on_default_records(default_runner):
+    config = dataclasses.replace(default_runner.config.fit, epochs=20)
+    world = default_runner.world
+    _assert_fits_agree(default_runner.records, config,
+                       num_users=world.num_users, num_objects=world.num_objects)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "regularization", "init_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_fit_config_rejects_non_finite(name, value):
+    config = dataclasses.replace(FitConfig(), **{name: value})
+    with pytest.raises(FitError, match=name):
+        config.validate()
+    with pytest.raises(FitError, match=name):
+        fit_mf(constant_records(), config)
+
+
+def test_divergent_fit_fails_fast():
+    records = SparseAttentionRecords(frozenset({(0, 0, 5), (0, 1, 1), (1, 0, 2)}))
+    with pytest.raises(FitError, match="learning_rate") as err:
+        fit_mf(records, FitConfig(learning_rate=5.0))
+    assert "epoch" in str(err.value)
