@@ -94,7 +94,9 @@ def objective_value(weights, capacities) -> float:
 def _canonical_ratios(weights: np.ndarray) -> np.ndarray:
     w = np.maximum(weights, WEIGHT_EPS)
     r = w / w.max()
-    scale = 10.0 ** (_RATIO_DIGITS - 1 - np.floor(np.log10(r)))
+    # capped so the scale stays finite: a ratio below 1e-300 rounds to a few
+    # digits or to 0, and its object sits at the floor either way
+    scale = 10.0 ** (_RATIO_DIGITS - 1 - np.maximum(np.floor(np.log10(r)), -300))
     return np.round(r * scale) / scale
 
 

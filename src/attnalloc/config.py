@@ -21,9 +21,12 @@ class ConfigFileError(ValueError):
     pass
 
 
-_EXPERIMENT_KEYS = (
-    "master_seed", "floor_k", "budget_per_object_k", "sweep_factors",
-    "sweep_user", "scene_retain_lo", "scene_retain_hi",
+# ExperimentConfig fields that are whole sections; [link] overrides the channel
+_SECTIONS = {"world": WorldConfig, "fit": FitConfig, "channel": ChannelConfig}
+
+_EXPERIMENT_KEYS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in _SECTIONS and f.name != "link"
 )
 
 
@@ -73,14 +76,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigFileError(f"malformed config file: {exc}") from None
 
-    allowed = {"experiment", "world", "fit", "channel", "link"}
+    allowed = {"experiment", *_SECTIONS, "link"}
     for section in parser.sections():
         if section not in allowed:
             raise ConfigFileError(f"unknown section [{section}]")
 
-    world = _section_to_dataclass(parser, "world", WorldConfig)
-    fit = _section_to_dataclass(parser, "fit", FitConfig)
-    channel = _section_to_dataclass(parser, "channel", ChannelConfig)
+    sections = {
+        name: _section_to_dataclass(parser, name, cls) for name, cls in _SECTIONS.items()
+    }
 
     link = None
     if parser.has_section("link"):
@@ -107,9 +110,7 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 updates[key] = _cast_like(defaults, key, value)
 
-    config = dataclasses.replace(
-        defaults, world=world, fit=fit, channel=channel, link=link, **updates
-    )
+    config = dataclasses.replace(defaults, link=link, **sections, **updates)
     config.validate()
     return config
 
@@ -122,16 +123,12 @@ def load_config(path) -> ExperimentConfig:
 def dump_config(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
     parser["experiment"] = {
-        "master_seed": str(config.master_seed),
-        "floor_k": repr(config.floor_k),
-        "budget_per_object_k": repr(config.budget_per_object_k),
-        "sweep_factors": ", ".join(repr(float(f)) for f in config.sweep_factors),
-        "sweep_user": str(config.sweep_user),
-        "scene_retain_lo": str(config.scene_retain_lo),
-        "scene_retain_hi": str(config.scene_retain_hi),
+        key: ", ".join(repr(float(f)) for f in config.sweep_factors)
+        if key == "sweep_factors" else repr(getattr(config, key))
+        for key in _EXPERIMENT_KEYS
     }
-    for section, obj in (("world", config.world), ("fit", config.fit),
-                         ("channel", config.channel)):
+    for section in _SECTIONS:
+        obj = getattr(config, section)
         parser[section] = {
             f.name: "" if getattr(obj, f.name) is None else repr(getattr(obj, f.name))
             for f in dataclasses.fields(type(obj))

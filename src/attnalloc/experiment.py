@@ -135,8 +135,8 @@ class ExperimentRunner:
 
     def truth_raw(self, user: int) -> dict:
         if user not in self._truth_raw:
-            all_ids = [im.image_id for im in self.world.images]
-            self._truth_raw[user] = raw_attention_values(self.world, user, all_ids)
+            world = self.world
+            self._truth_raw[user] = raw_attention_values(world, user, range(world.num_images))
         return self._truth_raw[user]
 
     def scene_objects(self, user: int) -> list:
@@ -151,11 +151,9 @@ class ExperimentRunner:
             pct = int(rng.integers(cfg.scene_retain_lo, cfg.scene_retain_hi + 1))
             ids = self.world.group_image_ids(group)
             keep = max(1, round(pct * len(ids) / 100))
-            chosen = sorted(int(i) for i in rng.choice(len(ids), size=keep, replace=False))
-            objects = set()
-            for i in chosen:
-                objects.update(self.world.image_by_id(ids[i]).objects())
-            self._scenes[user] = sorted(objects)
+            chosen = np.sort(rng.choice(len(ids), size=keep, replace=False))
+            present = self.world.pixels[ids[chosen]].any(axis=0)
+            self._scenes[user] = np.flatnonzero(present).tolist()
         return self._scenes[user]
 
     def user_report(self, user: int, budget_factor_k: float | None = None) -> UserReport:

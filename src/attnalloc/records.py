@@ -32,6 +32,8 @@ class SparseAttentionRecords:
         seen = set()
         for rec in self.records:
             user, obj, level = rec
+            if user < 0 or obj < 0:
+                raise ValueError(f"negative user or object id in record {rec}")
             if not (MIN_LEVEL <= level <= MAX_LEVEL):
                 raise ValueError(f"level {level} out of range for record {rec}")
             if (user, obj) in seen:
@@ -88,6 +90,8 @@ def load_records(path) -> SparseAttentionRecords:
                 user, obj, level = (int(v) for v in row)
             except ValueError:
                 raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
+            if user < 0 or obj < 0:
+                raise RecordsParseError(f"line {lineno}: negative user or object id in {row!r}")
             if not (MIN_LEVEL <= level <= MAX_LEVEL):
                 raise RecordsParseError(f"line {lineno}: level {level} out of range 1..5")
             if (user, obj) in seen_pairs:

@@ -1,7 +1,7 @@
 """Synthetic user-object-attention world.
 
-Generates a catalog of objects, grouped scene images with pixel compositions,
-and a latent per-user interest matrix; computes ground-truth attention values
+Generates a catalog of objects, grouped scene images held as one images x
+objects pixel matrix, and a latent per-user interest matrix; computes ground-truth attention values
 (gaze mass on an object divided by the pixels it occupies) and produces sparse
 observation records by sampling service groups and image subsets.
 """
@@ -9,7 +9,7 @@ observation records by sampling service groups and image subsets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,8 @@ WORLD_FORMAT_VERSION = "uoal-sim/1"
 # stream tags so gaze noise / sparsify / scene draws never share a substream
 _GAZE_STREAM = 101
 _SPARSIFY_STREAM = 102
+
+_MAX_PIXEL_COUNT = int(np.iinfo(np.int32).max)  # World.pixels is int32
 
 
 class ConfigurationError(ValueError):
@@ -98,47 +100,6 @@ class WorldConfig:
 
 
 @dataclass(frozen=True)
-class ObjectCatalog:
-    labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
-            raise ValueError("catalog must not be empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("catalog labels must be unique")
-
-    def __len__(self):
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class SceneImage:
-    image_id: int
-    group_id: int
-    composition: tuple  # ((object_id, pixel_count), ...)
-
-    def __post_init__(self):
-        object.__setattr__(self, "composition", tuple(map(tuple, self.composition)))
-        if not self.composition:
-            raise ValueError(f"image {self.image_id} has no objects")
-        oids = [o for o, _ in self.composition]
-        if len(set(oids)) != len(oids):
-            raise ValueError(f"image {self.image_id} repeats an object id")
-        if any(px < 1 for _, px in self.composition):
-            raise ValueError(f"image {self.image_id} has a non-positive pixel count")
-
-    def objects(self):
-        return [o for o, _ in self.composition]
-
-    def pixel_count(self, object_id: int):
-        for o, px in self.composition:
-            if o == object_id:
-                return px
-        return None
-
-
-@dataclass(frozen=True)
 class GroundTruthLevels:
     """Dense num_users x num_objects matrix of attention levels 1..5."""
 
@@ -154,43 +115,63 @@ class GroundTruthLevels:
 
 @dataclass(frozen=True)
 class World:
-    catalog: ObjectCatalog
-    images: tuple
+    """The users x objects x images cube as arrays: ``pixels[i, o]`` is the
+    pixel count of object ``o`` in image ``i``, 0 when the object is absent."""
+
+    pixels: np.ndarray  # int32, num_images x num_objects
+    group_of: np.ndarray  # num_images service group ids
+    labels: tuple  # the catalog, one string per object
     interest: np.ndarray  # num_users x num_objects, entries in (0, 1]
-    num_users: int
     seed: int
     gaze_noise: float = 0.0
 
     def __post_init__(self):
+        labels = self.labels
+        if not labels or len(set(labels)) != len(labels):
+            raise ValueError("catalog labels must be non-empty and unique")
+        pixels = np.asarray(self.pixels, dtype=np.int32)
+        if pixels.ndim != 2 or not pixels.shape[0] or pixels.shape[1] != len(labels):
+            raise ValueError("pixels must be a non-empty images x objects matrix")
+        group_of = np.asarray(self.group_of, dtype=np.int64)
+        if group_of.shape != (pixels.shape[0],):
+            raise ValueError("group_of must give one group per image")
+        _reject_images(group_of < 0, "has a negative group")
+        _reject_images((pixels < 0).any(axis=1), "has a negative pixel count")
+        _reject_images(~pixels.any(axis=1), "has no objects")
         interest = np.asarray(self.interest, dtype=np.float64)
-        if interest.shape != (self.num_users, len(self.catalog)):
+        if interest.ndim != 2 or interest.shape[1] != len(labels):
             raise ValueError("interest matrix shape does not match users x objects")
         if (interest <= 0).any() or (interest > 1).any():
             raise ValueError("interest entries must lie in (0, 1]")
-        interest.setflags(write=False)
-        object.__setattr__(self, "interest", interest)
-        object.__setattr__(self, "images", tuple(self.images))
+        for name, arr in (("pixels", pixels), ("group_of", group_of), ("interest", interest)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def num_users(self) -> int:
+        return self.interest.shape[0]
 
     @property
     def num_objects(self) -> int:
-        return len(self.catalog)
+        return self.pixels.shape[1]
+
+    @property
+    def num_images(self) -> int:
+        return self.pixels.shape[0]
 
     @property
     def num_groups(self) -> int:
-        return max(im.group_id for im in self.images) + 1
+        return int(self.group_of.max()) + 1
 
-    def group_image_ids(self, group_id: int) -> list:
-        return [im.image_id for im in self.images if im.group_id == group_id]
+    def group_image_ids(self, group_id: int) -> np.ndarray:
+        return np.flatnonzero(self.group_of == group_id)
 
-    def image_by_id(self, image_id: int) -> SceneImage:
-        return self._image_index()[image_id]
 
-    def _image_index(self) -> dict:
-        cache = getattr(self, "_image_index_cache", None)
-        if cache is None:
-            cache = {im.image_id: im for im in self.images}
-            object.__setattr__(self, "_image_index_cache", cache)
-        return cache
+def _reject_images(mask, problem: str) -> None:
+    """Raise a ValueError naming the first image for which ``mask`` holds."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        raise ValueError(f"image {bad[0]} {problem}")
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
@@ -199,14 +180,12 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     rng = np.random.default_rng(seed)
 
     interest = _generate_interest(config, rng)
-    images = _generate_images(config, rng)
-    catalog = ObjectCatalog(tuple(f"object_{i:03d}" for i in range(config.num_objects)))
-
+    pixels, group_of = _generate_images(config, rng)
     return World(
-        catalog=catalog,
-        images=tuple(images),
+        pixels=pixels,
+        group_of=group_of,
+        labels=tuple(f"object_{i:03d}" for i in range(config.num_objects)),
         interest=interest,
-        num_users=config.num_users,
         seed=seed,
         gaze_noise=config.gaze_noise,
     )
@@ -230,7 +209,7 @@ def _generate_interest(config: WorldConfig, rng) -> np.ndarray:
     return np.clip(squashed, 1e-9, 1.0)
 
 
-def _generate_images(config: WorldConfig, rng) -> list:
+def _generate_images(config: WorldConfig, rng):
     n_obj = config.num_objects
     # heavy-tailed object popularity (rare objects make the records sparse),
     # shuffled so popularity is not correlated with the group blocks
@@ -249,35 +228,24 @@ def _generate_images(config: WorldConfig, rng) -> list:
          enumerate(np.array_split(np.arange(config.num_images), config.num_groups))]
     )
 
-    compositions = []
-    seen = set()
-    for image_id in range(config.num_images):
-        g = int(group_of[image_id])
+    pixels = np.zeros((config.num_images, n_obj), dtype=np.int32)
+    for image_id, g in enumerate(group_of):
         k = int(rng.integers(config.min_objects_per_image, config.max_objects_per_image + 1))
         oids = rng.choice(n_obj, size=k, replace=False, p=group_probs[g])
-        pixels = rng.integers(
+        pixels[image_id, oids] = rng.integers(
             config.min_pixels_per_object, config.max_pixels_per_object + 1, size=k
         )
-        comp = [(int(o), int(px)) for o, px in zip(oids, pixels)]
-        seen.update(int(o) for o in oids)
-        compositions.append(comp)
 
     # guarantee every object occurs at least once
-    for missing in sorted(set(range(n_obj)) - seen):
+    for missing in np.flatnonzero(~pixels.any(axis=0)):
         while True:
             idx = int(rng.integers(config.num_images))
-            comp = compositions[idx]
-            if any(o == missing for o, _ in comp):
-                break
             px = int(rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1))
-            if sum(p for _, p in comp) + px <= config.max_image_pixels:
-                comp.append((missing, px))
+            if int(pixels[idx].sum()) + px <= config.max_image_pixels:
+                pixels[idx, missing] = px
                 break
 
-    return [
-        SceneImage(image_id=i, group_id=int(group_of[i]), composition=tuple(compositions[i]))
-        for i in range(config.num_images)
-    ]
+    return pixels, group_of
 
 
 def _gaze_factor(world: World, user: int, image_id: int, object_id: int) -> float:
@@ -307,19 +275,29 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
     """Attention value for every object occurring in the given images.
 
     Value = (sum of gaze mass over occurrences) / (sum of pixels over
-    occurrences), gaze mass being interest * pixels * (1 + noise).
+    occurrences), gaze mass being interest * pixels * (1 + noise). An image
+    listed twice counts twice.
     """
-    gaze_sum: dict = {}
-    pixel_sum: dict = {}
-    for image_id in image_ids:
-        image = world.image_by_id(image_id)
-        for object_id, px in image.composition:
-            mass = world.interest[user, object_id] * px * _gaze_factor(world, user, image_id, object_id)
-            gaze_sum[object_id] = gaze_sum.get(object_id, 0.0) + mass
-            pixel_sum[object_id] = pixel_sum.get(object_id, 0.0) + px
-    return {
-        o: attention_from_gaze([pixel_sum[o]], [gaze_sum[o]]) for o in gaze_sum
-    }
+    ids = np.fromiter(image_ids, dtype=np.intp)
+    if not ids.size:
+        return {}
+    if ids.min() < 0 or ids.max() >= world.num_images:
+        raise KeyError(f"image ids must lie in 0..{world.num_images - 1}")
+    px = world.pixels[ids]
+    mass = world.interest[user] * px
+    if world.gaze_noise > 0:
+        rows, objects = np.nonzero(px)
+        mass[rows, objects] *= [
+            _gaze_factor(world, user, image_id, object_id)
+            for image_id, object_id in zip(ids[rows].tolist(), objects.tolist())
+        ]
+    present = np.flatnonzero(px.any(axis=0))
+    # cumsum adds the rows one after another in the given order; sum(axis=0)
+    # would pair them up and change the last bit of some values
+    gaze = np.cumsum(mass[:, present], axis=0)[-1]
+    pixel_sum = px[:, present].sum(axis=0, dtype=np.int64)
+    values = np.minimum(gaze / pixel_sum, 1.0)
+    return dict(zip(present.tolist(), values.tolist()))
 
 
 def attention_value(world: World, user: int, image_subset, object_id: int) -> float:
@@ -357,10 +335,9 @@ def quantize_levels(raw) -> list:
 
 def ground_truth_levels(world: World) -> GroundTruthLevels:
     """Per-user quintile levels of attention values computed over all images."""
-    all_ids = [im.image_id for im in world.images]
     levels = np.empty((world.num_users, world.num_objects), dtype=np.int64)
     for user in range(world.num_users):
-        values = raw_attention_values(world, user, all_ids)
+        values = raw_attention_values(world, user, range(world.num_images))
         pairs = quantize_levels(sorted(values.items()))
         for object_id, level in pairs:
             levels[user, object_id] = level
@@ -402,7 +379,7 @@ def sparsify_with_info(world: World, user: int, seed: int):
             keep = round(ran2 * len(ids) / 100)
             if keep > 0:
                 chosen = rng.choice(len(ids), size=keep, replace=False)
-                retained.extend(ids[i] for i in sorted(int(c) for c in chosen))
+                retained.extend(ids[np.sort(chosen)].tolist())
         if not retained:
             continue
         values = raw_attention_values(world, user, retained)
@@ -425,37 +402,54 @@ def sparsify(world: World, user: int, seed: int) -> SparseAttentionRecords:
 
 
 def world_to_dict(world: World) -> dict:
+    """The ``uoal-sim/1`` document; each composition lists its objects in
+    ascending id."""
     return {
         "version": WORLD_FORMAT_VERSION,
         "seed": world.seed,
         "num_users": world.num_users,
         "gaze_noise": world.gaze_noise,
-        "catalog": list(world.catalog.labels),
+        "catalog": list(world.labels),
         "images": [
-            {"id": im.image_id, "group": im.group_id,
-             "composition": [[o, px] for o, px in im.composition]}
-            for im in world.images
+            {"id": i, "group": g, "composition": [[o, px] for o, px in enumerate(row) if px]}
+            for i, (g, row) in enumerate(zip(world.group_of.tolist(), world.pixels.tolist()))
         ],
-        "interest": [list(row) for row in world.interest],
+        "interest": world.interest.tolist(),
     }
 
 
 def world_from_dict(doc: dict) -> World:
+    """Build the pixel matrix from a ``uoal-sim/1`` document (compositions in
+    any order), rejecting entries that would not map one-to-one onto it."""
     version = doc.get("version")
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
-    images = tuple(
-        SceneImage(
-            image_id=int(im["id"]), group_id=int(im["group"]),
-            composition=tuple((int(o), int(px)) for o, px in im["composition"]),
-        )
-        for im in doc["images"]
-    )
+    labels = tuple(doc["catalog"])
+    images = doc["images"]
+    pixels = np.zeros((len(images), len(labels)), dtype=np.int32)
+    group_of = np.zeros(len(images), dtype=np.int64)
+    for position, image in enumerate(images):
+        image_id = int(image["id"])
+        if image_id != position:
+            raise ValueError(f"image {position} has id {image_id}; ids must run 0, 1, 2, ...")
+        group_of[image_id] = int(image["group"])
+        for o, px in image["composition"]:
+            o, px = int(o), int(px)
+            if not 0 <= o < len(labels):
+                raise ValueError(f"image {image_id}: object id {o} outside 0..{len(labels) - 1}")
+            if pixels[image_id, o]:
+                raise ValueError(f"image {image_id} repeats object {o}")
+            if not 1 <= px <= _MAX_PIXEL_COUNT:
+                raise ValueError(f"image {image_id}: object {o} has {px} pixels, not 1..2**31-1")
+            pixels[image_id, o] = px
+    interest = np.array(doc["interest"], dtype=np.float64)
+    if interest.shape[:1] != (int(doc["num_users"]),):
+        raise ValueError(f"interest matrix has {len(interest)} rows for {doc['num_users']} users")
     return World(
-        catalog=ObjectCatalog(tuple(doc["catalog"])),
-        images=images,
-        interest=np.array(doc["interest"], dtype=np.float64),
-        num_users=int(doc["num_users"]),
+        pixels=pixels,
+        group_of=group_of,
+        labels=labels,
+        interest=interest,
         seed=int(doc["seed"]),
         gaze_noise=float(doc["gaze_noise"]),
     )

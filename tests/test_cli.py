@@ -54,6 +54,65 @@ def test_print_config(capsys):
     assert "[experiment]" in out and "[world]" in out and "master_seed" in out
 
 
+# the default configuration as --print-config writes it, byte for byte
+# (uplink_sinr ends in "= " because None prints as an empty value)
+PRINTED_CONFIG = """\
+[experiment]
+master_seed = 7
+floor_k = 2.0
+budget_per_object_k = 20.0
+sweep_factors = 16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0, 30.0, 32.0, 34.0, 36.0, 38.0, 40.0
+sweep_user = 2
+scene_retain_lo = 30
+scene_retain_hi = 70
+
+[world]
+num_users = 30
+num_objects = 96
+num_images = 1000
+num_groups = 5
+latent_rank = 6
+interest_noise = 0.1
+interest_exponent = 16.0
+interest_floor = 0.1
+hot_fraction = 0.15
+gaze_noise = 0.0
+group_bias = 3.0
+object_popularity_exponent = 2.5
+min_objects_per_image = 3
+max_objects_per_image = 12
+min_pixels_per_object = 200
+max_pixels_per_object = 5000
+max_image_pixels = 230400
+
+[fit]
+f = 6
+learning_rate = 0.01
+regularization = 0.05
+epochs = 200
+init_scale = 1.0
+seed = 0
+
+[channel]
+bandwidth = 10000000.0
+tx_power = 1.0
+distance = 10.0
+path_loss_exponent = 2.0
+interference_power = 1.2589254117941673
+noise_psd = 3.98e-21
+tx_antennas = 6
+rx_antennas = 7
+uplink_sinr = {}
+
+"""
+
+
+def test_print_config_pinned(capsys):
+    code, out, _ = run(capsys, "--print-config")
+    assert code == EXIT_OK
+    assert out == PRINTED_CONFIG.format("")
+
+
 def test_generate_deterministic(tmp_path, capsys, config_file):
     w1 = tmp_path / "w1.json"
     w2 = tmp_path / "w2.json"
@@ -225,3 +284,64 @@ def test_eval_truth_wider_than_model(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--model", str(model), "--truth", str(truth))
     assert code == EXIT_DATA
     assert "(0, 2)" in err and "2 users x 2 objects" in err
+
+
+def test_allocate_extreme_weight_ratio(tmp_path, capsys):
+    # the ratio 1e-600 used to overflow the canonical rounding into NaN
+    out = tmp_path / "alloc.csv"
+    code, _, _ = run(capsys, "allocate", "--weights", "1e300,1e-300",
+                     "--budget", "100", "--floor", "15", "--out", str(out))
+    assert code == EXIT_OK
+    assert out.read_text().splitlines()[1:] == ["0,1e+300,85.0", "1,1e-300,15.0"]
+
+
+@pytest.mark.parametrize("rows", [
+    "-1,0,5\n0,0,1\n1,1,3\n",  # used to train id -1 into the last user row
+    "-1,0,5\n",  # used to die with an IndexError traceback
+    "0,-1,5\n0,0,1\n1,1,3\n",
+])
+def test_fit_rejects_negative_ids(tmp_path, capsys, rows):
+    records = tmp_path / "records.csv"
+    records.write_text("user_id,object_id,level\n" + rows)
+    code, _, err = run(capsys, "fit", "--records", str(records),
+                       "--out", str(tmp_path / "model.json"))
+    assert code == EXIT_DATA
+    assert "line 2" in err and "negative" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def _break_image_3(doc, case):
+    image = doc["images"][3]
+    if case == "object id -1":
+        image["composition"][0][0] = -1
+    elif case == "object id past the catalog":
+        image["composition"][0][0] = len(doc["catalog"])
+    elif case == "duplicate image id":
+        image["id"] = 2
+    elif case == "negative group":
+        image["group"] = -1
+    elif case == "repeated object":
+        image["composition"].append([image["composition"][0][0], 50])
+    elif case == "pixel count 0":
+        image["composition"][0][1] = 0
+    elif case == "empty composition":
+        image["composition"] = []
+    elif case == "id out of order":
+        doc["images"][3], doc["images"][4] = doc["images"][4], doc["images"][3]
+
+
+@pytest.mark.parametrize("case", [
+    "object id -1", "object id past the catalog", "duplicate image id", "negative group",
+    "repeated object", "pixel count 0", "empty composition", "id out of order",
+])
+def test_sparsify_rejects_malformed_world(tmp_path, capsys, config_file, case):
+    world = tmp_path / "world.json"
+    assert run(capsys, "generate", "--config", config_file, "--out", str(world))[0] == EXIT_OK
+    doc = json.loads(world.read_text())
+    _break_image_3(doc, case)
+    world.write_text(json.dumps(doc))
+    records = tmp_path / "records.csv"
+    code, _, err = run(capsys, "sparsify", "--world", str(world), "--out", str(records))
+    assert code == EXIT_DATA
+    assert "image 3" in err
+    assert not records.exists()

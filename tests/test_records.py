@@ -88,3 +88,16 @@ def test_missing_header(tmp_path):
     path.write_text("0,1,2\n")
     with pytest.raises(RecordsParseError, match="line 1"):
         load_records(path)
+
+
+def test_rejects_negative_ids():
+    for record in ((-1, 0, 3), (0, -1, 3)):
+        with pytest.raises(ValueError, match="negative"):
+            SparseAttentionRecords(frozenset({record}))
+
+
+def test_load_rejects_negative_ids(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("user_id,object_id,level\n0,0,1\n1,-2,3\n")
+    with pytest.raises(RecordsParseError, match="line 3: negative"):
+        load_records(path)

@@ -22,10 +22,10 @@ from attnalloc import (
 from attnalloc.world import (
     ConfigurationError,
     ObjectAbsentError,
-    ObjectCatalog,
-    SceneImage,
+    _gaze_factor,
     raw_attention_values,
     sparsify_with_info,
+    world_from_dict,
     world_to_dict,
 )
 from conftest import SMALL_WORLD
@@ -35,32 +35,30 @@ def make_manual_world(interest_rows, compositions, gaze_noise=0.0, groups=None):
     """World with explicit interest values and image compositions."""
     interest = np.array(interest_rows, dtype=np.float64)
     n_obj = interest.shape[1]
-    catalog = ObjectCatalog(tuple(f"o{i}" for i in range(n_obj)))
-    images = tuple(
-        SceneImage(image_id=i, group_id=(groups[i] if groups else 0), composition=comp)
-        for i, comp in enumerate(compositions)
-    )
+    pixels = np.zeros((len(compositions), n_obj), dtype=np.int32)
+    for image_id, comp in enumerate(compositions):
+        for object_id, px in comp:
+            pixels[image_id, object_id] = px
     return World(
-        catalog=catalog, images=images, interest=interest,
-        num_users=interest.shape[0], seed=0, gaze_noise=gaze_noise,
+        pixels=pixels, group_of=groups or [0] * len(compositions),
+        labels=tuple(f"o{i}" for i in range(n_obj)), interest=interest,
+        seed=0, gaze_noise=gaze_noise,
     )
 
 
 def test_default_world_shape(default_world):
     assert default_world.num_users == 30
     assert default_world.num_objects == 96
-    assert len(default_world.images) == 1000
+    assert default_world.num_images == 1000
     assert default_world.num_groups == 5
     for g in range(5):
         assert len(default_world.group_image_ids(g)) == 200
 
 
 def test_every_object_appears(default_world):
-    seen = set()
-    for image in default_world.images:
-        seen.update(image.objects())
-        assert sum(px for _, px in image.composition) <= 360 * 640
-    assert seen == set(range(96))
+    pixels = default_world.pixels
+    assert (pixels.sum(axis=1) <= 360 * 640).all()
+    assert set(np.flatnonzero(pixels.any(axis=0))) == set(range(96))
 
 
 def test_interest_in_unit_interval(default_world):
@@ -213,9 +211,7 @@ def test_sparsify_draw_ranges(small_world):
         assert info.ran1 in (2, 3)  # capped by the 3-group small world
         assert 30 <= info.ran2 <= 70
         assert len(info.selected_groups) == info.ran1
-        present = set()
-        for image_id in info.retained_images:
-            present.update(small_world.image_by_id(image_id).objects())
+        present = set(np.flatnonzero(small_world.pixels[list(info.retained_images)].any(axis=0)))
         assert {o for _, o, _ in records} <= present
 
 
@@ -274,3 +270,65 @@ def test_interest_plateau_shape():
     # large near-floor cold baseline
     assert (hot >= 8).all() and (hot <= 22).all()
     assert (cold >= 48).all()
+
+
+def _reference_raw_attention_values(images, world, user, image_ids):
+    """The per-image dict loop that the pixel matrix replaced, reading each
+    image's composition from ``world_to_dict(world)["images"]``: the
+    differential oracle for raw_attention_values (exact equality, not a
+    tolerance)."""
+    gaze_sum = {}
+    pixel_sum = {}
+    for image_id in image_ids:
+        for object_id, px in images[image_id]["composition"]:
+            mass = world.interest[user, object_id] * px * _gaze_factor(world, user, image_id, object_id)
+            gaze_sum[object_id] = gaze_sum.get(object_id, 0.0) + mass
+            pixel_sum[object_id] = pixel_sum.get(object_id, 0.0) + px
+    return {
+        o: attention_from_gaze([pixel_sum[o]], [gaze_sum[o]]) for o in gaze_sum
+    }
+
+
+def _assert_matches_reference(world, master_seed, users):
+    images = world_to_dict(world)["images"]
+    n = len(images)
+    every = list(range(n))
+    # unsorted, with a repeated image id (counted twice by both paths)
+    shuffled = np.random.default_rng(master_seed).permutation(n)[: n // 3].tolist()
+    shuffled.append(shuffled[0])
+    for user in users:
+        _, info = sparsify_with_info(world, user, master_seed)
+        for ids in (every, list(info.retained_images), shuffled):
+            assert raw_attention_values(world, user, ids) == \
+                _reference_raw_attention_values(images, world, user, ids)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_raw_attention_matches_reference_loop(seed):
+    _assert_matches_reference(generate_world(WorldConfig(), seed), seed, range(30))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_raw_attention_matches_reference_loop_with_gaze_noise(seed):
+    # three users: each noisy occurrence builds its own generator, so all 30
+    # would cost about 30 s per seed
+    config = dataclasses.replace(WorldConfig(), gaze_noise=0.1)
+    _assert_matches_reference(generate_world(config, seed), seed, (0, 1, 29))
+
+
+def test_parent_order_world_file_loads_to_same_matrix(default_world):
+    # world files used to list each composition in draw order; any order
+    # loads to the same matrix, levels and records
+    doc = world_to_dict(default_world)
+    rng = np.random.default_rng(0)
+    for image in doc["images"]:
+        comp = image["composition"]
+        image["composition"] = [comp[i] for i in rng.permutation(len(comp))]
+    loaded = world_from_dict(doc)
+    assert np.array_equal(loaded.pixels, default_world.pixels)
+    assert np.array_equal(loaded.group_of, default_world.group_of)
+    assert np.array_equal(ground_truth_levels(loaded).levels,
+                          ground_truth_levels(default_world).levels)
+    for user in range(loaded.num_users):
+        assert sparsify(loaded, user, 7) == sparsify(default_world, user, 7)
+    assert world_to_dict(loaded) == world_to_dict(default_world)
