@@ -9,6 +9,7 @@ observation records by sampling service groups and image subsets.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,9 @@ class World:
     gaze_noise: float = 0.0
 
     def __post_init__(self):
+        _check_seed(self.seed)
+        if not isinstance(self.gaze_noise, numbers.Real) or not 0.0 <= self.gaze_noise < 1.0:
+            raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
         labels = self.labels
         if not labels or len(set(labels)) != len(labels):
             raise ValueError("catalog labels must be non-empty and unique")
@@ -136,6 +140,10 @@ class World:
         if group_of.shape != (pixels.shape[0],):
             raise ValueError("group_of must give one group per image")
         _reject_images(group_of < 0, "has a negative group")
+        groups = np.unique(group_of)
+        if groups[-1] != groups.size - 1:
+            missing = np.flatnonzero(groups != np.arange(groups.size))[0]
+            raise ValueError(f"group ids must cover 0..{groups[-1]}; group {missing} has no images")
         _reject_images((pixels < 0).any(axis=1), "has a negative pixel count")
         _reject_images(~pixels.any(axis=1), "has no objects")
         interest = np.asarray(self.interest, dtype=np.float64)
@@ -167,6 +175,11 @@ class World:
         return np.flatnonzero(self.group_of == group_id)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _reject_images(mask, problem: str) -> None:
     """Raise a ValueError naming the first image for which ``mask`` holds."""
     bad = np.flatnonzero(mask)
@@ -177,6 +190,7 @@ def _reject_images(mask, problem: str) -> None:
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Build a deterministic synthetic world from a seed."""
     config.validate()
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     interest = _generate_interest(config, rng)
@@ -248,11 +262,123 @@ def _generate_images(config: WorldConfig, rng):
     return pixels, group_of
 
 
-def _gaze_factor(world: World, user: int, image_id: int, object_id: int) -> float:
-    if world.gaze_noise <= 0:
-        return 1.0
-    sub = np.random.default_rng((world.seed, _GAZE_STREAM, user, image_id, object_id))
-    return 1.0 + sub.uniform(-world.gaze_noise, world.gaze_noise)
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier (as
+# 32-bit limbs, least significant first)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> s) & _MASK32 for s in (0, 32, 64, 96)]
+
+
+def _gaze_factors(world: World, user: int, image_ids, object_ids) -> np.ndarray:
+    """Gaze-noise factor of each (image, object) pair: the value
+    ``1 + np.random.default_rng((seed, _GAZE_STREAM, user, image, object))
+    .uniform(-gaze_noise, gaze_noise)`` would give, computed for all pairs in
+    one pass. It repeats numpy's steps in uint32/uint64 array arithmetic:
+    SeedSequence hashes the tuple into eight state words, PCG64 is seeded from
+    them and draws one 64-bit output, which becomes a double in [0, 1). Ids
+    must lie below 2**32, so each is one entropy word."""
+    image_ids = np.asarray(image_ids, dtype=np.uint32)
+    object_ids = np.asarray(object_ids, dtype=np.uint32)
+    g = world.gaze_noise
+    scalar_words = _uint32_words(world.seed) + [_GAZE_STREAM] + _uint32_words(user)
+    entropy = [np.uint32(w) for w in scalar_words] + [image_ids, object_ids]
+    with np.errstate(over="ignore"):
+        s = [w.astype(np.uint64) for w in _seed_sequence_state(entropy)]
+    # generate_state(4, uint64) reads the words as little-endian uint64s
+    # w0..w3; PCG64 seeds with (w0:w1, w2:w3), high word first. Limbs here
+    # are 32 bits, least significant first.
+    seed = [s[2], s[3], s[0], s[1]]
+    inc = [s[6], s[7], s[4], s[5]]
+    inc = [(inc[0] << 1 | 1) & _MASK32] + [
+        (hi << 1 | lo >> 31) & _MASK32 for lo, hi in zip(inc, inc[1:])
+    ]
+    # srandom: the first step from state 0 leaves inc; add the seed; step.
+    # Then next_uint64 steps once more and outputs XSL-RR of the new state.
+    state = _pcg_step(_add128(inc, seed), inc)
+    state = _pcg_step(state, inc)
+    hi = state[3] << 32 | state[2]
+    x = (state[3] ^ state[1]) << 32 | (state[2] ^ state[0])
+    rot = hi >> 58
+    x = x >> rot | x << ((64 - rot) & 63)
+    d = (x >> 11).astype(np.float64) * 2.0**-53
+    return 1.0 + (-g + (g - -g) * d)
+
+
+def _uint32_words(n: int) -> list:
+    """SeedSequence's entropy words for an int: little-endian 32-bit words,
+    ``[0]`` for 0."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"gaze noise needs non-negative seed and ids, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hashmix with its own running hash constant: each call
+    xors the value with the constant, advances the constant and multiplies."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_sequence_state(entropy: list) -> list:
+    """``SeedSequence(entropy).generate_state(8)`` as eight uint32 words (each
+    an array over the pairs), for an entropy of at least four words."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    return [hashmix(pool[i % 4]) for i in range(8)]
+
+
+def _add128(a: list, b: list) -> list:
+    """Sum mod 2**128 of two numbers given as four limbs of weight 2**(32k)
+    (uint64 arrays, least significant first). The result's limbs are 32-bit;
+    what a sum holds above 32 bits is carried into the next limb."""
+    out, carry = [], 0
+    for x, y in zip(a, b):
+        total = x + y + carry
+        out.append(total & _MASK32)
+        carry = total >> 32
+    return out
+
+
+def _pcg_step(state: list, inc: list) -> list:
+    """One PCG64 LCG step, ``state * multiplier + inc`` mod 2**128, on 32-bit
+    limbs: each 32x32-bit product fits a uint64; its low half goes to its own
+    column and its high half to the next, and the columns carry upward."""
+    columns = [0, 0, 0, 0]
+    for i, a in enumerate(state):
+        for j, m in enumerate(_PCG_MULT[: 4 - i]):
+            product = a * np.uint64(m)
+            columns[i + j] = columns[i + j] + (product & _MASK32)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+    return _add128(columns, inc)
 
 
 def attention_from_gaze(pixel_counts, gaze_masses) -> float:
@@ -287,10 +413,7 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
     mass = world.interest[user] * px
     if world.gaze_noise > 0:
         rows, objects = np.nonzero(px)
-        mass[rows, objects] *= [
-            _gaze_factor(world, user, image_id, object_id)
-            for image_id, object_id in zip(ids[rows].tolist(), objects.tolist())
-        ]
+        mass[rows, objects] *= _gaze_factors(world, user, ids[rows], objects)
     present = np.flatnonzero(px.any(axis=0))
     # cumsum adds the rows one after another in the given order; sum(axis=0)
     # would pair them up and change the last bit of some values
@@ -420,39 +543,60 @@ def world_to_dict(world: World) -> dict:
 
 def world_from_dict(doc: dict) -> World:
     """Build the pixel matrix from a ``uoal-sim/1`` document (compositions in
-    any order), rejecting entries that would not map one-to-one onto it."""
-    version = doc.get("version")
+    any order), rejecting missing keys, non-integer ids, groups and pixel
+    counts, and entries that would not map one-to-one onto the matrix. The
+    integer checks are exact type checks: a JSON integer loads as ``int``,
+    and a bool is not one."""
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
-    labels = tuple(doc["catalog"])
-    images = doc["images"]
+    labels = tuple(_require(doc, "catalog", "world file", list))
+    images = _require(doc, "images", "world file", list)
     pixels = np.zeros((len(images), len(labels)), dtype=np.int32)
     group_of = np.zeros(len(images), dtype=np.int64)
     for position, image in enumerate(images):
-        image_id = int(image["id"])
-        if image_id != position:
-            raise ValueError(f"image {position} has id {image_id}; ids must run 0, 1, 2, ...")
-        group_of[image_id] = int(image["group"])
-        for o, px in image["composition"]:
-            o, px = int(o), int(px)
+        where = f"image {position}"
+        image_id = _require(image, "id", where)
+        if type(image_id) is not int or image_id != position:
+            raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
+        group = _require(image, "group", where)
+        if type(group) is not int or not 0 <= group < len(images):
+            raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
+        group_of[position] = group
+        for entry in _require(image, "composition", where, list):
+            if type(entry) is not list or len(entry) != 2 \
+                    or type(entry[0]) is not int or type(entry[1]) is not int:
+                raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
+            o, px = entry
             if not 0 <= o < len(labels):
-                raise ValueError(f"image {image_id}: object id {o} outside 0..{len(labels) - 1}")
-            if pixels[image_id, o]:
-                raise ValueError(f"image {image_id} repeats object {o}")
+                raise ValueError(f"{where}: object id {o} outside 0..{len(labels) - 1}")
+            if pixels[position, o]:
+                raise ValueError(f"{where} repeats object {o}")
             if not 1 <= px <= _MAX_PIXEL_COUNT:
-                raise ValueError(f"image {image_id}: object {o} has {px} pixels, not 1..2**31-1")
-            pixels[image_id, o] = px
-    interest = np.array(doc["interest"], dtype=np.float64)
-    if interest.shape[:1] != (int(doc["num_users"]),):
-        raise ValueError(f"interest matrix has {len(interest)} rows for {doc['num_users']} users")
+                raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
+            pixels[position, o] = px
+    interest = np.array(_require(doc, "interest", "world file"), dtype=np.float64)
+    num_users = _require(doc, "num_users", "world file")
+    if interest.shape[:1] != (num_users,):
+        raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
     return World(
         pixels=pixels,
         group_of=group_of,
         labels=labels,
         interest=interest,
-        seed=int(doc["seed"]),
-        gaze_noise=float(doc["gaze_noise"]),
+        seed=_require(doc, "seed", "world file"),
+        gaze_noise=_require(doc, "gaze_noise", "world file"),
     )
+
+
+def _require(mapping, key: str, where: str, kind=object):
+    """``mapping[key]``, or a ValueError naming ``where`` and the key when it
+    is missing or not a ``kind``."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"{where} has no {key!r}")
+    if not isinstance(mapping[key], kind):
+        raise ValueError(f"{where}: {key!r} must be a {kind.__name__}")
+    return mapping[key]
 
 
 def save_world(world: World, path) -> None:

@@ -345,3 +345,96 @@ def test_sparsify_rejects_malformed_world(tmp_path, capsys, config_file, case):
     assert code == EXIT_DATA
     assert "image 3" in err
     assert not records.exists()
+
+
+def _sparsify_world_doc(tmp_path, capsys, config_file, edit):
+    """Generate the small world, apply ``edit`` to its document, then run
+    ``sparsify --world`` on it; returns (exit code, stderr, records path)."""
+    world = tmp_path / "world.json"
+    assert run(capsys, "generate", "--config", config_file, "--out", str(world))[0] == EXIT_OK
+    doc = json.loads(world.read_text())
+    edit(doc)
+    world.write_text(json.dumps(doc))
+    records = tmp_path / "records.csv"
+    code, _, err = run(capsys, "sparsify", "--world", str(world), "--out", str(records))
+    return code, err, records
+
+
+@pytest.mark.parametrize("key", ["catalog", "images", "interest", "num_users", "seed",
+                                 "gaze_noise"])
+def test_sparsify_rejects_world_missing_key(tmp_path, capsys, config_file, key):
+    # a missing key used to die with a KeyError traceback (exit 1)
+    code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file,
+                                             lambda doc: doc.pop(key))
+    assert code == EXIT_DATA
+    assert f"world file has no '{key}'" in err
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("key", ["id", "group", "composition"])
+def test_sparsify_rejects_image_missing_key(tmp_path, capsys, config_file, key):
+    code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file,
+                                             lambda doc: doc["images"][3].pop(key))
+    assert code == EXIT_DATA
+    assert f"image 3 has no '{key}'" in err
+    assert not records.exists()
+
+
+def _set_non_integer(doc, case):
+    image = doc["images"][3]
+    entry = image["composition"][0]
+    if case == "fractional object id":
+        entry[0] += 0.7  # used to load as the truncated id and exit 0
+    elif case == "fractional pixel count":
+        entry[1] += 0.5
+    elif case == "bool object id":
+        entry[0] = True
+    elif case == "string pixel count":
+        entry[1] = str(entry[1])
+    elif case == "fractional group":
+        image["group"] += 0.5
+    elif case == "string image id":
+        image["id"] = "3"
+
+
+@pytest.mark.parametrize("case", [
+    "fractional object id", "fractional pixel count", "bool object id", "string pixel count",
+    "fractional group", "string image id",
+])
+def test_sparsify_rejects_non_integer_world_entries(tmp_path, capsys, config_file, case):
+    code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file,
+                                             lambda doc: _set_non_integer(doc, case))
+    assert code == EXIT_DATA
+    assert "image 3" in err
+    assert not records.exists()
+
+
+def test_sparsify_rejects_group_gaps(tmp_path, capsys, config_file):
+    # groups 0, 2, 4 used to load as five groups, two of them empty
+    def regroup(doc):
+        for image in doc["images"]:
+            image["group"] *= 2
+
+    code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file, regroup)
+    assert code == EXIT_DATA
+    assert "group 1 has no images" in err
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_sparsify_rejects_bad_world_seed(tmp_path, capsys, config_file, seed, gaze_noise):
+    code, err, records = _sparsify_world_doc(
+        tmp_path, capsys, config_file, lambda doc: doc.update(seed=seed, gaze_noise=gaze_noise)
+    )
+    assert code == EXIT_DATA
+    assert "seed must be a non-negative integer" in err
+    assert not records.exists()
+
+
+def test_sparsify_accepts_multi_word_world_seed(tmp_path, capsys, config_file):
+    code, err, records = _sparsify_world_doc(
+        tmp_path, capsys, config_file, lambda doc: doc.update(seed=2**40, gaze_noise=0.1)
+    )
+    assert code == EXIT_OK, err
+    assert records.exists()

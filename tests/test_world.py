@@ -21,14 +21,24 @@ from attnalloc import (
 )
 from attnalloc.world import (
     ConfigurationError,
+    _GAZE_STREAM,
     ObjectAbsentError,
-    _gaze_factor,
+    _gaze_factors,
     raw_attention_values,
     sparsify_with_info,
     world_from_dict,
     world_to_dict,
 )
 from conftest import SMALL_WORLD
+
+
+def _reference_gaze_factor(world: World, user: int, image_id: int, object_id: int) -> float:
+    """The per-tuple generator that ``_gaze_factors`` replaced: the
+    differential oracle for the bulk kernel (exact equality)."""
+    if world.gaze_noise <= 0:
+        return 1.0
+    sub = np.random.default_rng((world.seed, _GAZE_STREAM, user, image_id, object_id))
+    return 1.0 + sub.uniform(-world.gaze_noise, world.gaze_noise)
 
 
 def make_manual_world(interest_rows, compositions, gaze_noise=0.0, groups=None):
@@ -281,7 +291,8 @@ def _reference_raw_attention_values(images, world, user, image_ids):
     pixel_sum = {}
     for image_id in image_ids:
         for object_id, px in images[image_id]["composition"]:
-            mass = world.interest[user, object_id] * px * _gaze_factor(world, user, image_id, object_id)
+            mass = world.interest[user, object_id] * px * \
+                _reference_gaze_factor(world, user, image_id, object_id)
             gaze_sum[object_id] = gaze_sum.get(object_id, 0.0) + mass
             pixel_sum[object_id] = pixel_sum.get(object_id, 0.0) + px
     return {
@@ -332,3 +343,47 @@ def test_parent_order_world_file_loads_to_same_matrix(default_world):
     for user in range(loaded.num_users):
         assert sparsify(loaded, user, 7) == sparsify(default_world, user, 7)
     assert world_to_dict(loaded) == world_to_dict(default_world)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 + 3])
+def test_gaze_factors_match_per_tuple_generator(seed):
+    # seeds of one, two and three entropy words; ids at both ends of uint32
+    rng = np.random.default_rng(seed % 1000)
+    ends = [0, 0, 2**32 - 1, 2**32 - 1]
+    image_ids = np.array(ends + rng.integers(0, 2**32, 300).tolist(), dtype=np.int64)
+    object_ids = np.array(ends[::2] + ends[1::2] + rng.integers(0, 2**32, 300).tolist(),
+                          dtype=np.int64)
+    base = make_manual_world([[0.5]], [((0, 10),)])
+    for gaze_noise in (0.1, 0.2, 0.999):
+        world = dataclasses.replace(base, seed=seed, gaze_noise=gaze_noise)
+        for user in (0, 29, 2**32 - 1):
+            expected = [_reference_gaze_factor(world, user, int(i), int(o))
+                        for i, o in zip(image_ids, object_ids)]
+            assert _gaze_factors(world, user, image_ids, object_ids).tolist() == expected
+
+
+def test_world_rejects_bad_seed():
+    base = make_manual_world([[0.5]], [((0, 10),)], gaze_noise=0.1)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            dataclasses.replace(base, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        generate_world(SMALL_WORLD, seed=-1)
+    # seeds of several entropy words stay valid
+    assert attention_value(dataclasses.replace(base, seed=2**40), 0, [0], 0) != 0.5
+
+
+def test_world_rejects_gaze_noise_outside_unit_interval():
+    base = make_manual_world([[0.5]], [((0, 10),)])
+    for gaze_noise in (-0.1, 1.0, float("nan"), None, "0.1"):
+        with pytest.raises(ValueError, match="gaze_noise"):
+            dataclasses.replace(base, gaze_noise=gaze_noise)
+
+
+def test_world_rejects_group_gaps():
+    compositions = [((0, 10),)] * 4
+    with pytest.raises(ValueError, match="group 1 has no images"):
+        make_manual_world([[0.5]], compositions, groups=[0, 2, 2, 0])
+    with pytest.raises(ValueError, match="group 0 has no images"):
+        make_manual_world([[0.5]], compositions, groups=[1, 1, 2, 3])
+    assert make_manual_world([[0.5]], compositions, groups=[2, 0, 1, 0]).num_groups == 3
