@@ -12,7 +12,6 @@ from .allocate import (
     InfeasibleError,
     allocate_uniform,
     allocate_weighted,
-    brute_force_allocate,
 )
 from .experiment import (
     ExperimentConfig,
@@ -21,7 +20,6 @@ from .experiment import (
     UserReport,
     run_all,
     run_sweep,
-    run_user_experiment,
 )
 from .mf import (
     BaselineModel,

@@ -1,14 +1,15 @@
 """Rendering-capacity allocation: weighted log-utility water-filling with
-per-object floors, the uniform baseline, and a brute-force grid oracle.
+per-object floors, and the uniform baseline.
 
 maximize   sum_n w_n * ln(c_n)
 subject to sum_n c_n = C_total,  c_n >= c_min
 
-solved exactly by active-set clamping: unclamped objects get c = w / lambda
-with lambda chosen to exhaust the budget left after the clamped floors;
-anything that falls below the floor is clamped and the step repeats (at most
-N rounds). The allocation depends on the weights only through their ratios,
-so it is invariant to positive rescaling of the weight vector.
+solved in closed form over the sorted weights: free objects get c = w / lambda
+with lambda chosen to exhaust the budget left after the floors, and the free
+set is the largest-weight prefix whose last member still clears the floor
+(Palomar & Fonollosa, IEEE TSP 2005). The allocation depends on the weights
+only through their ratios, so it is invariant to positive rescaling of the
+weight vector.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ _RATIO_DIGITS = 9
 
 class InfeasibleError(ValueError):
     """Budget cannot cover the per-object floors; message names the deficit."""
-
-
-class SearchSpaceError(ValueError):
-    """Brute-force grid would exceed the allowed number of combinations."""
 
 
 def _check_feasible(n: int, budget: float, floor: float) -> None:
@@ -108,27 +105,19 @@ def allocate_weighted(problem: AllocationProblem) -> AllocationResult:
     r = _canonical_ratios(problem.weights)
 
     capacities = np.full(n, floor)
-    unclamped = np.full(n, budget - n * floor > 0)
-    if unclamped.any():
-        for _ in range(n):
-            m_clamped = n - int(unclamped.sum())
-            available = budget - m_clamped * floor
-            lam = r[unclamped].sum() / available
-            capacities[unclamped] = r[unclamped] / lam
-            below = unclamped & (capacities < floor)
-            if not below.any():
-                break
-            unclamped &= ~below
-            capacities[below] = floor
-            if not unclamped.any():
-                break
-
-    if unclamped.any():
-        lam_orig = problem.weights[unclamped].sum() / (
-            budget - (n - int(unclamped.sum())) * floor
-        )
-    else:
-        lam_orig = None
+    lam_orig = None
+    if budget - n * floor > 0:
+        # lambda of each largest-ratio prefix, with every other object at the
+        # floor; a ratio that fails to clear the floor fails for every longer
+        # prefix, and tied ratios pass or fail together
+        desc = np.sort(r)[::-1]
+        lam = np.cumsum(desc) / (budget - floor * np.arange(n - 1, -1, -1))
+        clears = np.flatnonzero(desc / lam >= floor)
+        if clears.size:
+            free = r >= desc[clears[-1]]
+            available = budget - (n - np.count_nonzero(free)) * floor
+            capacities[free] = r[free] / (r[free].sum() / available)
+            lam_orig = problem.weights[free].sum() / available
     return AllocationResult(
         capacities=capacities,
         lagrange_multiplier=lam_orig,
@@ -146,52 +135,6 @@ def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationR
         capacities=np.full(n_objects, share),
         lagrange_multiplier=None,
         objective=None,
-    )
-
-
-def brute_force_allocate(problem: AllocationProblem, grid_step: float) -> AllocationResult:
-    """Exhaustive grid search over the budget simplex; test oracle only."""
-    n = problem.n
-    if n > 4:
-        raise SearchSpaceError("brute force supports at most 4 objects")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    slack = problem.budget - n * problem.floor
-    m = int(math.floor(slack / grid_step + 1e-9))
-    combos = math.comb(m + n - 1, n - 1) if n > 1 else 1
-    if combos > 10 ** 6:
-        raise SearchSpaceError(f"{combos} grid combinations exceed the 1e6 limit")
-
-    w = problem.weights
-    floor = problem.floor
-    if n == 1:
-        best = np.array([problem.budget])
-    else:
-        ks = np.arange(m + 1)
-        if n == 2:
-            grids = [ks]
-        elif n == 3:
-            k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-            keep = (k1 + k2) <= m
-            grids = [k1[keep], k2[keep]]
-        else:
-            k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
-            keep = (k1 + k2 + k3) <= m
-            grids = [k1[keep], k2[keep], k3[keep]]
-        used = sum(grids) * grid_step
-        last = problem.budget - floor * (n - 1) - used
-        cols = [floor + g * grid_step for g in grids] + [last]
-        obj = sum(
-            np.where(wi > 0, wi * np.log(np.maximum(col, 1e-300)), 0.0)
-            for wi, col in zip(w, cols)
-        )
-        idx = int(np.argmax(obj))
-        best = np.array([float(np.atleast_1d(col)[idx]) for col in cols])
-
-    return AllocationResult(
-        capacities=best,
-        lagrange_multiplier=None,
-        objective=objective_value(w, best),
     )
 
 

@@ -19,14 +19,9 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .world import WorldConfig, generate_world, raw_attention_values, sparsify
+from .world import WorldConfig, generate_world, raw_attention_values, sparsify_users
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
-
-# design target band for the default 30-user mean improvement; the measured
-# envelope is recorded in calibration/envelope.json by
-# scripts/calibrate_envelope.py
-IMPROVEMENT_TARGET_BAND = (5.0, 40.0)
 
 _SCENE_STREAM = 103
 
@@ -117,11 +112,9 @@ class ExperimentRunner:
     @property
     def records(self):
         if self._records is None:
-            merged = frozenset()
-            for user in range(self.world.num_users):
-                merged |= sparsify(self.world, user, self.config.master_seed).records
-            from .records import SparseAttentionRecords
-            self._records = SparseAttentionRecords(merged)
+            self._records = sparsify_users(
+                self.world, range(self.world.num_users), self.config.master_seed
+            )
         return self._records
 
     @property
@@ -197,10 +190,6 @@ class ExperimentRunner:
             for factor in self.config.sweep_factors
         )
         return SweepReport(user_id=user, points=points)
-
-
-def run_user_experiment(config: ExperimentConfig, user: int) -> UserReport:
-    return ExperimentRunner(config).user_report(user)
 
 
 def aggregate(reports) -> Aggregate:

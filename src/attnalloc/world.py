@@ -397,6 +397,11 @@ def attention_from_gaze(pixel_counts, gaze_masses) -> float:
     return min(sum(masses) / sum(pixels), 1.0)
 
 
+def _check_user(world: World, user: int) -> None:
+    if not 0 <= user < world.num_users:
+        raise ValueError(f"user {user} outside 0..{world.num_users - 1}")
+
+
 def raw_attention_values(world: World, user: int, image_ids) -> dict:
     """Attention value for every object occurring in the given images.
 
@@ -404,6 +409,7 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
     occurrences), gaze mass being interest * pixels * (1 + noise). An image
     listed twice counts twice.
     """
+    _check_user(world, user)
     ids = np.fromiter(image_ids, dtype=np.intp)
     if not ids.size:
         return {}
@@ -486,6 +492,7 @@ def sparsify_with_info(world: World, user: int, seed: int):
     (seed, user); an empty retained subset (only possible for degenerate
     worlds) retries on the next substream.
     """
+    _check_user(world, user)
     if world.num_groups < 2:
         raise ValueError("sparsify requires a world with at least 2 groups")
     for attempt in range(100):
@@ -522,6 +529,13 @@ def sparsify_with_info(world: World, user: int, seed: int):
 def sparsify(world: World, user: int, seed: int) -> SparseAttentionRecords:
     records, _ = sparsify_with_info(world, user, seed)
     return records
+
+
+def sparsify_users(world: World, users, seed: int) -> SparseAttentionRecords:
+    """The merged records of one sparsify draw per listed user."""
+    return SparseAttentionRecords(
+        frozenset().union(*(sparsify(world, user, seed).records for user in users))
+    )
 
 
 def world_to_dict(world: World) -> dict:

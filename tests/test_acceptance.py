@@ -20,7 +20,6 @@ from attnalloc import (
     allocate_uniform,
     allocate_weighted,
     attention_from_gaze,
-    brute_force_allocate,
     fit_baseline,
     generate_world,
     ground_truth_levels,
@@ -31,6 +30,7 @@ from attnalloc.experiment import aggregate, report_summary_json, reports_to_csv
 from attnalloc.mf import evaluate, holdout_mask, save_model
 from attnalloc.records import save_records
 from attnalloc.world import save_world, sparsify_with_info
+from oracles import brute_force_allocate
 
 ENVELOPE_PATH = pathlib.Path(__file__).resolve().parent.parent / "calibration" / "envelope.json"
 

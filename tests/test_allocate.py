@@ -1,4 +1,5 @@
-"""Water-filling allocator: exact cases, KKT invariants, and the grid oracle."""
+"""Water-filling allocator: exact cases, KKT invariants, the grid oracle,
+and a differential test against the active-set loop it replaced."""
 
 import numpy as np
 import pytest
@@ -10,14 +11,52 @@ from attnalloc import (
     InfeasibleError,
     allocate_uniform,
     allocate_weighted,
-    brute_force_allocate,
 )
 from attnalloc.allocate import (
-    SearchSpaceError,
+    AllocationResult,
+    _canonical_ratios,
     allocation_summary,
     objective_value,
     save_allocation,
 )
+from oracles import SearchSpaceError, brute_force_allocate
+
+
+
+def _reference_allocate_weighted(problem: AllocationProblem) -> AllocationResult:
+    """Exact KKT maximizer of the floored weighted log utility."""
+    n = problem.n
+    floor = problem.floor
+    budget = problem.budget
+    r = _canonical_ratios(problem.weights)
+
+    capacities = np.full(n, floor)
+    unclamped = np.full(n, budget - n * floor > 0)
+    if unclamped.any():
+        for _ in range(n):
+            m_clamped = n - int(unclamped.sum())
+            available = budget - m_clamped * floor
+            lam = r[unclamped].sum() / available
+            capacities[unclamped] = r[unclamped] / lam
+            below = unclamped & (capacities < floor)
+            if not below.any():
+                break
+            unclamped &= ~below
+            capacities[below] = floor
+            if not unclamped.any():
+                break
+
+    if unclamped.any():
+        lam_orig = problem.weights[unclamped].sum() / (
+            budget - (n - int(unclamped.sum())) * floor
+        )
+    else:
+        lam_orig = None
+    return AllocationResult(
+        capacities=capacities,
+        lagrange_multiplier=lam_orig,
+        objective=objective_value(problem.weights, capacities),
+    )
 
 
 def test_equal_weights_split_evenly():
@@ -159,3 +198,63 @@ def test_non_finite_budget_or_floor_rejected(budget, floor, name):
         AllocationProblem(np.array([1.0, 2.0]), budget, floor)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         allocate_uniform(2, budget, floor)
+
+
+# differential problems: weights drawn from a numpy stream so N can reach 1e4;
+# a spread of s decades puts weight ratios anywhere in 1e-s..1e+s
+_DIFF_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+def _diff_weights(n, seed, spread, zero_frac, ties):
+    rng = np.random.default_rng(seed)
+    if ties:
+        w = rng.integers(1, 4, size=n).astype(np.float64)
+    else:
+        w = 10.0 ** rng.uniform(-spread / 2, spread / 2, size=n)
+    w[rng.random(n) < zero_frac] = 0.0
+    return w
+
+
+_diff_problem_args = dict(
+    n=st.one_of(st.integers(1, 64), st.integers(65, 10_000), st.just(10_000)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    spread=st.sampled_from([0.0, 2.0, 30.0, 300.0, 600.0]),
+    zero_frac=st.sampled_from([0.0, 0.2, 1.0]),
+    ties=st.booleans(),
+    floor=st.floats(1.5, 30.0),
+)
+
+
+@given(
+    **_diff_problem_args,
+    slack=st.one_of(st.just(0.0), st.just(1e-9), st.floats(1e-6, 1e3)),
+)
+@_DIFF_SETTINGS
+def test_matches_reference_loop(n, seed, spread, zero_frac, ties, floor, slack):
+    w = _diff_weights(n, seed, spread, zero_frac, ties)
+    problem = AllocationProblem(w, n * floor * (1.0 + slack), floor)
+    new = allocate_weighted(problem)
+    ref = _reference_allocate_weighted(problem)
+    assert np.array_equal(new.capacities, ref.capacities)
+    assert new.objective == ref.objective
+    assert new.lagrange_multiplier == ref.lagrange_multiplier
+
+
+@given(**_diff_problem_args, position=st.floats(0.0, 1.0))
+@_DIFF_SETTINGS
+def test_matches_reference_loop_on_floor_boundaries(
+    n, seed, spread, zero_frac, ties, floor, position
+):
+    # the budget at which the k-th largest ratio's share lands exactly on the
+    # floor; the two solvers may then disagree on that object by rounding
+    w = _diff_weights(n, seed, spread, zero_frac, ties)
+    desc = np.sort(_canonical_ratios(w))[::-1]
+    # a boundary on a ratio below 1e-250 would need a budget beyond 1e250 K
+    usable = int(np.count_nonzero(desc >= 1e-250))
+    k = 1 + int(position * (usable - 1))
+    budget = floor * (n - k) + floor * desc[:k].sum() / desc[k - 1]
+    problem = AllocationProblem(w, budget, floor)
+    new = allocate_weighted(problem)
+    ref = _reference_allocate_weighted(problem)
+    np.testing.assert_allclose(new.capacities, ref.capacities, rtol=1e-12, atol=0)
+    assert new.objective == pytest.approx(ref.objective, rel=1e-12, abs=0)

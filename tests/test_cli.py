@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -438,3 +439,42 @@ def test_sparsify_accepts_multi_word_world_seed(tmp_path, capsys, config_file):
     )
     assert code == EXIT_OK, err
     assert records.exists()
+
+
+def test_calibrate_writes_envelope(tmp_path, capsys, config_file):
+    from attnalloc import config as config_mod
+    from attnalloc.experiment import run_all
+
+    out = tmp_path / "envelope.json"
+    code, stdout, _ = run(capsys, "calibrate", "--config", config_file, "--out", str(out))
+    assert code == EXIT_OK
+    assert f"wrote {out}" in stdout
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["seeds", "mean_improvement_pct", "observed_range", "envelope"]
+    assert doc["seeds"] == list(range(10))
+    cfg = config_mod.load_config(config_file)
+    means = [run_all(dataclasses.replace(cfg, master_seed=s))[1].mean_improvement_pct
+             for s in range(10)]
+    assert doc["mean_improvement_pct"] == {str(s): m for s, m in enumerate(means)}
+    lo, hi = min(means), max(means)
+    assert doc["observed_range"] == [lo, hi]
+    assert doc["envelope"] == [round(lo - 1.5, 1), round(hi + 2.5, 1)]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--seeds"])
+def test_calibrate_has_no_seed_option(capsys, flag):
+    assert run(capsys, "calibrate", flag, "3")[0] == EXIT_USAGE
+
+
+def test_directory_paths_exit_2(tmp_path, capsys, config_file):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (
+        ("sparsify", "--config", config_file, "--world", str(folder),
+         "--out", str(tmp_path / "records.csv")),
+        ("fit", "--records", str(folder), "--out", str(tmp_path / "model.json")),
+        ("generate", "--config", config_file, "--out", str(folder)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA, argv
+        assert str(folder) in err and "Traceback" not in err

@@ -13,7 +13,6 @@ from attnalloc import (
     SweepReport,
     UserReport,
     run_sweep,
-    run_user_experiment,
 )
 from attnalloc.experiment import (
     Aggregate,
@@ -73,7 +72,7 @@ def test_oracle_upper_bounds_all_users(default_runner):
 
 def test_reports_deterministic(default_runner):
     config = default_runner.config
-    again = run_user_experiment(config, 4)
+    again = ExperimentRunner(config).user_report(4)
     assert again == default_runner.user_report(4)
 
 

@@ -25,6 +25,7 @@ from attnalloc.world import (
     ObjectAbsentError,
     _gaze_factors,
     raw_attention_values,
+    sparsify_users,
     sparsify_with_info,
     world_from_dict,
     world_to_dict,
@@ -387,3 +388,22 @@ def test_world_rejects_group_gaps():
     with pytest.raises(ValueError, match="group 0 has no images"):
         make_manual_world([[0.5]], compositions, groups=[1, 1, 2, 3])
     assert make_manual_world([[0.5]], compositions, groups=[2, 0, 1, 0]).num_groups == 3
+
+
+@pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
+def test_raw_attention_rejects_user_outside_world(gaze_noise):
+    world = make_manual_world([[0.2], [0.5], [0.8]], [((0, 10),)], gaze_noise=gaze_noise)
+    for user in (-1, 3):
+        with pytest.raises(ValueError, match=rf"user {user} outside 0\.\.2"):
+            raw_attention_values(world, user, [0])
+        with pytest.raises(ValueError, match=rf"user {user} outside 0\.\.2"):
+            sparsify(world, user, 0)
+
+
+def test_sparsify_users_merges_per_user_draws(small_world):
+    merged = sparsify_users(small_world, range(small_world.num_users), 5)
+    expected = frozenset().union(
+        *(sparsify(small_world, u, 5).records for u in range(small_world.num_users))
+    )
+    assert merged.records == expected
+    assert sparsify_users(small_world, [2], 5) == sparsify(small_world, 2, 5)
