@@ -145,8 +145,8 @@ class ExperimentRunner:
             ids = self.world.group_image_ids(group)
             keep = max(1, round(pct * len(ids) / 100))
             chosen = np.sort(rng.choice(len(ids), size=keep, replace=False))
-            present = self.world.pixels[ids[chosen]].any(axis=0)
-            self._scenes[user] = np.flatnonzero(present).tolist()
+            _, objects, _ = self.world.occurrences(ids[chosen])
+            self._scenes[user] = np.unique(objects).tolist()
         return self._scenes[user]
 
     def user_report(self, user: int, budget_factor_k: float | None = None) -> UserReport:

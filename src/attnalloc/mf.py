@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import SparseAttentionRecords
+from .world import _is_number, _require
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 
@@ -71,8 +72,17 @@ class FactorModel:
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for factors, bias in (("user_factors", "user_bias"), ("object_factors", "object_bias")):
+            shape = getattr(self, factors).shape
+            if len(shape) != 2:
+                raise ValueError(f"{factors} must be a 2-D matrix, got shape {shape}")
+            if getattr(self, bias).shape != shape[:1]:
+                raise ValueError(f"{bias} has shape {getattr(self, bias).shape} "
+                                 f"for {shape[0]} rows of {factors}")
         if self.user_factors.shape[1] != self.object_factors.shape[1]:
             raise ValueError("user and object factors disagree on latent dimension")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
 
     @property
     def f(self) -> int:
@@ -280,15 +290,21 @@ def model_to_dict(model: FactorModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> FactorModel:
+    """Build the model from an ``attn-mf/1`` document, naming a missing key.
+    ``mu`` must be a JSON number, checked by exact type (a bool or a string is
+    not one); ``FactorModel`` checks the shapes and that ``mu`` is finite."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, not a {type(doc).__name__}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    return FactorModel(
-        user_factors=np.array(doc["user_factors"], dtype=np.float64),
-        object_factors=np.array(doc["object_factors"], dtype=np.float64),
-        user_bias=np.array(doc["user_bias"], dtype=np.float64),
-        object_bias=np.array(doc["object_bias"], dtype=np.float64),
-        mu=float(doc["mu"]),
-    )
+    arrays = {
+        name: np.array(_require(doc, name, "model file"), dtype=np.float64)
+        for name in ("user_factors", "object_factors", "user_bias", "object_bias")
+    }
+    mu = _require(doc, "mu", "model file")
+    if not _is_number(mu):
+        raise ValueError(f"model file: 'mu' must be a number, got {mu!r}")
+    return FactorModel(mu=float(mu), **arrays)
 
 
 def save_model(model: FactorModel, path) -> None:

@@ -23,6 +23,7 @@ _GAZE_STREAM = 101
 _SPARSIFY_STREAM = 102
 
 _MAX_PIXEL_COUNT = int(np.iinfo(np.int32).max)  # World.pixels is int32
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 class ConfigurationError(ValueError):
@@ -117,7 +118,11 @@ class GroundTruthLevels:
 @dataclass(frozen=True)
 class World:
     """The users x objects x images cube as arrays: ``pixels[i, o]`` is the
-    pixel count of object ``o`` in image ``i``, 0 when the object is absent."""
+    pixel count of object ``o`` in image ``i``, 0 when the object is absent.
+
+    The nonzeros of ``pixels`` are also held row by row as occurrences (CSR):
+    image ``i``'s objects are ``_objects[_indptr[i]:_indptr[i + 1]]`` in
+    ascending id, with their pixel counts in ``_counts``."""
 
     pixels: np.ndarray  # int32, num_images x num_objects
     group_of: np.ndarray  # num_images service group ids
@@ -131,8 +136,14 @@ class World:
         if not isinstance(self.gaze_noise, numbers.Real) or not 0.0 <= self.gaze_noise < 1.0:
             raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
         labels = self.labels
-        if not labels or len(set(labels)) != len(labels):
-            raise ValueError("catalog labels must be non-empty and unique")
+        if not labels:
+            raise ValueError("the catalog must list at least one label")
+        for position, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ValueError(f"catalog label {position} is {label!r}, not a string")
+        if len(set(labels)) != len(labels):
+            repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise ValueError(f"catalog label {repeated!r} is not unique")
         pixels = np.asarray(self.pixels, dtype=np.int32)
         if pixels.ndim != 2 or not pixels.shape[0] or pixels.shape[1] != len(labels):
             raise ValueError("pixels must be a non-empty images x objects matrix")
@@ -149,9 +160,19 @@ class World:
         interest = np.asarray(self.interest, dtype=np.float64)
         if interest.ndim != 2 or interest.shape[1] != len(labels):
             raise ValueError("interest matrix shape does not match users x objects")
-        if (interest <= 0).any() or (interest > 1).any():
-            raise ValueError("interest entries must lie in (0, 1]")
-        for name, arr in (("pixels", pixels), ("group_of", group_of), ("interest", interest)):
+        # NaN fails both comparisons, so it is caught here too
+        bad = np.argwhere(~((interest > 0) & (interest <= 1)))
+        if bad.size:
+            user, obj = bad[0].tolist()
+            raise ValueError(
+                f"interest of user {user} in object {obj} is {interest[user, obj].item()!r}, "
+                "not a finite number in (0, 1]"
+            )
+        rows, objects = np.nonzero(pixels)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(pixels, axis=1))))
+        for name, arr in (("pixels", pixels), ("group_of", group_of), ("interest", interest),
+                          ("_indptr", indptr), ("_objects", objects),
+                          ("_counts", pixels[rows, objects])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -173,6 +194,17 @@ class World:
 
     def group_image_ids(self, group_id: int) -> np.ndarray:
         return np.flatnonzero(self.group_of == group_id)
+
+    def occurrences(self, image_ids: np.ndarray):
+        """The occurrences of the images ``image_ids`` (an int array of valid
+        ids) in the given order, repeats included, each image's in ascending
+        object id: (image ids, object ids, pixel counts)."""
+        starts = self._indptr[image_ids]
+        lengths = self._indptr[image_ids + 1] - starts
+        # output position k of image j reads occurrence starts[j] + k - first[j]
+        first = np.cumsum(lengths) - lengths
+        at = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+        return np.repeat(image_ids, lengths), self._objects[at], self._counts[at]
 
 
 def _check_seed(seed) -> None:
@@ -415,17 +447,18 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
         return {}
     if ids.min() < 0 or ids.max() >= world.num_images:
         raise KeyError(f"image ids must lie in 0..{world.num_images - 1}")
-    px = world.pixels[ids]
-    mass = world.interest[user] * px
+    images, objects, px = world.occurrences(ids)
+    mass = world.interest[user][objects] * px
     if world.gaze_noise > 0:
-        rows, objects = np.nonzero(px)
-        mass[rows, objects] *= _gaze_factors(world, user, ids[rows], objects)
-    present = np.flatnonzero(px.any(axis=0))
-    # cumsum adds the rows one after another in the given order; sum(axis=0)
-    # would pair them up and change the last bit of some values
-    gaze = np.cumsum(mass[:, present], axis=0)[-1]
-    pixel_sum = px[:, present].sum(axis=0, dtype=np.int64)
-    values = np.minimum(gaze / pixel_sum, 1.0)
+        mass *= _gaze_factors(world, user, images, objects)
+    # bincount's weighted loop adds the occurrences to their objects one after
+    # another, so each object's gaze mass is the sequential sum over its images
+    # in the given order (a pairwise sum would change the last bit of some
+    # values). Pixel sums are float64, which is exact below 2**53.
+    gaze = np.bincount(objects, weights=mass, minlength=world.num_objects)
+    pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
+    present = np.flatnonzero(pixel_sum)
+    values = np.minimum(gaze[present] / pixel_sum[present], 1.0)
     return dict(zip(present.tolist(), values.tolist()))
 
 
@@ -541,6 +574,8 @@ def sparsify_users(world: World, users, seed: int) -> SparseAttentionRecords:
 def world_to_dict(world: World) -> dict:
     """The ``uoal-sim/1`` document; each composition lists its objects in
     ascending id."""
+    entries = [[o, px] for o, px in zip(world._objects.tolist(), world._counts.tolist())]
+    bounds = world._indptr.tolist()
     return {
         "version": WORLD_FORMAT_VERSION,
         "seed": world.seed,
@@ -548,8 +583,8 @@ def world_to_dict(world: World) -> dict:
         "gaze_noise": world.gaze_noise,
         "catalog": list(world.labels),
         "images": [
-            {"id": i, "group": g, "composition": [[o, px] for o, px in enumerate(row) if px]}
-            for i, (g, row) in enumerate(zip(world.group_of.tolist(), world.pixels.tolist()))
+            {"id": i, "group": g, "composition": entries[bounds[i]:bounds[i + 1]]}
+            for i, g in enumerate(world.group_of.tolist())
         ],
         "interest": world.interest.tolist(),
     }
@@ -558,9 +593,9 @@ def world_to_dict(world: World) -> dict:
 def world_from_dict(doc: dict) -> World:
     """Build the pixel matrix from a ``uoal-sim/1`` document (compositions in
     any order), rejecting missing keys, non-integer ids, groups and pixel
-    counts, and entries that would not map one-to-one onto the matrix. The
-    integer checks are exact type checks: a JSON integer loads as ``int``,
-    and a bool is not one."""
+    counts, interest entries that are not numbers, and entries that would not
+    map one-to-one onto the matrix. The type checks are exact: a JSON integer
+    loads as ``int`` and any other number as ``float``; a bool is neither."""
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
@@ -589,7 +624,11 @@ def world_from_dict(doc: dict) -> World:
             if not 1 <= px <= _MAX_PIXEL_COUNT:
                 raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
             pixels[position, o] = px
-    interest = np.array(_require(doc, "interest", "world file"), dtype=np.float64)
+    rows = _require(doc, "interest", "world file", list)
+    for user, row in enumerate(rows):
+        if type(row) is not list or not all(map(_is_number, row)):
+            raise ValueError(f"world file: interest row {user} is not a list of numbers")
+    interest = np.array(rows, dtype=np.float64)
     num_users = _require(doc, "num_users", "world file")
     if interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
@@ -611,6 +650,13 @@ def _require(mapping, key: str, where: str, kind=object):
     if not isinstance(mapping[key], kind):
         raise ValueError(f"{where}: {key!r} must be a {kind.__name__}")
     return mapping[key]
+
+
+def _is_number(value) -> bool:
+    """Whether a loaded JSON value is a number that a float64 holds: any
+    ``float`` (the callers reject NaN and infinities by name) or an ``int``
+    within range; a bool is neither."""
+    return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
 
 
 def save_world(world: World, path) -> None:

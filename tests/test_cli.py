@@ -478,3 +478,89 @@ def test_directory_paths_exit_2(tmp_path, capsys, config_file):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_DATA, argv
         assert str(folder) in err and "Traceback" not in err
+
+
+def _eval_model_doc(tmp_path, capsys, edit):
+    """Save a 2 x 2 model, apply ``edit`` to its document (which may return a
+    replacement), then run ``eval --model`` on it; returns (exit code, stderr)."""
+    import numpy as np
+
+    from attnalloc import FactorModel, SparseAttentionRecords, save_records
+    from attnalloc.mf import model_to_dict
+
+    doc = model_to_dict(FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2),
+                                    np.zeros(2), mu=3.0))
+    doc = edit(doc) or doc
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    truth = tmp_path / "truth.csv"
+    save_records(SparseAttentionRecords(frozenset(
+        (u, o, 3) for u in range(2) for o in range(2))), truth)
+    code, _, err = run(capsys, "eval", "--model", str(model), "--truth", str(truth))
+    return code, err
+
+
+@pytest.mark.parametrize("key", ["user_factors", "object_factors", "user_bias",
+                                 "object_bias", "mu"])
+def test_eval_rejects_model_missing_key(tmp_path, capsys, key):
+    # a missing key used to die with a KeyError traceback (exit 1)
+    code, err = _eval_model_doc(tmp_path, capsys,
+                                lambda doc: {k: v for k, v in doc.items() if k != key})
+    assert code == EXIT_DATA
+    assert f"model file has no '{key}'" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each used to die with a traceback: IndexError, IndexError, AttributeError
+    (lambda doc: doc.update(user_bias=[0.0] * 5),
+     "user_bias has shape (5,) for 2 rows of user_factors"),
+    (lambda doc: doc.update(user_factors=[0.0, 0.0]), "user_factors must be a 2-D matrix"),
+    (lambda doc: doc.update(object_factors=[0.0, 0.0]), "object_factors must be a 2-D matrix"),
+    (lambda doc: [doc], "model file must hold a JSON object, not a list"),
+    # "3" used to be converted silently, NaN to load and exit 0
+    (lambda doc: doc.update(mu="3"), "'mu' must be a number, got '3'"),
+    (lambda doc: doc.update(mu=True), "'mu' must be a number, got True"),
+    (lambda doc: doc.update(mu=float("nan")), "mu must be finite, got nan"),
+    (lambda doc: doc.update(mu=10**400), "'mu' must be a number"),  # was OverflowError
+], ids=["5-entry user_bias", "1-D user_factors", "1-D object_factors", "JSON list",
+        "string mu", "bool mu", "NaN mu", "mu beyond float64"])
+def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
+    code, err = _eval_model_doc(tmp_path, capsys, edit)
+    assert code == EXIT_DATA
+    assert message in err
+
+
+@pytest.mark.parametrize("value, message", [
+    # null and NaN used to load and fail later as "attention value nan"
+    (None, "interest row 2 is not a list of numbers"),
+    ("0.5", "interest row 2 is not a list of numbers"),
+    (float("nan"), "interest of user 2 in object 5 is nan"),
+    (1.5, "interest of user 2 in object 5 is 1.5"),
+    (10**400, "interest row 2 is not a list of numbers"),  # was OverflowError
+], ids=["null", "string", "NaN", "above 1", "int beyond float64"])
+def test_sparsify_rejects_bad_world_interest(tmp_path, capsys, config_file, value, message):
+    def edit(doc):
+        doc["interest"][2][5] = value
+
+    code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file, edit)
+    assert code == EXIT_DATA
+    assert message in err
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("catalog, message", [
+    (lambda n: [[i] for i in range(n)], "catalog label 0 is [0], not a string"),
+    (lambda n: list(range(n)), "catalog label 0 is 0, not a string"),
+    (lambda n: ["a"] + [f"o{i}" for i in range(1, n - 1)] + ["a"],
+     "catalog label 'a' is not unique"),
+], ids=["lists", "ints", "repeated"])
+def test_sparsify_rejects_bad_catalog(tmp_path, capsys, config_file, catalog, message):
+    # a catalog of lists used to die with "unhashable type" (exit 1), and one
+    # of ints loaded silently
+    code, err, records = _sparsify_world_doc(
+        tmp_path, capsys, config_file,
+        lambda doc: doc.update(catalog=catalog(len(doc["catalog"]))),
+    )
+    assert code == EXIT_DATA
+    assert message in err
+    assert not records.exists()

@@ -324,3 +324,16 @@ def test_divergent_fit_fails_fast():
     with pytest.raises(FitError, match="learning_rate") as err:
         fit_mf(records, FitConfig(learning_rate=5.0))
     assert "epoch" in str(err.value)
+
+
+def test_model_rejects_inconsistent_shapes():
+    base = zero_model(users=2, objects=3)
+    with pytest.raises(ValueError, match="user_factors must be a 2-D matrix"):
+        dataclasses.replace(base, user_factors=np.zeros(2))
+    with pytest.raises(ValueError, match=r"user_bias has shape \(5,\) for 2 rows"):
+        dataclasses.replace(base, user_bias=np.zeros(5))
+    with pytest.raises(ValueError, match=r"object_bias has shape \(2,\) for 3 rows"):
+        dataclasses.replace(base, object_bias=np.zeros(2))
+    for mu in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            dataclasses.replace(base, mu=mu)

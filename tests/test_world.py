@@ -407,3 +407,99 @@ def test_sparsify_users_merges_per_user_draws(small_world):
     )
     assert merged.records == expected
     assert sparsify_users(small_world, [2], 5) == sparsify(small_world, 2, 5)
+
+
+def _dense_compositions(pixels):
+    """Each image's (object, pixels) pairs read straight off the matrix."""
+    return [[[o, px] for o, px in enumerate(row) if px] for row in np.asarray(pixels).tolist()]
+
+
+@st.composite
+def _small_worlds(draw):
+    num_images = draw(st.integers(1, 8))
+    num_objects = draw(st.integers(1, 6))
+    pixels = np.array(draw(st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(1, 5000)),
+                 min_size=num_objects, max_size=num_objects),
+        min_size=num_images, max_size=num_images,
+    )), dtype=np.int32)
+    for row in pixels:  # every image shows at least one object
+        if not row.any():
+            row[draw(st.integers(0, num_objects - 1))] = draw(st.integers(1, 5000))
+    interest = draw(st.lists(
+        st.lists(st.floats(1e-3, 1.0), min_size=num_objects, max_size=num_objects),
+        min_size=1, max_size=3,
+    ))
+    return World(
+        pixels=pixels, group_of=[0] * num_images,
+        labels=tuple(f"o{i}" for i in range(num_objects)), interest=interest,
+        seed=draw(st.integers(0, 2**32 - 1)), gaze_noise=draw(st.sampled_from([0.0, 0.1])),
+    )
+
+
+@given(st.data(), _small_worlds())
+@settings(max_examples=300, deadline=None)
+def test_raw_attention_matches_reference_on_small_worlds(data, world):
+    # unsorted image lists with repeats; the oracle reads the compositions off
+    # the dense matrix, not off the occurrence layout
+    images = [{"composition": comp} for comp in _dense_compositions(world.pixels)]
+    ids = data.draw(st.lists(st.integers(0, world.num_images - 1), min_size=1, max_size=24))
+    user = data.draw(st.integers(0, world.num_users - 1))
+    assert raw_attention_values(world, user, ids) == \
+        _reference_raw_attention_values(images, world, user, ids)
+
+
+def _loaded_parent_order_world():
+    doc = world_to_dict(generate_world(WorldConfig(), 3))
+    rng = np.random.default_rng(3)
+    for image in doc["images"]:
+        image["composition"] = [image["composition"][i]
+                                for i in rng.permutation(len(image["composition"]))]
+    return world_from_dict(doc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_world(WorldConfig(), 0),
+    lambda: generate_world(SMALL_WORLD, 11),
+    _loaded_parent_order_world,
+    lambda: make_manual_world([[0.5, 0.2, 0.9]], [((2, 40), (0, 10)), ((1, 7),), ((0, 3),)]),
+], ids=["generated", "generated-small", "loaded-parent-order", "manual"])
+def test_occurrence_layout_matches_pixels(make):
+    world = make()
+    dense = _dense_compositions(world.pixels)
+    bounds = world._indptr.tolist()
+    assert bounds[0] == 0 and bounds[-1] == np.count_nonzero(world.pixels)
+    for i, comp in enumerate(dense):
+        a, b = bounds[i], bounds[i + 1]
+        assert [[o, px] for o, px in zip(world._objects[a:b].tolist(),
+                                         world._counts[a:b].tolist())] == comp
+    assert [image["composition"] for image in world_to_dict(world)["images"]] == dense
+    for arr in (world._indptr, world._objects, world._counts):
+        assert not arr.flags.writeable
+    # a gather reads the images in the given order, repeats included
+    ids = np.random.default_rng(0).integers(0, world.num_images, 2 * world.num_images + 3)
+    images, objects, px = world.occurrences(ids)
+    rows, expected_objects = np.nonzero(world.pixels[ids])
+    assert images.tolist() == ids[rows].tolist()
+    assert objects.tolist() == expected_objects.tolist()
+    assert px.tolist() == world.pixels[ids][rows, expected_objects].tolist()
+
+
+@pytest.mark.parametrize("value", [float("nan"), None, float("inf"), 0.0, 1.5])
+def test_world_rejects_interest_outside_unit_interval(value):
+    # NaN and null used to pass and fail later as "attention value nan"
+    with pytest.raises(ValueError, match=r"interest of user 1 in object 0 is .*\(0, 1\]"):
+        make_manual_world([[0.5, 0.5], [value, 0.5]], [((0, 10),)])
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((["a"], ["b"]), r"catalog label 0 is \['a'\], not a string"),  # was TypeError: unhashable
+    ((0, 1), "catalog label 0 is 0, not a string"),
+    (("a", 2), "catalog label 1 is 2, not a string"),
+    (("a", "b", "a"), "catalog label 'a' is not unique"),
+    ((), "at least one label"),
+], ids=["lists", "ints", "int among strings", "repeated", "empty"])
+def test_world_rejects_bad_labels(labels, message):
+    base = make_manual_world([[0.5] * max(len(labels), 1)], [((0, 10),)])
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(base, labels=labels)
