@@ -31,14 +31,13 @@ from .mf import (
     predict,
     predict_scene,
 )
-from .qoe import ChannelConfig, LinkParams, QoETerms, connection_coefficient, link_from_channel, qoe
+from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
 from .records import SparseAttentionRecords, load_records, save_records
 from .world import (
     GroundTruthLevels,
     World,
     WorldConfig,
     attention_from_gaze,
-    attention_value,
     generate_world,
     ground_truth_levels,
     load_world,

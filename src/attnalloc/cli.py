@@ -36,12 +36,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    config_out = _Parser(add_help=False)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None, help="output path")
+    config_out = _Parser(add_help=False, parents=[out])
     config_out.add_argument("--config", default=None, help="experiment config file")
-    config_out.add_argument("--out", default=None, help="output path")
     common = _Parser(add_help=False, parents=[config_out])
     common.add_argument("--seed", type=int, default=None,
-                        help="override the master seed from the config")
+                        help="override the master seed from the config (on fit: the fit seed)")
 
     parser = _Parser(prog="attnalloc", description=__doc__)
     parser.add_argument("--print-config", action="store_true",
@@ -57,13 +58,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", parents=[common], help="fit a factor model")
     p.add_argument("--records", required=True, help="records CSV")
 
-    p = sub.add_parser("eval", parents=[common], help="holdout metrics for a model")
+    p = sub.add_parser("eval", parents=[out], help="holdout metrics for a model")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--truth", required=True, help="dense ground-truth CSV")
     p.add_argument("--records", default=None,
                    help="records CSV whose pairs are excluded from the holdout")
 
-    p = sub.add_parser("allocate", parents=[common], help="solve one allocation")
+    p = sub.add_parser("allocate", parents=[out], help="solve one allocation")
     p.add_argument("--weights", required=True, help="comma-separated weights")
     p.add_argument("--budget", type=float, required=True, help="total capacity, K")
     p.add_argument("--floor", type=float, default=15.0, help="per-object floor, K")
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_experiment_config(args) -> exp_mod.ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = config_mod.load_config(args.config)
     else:
         cfg = exp_mod.ExperimentConfig()
@@ -155,9 +156,7 @@ def _cmd_eval(args):
     metrics = mf_mod.evaluate(model.predictor(), truth, mask)
     doc = {"rmse": metrics.rmse, "mae": metrics.mae, "count": metrics.count}
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        world_mod.write_json(doc, args.out)
         print(f"wrote {args.out}")
     else:
         print(json.dumps(doc, indent=1))
@@ -220,9 +219,7 @@ def _cmd_calibrate(args):
         "envelope": envelope,
     }
     out = args.out or "envelope.json"
-    with open(out, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    world_mod.write_json(doc, out)
     print(f"wrote {out}")
     return EXIT_OK
 

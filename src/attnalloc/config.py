@@ -1,8 +1,9 @@
 """Flat sectioned key-value configuration files for the experiment harness.
 
 Sections [experiment], [world], [fit], [channel] mirror the corresponding
-dataclasses field-for-field; an optional [link] section (downlink_rate,
-uplink_ber) overrides the channel model. Unknown sections or keys are errors.
+dataclasses field-for-field; an optional [link] section, which must set every
+``LinkParams`` field, overrides the channel model. Unknown sections or keys
+are errors.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import dataclasses
 import io
 
 from .experiment import ExperimentConfig
-from .mf import FitConfig
-from .qoe import ChannelConfig, LinkParams
-from .world import WorldConfig
+from .qoe import LinkParams
 
 
 class ConfigFileError(ValueError):
@@ -22,7 +21,7 @@ class ConfigFileError(ValueError):
 
 
 # ExperimentConfig fields that are whole sections; [link] overrides the channel
-_SECTIONS = {"world": WorldConfig, "fit": FitConfig, "channel": ChannelConfig}
+_SECTIONS = ("world", "fit", "channel")
 
 _EXPERIMENT_KEYS = tuple(
     f.name for f in dataclasses.fields(ExperimentConfig)
@@ -34,8 +33,6 @@ def _cast_like(template, name, text):
     current = getattr(template, name)
     text = text.strip()
     try:
-        if isinstance(current, bool):
-            return text.lower() in ("1", "true", "yes", "on")
         if isinstance(current, int):
             return int(text)
         if isinstance(current, float):
@@ -47,16 +44,15 @@ def _cast_like(template, name, text):
     raise ConfigFileError(f"unsupported config field {name}")
 
 
-def _section_to_dataclass(parser, section, cls):
-    template = cls()
-    known = {f.name for f in dataclasses.fields(cls)}
-    updates = {}
-    if parser.has_section(section):
-        for key, value in parser.items(section):
-            if key not in known:
-                raise ConfigFileError(f"unknown key {key!r} in [{section}]")
-            updates[key] = _cast_like(template, key, value)
-    return dataclasses.replace(template, **updates)
+def _section_values(parser, section, template) -> dict:
+    """The section's keys, each cast like the same field of ``template``."""
+    known = {f.name for f in dataclasses.fields(template)}
+    values = {}
+    for key, value in parser.items(section):
+        if key not in known:
+            raise ConfigFileError(f"unknown key {key!r} in [{section}]")
+        values[key] = _cast_like(template, key, value)
+    return values
 
 
 def _parse_sweep_factors(text):
@@ -81,25 +77,25 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in allowed:
             raise ConfigFileError(f"unknown section [{section}]")
 
-    sections = {
-        name: _section_to_dataclass(parser, name, cls) for name, cls in _SECTIONS.items()
-    }
+    defaults = ExperimentConfig()
+    sections = {}
+    for name in _SECTIONS:
+        template = getattr(defaults, name)
+        values = _section_values(parser, name, template) if parser.has_section(name) else {}
+        sections[name] = dataclasses.replace(template, **values)
 
     link = None
     if parser.has_section("link"):
-        keys = dict(parser.items("link"))
-        unknown = set(keys) - {"downlink_rate", "uplink_ber"}
-        if unknown:
-            raise ConfigFileError(f"unknown key(s) in [link]: {sorted(unknown)}")
+        # LinkParams has no defaults; the default channel's link types the keys
+        values = _section_values(parser, "link", defaults.link_params())
+        missing = [f.name for f in dataclasses.fields(LinkParams) if f.name not in values]
+        if missing:
+            raise ConfigFileError(f"[link] must set {' and '.join(missing)}")
         try:
-            link = LinkParams(
-                downlink_rate=float(keys.get("downlink_rate", "0")),
-                uplink_ber=float(keys.get("uplink_ber", "0")),
-            )
+            link = LinkParams(**values)
         except ValueError as exc:
             raise ConfigFileError(f"invalid [link] section: {exc}") from None
 
-    defaults = ExperimentConfig()
     updates = {}
     if parser.has_section("experiment"):
         for key, value in parser.items("experiment"):
@@ -127,17 +123,13 @@ def dump_config(config: ExperimentConfig) -> str:
         if key == "sweep_factors" else repr(getattr(config, key))
         for key in _EXPERIMENT_KEYS
     }
-    for section in _SECTIONS:
+    for section in (*_SECTIONS, "link"):
         obj = getattr(config, section)
-        parser[section] = {
-            f.name: "" if getattr(obj, f.name) is None else repr(getattr(obj, f.name))
-            for f in dataclasses.fields(type(obj))
-        }
-    if config.link is not None:
-        parser["link"] = {
-            "downlink_rate": repr(config.link.downlink_rate),
-            "uplink_ber": repr(config.link.uplink_ber),
-        }
+        if obj is not None:
+            parser[section] = {
+                f.name: "" if getattr(obj, f.name) is None else repr(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+            }
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

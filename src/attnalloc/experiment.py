@@ -11,7 +11,6 @@ truth rather than the model's own beliefs. Everything is a pure function of
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .world import WorldConfig, generate_world, raw_attention_values, sparsify_users
+from .world import WorldConfig, generate_world, raw_attention_values, sparsify_users, write_json
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
 
@@ -246,6 +245,4 @@ def report_summary_json(config: ExperimentConfig, reports, agg: Aggregate, path)
         "reports": [asdict(r) for r in sorted(reports, key=lambda r: r.user_id)],
         "aggregate": asdict(agg),
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path)

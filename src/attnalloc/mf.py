@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import SparseAttentionRecords
-from .world import _is_number, _require
+from .world import _is_number, _require, write_json
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 
@@ -183,12 +183,9 @@ def raw_score(model: FactorModel, user: int, object_id: int) -> float:
     )
 
 
-def predict(model: FactorModel, user: int, object_id: int, clamp=LEVEL_CLAMP) -> float:
-    score = raw_score(model, user, object_id)
-    if clamp is None:
-        return score
-    lo, hi = clamp
-    return float(min(max(score, lo), hi))
+def predict(model: FactorModel, user: int, object_id: int) -> float:
+    lo, hi = LEVEL_CLAMP
+    return float(min(max(raw_score(model, user, object_id), lo), hi))
 
 
 def predict_scene(model: FactorModel, user: int, objects) -> np.ndarray:
@@ -206,7 +203,6 @@ class BaselineModel:
     mu: float
     user_means: dict = field(default_factory=dict)
     object_means: dict = field(default_factory=dict)
-    blend_rule: str = "additive-deviations"
 
     def predict(self, user: int, object_id: int) -> float:
         score = self.mu
@@ -292,7 +288,9 @@ def model_to_dict(model: FactorModel) -> dict:
 def model_from_dict(doc: dict) -> FactorModel:
     """Build the model from an ``attn-mf/1`` document, naming a missing key.
     ``mu`` must be a JSON number, checked by exact type (a bool or a string is
-    not one); ``FactorModel`` checks the shapes and that ``mu`` is finite."""
+    not one); ``FactorModel`` checks the shapes and that ``mu`` is finite.
+    ``num_users``, ``num_objects`` and ``f`` must be ``int``s that equal the
+    factor shapes."""
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, not a {type(doc).__name__}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -304,13 +302,17 @@ def model_from_dict(doc: dict) -> FactorModel:
     mu = _require(doc, "mu", "model file")
     if not _is_number(mu):
         raise ValueError(f"model file: 'mu' must be a number, got {mu!r}")
-    return FactorModel(mu=float(mu), **arrays)
+    model = FactorModel(mu=float(mu), **arrays)
+    for key in ("num_users", "num_objects", "f"):
+        value = _require(doc, key, "model file")
+        if type(value) is not int or value != getattr(model, key):
+            raise ValueError(f"model file: {key!r} is {value!r}, but the factors give "
+                             f"{getattr(model, key)}")
+    return model
 
 
 def save_model(model: FactorModel, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> FactorModel:

@@ -89,12 +89,6 @@ def link_from_channel(cfg: ChannelConfig) -> LinkParams:
     return LinkParams(downlink_rate=rate, uplink_ber=ber)
 
 
-def connection_coefficient(attention: float, link: LinkParams) -> float:
-    if attention <= 0:
-        raise ValueError("attention must be positive")
-    return attention * link.factor
-
-
 @dataclass(frozen=True)
 class QoETerms:
     weights: np.ndarray     # per-object attention values, positive

@@ -52,14 +52,6 @@ class SparseAttentionRecords:
     def pairs(self) -> set:
         return {(u, o) for u, o, _ in self.records}
 
-    def for_user(self, user_id: int) -> "SparseAttentionRecords":
-        return SparseAttentionRecords(
-            frozenset(r for r in self.records if r[0] == user_id)
-        )
-
-    def merge(self, other: "SparseAttentionRecords") -> "SparseAttentionRecords":
-        return SparseAttentionRecords(self.records | other.records)
-
 
 def save_records(records: SparseAttentionRecords, path) -> None:
     """Write records as CSV (header ``user_id,object_id,level``, LF endings)."""

@@ -30,10 +30,6 @@ class ConfigurationError(ValueError):
     """Invalid world generation parameters."""
 
 
-class ObjectAbsentError(KeyError):
-    """The object does not occur in any image of the requested subset."""
-
-
 @dataclass(frozen=True)
 class WorldConfig:
     """Knobs for synthetic world generation.
@@ -462,16 +458,6 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
     return dict(zip(present.tolist(), values.tolist()))
 
 
-def attention_value(world: World, user: int, image_subset, object_id: int) -> float:
-    """Ground-truth attention of one user to one object over an image subset."""
-    values = raw_attention_values(world, user, image_subset)
-    if object_id not in values:
-        raise ObjectAbsentError(
-            f"object {object_id} does not appear in the given image subset"
-        )
-    return values[object_id]
-
-
 def quantize_levels(raw) -> list:
     """Equal-frequency quintile binning of (object_id, value) pairs.
 
@@ -659,10 +645,16 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
 
 
-def save_world(world: World, path) -> None:
+def write_json(doc, path) -> None:
+    """The package's one JSON output format: indent 1, LF line ends and a
+    final newline."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(world_to_dict(world), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def save_world(world: World, path) -> None:
+    write_json(world_to_dict(world), path)
 
 
 def load_world(path) -> World:

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import argparse
 import dataclasses
 import json
 
 import pytest
 
-from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
+from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
 
 SMALL_CONFIG = """\
 [experiment]
@@ -501,7 +502,7 @@ def _eval_model_doc(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("key", ["user_factors", "object_factors", "user_bias",
-                                 "object_bias", "mu"])
+                                 "object_bias", "mu", "num_users", "num_objects", "f"])
 def test_eval_rejects_model_missing_key(tmp_path, capsys, key):
     # a missing key used to die with a KeyError traceback (exit 1)
     code, err = _eval_model_doc(tmp_path, capsys,
@@ -528,6 +529,60 @@ def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
     code, err = _eval_model_doc(tmp_path, capsys, edit)
     assert code == EXIT_DATA
     assert message in err
+
+
+@pytest.mark.parametrize("key, value, actual", [
+    # each used to be ignored: eval exited 0 with metrics of the 2 x 2 x 1 model
+    ("num_users", 7, 2), ("num_objects", 2.0, 2), ("f", 99, 1), ("f", True, 1),
+])
+def test_eval_rejects_model_dimension_mismatch(tmp_path, capsys, key, value, actual):
+    code, err = _eval_model_doc(tmp_path, capsys, lambda doc: doc.update({key: value}))
+    assert code == EXIT_DATA
+    assert f"model file: '{key}' is {value!r}, but the factors give {actual}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("allocate", "--weights", "4,1", "--budget", "40"),
+    ("eval", "--model", "model.json", "--truth", "truth.csv"),
+], ids=["allocate", "eval"])
+@pytest.mark.parametrize("option", [("--config", "/nonexistent.ini"), ("--seed", "3")],
+                         ids=["config", "seed"])
+def test_unread_options_are_usage_errors(tmp_path, capsys, command, option):
+    # allocate and eval read no experiment config; both options used to be ignored
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *command, *option, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert not out.exists()
+
+
+# every option string of every subcommand, help aside; a new option should be
+# a reviewed change to this table
+CLI_OPTIONS = {
+    "attnalloc": ["--print-config"],
+    "generate": ["--out", "--config", "--seed"],
+    "sparsify": ["--out", "--config", "--seed", "--world", "--user"],
+    "fit": ["--out", "--config", "--seed", "--records"],
+    "eval": ["--out", "--model", "--truth", "--records"],
+    "allocate": ["--out", "--weights", "--budget", "--floor"],
+    "experiment": ["--out", "--config", "--seed"],
+    "sweep": ["--out", "--config", "--seed", "--user"],
+    "calibrate": ["--out", "--config"],
+}
+
+
+def test_cli_options_pinned():
+    parser = _build_parser()
+
+    def options(p):
+        return [s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                for s in a.option_strings]
+
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {"attnalloc": options(parser)}
+    table.update((name, options(p)) for name, p in subcommands.choices.items())
+    assert table == CLI_OPTIONS
+    assert sum(map(len, table.values())) == 30
 
 
 @pytest.mark.parametrize("value, message", [

@@ -4,6 +4,7 @@ import pytest
 
 from attnalloc.config import ConfigFileError, dump_config, load_config, parse_config
 from attnalloc.experiment import ExperimentConfig
+from attnalloc.qoe import LinkParams
 
 
 def test_empty_config_is_defaults():
@@ -38,8 +39,15 @@ def test_link_section():
     assert config.link.uplink_ber == 0.125
     with pytest.raises(ConfigFileError):
         parse_config("[link]\nrate = 1\n")
-    with pytest.raises(ConfigFileError):
-        parse_config("[link]\ndownlink_rate = -2\n")
+    with pytest.raises(ConfigFileError, match="downlink_rate must be positive"):
+        parse_config("[link]\ndownlink_rate = -2\nuplink_ber = 0\n")
+    # a partial section names what it lacks; uplink_ber used to default to 0
+    with pytest.raises(ConfigFileError, match=r"\[link\] must set uplink_ber$"):
+        parse_config("[link]\ndownlink_rate = 5.5\n")
+    with pytest.raises(ConfigFileError, match=r"\[link\] must set downlink_rate$"):
+        parse_config("[link]\nuplink_ber = 0.125\n")
+    with pytest.raises(ConfigFileError, match="must set downlink_rate and uplink_ber"):
+        parse_config("[link]\n")
 
 
 def test_unknown_sections_and_keys_rejected():
@@ -70,6 +78,13 @@ def test_optional_uplink_sinr():
 def test_dump_parse_roundtrip():
     original = ExperimentConfig()
     assert parse_config(dump_config(original)) == original
+
+
+def test_dump_parse_roundtrip_with_link():
+    original = ExperimentConfig(link=LinkParams(downlink_rate=5.5, uplink_ber=0.125))
+    text = dump_config(original)
+    assert "[link]\ndownlink_rate = 5.5\nuplink_ber = 0.125\n" in text
+    assert parse_config(text) == original
 
 
 def test_load_config_file(tmp_path):

@@ -21,6 +21,7 @@ from attnalloc.mf import (
     FitError,
     holdout_mask,
     load_model,
+    model_from_dict,
     model_to_dict,
     raw_score,
     save_model,
@@ -112,7 +113,7 @@ def test_predict_clamps():
     assert predict(model, 0, 0) == 5.0
     model = zero_model(mu=-0.4)
     assert predict(model, 0, 0) == 1.0
-    assert predict(model, 0, 0, clamp=None) == pytest.approx(-0.4)
+    assert raw_score(model, 0, 0) == pytest.approx(-0.4)
     assert raw_score(zero_model(mu=3.0), 1, 1) == 3.0
 
 
@@ -337,3 +338,14 @@ def test_model_rejects_inconsistent_shapes():
     for mu in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="mu must be finite"):
             dataclasses.replace(base, mu=mu)
+
+
+@pytest.mark.parametrize("key", ["num_users", "num_objects", "f"])
+def test_model_dimensions_must_match_factors(key):
+    doc = model_to_dict(zero_model(users=2, objects=3, f=4))
+    assert model_from_dict(doc).num_objects == 3
+    for value in (7, 99, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match=f"'{key}' is {value!r}, but the factors give"):
+            model_from_dict({**doc, key: value})
+    with pytest.raises(ValueError, match=f"model file has no '{key}'"):
+        model_from_dict({k: v for k, v in doc.items() if k != key})

@@ -11,20 +11,12 @@ from attnalloc import (
     ChannelConfig,
     LinkParams,
     QoETerms,
-    connection_coefficient,
     link_from_channel,
     qoe,
 )
 from attnalloc.qoe import dbw_to_watts, q_function
 
 IDENTITY_LINK = LinkParams(downlink_rate=1.0, uplink_ber=0.0)
-
-
-def test_connection_coefficient():
-    assert connection_coefficient(1.0, IDENTITY_LINK) == 1.0
-    assert connection_coefficient(2.0, LinkParams(10.0, 0.5)) == 10.0
-    with pytest.raises(ValueError):
-        connection_coefficient(0.0, IDENTITY_LINK)
 
 
 def test_link_validation():

