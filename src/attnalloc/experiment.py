@@ -11,6 +11,7 @@ truth rather than the model's own beliefs. Everything is a pure function of
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .world import WorldConfig, generate_world, raw_attention_values, sparsify_users, write_json
+from .world import (WorldConfig, _require_finite_fields, generate_world, raw_attention_values,
+                    sparsify_users, write_json)
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
 
@@ -42,6 +44,9 @@ class ExperimentConfig:
     scene_retain_hi: int = 70
 
     def validate(self):
+        _require_finite_fields(self)
+        if not all(map(math.isfinite, self.sweep_factors)):
+            raise ValueError(f"sweep_factors must be finite, got {self.sweep_factors!r}")
         if self.budget_per_object_k <= self.floor_k:
             raise ValueError("budget_per_object_k must exceed floor_k")
         if not self.sweep_factors:

@@ -1,9 +1,10 @@
 """Latent-factor prediction of attention levels from sparse records.
 
-Bias-augmented matrix factorization trained by SGD on observed (user, object,
-level) triples with L2 shrinkage, plus mean-imputation baselines and holdout
-metrics. Predicted levels are inner products in a shared semantic space,
-clamped to the 1..5 level range at prediction time.
+Bias-augmented matrix factorization fitted to the observed (user, object,
+level) triples by alternating least squares with λ·n-weighted ridge
+(ALS-WR), plus mean-imputation baselines and holdout metrics. Predicted
+levels are inner products in a shared semantic space, clamped to the 1..5
+level range at prediction time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import SparseAttentionRecords
-from .world import _is_number, _require, write_json
+from .world import _is_number, _require, _require_finite_fields, write_json
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 
@@ -32,24 +33,23 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
+    """``epochs`` counts ALS sweeps (users, then objects); ``regularization``
+    is the ALS-WR ridge weight per record."""
+
     f: int = 6
-    learning_rate: float = 0.01
-    regularization: float = 0.05
-    epochs: int = 200
+    regularization: float = 0.1
+    epochs: int = 15
     init_scale: float = 1.0
     seed: int = 0
 
     def validate(self):
-        for name in ("learning_rate", "regularization", "init_scale"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise FitError(f"{name} must be finite, got {value!r}")
+        _require_finite_fields(self, FitError)
         if self.f < 1:
             raise FitError("latent dimension f must be >= 1")
-        if self.learning_rate <= 0:
-            raise FitError("learning_rate must be positive")
-        if self.regularization < 0:
-            raise FitError("regularization must be non-negative")
+        if self.regularization <= 0:
+            # with no ridge, a user or object with fewer than f + 1 records
+            # has a singular normal matrix
+            raise FitError(f"regularization must be positive, got {self.regularization!r}")
         if self.epochs < 1:
             raise FitError("epochs must be >= 1")
         if self.init_scale <= 0:
@@ -63,7 +63,7 @@ class FactorModel:
     user_bias: np.ndarray
     object_bias: np.ndarray
     mu: float
-    training_curve: tuple = ()  # epoch-averaged squared error, informational
+    training_curve: tuple = ()  # objective per record after each sweep, informational
 
     def __post_init__(self):
         for name in ("user_factors", "object_factors", "user_bias", "object_bias"):
@@ -100,76 +100,101 @@ class FactorModel:
         return lambda u, o: predict(self, u, o)
 
 
+def _solve_side(ids, size, others, other_factors, other_bias, target, lam):
+    """One ALS half-sweep: every id's ``[factors, bias]`` from one batched
+    ``np.linalg.solve`` of (f+1) x (f+1) ridge systems, the other side fixed.
+
+    Row i minimizes ``sum((t - [q, 1] @ x) ** 2) + lam * n_i * |x| ** 2`` over
+    id i's n_i records, with ``t = target - other_bias`` and ``q`` the other
+    side's factors; an id with no records gets zeros (the ridge is
+    ``lam * max(n_i, 1)``), and a system that is singular in floating point
+    (a subnormal ``lam``) gives NaN rows for the caller's finiteness check.
+    Returns ``(factors, bias)``.
+    """
+    f = other_factors.shape[1]
+    d = f + 1
+    # one row per entry of each record's [q, 1, t], so every product is contiguous
+    z = np.empty((d + 1, len(ids)))
+    z[:f] = other_factors[others].T
+    z[f] = 1.0
+    z[d] = target - other_bias[others]
+    # per id, the sums of z z^T hold the Gram matrix of [q, 1], the right-hand
+    # side in the last column and the record count n at [f, f]
+    sums = np.empty((size, d + 1, d + 1))
+    for j, k in zip(*np.triu_indices(d + 1)):
+        sums[:, j, k] = sums[:, k, j] = np.bincount(ids, weights=z[j] * z[k], minlength=size)
+    gram, rhs = sums[:, :d, :d], sums[:, :d, d]
+    diagonal = np.arange(d)
+    gram[:, diagonal, diagonal] += lam * np.maximum(sums[:, f, f], 1)[:, None]
+    try:
+        x = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+    return x[:, :f], x[:, f]
+
+
+def _objective(users, objects, target, U, bu, V, bo, lam) -> float:
+    """The ALS-WR objective: squared error of ``target`` (levels minus
+    ``mu``) plus ``lam`` times each record's user and object ``|[p, b]|**2``."""
+    err = target - (bu[users] + bo[objects] + np.einsum("ij,ij->i", U[users], V[objects]))
+    ridge = (np.square(U).sum(1) + np.square(bu))[users].sum() \
+        + (np.square(V).sum(1) + np.square(bo))[objects].sum()
+    return float(err @ err + lam * ridge)
+
+
 def fit_mf(records: SparseAttentionRecords, config: FitConfig,
            num_users: int | None = None, num_objects: int | None = None) -> FactorModel:
-    """Fit the factor model by seeded SGD over the observed triples.
+    """Fit the factor model by alternating least squares with λ·n-weighted
+    ridge (ALS-WR, Zhou et al. 2008).
 
-    Records are sorted by (user, object) and then visited in a seeded random
-    order each epoch, so the result is a pure function of (records, config).
-
-    The loop runs on Python floats in lists, because numpy's per-call
-    overhead on f-element rows cost more than the arithmetic. The dot product
-    is an explicit sequential sum, so the result does not depend on the
-    host's BLAS kernel (nor on the Python version's float ``sum``).
-    Raises ``FitError`` as soon as an epoch's squared error is non-finite.
+    Each of ``config.epochs`` sweeps solves every user's ``[p_u, b_u]``
+    with the objects fixed, then every object's ``[q_o, b_o]``, each side as
+    one batched ``np.linalg.solve``. Each half-sweep exactly minimizes the
+    objective over its block, so the objective never rises. The object
+    factors start from the seeded draw (the user draw is kept so that the
+    seed gives the same object draw, and the first half-sweep replaces it);
+    ids with no records end at zero. The result is a pure function of
+    (records, config) on one host, but the solves go through LAPACK, so it
+    is not bit-portable across BLAS builds. ``training_curve`` holds the
+    objective per record after each sweep. Raises ``FitError`` on empty
+    records, a record outside the requested dimensions (naming the pair)
+    or a solve that is not finite.
     """
     config.validate()
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
 
-    rows = [(u, o, float(level)) for u, o, level in records.sorted_list()]
-    max_user = max(r[0] for r in rows)
-    max_object = max(r[1] for r in rows)
-    nu = num_users if num_users is not None else max_user + 1
-    no = num_objects if num_objects is not None else max_object + 1
-    if max_user >= nu or max_object >= no:
-        raise FitError("record ids exceed the requested model dimensions")
+    users, objects, levels = np.array(records.sorted_list()).T
+    nu = num_users if num_users is not None else int(users.max()) + 1
+    no = num_objects if num_objects is not None else int(objects.max()) + 1
+    outside = (users >= nu) | (objects >= no)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise FitError(f"record pair ({users[i]}, {objects[i]}) lies outside the "
+                       f"model's {nu} users x {no} objects")
 
     rng = np.random.default_rng(config.seed)
     f = config.f
-    U = (rng.uniform(-0.05, 0.05, size=(nu, f)) * config.init_scale).tolist()
-    V = (rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale).tolist()
-    bu = [0.0] * nu
-    bo = [0.0] * no
-    mu = float(np.mean([r[2] for r in rows]))
+    U = rng.uniform(-0.05, 0.05, size=(nu, f)) * config.init_scale
+    V = rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale
+    bo = np.zeros(no)
+    mu = float(levels.mean())
+    target = levels - mu
+    lam = config.regularization
 
-    lr = config.learning_rate
-    # multiplicative shrinkage, floored at full shrink so huge regularization
-    # stays numerically stable instead of diverging
-    decay = max(0.0, 1.0 - lr * config.regularization)
-
-    ks = range(f)
     curve = []
-    n = len(rows)
-    for epoch in range(config.epochs):
-        sq = 0.0
-        for i in rng.permutation(n).tolist():
-            u, o, level = rows[i]
-            uf = U[u]
-            vf = V[o]
-            dot = 0.0
-            for k in ks:
-                dot += uf[k] * vf[k]
-            err = level - (mu + bu[u] + bo[o] + dot)
-            sq += err * err
-            step = lr * err
-            for k in ks:
-                a = uf[k]
-                b = vf[k]
-                uf[k] = a * decay + step * b
-                vf[k] = b * decay + step * a
-            bu[u] = bu[u] * decay + step
-            bo[o] = bo[o] * decay + step
-        if not math.isfinite(sq):
-            raise FitError(
-                f"SGD diverged in epoch {epoch + 1} of {config.epochs}: squared error "
-                f"is {sq}; learning_rate {lr} is too large"
-            )
-        curve.append(sq / n)
+    for sweep in range(1, config.epochs + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
+            U, bu = _solve_side(users, nu, objects, V, bo, target, lam)
+            V, bo = _solve_side(objects, no, users, U, bu, target, lam)
+        if not all(np.isfinite(a).all() for a in (U, bu, V, bo)):
+            raise FitError(f"ALS solve is not finite in sweep {sweep} of {config.epochs}: "
+                           f"regularization {lam} is too small or init_scale "
+                           f"{config.init_scale} too large")
+        curve.append(_objective(users, objects, target, U, bu, V, bo, lam) / len(target))
 
     return FactorModel(
-        user_factors=np.array(U), object_factors=np.array(V),
-        user_bias=np.array(bu), object_bias=np.array(bo),
+        user_factors=U, object_factors=V, user_bias=bu, object_bias=bo,
         mu=mu, training_curve=tuple(curve),
     )
 

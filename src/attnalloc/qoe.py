@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .world import _require_finite_fields
+
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -24,6 +26,7 @@ class LinkParams:
     uplink_ber: float     # probability
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.downlink_rate <= 0:
             raise ValueError("downlink_rate must be positive")
         if not (0.0 <= self.uplink_ber < 1.0):
@@ -55,6 +58,7 @@ class ChannelConfig:
     uplink_sinr: float | None = None   # defaults to the downlink SINR
 
     def __post_init__(self):
+        _require_finite_fields(self)
         positives = {
             "bandwidth": self.bandwidth, "tx_power": self.tx_power,
             "distance": self.distance, "interference_power": self.interference_power,

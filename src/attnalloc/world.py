@@ -9,8 +9,9 @@ observation records by sampling service groups and image subsets.
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +62,7 @@ class WorldConfig:
     max_image_pixels: int = 360 * 640
 
     def validate(self) -> None:
+        _require_finite_fields(self, ConfigurationError)
         counts = {
             "num_users": self.num_users,
             "num_objects": self.num_objects,
@@ -643,6 +645,15 @@ def _is_number(value) -> bool:
     ``float`` (the callers reject NaN and infinities by name) or an ``int``
     within range; a bool is neither."""
     return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
+
+
+def _require_finite_fields(config, error=ValueError) -> None:
+    """Raise ``error`` naming the first ``float`` field of the dataclass
+    ``config`` that is NaN or infinite, before a derived quantity fails."""
+    for name in (f.name for f in fields(config)):
+        value = getattr(config, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 def write_json(doc, path) -> None:

@@ -89,9 +89,8 @@ max_image_pixels = 230400
 
 [fit]
 f = 6
-learning_rate = 0.01
-regularization = 0.05
-epochs = 200
+regularization = 0.1
+epochs = 15
 init_scale = 1.0
 seed = 0
 
@@ -231,7 +230,7 @@ def _write_tiny_records(path):
 
 
 @pytest.mark.parametrize("line, name", [
-    ("learning_rate = nan", "learning_rate"),
+    ("regularization = 0", "regularization must be positive"),
     ("regularization = nan", "regularization"),
     ("init_scale = inf", "init_scale"),
 ])
@@ -247,15 +246,74 @@ def test_fit_rejects_non_finite_config(tmp_path, capsys, line, name):
     assert not (tmp_path / "model.json").exists()
 
 
-def test_fit_divergence_exits_2(tmp_path, capsys):
+def test_fit_non_finite_solve_exits_2(tmp_path, capsys):
     records = tmp_path / "records.csv"
     _write_tiny_records(records)
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text("[fit]\nlearning_rate = 5.0\n")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[fit]\ninit_scale = 1e308\n")
     code, _, err = run(capsys, "fit", "--config", str(cfg), "--records", str(records),
                        "--out", str(tmp_path / "model.json"))
     assert code == EXIT_DATA
-    assert "learning_rate" in err and "diverged" in err
+    assert "not finite in sweep 1 of 15: regularization 0.1 is too small or " \
+        "init_scale 1e+308 too large" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def _tiny_world(tmp_path, capsys, config_file):
+    world = tmp_path / "world.json"
+    assert run(capsys, "generate", "--config", config_file, "--out", str(world))[0] == EXIT_OK
+    return world, json.loads(world.read_text())
+
+
+def test_fit_world_sets_model_dimensions(tmp_path, capsys, config_file):
+    # without --world the records 0,0,3 and 1,1,2 gave a 2 x 2 model
+    records = tmp_path / "records.csv"
+    records.write_text("user_id,object_id,level\n0,0,3\n1,1,2\n")
+    world, doc = _tiny_world(tmp_path, capsys, config_file)
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
+                       "--out", str(model))
+    assert code == EXIT_OK, err
+    fitted = json.loads(model.read_text())
+    assert (fitted["num_users"], fitted["num_objects"]) == (len(doc["interest"]),
+                                                            len(doc["catalog"]))
+    assert fitted["num_users"] > 2 and fitted["num_objects"] > 2
+
+
+def test_fit_world_rejects_records_outside_it(tmp_path, capsys, config_file):
+    world, doc = _tiny_world(tmp_path, capsys, config_file)
+    users, objects = len(doc["interest"]), len(doc["catalog"])
+    records = tmp_path / "records.csv"
+    records.write_text(f"user_id,object_id,level\n0,0,3\n{users},1,2\n")
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
+                       "--out", str(model))
+    assert code == EXIT_DATA
+    assert (f"record pair ({users}, 1) lies outside the model's "
+            f"{users} users x {objects} objects") in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("section, line, message", [
+    # each used to fail with a message about a derived quantity, or not at all
+    ("world", "group_bias = nan", "group_bias must be finite, got nan"),
+    ("world", "group_bias = inf", "group_bias must be finite, got inf"),
+    ("world", "object_popularity_exponent = nan",
+     "object_popularity_exponent must be finite, got nan"),
+    ("world", "interest_exponent = nan", "interest_exponent must be finite, got nan"),
+    ("channel", "distance = nan", "distance must be finite, got nan"),
+    ("link", "downlink_rate = nan\nuplink_ber = 0", "downlink_rate must be finite, got nan"),
+    ("experiment", "sweep_factors = 16, nan", "sweep_factors must be finite"),
+], ids=["group_bias-nan", "group_bias-inf", "object_popularity_exponent-nan",
+        "interest_exponent-nan", "distance-nan", "downlink_rate-nan", "sweep_factors-nan"])
+def test_non_finite_config_value_named(tmp_path, capsys, section, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    out = tmp_path / "world.json"
+    code, _, err = run(capsys, "generate", "--config", str(cfg), "--out", str(out))
+    assert code == EXIT_DATA
+    assert message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("budget, floor, name", [
@@ -562,7 +620,7 @@ CLI_OPTIONS = {
     "attnalloc": ["--print-config"],
     "generate": ["--out", "--config", "--seed"],
     "sparsify": ["--out", "--config", "--seed", "--world", "--user"],
-    "fit": ["--out", "--config", "--seed", "--records"],
+    "fit": ["--out", "--config", "--seed", "--records", "--world"],
     "eval": ["--out", "--model", "--truth", "--records"],
     "allocate": ["--out", "--weights", "--budget", "--floor"],
     "experiment": ["--out", "--config", "--seed"],
@@ -582,7 +640,7 @@ def test_cli_options_pinned():
     table = {"attnalloc": options(parser)}
     table.update((name, options(p)) for name, p in subcommands.choices.items())
     assert table == CLI_OPTIONS
-    assert sum(map(len, table.values())) == 30
+    assert sum(map(len, table.values())) == 31
 
 
 @pytest.mark.parametrize("value, message", [

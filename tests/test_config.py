@@ -22,6 +22,9 @@ def test_world_and_fit_overrides():
     assert config.fit.epochs == 17
     assert config.master_seed == 3
     assert config.sweep_user == 9
+    # the ALS fit reads no learning rate
+    with pytest.raises(ConfigFileError, match="unknown key 'learning_rate' in \\[fit\\]"):
+        parse_config("[fit]\nlearning_rate = 0.01\n")
 
 
 def test_sweep_factors_list():
