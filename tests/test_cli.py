@@ -231,6 +231,9 @@ def _write_tiny_records(path):
 
 @pytest.mark.parametrize("line, name", [
     ("regularization = 0", "regularization must be positive"),
+    # the SGD step size is no longer a field: a stale config that sets it
+    # fails by name as an unknown key instead of being ignored
+    ("learning_rate = nan", "learning_rate"),
     ("regularization = nan", "regularization"),
     ("init_scale = inf", "init_scale"),
 ])
@@ -246,7 +249,7 @@ def test_fit_rejects_non_finite_config(tmp_path, capsys, line, name):
     assert not (tmp_path / "model.json").exists()
 
 
-def test_fit_non_finite_solve_exits_2(tmp_path, capsys):
+def test_fit_divergence_exits_2(tmp_path, capsys):
     records = tmp_path / "records.csv"
     _write_tiny_records(records)
     cfg = tmp_path / "huge.cfg"

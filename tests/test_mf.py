@@ -355,17 +355,23 @@ def test_fit_config_rejects_non_finite(name, value):
         fit_mf(constant_records(), config)
 
 
-@pytest.mark.parametrize("config, message", [
-    # initial factors of 5e306 overflow the object rows of the first user solve
-    (FitConfig(init_scale=1e308), "regularization 0.1 is too small or init_scale 1e+308"),
-    # a ridge of 1e-300 leaves user 1's one-record system singular
-    (FitConfig(regularization=1e-300), "regularization 1e-300 is too small or init_scale 1.0"),
-], ids=["overflow", "singular"])
-def test_non_finite_solve_fails_fast(config, message):
+def _assert_fit_fails_in_first_sweep(config, message):
     records = SparseAttentionRecords(frozenset({(0, 0, 5), (0, 1, 1), (1, 0, 2)}))
     with pytest.raises(FitError, match="not finite in sweep 1 of 15") as err:
         fit_mf(records, config)
     assert message in str(err.value)
+
+
+def test_divergent_fit_fails_fast():
+    # initial factors of 5e306 overflow the object rows of the first user solve
+    _assert_fit_fails_in_first_sweep(
+        FitConfig(init_scale=1e308), "regularization 0.1 is too small or init_scale 1e+308")
+
+
+def test_singular_solve_fails_fast():
+    # a ridge of 1e-300 leaves user 1's one-record system singular
+    _assert_fit_fails_in_first_sweep(
+        FitConfig(regularization=1e-300), "regularization 1e-300 is too small or init_scale 1.0")
 
 
 def test_model_rejects_inconsistent_shapes():
