@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", parents=[out], help="holdout metrics for a model")
     p.add_argument("--model", required=True, help="model JSON")
-    p.add_argument("--truth", required=True, help="dense ground-truth CSV")
+    p.add_argument("--world", required=True, help="world JSON that gives the ground truth")
     p.add_argument("--records", default=None,
                    help="records CSV whose pairs are excluded from the holdout")
 
@@ -141,24 +141,17 @@ def _cmd_fit(args):
 
 def _cmd_eval(args):
     model = mf_mod.load_model(args.model)
-    truth_records = rec_mod.load_records(args.truth)
-    levels = np.full((model.num_users, model.num_objects), 0, dtype=np.int64)
-    seen = set()
-    for user, obj, level in truth_records:
-        if not (0 <= user < model.num_users and 0 <= obj < model.num_objects):
-            raise ValueError(
-                f"ground-truth pair ({user}, {obj}) lies outside the model's "
-                f"{model.num_users} users x {model.num_objects} objects"
-            )
-        levels[user, obj] = level
-        seen.add((user, obj))
-    if (levels == 0).any():
-        raise ValueError("ground-truth CSV is not dense over the model dimensions")
-    truth = world_mod.GroundTruthLevels(levels)
-    mask = seen
+    world = world_mod.load_world(args.world)
+    shape = (world.num_users, world.num_objects)
+    if shape != (model.num_users, model.num_objects):
+        raise ValueError(
+            f"the world has {shape[0]} users x {shape[1]} objects, but the model has "
+            f"{model.num_users} users x {model.num_objects} objects"
+        )
+    truth = world_mod.ground_truth_levels(world)
+    mask = set(np.ndindex(shape))
     if args.records:
-        observed = rec_mod.load_records(args.records).pairs()
-        mask = mask - observed
+        mask -= rec_mod.load_records(args.records).pairs()
     metrics = mf_mod.evaluate(model.predictor(), truth, mask)
     doc = {"rmse": metrics.rmse, "mae": metrics.mae, "count": metrics.count}
     if args.out:

@@ -196,13 +196,13 @@ class World:
     def occurrences(self, image_ids: np.ndarray):
         """The occurrences of the images ``image_ids`` (an int array of valid
         ids) in the given order, repeats included, each image's in ascending
-        object id: (image ids, object ids, pixel counts)."""
+        object id: (positions in the CSR layout, object ids, pixel counts)."""
         starts = self._indptr[image_ids]
         lengths = self._indptr[image_ids + 1] - starts
         # output position k of image j reads occurrence starts[j] + k - first[j]
         first = np.cumsum(lengths) - lengths
         at = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
-        return np.repeat(image_ids, lengths), self._objects[at], self._counts[at]
+        return at, self._objects[at], self._counts[at]
 
 
 def _check_seed(seed) -> None:
@@ -292,123 +292,13 @@ def _generate_images(config: WorldConfig, rng):
     return pixels, group_of
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier (as
-# 32-bit limbs, least significant first)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> s) & _MASK32 for s in (0, 32, 64, 96)]
-
-
-def _gaze_factors(world: World, user: int, image_ids, object_ids) -> np.ndarray:
-    """Gaze-noise factor of each (image, object) pair: the value
-    ``1 + np.random.default_rng((seed, _GAZE_STREAM, user, image, object))
-    .uniform(-gaze_noise, gaze_noise)`` would give, computed for all pairs in
-    one pass. It repeats numpy's steps in uint32/uint64 array arithmetic:
-    SeedSequence hashes the tuple into eight state words, PCG64 is seeded from
-    them and draws one 64-bit output, which becomes a double in [0, 1). Ids
-    must lie below 2**32, so each is one entropy word."""
-    image_ids = np.asarray(image_ids, dtype=np.uint32)
-    object_ids = np.asarray(object_ids, dtype=np.uint32)
+def _gaze_factors(world: World, user: int) -> np.ndarray:
+    """Gaze-noise factor of every occurrence, in the CSR order: ``1 + U(-g, g)``
+    from the user's own generator, one draw per occurrence. An (image, object)
+    pair keeps its factor in every call, whatever images a call reads."""
     g = world.gaze_noise
-    scalar_words = _uint32_words(world.seed) + [_GAZE_STREAM] + _uint32_words(user)
-    entropy = [np.uint32(w) for w in scalar_words] + [image_ids, object_ids]
-    with np.errstate(over="ignore"):
-        s = [w.astype(np.uint64) for w in _seed_sequence_state(entropy)]
-    # generate_state(4, uint64) reads the words as little-endian uint64s
-    # w0..w3; PCG64 seeds with (w0:w1, w2:w3), high word first. Limbs here
-    # are 32 bits, least significant first.
-    seed = [s[2], s[3], s[0], s[1]]
-    inc = [s[6], s[7], s[4], s[5]]
-    inc = [(inc[0] << 1 | 1) & _MASK32] + [
-        (hi << 1 | lo >> 31) & _MASK32 for lo, hi in zip(inc, inc[1:])
-    ]
-    # srandom: the first step from state 0 leaves inc; add the seed; step.
-    # Then next_uint64 steps once more and outputs XSL-RR of the new state.
-    state = _pcg_step(_add128(inc, seed), inc)
-    state = _pcg_step(state, inc)
-    hi = state[3] << 32 | state[2]
-    x = (state[3] ^ state[1]) << 32 | (state[2] ^ state[0])
-    rot = hi >> 58
-    x = x >> rot | x << ((64 - rot) & 63)
-    d = (x >> 11).astype(np.float64) * 2.0**-53
-    return 1.0 + (-g + (g - -g) * d)
-
-
-def _uint32_words(n: int) -> list:
-    """SeedSequence's entropy words for an int: little-endian 32-bit words,
-    ``[0]`` for 0."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"gaze noise needs non-negative seed and ids, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(init: int, mult: int):
-    """SeedSequence's hashmix with its own running hash constant: each call
-    xors the value with the constant, advances the constant and multiplies."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _seed_sequence_state(entropy: list) -> list:
-    """``SeedSequence(entropy).generate_state(8)`` as eight uint32 words (each
-    an array over the pairs), for an entropy of at least four words."""
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hashmix = _hashmix(_INIT_B, _MULT_B)
-    return [hashmix(pool[i % 4]) for i in range(8)]
-
-
-def _add128(a: list, b: list) -> list:
-    """Sum mod 2**128 of two numbers given as four limbs of weight 2**(32k)
-    (uint64 arrays, least significant first). The result's limbs are 32-bit;
-    what a sum holds above 32 bits is carried into the next limb."""
-    out, carry = [], 0
-    for x, y in zip(a, b):
-        total = x + y + carry
-        out.append(total & _MASK32)
-        carry = total >> 32
-    return out
-
-
-def _pcg_step(state: list, inc: list) -> list:
-    """One PCG64 LCG step, ``state * multiplier + inc`` mod 2**128, on 32-bit
-    limbs: each 32x32-bit product fits a uint64; its low half goes to its own
-    column and its high half to the next, and the columns carry upward."""
-    columns = [0, 0, 0, 0]
-    for i, a in enumerate(state):
-        for j, m in enumerate(_PCG_MULT[: 4 - i]):
-            product = a * np.uint64(m)
-            columns[i + j] = columns[i + j] + (product & _MASK32)
-            if i + j < 3:
-                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
-    return _add128(columns, inc)
+    rng = np.random.default_rng((world.seed, _GAZE_STREAM, user))
+    return 1.0 + rng.uniform(-g, g, size=world._objects.size)
 
 
 def attention_from_gaze(pixel_counts, gaze_masses) -> float:
@@ -436,8 +326,9 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
     """Attention value for every object occurring in the given images.
 
     Value = (sum of gaze mass over occurrences) / (sum of pixels over
-    occurrences), gaze mass being interest * pixels * (1 + noise). An image
-    listed twice counts twice.
+    occurrences), gaze mass being interest * pixels * (1 + noise). The noise
+    of an occurrence is the user's draw at its CSR position, so an image
+    listed twice counts twice with the same noise.
     """
     _check_user(world, user)
     ids = np.fromiter(image_ids, dtype=np.intp)
@@ -445,10 +336,10 @@ def raw_attention_values(world: World, user: int, image_ids) -> dict:
         return {}
     if ids.min() < 0 or ids.max() >= world.num_images:
         raise KeyError(f"image ids must lie in 0..{world.num_images - 1}")
-    images, objects, px = world.occurrences(ids)
+    at, objects, px = world.occurrences(ids)
     mass = world.interest[user][objects] * px
     if world.gaze_noise > 0:
-        mass *= _gaze_factors(world, user, images, objects)
+        mass *= _gaze_factors(world, user)[at]
     # bincount's weighted loop adds the occurrences to their objects one after
     # another, so each object's gaze mass is the sequential sum over its images
     # in the given order (a pairwise sum would change the last bit of some
@@ -484,7 +375,13 @@ def quantize_levels(raw) -> list:
 
 
 def ground_truth_levels(world: World) -> GroundTruthLevels:
-    """Per-user quintile levels of attention values computed over all images."""
+    """Per-user quintile levels of attention values computed over all images.
+    Every object must occur in some image, or it would have no level."""
+    absent = np.flatnonzero(~world.pixels.any(axis=0))
+    if absent.size:
+        o = absent[0]
+        raise ValueError(f"object {o} ({world.labels[o]!r}) occurs in no image, "
+                         "so it has no ground-truth level")
     levels = np.empty((world.num_users, world.num_objects), dtype=np.int64)
     for user in range(world.num_users):
         values = raw_attention_values(world, user, range(world.num_images))

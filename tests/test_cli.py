@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
@@ -142,20 +143,28 @@ def test_sparsify_and_fit_and_eval(tmp_path, capsys, config_file):
                "--out", str(model))[0] == EXIT_OK
     assert json.loads(model.read_text())["version"] == "attn-mf/1"
 
-    # dense ground truth for eval comes from the world itself
-    from attnalloc import SparseAttentionRecords, ground_truth_levels, load_world, save_records
-    levels = ground_truth_levels(load_world(world)).levels
-    triples = frozenset(
-        (u, o, int(levels[u, o]))
-        for u in range(levels.shape[0]) for o in range(levels.shape[1])
-    )
-    save_records(SparseAttentionRecords(triples), truth)
-
-    code, out, _ = run(capsys, "eval", "--model", str(model), "--truth", str(truth),
+    code, out, _ = run(capsys, "eval", "--model", str(model), "--world", str(world),
                        "--records", str(records), "--out", str(metrics))
     assert code == EXIT_OK
     doc = json.loads(metrics.read_text())
     assert doc["rmse"] >= 0 and doc["count"] > 0
+
+    # the metrics equal those of the former `eval --truth`, which densified a
+    # ground-truth CSV dumped from the same world
+    from attnalloc import (GroundTruthLevels, SparseAttentionRecords, evaluate,
+                           ground_truth_levels, load_records, load_world, save_records)
+    from attnalloc.mf import load_model
+    levels = ground_truth_levels(load_world(world)).levels
+    save_records(SparseAttentionRecords(frozenset(
+        (u, o, int(level)) for (u, o), level in np.ndenumerate(levels))), truth)
+    dense = np.zeros_like(levels)
+    seen = set()
+    for user, obj, level in load_records(truth):
+        dense[user, obj] = level
+        seen.add((user, obj))
+    expected = evaluate(load_model(model).predictor(), GroundTruthLevels(dense),
+                        seen - load_records(records).pairs())
+    assert doc == {"rmse": expected.rmse, "mae": expected.mae, "count": expected.count}
 
 
 def test_sparsify_single_user(tmp_path, capsys, config_file):
@@ -332,21 +341,48 @@ def test_allocate_non_finite_budget_or_floor(tmp_path, capsys, budget, floor, na
     assert stdout == "" and not out.exists()
 
 
-def test_eval_truth_wider_than_model(tmp_path, capsys):
-    import numpy as np
+def _save_world(path, pixels, num_users=2):
+    """Save a manual world with the given images x objects pixel matrix."""
+    from attnalloc import World, save_world
 
-    from attnalloc import FactorModel, SparseAttentionRecords, save_records
+    pixels = np.asarray(pixels)
+    save_world(World(pixels=pixels, group_of=[0] * len(pixels),
+                     labels=tuple(f"o{i}" for i in range(pixels.shape[1])),
+                     interest=np.full((num_users, pixels.shape[1]), 0.5), seed=0), path)
+
+
+def _save_zero_model(path):
+    """Save a 2 x 2 model that predicts 3 for every pair."""
+    from attnalloc import FactorModel
     from attnalloc.mf import save_model
 
-    model = tmp_path / "model.json"
     save_model(FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), np.zeros(2),
-                           mu=3.0), model)
-    truth = tmp_path / "truth.csv"
-    save_records(SparseAttentionRecords(frozenset(
-        (u, o, 3) for u in range(2) for o in range(3))), truth)
-    code, _, err = run(capsys, "eval", "--model", str(model), "--truth", str(truth))
+                           mu=3.0), path)
+
+
+def test_eval_truth_wider_than_model(tmp_path, capsys):
+    # a 2 x 3 world against a 2 x 2 model, and the reverse
+    model, world = tmp_path / "model.json", tmp_path / "world.json"
+    _save_zero_model(model)
+    _save_world(world, [[10, 20, 30]])
+    code, _, err = run(capsys, "eval", "--model", str(model), "--world", str(world))
     assert code == EXIT_DATA
-    assert "(0, 2)" in err and "2 users x 2 objects" in err
+    assert "world has 2 users x 3 objects, but the model has 2 users x 2 objects" in err
+    _save_world(world, [[10]], num_users=3)
+    code, _, err = run(capsys, "eval", "--model", str(model), "--world", str(world))
+    assert code == EXIT_DATA
+    assert "world has 3 users x 1 objects, but the model has 2 users x 2 objects" in err
+
+
+def test_eval_rejects_world_with_absent_object(tmp_path, capsys):
+    # object 1 occurs in no image, so the world gives it no ground-truth level
+    model, world = tmp_path / "model.json", tmp_path / "world.json"
+    _save_zero_model(model)
+    _save_world(world, [[10, 0], [5, 0]])
+    code, out, err = run(capsys, "eval", "--model", str(model), "--world", str(world))
+    assert code == EXIT_DATA
+    assert "object 1 ('o1') occurs in no image" in err
+    assert out == ""
 
 
 def test_allocate_extreme_weight_ratio(tmp_path, capsys):
@@ -544,10 +580,9 @@ def test_directory_paths_exit_2(tmp_path, capsys, config_file):
 
 def _eval_model_doc(tmp_path, capsys, edit):
     """Save a 2 x 2 model, apply ``edit`` to its document (which may return a
-    replacement), then run ``eval --model`` on it; returns (exit code, stderr)."""
-    import numpy as np
-
-    from attnalloc import FactorModel, SparseAttentionRecords, save_records
+    replacement), then run ``eval --model`` on it against a 2 x 2 world;
+    returns (exit code, stderr)."""
+    from attnalloc import FactorModel
     from attnalloc.mf import model_to_dict
 
     doc = model_to_dict(FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2),
@@ -555,10 +590,9 @@ def _eval_model_doc(tmp_path, capsys, edit):
     doc = edit(doc) or doc
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
-    truth = tmp_path / "truth.csv"
-    save_records(SparseAttentionRecords(frozenset(
-        (u, o, 3) for u in range(2) for o in range(2))), truth)
-    code, _, err = run(capsys, "eval", "--model", str(model), "--truth", str(truth))
+    world = tmp_path / "world.json"
+    _save_world(world, [[10, 20]])
+    code, _, err = run(capsys, "eval", "--model", str(model), "--world", str(world))
     return code, err
 
 
@@ -604,7 +638,7 @@ def test_eval_rejects_model_dimension_mismatch(tmp_path, capsys, key, value, act
 
 @pytest.mark.parametrize("command", [
     ("allocate", "--weights", "4,1", "--budget", "40"),
-    ("eval", "--model", "model.json", "--truth", "truth.csv"),
+    ("eval", "--model", "model.json", "--world", "world.json"),
 ], ids=["allocate", "eval"])
 @pytest.mark.parametrize("option", [("--config", "/nonexistent.ini"), ("--seed", "3")],
                          ids=["config", "seed"])
@@ -624,7 +658,7 @@ CLI_OPTIONS = {
     "generate": ["--out", "--config", "--seed"],
     "sparsify": ["--out", "--config", "--seed", "--world", "--user"],
     "fit": ["--out", "--config", "--seed", "--records", "--world"],
-    "eval": ["--out", "--model", "--truth", "--records"],
+    "eval": ["--out", "--model", "--world", "--records"],
     "allocate": ["--out", "--weights", "--budget", "--floor"],
     "experiment": ["--out", "--config", "--seed"],
     "sweep": ["--out", "--config", "--seed", "--user"],
