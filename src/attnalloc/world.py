@@ -93,6 +93,13 @@ class WorldConfig:
             raise ConfigurationError("invalid objects-per-image range")
         if self.max_objects_per_image > self.num_objects:
             raise ConfigurationError("max_objects_per_image exceeds num_objects")
+        positive = np.count_nonzero(_popularity(self))
+        if positive < self.max_objects_per_image:
+            raise ConfigurationError(
+                f"object_popularity_exponent {self.object_popularity_exponent} leaves "
+                f"{positive} objects with positive weight, fewer than "
+                f"max_objects_per_image {self.max_objects_per_image}"
+            )
         if not (1 <= self.min_pixels_per_object <= self.max_pixels_per_object):
             raise ConfigurationError("invalid pixels-per-object range")
         if self.max_objects_per_image * self.max_pixels_per_object > self.max_image_pixels:
@@ -225,6 +232,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
 
     interest = _generate_interest(config, rng)
     pixels, group_of = _generate_images(config, rng)
+    _place_missing_objects(config, rng, pixels)
     return World(
         pixels=pixels,
         group_of=group_of,
@@ -253,43 +261,61 @@ def _generate_interest(config: WorldConfig, rng) -> np.ndarray:
     return np.clip(squashed, 1e-9, 1.0)
 
 
+def _popularity(config: WorldConfig) -> np.ndarray:
+    """Heavy-tailed object popularity (rare objects make the records sparse),
+    before shuffling. A steep exponent underflows the tail to 0."""
+    return (1.0 + np.arange(config.num_objects)) ** (-config.object_popularity_exponent)
+
+
+def _run_ids(n: int, parts: int) -> np.ndarray:
+    """For each of ``n`` items, which of ``parts`` consecutive near-equal runs
+    (``np.array_split``'s) holds it."""
+    return np.repeat(np.arange(parts), [len(run) for run in np.array_split(np.arange(n), parts)])
+
+
 def _generate_images(config: WorldConfig, rng):
-    n_obj = config.num_objects
-    # heavy-tailed object popularity (rare objects make the records sparse),
+    """Pixel matrix and group ids of the images, before missing objects are
+    placed. An image's ``k`` objects have the ``k`` smallest keys ``E / w``,
+    ``E`` standard exponential and ``w`` the group's weight: successive
+    weighted sampling without replacement (Efraimidis and Spirakis, 2006).
+    Keys are compared as logarithms, so no tiny weight overflows its key;
+    a 0 weight gets +inf."""
+    n_img, n_obj = config.num_images, config.num_objects
     # shuffled so popularity is not correlated with the group blocks
-    popularity = (1.0 + np.arange(n_obj)) ** (-config.object_popularity_exponent)
-    popularity = rng.permutation(popularity)
+    popularity = rng.permutation(_popularity(config))
+    log_weight = np.log(popularity, out=np.full(n_obj, -np.inf), where=popularity > 0)
     # each group over-represents a disjoint block of objects
-    blocks = np.array_split(np.arange(n_obj), config.num_groups)
-    group_probs = []
-    for g in range(config.num_groups):
-        w = popularity.copy()
-        w[blocks[g]] *= config.group_bias
-        group_probs.append(w / w.sum())
+    in_block = _run_ids(n_obj, config.num_groups) == np.arange(config.num_groups)[:, None]
+    group_log_weight = log_weight + math.log(config.group_bias) * in_block
+    group_of = _run_ids(n_img, config.num_groups)
 
-    group_of = np.concatenate(
-        [np.full(len(chunk), g) for g, chunk in
-         enumerate(np.array_split(np.arange(config.num_images), config.num_groups))]
+    hi = config.max_objects_per_image
+    k = rng.integers(config.min_objects_per_image, hi + 1, size=n_img)
+    keys = np.log(rng.standard_exponential((n_img, n_obj))) - group_log_weight[group_of]
+    smallest = np.argsort(keys, axis=1)[:, :hi]
+    taken = np.arange(hi) < k[:, None]
+    pixels = np.zeros((n_img, n_obj), dtype=np.int32)
+    pixels[np.nonzero(taken)[0], smallest[taken]] = rng.integers(
+        config.min_pixels_per_object, config.max_pixels_per_object + 1, size=int(k.sum())
     )
-
-    pixels = np.zeros((config.num_images, n_obj), dtype=np.int32)
-    for image_id, g in enumerate(group_of):
-        k = int(rng.integers(config.min_objects_per_image, config.max_objects_per_image + 1))
-        oids = rng.choice(n_obj, size=k, replace=False, p=group_probs[g])
-        pixels[image_id, oids] = rng.integers(
-            config.min_pixels_per_object, config.max_pixels_per_object + 1, size=k
-        )
-
-    # guarantee every object occurs at least once
-    for missing in np.flatnonzero(~pixels.any(axis=0)):
-        while True:
-            idx = int(rng.integers(config.num_images))
-            px = int(rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1))
-            if int(pixels[idx].sum()) + px <= config.max_image_pixels:
-                pixels[idx, missing] = px
-                break
-
     return pixels, group_of
+
+
+def _place_missing_objects(config: WorldConfig, rng, pixels: np.ndarray) -> None:
+    """Put every object that occurs in no image into one image, in place: draw
+    its pixel count, then pick uniformly among the images with room for it."""
+    load = pixels.sum(axis=1, dtype=np.int64)
+    for missing in np.flatnonzero(~pixels.any(axis=0)):
+        px = int(rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1))
+        room = np.flatnonzero(load + px <= config.max_image_pixels)
+        if not room.size:
+            raise ConfigurationError(
+                f"object {missing} occurs in no image, and its {px} pixels fit in no image "
+                f"under max_image_pixels {config.max_image_pixels}"
+            )
+        image = room[rng.integers(room.size)]
+        pixels[image, missing] = px
+        load[image] += px
 
 
 def _gaze_factors(world: World, user: int) -> np.ndarray:

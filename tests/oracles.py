@@ -1,11 +1,14 @@
 """Test oracles kept out of the package: an exhaustive grid search over the
-budget simplex, which the exact allocator is checked against."""
+budget simplex, which the exact allocator is checked against, and the
+per-image successive sampler, which the vectorized image draw is checked
+against."""
 
 import math
 
 import numpy as np
 
 from attnalloc.allocate import AllocationProblem, AllocationResult, objective_value
+from attnalloc.world import _popularity
 
 
 class SearchSpaceError(ValueError):
@@ -56,3 +59,33 @@ def brute_force_allocate(problem: AllocationProblem, grid_step: float) -> Alloca
         lagrange_multiplier=None,
         objective=objective_value(w, best),
     )
+
+
+def successive_sampling_images(config, rng):
+    """The per-image loop that ``world._generate_images`` replaced: each
+    image's objects are one ``rng.choice(p=..., replace=False)`` over its
+    group's normalized weights. Reads the same leading popularity shuffle from
+    ``rng``, then returns (pixels, group_of) before the missing objects are
+    placed; test oracle only."""
+    n_obj = config.num_objects
+    popularity = rng.permutation(_popularity(config))
+    blocks = np.array_split(np.arange(n_obj), config.num_groups)
+    group_probs = []
+    for g in range(config.num_groups):
+        w = popularity.copy()
+        w[blocks[g]] *= config.group_bias
+        group_probs.append(w / w.sum())
+
+    group_of = np.concatenate(
+        [np.full(len(chunk), g) for g, chunk in
+         enumerate(np.array_split(np.arange(config.num_images), config.num_groups))]
+    )
+
+    pixels = np.zeros((config.num_images, n_obj), dtype=np.int32)
+    for image_id, g in enumerate(group_of):
+        k = int(rng.integers(config.min_objects_per_image, config.max_objects_per_image + 1))
+        oids = rng.choice(n_obj, size=k, replace=False, p=group_probs[g])
+        pixels[image_id, oids] = rng.integers(
+            config.min_pixels_per_object, config.max_pixels_per_object + 1, size=k
+        )
+    return pixels, group_of

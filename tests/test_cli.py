@@ -230,6 +230,26 @@ def test_bad_config_file(tmp_path, capsys):
     assert "num_users" in err
 
 
+@pytest.mark.parametrize("world, message", [
+    # the fourth object fits in no image; generate used to loop forever
+    ("num_users = 1\nnum_objects = 4\nnum_images = 1\nnum_groups = 1\n"
+     "min_objects_per_image = 3\nmax_objects_per_image = 3\n"
+     "min_pixels_per_object = 5000\nmax_pixels_per_object = 5000\nmax_image_pixels = 15000\n",
+     "occurs in no image, and its 5000 pixels fit in no image under max_image_pixels 15000"),
+    # popularity underflows to 0 for all but 6 of the 96 objects
+    ("object_popularity_exponent = 400.0\n",
+     "object_popularity_exponent 400.0 leaves 6 objects with positive weight"),
+], ids=["no-room", "zero-weights"])
+def test_generate_impossible_world_exits_2(tmp_path, capsys, world, message):
+    path = tmp_path / "world.cfg"
+    path.write_text("[world]\n" + world)
+    out = tmp_path / "world.json"
+    code, _, err = run(capsys, "generate", "--config", str(path), "--out", str(out))
+    assert code == EXIT_DATA
+    assert message in err
+    assert not out.exists()
+
+
 def test_fit_missing_records(capsys):
     assert run(capsys, "fit", "--records", "nope.csv")[0] == EXIT_DATA
 

@@ -1,11 +1,14 @@
 """World generation, attention values, quantization, and sparsification."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from attnalloc import (
     World,
@@ -21,6 +24,8 @@ from attnalloc import (
 from attnalloc.world import (
     ConfigurationError,
     _GAZE_STREAM,
+    _generate_images,
+    _generate_interest,
     raw_attention_values,
     sparsify_users,
     sparsify_with_info,
@@ -28,6 +33,7 @@ from attnalloc.world import (
     world_to_dict,
 )
 from conftest import SMALL_WORLD
+from oracles import successive_sampling_images
 
 
 def _reference_gaze_factors(world: World, user: int) -> dict:
@@ -104,6 +110,128 @@ def test_invalid_config_rejected():
         generate_world(WorldConfig(hot_fraction=0.0), seed=0)
     with pytest.raises(ConfigurationError):
         WorldConfig(num_groups=7, num_images=3).validate()
+
+
+# 1,000 images per group: every (group, object) inclusion count expects >= 5
+SAMPLER_CONFIG = WorldConfig(num_users=1, num_objects=12, num_images=3000, num_groups=3,
+                             min_objects_per_image=2, max_objects_per_image=6)
+
+
+def _stream_after_interest(config, seed):
+    """The generator of ``generate_world(config, seed)`` as it stands when the
+    images are drawn, past the interest draws."""
+    rng = np.random.default_rng(seed)
+    _generate_interest(config, rng)
+    return rng
+
+
+def _inclusion_counts(pixels, group_of, num_groups):
+    """Per (group, object): how many of the group's images show the object."""
+    return np.stack([(pixels[group_of == g] > 0).sum(axis=0) for g in range(num_groups)])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_image_draw_matches_successive_sampling_oracle(seed):
+    # the same popularity shuffle, then a different stream: the objects of an
+    # image come from the same distribution as per-image choice(p=...,
+    # replace=False), so the inclusion counts are homogeneous
+    config = SAMPLER_CONFIG
+    world = generate_world(config, seed)
+    oracle_pixels, oracle_groups = successive_sampling_images(
+        config, _stream_after_interest(config, seed))
+    assert oracle_pixels.any(axis=0).all()  # nothing left for the placement
+    table = np.stack([
+        _inclusion_counts(world.pixels, world.group_of, config.num_groups).ravel(),
+        _inclusion_counts(oracle_pixels, oracle_groups, config.num_groups).ravel(),
+    ])
+    result = chi2_contingency(table)
+    assert result.expected_freq.min() >= 5
+    assert result.pvalue > 0.001
+
+
+@st.composite
+def _world_configs(draw):
+    num_objects = draw(st.integers(1, 10))
+    num_groups = draw(st.integers(1, 4))
+    hi = draw(st.integers(1, num_objects))
+    max_px = draw(st.integers(1, 60))
+    return WorldConfig(
+        num_users=1, num_objects=num_objects, num_groups=num_groups,
+        num_images=draw(st.integers(num_groups, 25)),
+        min_objects_per_image=draw(st.integers(1, hi)), max_objects_per_image=hi,
+        min_pixels_per_object=draw(st.integers(1, max_px)), max_pixels_per_object=max_px,
+        max_image_pixels=hi * max_px + draw(st.integers(0, 3 * max_px)),
+        object_popularity_exponent=draw(st.floats(0.0, 4.0)),
+        group_bias=draw(st.floats(1.0, 5.0)),
+    )
+
+
+@given(_world_configs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_generated_world_properties(config, seed):
+    drawn, _ = _generate_images(config, _stream_after_interest(config, seed))
+    per_image = np.count_nonzero(drawn, axis=1)
+    assert ((per_image >= config.min_objects_per_image)
+            & (per_image <= config.max_objects_per_image)).all()
+    missing = np.flatnonzero(~drawn.any(axis=0))
+    try:
+        world = generate_world(config, seed)
+    except ConfigurationError as exc:  # a tight budget can leave no room
+        named = re.match(r"object (\d+) occurs in no image", str(exc))
+        assert named and int(named[1]) in missing
+        return
+    pixels = world.pixels
+    placed = pixels != drawn
+    # the placement adds each missing object once and changes nothing else
+    assert not drawn[placed].any()
+    assert sorted(np.nonzero(placed)[1].tolist()) == missing.tolist()
+    counts = pixels[pixels > 0]
+    assert ((counts >= config.min_pixels_per_object)
+            & (counts <= config.max_pixels_per_object)).all()
+    assert (pixels.sum(axis=1) <= config.max_image_pixels).all()
+    assert pixels.any(axis=0).all()
+    again = generate_world(config, seed)
+    assert world_to_dict(again) == world_to_dict(world)
+
+
+# passes validate(), yet the fourth object fits in no image of 3 x 5000 pixels
+NO_ROOM = WorldConfig(num_users=1, num_objects=4, num_images=1, num_groups=1,
+                      min_objects_per_image=3, max_objects_per_image=3,
+                      min_pixels_per_object=5000, max_pixels_per_object=5000,
+                      max_image_pixels=15000)
+
+
+def test_missing_object_without_room_raises():
+    # used to retry random images forever
+    with pytest.raises(ConfigurationError,
+                       match=r"object \d occurs in no image, and its 5000 pixels fit in no image "
+                             r"under max_image_pixels 15000"):
+        generate_world(NO_ROOM, 0)
+
+
+def test_too_few_positive_weights_rejected():
+    # (1 + i) ** -400 underflows to 0 for all but 6 objects; the draw would
+    # otherwise have to pick 0-weight objects
+    config = WorldConfig(object_popularity_exponent=400.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError,
+                           match="object_popularity_exponent 400.0 leaves 6 objects with "
+                                 "positive weight, fewer than max_objects_per_image 12"):
+            generate_world(config, 0)
+
+
+def test_zero_weight_objects_never_drawn():
+    # 6 positive weights suffice for at most 6 objects per image; the other
+    # 90 objects only occur where the placement puts them, without a warning
+    config = WorldConfig(num_images=200, object_popularity_exponent=400.0,
+                         max_objects_per_image=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn, _ = _generate_images(config, _stream_after_interest(config, 0))
+        world = generate_world(config, 0)
+    assert np.count_nonzero(drawn.any(axis=0)) <= 6
+    assert world.pixels.any(axis=0).all()
 
 
 def test_attention_from_gaze_worked_example():
