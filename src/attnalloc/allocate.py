@@ -141,7 +141,7 @@ def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationR
 def save_allocation(weights, result: AllocationResult, path) -> None:
     """CSV with one row per object: object_id, weight, capacity_k."""
     w = np.asarray(weights, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("object_id", "weight", "capacity_k"))
         for i, (wi, ci) in enumerate(zip(w, result.capacities)):

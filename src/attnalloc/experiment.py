@@ -216,7 +216,7 @@ def run_sweep(config: ExperimentConfig, user: int | None = None) -> SweepReport:
 
 
 def reports_to_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ("user_id", "n_objects", "qoe_uniform", "qoe_aware", "qoe_oracle", "improvement_pct")
@@ -229,7 +229,7 @@ def reports_to_csv(reports, path) -> None:
 
 
 def sweep_to_csv(report: SweepReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("budget_factor_k", "mean_improvement_pct"))
         for factor, improvement in report.points:

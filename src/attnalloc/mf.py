@@ -341,5 +341,5 @@ def save_model(model: FactorModel, path) -> None:
 
 
 def load_model(path) -> FactorModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))

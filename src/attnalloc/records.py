@@ -54,19 +54,18 @@ class SparseAttentionRecords:
 
 
 def save_records(records: SparseAttentionRecords, path) -> None:
-    """Write records as CSV (header ``user_id,object_id,level``, LF endings)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for user, obj, level in records.sorted_list():
-            writer.writerow((user, obj, level))
+    """Write records as CSV (header ``user_id,object_id,level``, LF endings),
+    the bytes ``csv.writer`` writes for these integer rows."""
+    rows = ["%d,%d,%d\n" % record for record in records.sorted_list()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n" + "".join(rows))
 
 
 def load_records(path) -> SparseAttentionRecords:
     """Load a records CSV; also reads dense ground-truth dumps (same schema)."""
     triples = set()
     seen_pairs = set()
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:

@@ -140,6 +140,10 @@ class World:
         _check_seed(self.seed)
         if not isinstance(self.gaze_noise, numbers.Real) or not 0.0 <= self.gaze_noise < 1.0:
             raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
+        # numpy scalars become Python numbers, which the world file can hold
+        object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.gaze_noise, np.generic):
+            object.__setattr__(self, "gaze_noise", float(self.gaze_noise))
         labels = self.labels
         if not labels:
             raise ValueError("the catalog must list at least one label")
@@ -580,17 +584,45 @@ def _require_finite_fields(config, error=ValueError) -> None:
 
 
 def write_json(doc, path) -> None:
-    """The package's one JSON output format: indent 1, LF line ends and a
-    final newline."""
-    with open(path, "w", newline="\n") as fh:
+    """The package's JSON output format: indent 1, UTF-8, LF line ends and a
+    final newline. ``save_world`` is the format's second writer; it writes
+    the same bytes for ``world_to_dict``'s document."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def save_world(world: World, path) -> None:
-    write_json(world_to_dict(world), path)
+    """Write ``write_json(world_to_dict(world), path)``'s bytes from the
+    arrays: with an indent, ``json.dump`` runs its pure-Python encoder, which
+    is several times slower on the default world. The header goes
+    through ``json.dumps`` (label escapes, an int ``gaze_noise`` stay json's
+    own), every image has at least one entry, and ``float.__repr__`` is json's
+    encoding of the finite interest values a ``World`` holds."""
+    head = json.dumps({
+        "version": WORLD_FORMAT_VERSION,
+        "seed": world.seed,
+        "num_users": world.num_users,
+        "gaze_noise": world.gaze_noise,
+        "catalog": list(world.labels),
+    }, indent=1)
+    entries = ["    [\n     %d,\n     %d\n    ]" % entry
+               for entry in zip(world._objects.tolist(), world._counts.tolist())]
+    bounds = world._indptr.tolist()
+    images = ",\n".join(
+        '  {\n   "id": %d,\n   "group": %d,\n   "composition": [\n%s\n   ]\n  }'
+        % (i, g, ",\n".join(entries[bounds[i]:bounds[i + 1]]))
+        for i, g in enumerate(world.group_of.tolist())
+    )
+    rows = ",\n".join("  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
+                      for row in world.interest.tolist())
+    interest = "[\n" + rows + "\n ]" if rows else "[]"
+    # head ends with the closing "\n}" of its object
+    text = head[:-2] + ',\n "images": [\n' + images + '\n ],\n "interest": ' + interest + "\n}\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def load_world(path) -> World:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return world_from_dict(json.load(fh))

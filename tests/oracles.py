@@ -1,13 +1,16 @@
 """Test oracles kept out of the package: an exhaustive grid search over the
-budget simplex, which the exact allocator is checked against, and the
-per-image successive sampler, which the vectorized image draw is checked
-against."""
+budget simplex, which the exact allocator is checked against, the per-image
+successive sampler, which the vectorized image draw is checked against, and
+the ``csv.writer`` loop that ``save_records`` is checked against."""
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from attnalloc.allocate import AllocationProblem, AllocationResult, objective_value
+from attnalloc.records import CSV_HEADER
 from attnalloc.world import _popularity
 
 
@@ -89,3 +92,14 @@ def successive_sampling_images(config, rng):
             config.min_pixels_per_object, config.max_pixels_per_object + 1, size=k
         )
     return pixels, group_of
+
+
+def csv_writer_records_text(records) -> str:
+    """The records CSV as the ``csv.writer`` loop that ``save_records``
+    replaced writes it; test oracle only."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for user, obj, level in records.sorted_list():
+        writer.writerow((user, obj, level))
+    return out.getvalue()

@@ -3,10 +3,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attnalloc
 from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
 
 SMALL_CONFIG = """\
@@ -734,3 +739,26 @@ def test_sparsify_rejects_bad_catalog(tmp_path, capsys, config_file, catalog, me
     assert code == EXIT_DATA
     assert message in err
     assert not records.exists()
+
+
+def test_utf8_world_read_under_c_locale(tmp_path, capsys, config_file):
+    # files are read as UTF-8 whatever the locale; under a C locale a world
+    # whose label is not ASCII failed with "'ascii' codec can't decode"
+    world = tmp_path / "world.json"
+    assert run(capsys, "generate", "--config", config_file, "--out", str(world))[0] == EXIT_OK
+    doc = json.loads(world.read_text(encoding="utf-8"))
+    doc["catalog"][0] = "chaise_\u00e9"
+    world.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    expected = tmp_path / "expected.csv"
+    assert run(capsys, "sparsify", "--world", str(world), "--out", str(expected))[0] == EXIT_OK
+    src = str(Path(attnalloc.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    records = tmp_path / "records.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "attnalloc.cli", "sparsify", "--world", str(world),
+         "--out", str(records)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert records.read_bytes() == expected.read_bytes()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from attnalloc import SparseAttentionRecords, load_records, save_records
 from attnalloc.records import RecordsParseError
+from oracles import csv_writer_records_text
 
 record_sets = st.sets(
     st.tuples(st.integers(0, 9), st.integers(0, 30), st.integers(1, 5))
@@ -47,6 +48,14 @@ def test_roundtrip(tmp_path_factory, records):
     original = SparseAttentionRecords(records)
     save_records(original, path)
     assert load_records(path) == original
+
+
+@given(record_sets)
+def test_save_matches_csv_writer(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("records") / "r.csv"
+    original = SparseAttentionRecords(records)
+    save_records(original, path)
+    assert path.read_bytes() == csv_writer_records_text(original).encode("ascii")
 
 
 def test_csv_shape(tmp_path):

@@ -1,6 +1,7 @@
 """World generation, attention values, quantization, and sparsification."""
 
 import dataclasses
+import json
 import re
 import warnings
 
@@ -404,6 +405,94 @@ def test_world_version_check(tmp_path, small_world):
     path.write_text(doc)
     with pytest.raises(ValueError, match="version"):
         load_world(path)
+
+
+def _assert_saved_as_json_dump(world, path):
+    """``save_world`` writes the bytes of ``json.dump(indent=1)`` on
+    ``world_to_dict``'s document, the writer it replaced."""
+    save_world(world, path)
+    assert path.read_bytes() == (json.dumps(world_to_dict(world), indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [0, 1, 7, 9])
+def test_save_world_matches_json_dump(tmp_path, seed, gaze_noise):
+    world = generate_world(dataclasses.replace(WorldConfig(), gaze_noise=gaze_noise), seed)
+    _assert_saved_as_json_dump(world, tmp_path / "world.json")
+
+
+@given(_world_configs(), st.integers(1, 3), st.sampled_from([0.0, 0.1]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_save_world_matches_json_dump_on_small_worlds(tmp_path_factory, config, num_users,
+                                                       gaze_noise, seed):
+    config = dataclasses.replace(config, num_users=num_users, gaze_noise=gaze_noise)
+    try:
+        world = generate_world(config, seed)
+    except ConfigurationError:  # a tight budget can leave no room
+        return
+    _assert_saved_as_json_dump(world, tmp_path_factory.mktemp("worlds") / "world.json")
+
+
+def test_save_world_matches_json_dump_without_users(tmp_path):
+    # a World may hold no users (no file loads to one); json writes "interest": []
+    world = dataclasses.replace(make_manual_world([[0.5]], [((0, 10),)]),
+                                interest=np.empty((0, 1)))
+    _assert_saved_as_json_dump(world, tmp_path / "world.json")
+
+
+# escapes and non-ASCII labels, an int gaze_noise, int interest entries,
+# compositions out of order, the largest pixel count and a seed above 2**53
+HAND_WRITTEN_WORLD = r"""{
+ "version": "uoal-sim/1",
+ "seed": 9007199254740993,
+ "num_users": 2,
+ "gaze_noise": 0,
+ "catalog": ["say \"hi\"", "back\\slash", "two\nlines", "\u0001ctl", "chaise_é", "雪"],
+ "images": [
+  {"id": 0, "group": 1, "composition": [[5, 2147483647], [0, 12], [3, 7]]},
+  {"id": 1, "group": 0, "composition": [[4, 1], [1, 300], [2, 40]]},
+  {"id": 2, "group": 1, "composition": [[2, 9], [5, 5]]}
+ ],
+ "interest": [[1, 0.5, 1e-05, 0.25, 1, 0.1], [0.3, 1, 1, 0.7, 0.9999999999999999, 1]]
+}
+"""
+
+
+def test_save_world_matches_json_dump_on_hand_written_file(tmp_path):
+    source = tmp_path / "hand.json"
+    source.write_text(HAND_WRITTEN_WORLD, encoding="utf-8")
+    world = load_world(source)
+    assert world.labels == ('say "hi"', "back\\slash", "two\nlines", "\x01ctl", "chaise_é", "雪")
+    assert type(world.gaze_noise) is int and world.seed == 2**53 + 1
+    assert world.pixels[0, 5] == 2**31 - 1
+    path = tmp_path / "world.json"
+    _assert_saved_as_json_dump(world, path)
+    text = path.read_text(encoding="ascii")
+    assert '\n "gaze_noise": 0,\n' in text and '\n "seed": 9007199254740993,\n' in text
+    assert world_to_dict(load_world(path)) == world_to_dict(world)
+
+
+def test_numpy_scalar_seed_and_gaze_noise_save_and_reload(tmp_path):
+    # an np.int64 seed passed the check, and save_world then raised TypeError
+    world = dataclasses.replace(generate_world(SMALL_WORLD, np.int64(3)),
+                                gaze_noise=np.float32(0.1))
+    assert type(world.seed) is int and type(world.gaze_noise) is float
+    path = tmp_path / "world.json"
+    _assert_saved_as_json_dump(world, path)
+    loaded = load_world(path)
+    assert (loaded.seed, loaded.gaze_noise) == (3, float(np.float32(0.1)))
+    assert world_to_dict(loaded) == world_to_dict(world)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), np.int32(0)])
+def test_saved_numpy_seed_reads_back_as_same_integer(tmp_path, seed):
+    world = dataclasses.replace(make_manual_world([[0.5]], [((0, 10),)]), seed=seed)
+    path = tmp_path / "world.json"
+    save_world(world, path)
+    saved = json.loads(path.read_text(encoding="utf-8"))["seed"]
+    assert type(saved) is int and saved == int(seed)
+    assert load_world(path).seed == int(seed)
 
 
 def test_interest_plateau_shape():
