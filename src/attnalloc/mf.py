@@ -164,7 +164,7 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
 
-    users, objects, levels = np.array(records.sorted_list()).T
+    users, objects, levels = records.users, records.objects, records.levels
     nu = num_users if num_users is not None else int(users.max()) + 1
     no = num_objects if num_objects is not None else int(objects.max()) + 1
     outside = (users >= nu) | (objects >= no)
@@ -245,19 +245,18 @@ class BaselineModel:
 def fit_baseline(records: SparseAttentionRecords) -> BaselineModel:
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
-    user_acc: dict = {}
-    object_acc: dict = {}
-    total = 0.0
-    for user, object_id, level in records:
-        user_acc.setdefault(user, []).append(level)
-        object_acc.setdefault(object_id, []).append(level)
-        total += level
-    mu = total / len(records)
     return BaselineModel(
-        mu=mu,
-        user_means={u: float(np.mean(v)) for u, v in user_acc.items()},
-        object_means={o: float(np.mean(v)) for o, v in object_acc.items()},
+        mu=float(records.levels.sum()) / len(records),
+        user_means=_means(records.users, records.levels),
+        object_means=_means(records.objects, records.levels),
     )
+
+
+def _means(ids, levels) -> dict:
+    """The mean level of each id present, keyed by id."""
+    present, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    sums = np.bincount(inverse, weights=levels)
+    return dict(zip(present.tolist(), (sums / counts).tolist()))
 
 
 @dataclass(frozen=True)
@@ -283,16 +282,18 @@ def evaluate(predict_fn, truth, mask) -> Metrics:
 def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: int,
                  fraction: float = 0.25, seed: int = 0) -> set:
     """Sample unobserved (user, object) pairs, stratified per user."""
-    observed = records.pairs()
+    observed = np.zeros((num_users, num_objects), dtype=bool)
+    inside = (records.users < num_users) & (records.objects < num_objects)
+    observed[records.users[inside], records.objects[inside]] = True
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     mask = set()
     for user in range(num_users):
-        candidates = [o for o in range(num_objects) if (user, o) not in observed]
-        if not candidates:
+        candidates = np.flatnonzero(~observed[user])
+        if not candidates.size:
             continue
         k = max(1, round(fraction * len(candidates)))
         chosen = rng.choice(len(candidates), size=min(k, len(candidates)), replace=False)
-        mask.update((user, candidates[int(i)]) for i in chosen)
+        mask.update((user, o) for o in candidates[chosen].tolist())
     return mask
 
 

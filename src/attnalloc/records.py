@@ -9,7 +9,8 @@ accepts either.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+
+import numpy as np
 
 CSV_HEADER = ("user_id", "object_id", "level")
 
@@ -21,50 +22,81 @@ class RecordsParseError(ValueError):
     """Malformed records CSV; message names the offending line number."""
 
 
-@dataclass(frozen=True)
+class InvalidRecordError(ValueError):
+    """A record with a negative id, a level outside 1..5 or the pair of an
+    earlier record; ``index`` is its position in the input."""
+
+    def __init__(self, index: int, cause: str):
+        super().__init__(cause)
+        self.index = index
+
+
+def _sorted_valid(table: np.ndarray) -> np.ndarray:
+    """The n x 3 ``table`` sorted by (user, object), or InvalidRecordError
+    naming its first faulty record in input order. The sort is stable, so a
+    repeated pair is the later of two adjacent rows."""
+    users, objects, levels = table.T
+    order = np.lexsort((objects, users))
+    repeated = np.zeros(len(table), dtype=bool)
+    repeated[order[1:]] = (np.diff(users[order]) == 0) & (np.diff(objects[order]) == 0)
+    negative = (users < 0) | (objects < 0)
+    out_of_range = (levels < MIN_LEVEL) | (levels > MAX_LEVEL)
+    faulty = np.flatnonzero(negative | out_of_range | repeated)
+    if faulty.size:
+        i = int(faulty[0])
+        record = tuple(table[i].tolist())
+        cause = ("negative user or object id" if negative[i] else
+                 f"level {record[2]} out of range 1..5" if out_of_range[i] else
+                 f"duplicate pair {record[:2]}")
+        raise InvalidRecordError(i, f"{cause} in record {record}")
+    return table[order]
+
+
 class SparseAttentionRecords:
-    """A set of (user_id, object_id, level) observations."""
+    """A set of (user_id, object_id, level) observations, held as one
+    read-only int64 table of shape n x 3 sorted by (user, object);
+    ``users``, ``objects`` and ``levels`` are views of its columns. A faulty
+    record raises InvalidRecordError, naming the first in input order."""
 
-    records: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", frozenset(self.records))
-        seen = set()
-        for rec in self.records:
-            user, obj, level = rec
-            if user < 0 or obj < 0:
-                raise ValueError(f"negative user or object id in record {rec}")
-            if not (MIN_LEVEL <= level <= MAX_LEVEL):
-                raise ValueError(f"level {level} out of range for record {rec}")
-            if (user, obj) in seen:
-                raise ValueError(f"duplicate record for pair ({user}, {obj})")
-            seen.add((user, obj))
+    def __init__(self, records=()):
+        table = np.asarray(records if isinstance(records, np.ndarray) else list(records),
+                           dtype=np.int64)
+        self.table = _sorted_valid(table.reshape(len(table), 3))
+        self.table.setflags(write=False)
+        self.users, self.objects, self.levels = self.table.T
 
     def __len__(self):
-        return len(self.records)
+        return len(self.table)
 
     def __iter__(self):
-        return iter(self.sorted_list())
+        return map(tuple, self.table.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, SparseAttentionRecords) and np.array_equal(self.table, other.table)
 
     def sorted_list(self) -> list:
-        return sorted(self.records)
+        return list(self)
+
+    @property
+    def records(self) -> frozenset:
+        return frozenset(self)
 
     def pairs(self) -> set:
-        return {(u, o) for u, o, _ in self.records}
+        return set(zip(self.users.tolist(), self.objects.tolist()))
 
 
 def save_records(records: SparseAttentionRecords, path) -> None:
     """Write records as CSV (header ``user_id,object_id,level``, LF endings),
     the bytes ``csv.writer`` writes for these integer rows."""
-    rows = ["%d,%d,%d\n" % record for record in records.sorted_list()]
+    rows = ["%d,%d,%d\n" % record for record in records]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n" + "".join(rows))
 
 
 def load_records(path) -> SparseAttentionRecords:
-    """Load a records CSV; also reads dense ground-truth dumps (same schema)."""
-    triples = set()
-    seen_pairs = set()
+    """Load a records CSV, or a dense ground-truth dump (same schema); a
+    faulty row raises RecordsParseError naming its line."""
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -78,15 +110,15 @@ def load_records(path) -> SparseAttentionRecords:
             if len(row) != 3:
                 raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
             try:
-                user, obj, level = (int(v) for v in row)
+                rows.append(list(map(int, row)))
             except ValueError:
                 raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
-            if user < 0 or obj < 0:
-                raise RecordsParseError(f"line {lineno}: negative user or object id in {row!r}")
-            if not (MIN_LEVEL <= level <= MAX_LEVEL):
-                raise RecordsParseError(f"line {lineno}: level {level} out of range 1..5")
-            if (user, obj) in seen_pairs:
-                raise RecordsParseError(f"line {lineno}: duplicate pair ({user}, {obj})")
-            seen_pairs.add((user, obj))
-            triples.add((user, obj, level))
-    return SparseAttentionRecords(frozenset(triples))
+            lines.append(lineno)
+    try:
+        return SparseAttentionRecords(np.array(rows, dtype=np.int64))
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not -2**63 <= min(row) <= max(row) < 2**63)
+        raise RecordsParseError(f"line {lines[i]}: field outside the 64-bit integer range "
+                                f"in {rows[i]}") from None
+    except InvalidRecordError as err:
+        raise RecordsParseError(f"line {lines[err.index]}: {err}") from None

@@ -138,7 +138,8 @@ class World:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if not isinstance(self.gaze_noise, numbers.Real) or not 0.0 <= self.gaze_noise < 1.0:
+        if isinstance(self.gaze_noise, bool) or not isinstance(self.gaze_noise, numbers.Real) \
+                or not 0.0 <= self.gaze_noise < 1.0:
             raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
         # numpy scalars become Python numbers, which the world file can hold
         object.__setattr__(self, "seed", int(self.seed))
@@ -167,6 +168,8 @@ class World:
         _reject_images((pixels < 0).any(axis=1), "has a negative pixel count")
         _reject_images(~pixels.any(axis=1), "has no objects")
         interest = np.asarray(self.interest, dtype=np.float64)
+        if interest.shape[:1] == (0,):
+            raise ValueError("a world must have at least one user")
         if interest.ndim != 2 or interest.shape[1] != len(labels):
             raise ValueError("interest matrix shape does not match users x objects")
         # NaN fails both comparisons, so it is caught here too
@@ -462,9 +465,7 @@ def sparsify_with_info(world: World, user: int, seed: int):
             continue
         values = raw_attention_values(world, user, retained)
         pairs = quantize_levels(sorted(values.items()))
-        records = SparseAttentionRecords(
-            frozenset((user, object_id, level) for object_id, level in pairs)
-        )
+        records = SparseAttentionRecords([(user, object_id, level) for object_id, level in pairs])
         info = SparsifyInfo(
             ran1=ran1, ran2=ran2,
             selected_groups=tuple(groups),
@@ -482,7 +483,7 @@ def sparsify(world: World, user: int, seed: int) -> SparseAttentionRecords:
 def sparsify_users(world: World, users, seed: int) -> SparseAttentionRecords:
     """The merged records of one sparsify draw per listed user."""
     return SparseAttentionRecords(
-        frozenset().union(*(sparsify(world, user, seed).records for user in users))
+        np.concatenate([sparsify(world, user, seed).table for user in users])
     )
 
 
@@ -597,8 +598,9 @@ def save_world(world: World, path) -> None:
     arrays: with an indent, ``json.dump`` runs its pure-Python encoder, which
     is several times slower on the default world. The header goes
     through ``json.dumps`` (label escapes, an int ``gaze_noise`` stay json's
-    own), every image has at least one entry, and ``float.__repr__`` is json's
-    encoding of the finite interest values a ``World`` holds."""
+    own), every image has at least one entry and the world at least one user,
+    and ``float.__repr__`` is json's encoding of the finite interest values a
+    ``World`` holds."""
     head = json.dumps({
         "version": WORLD_FORMAT_VERSION,
         "seed": world.seed,
@@ -616,9 +618,8 @@ def save_world(world: World, path) -> None:
     )
     rows = ",\n".join("  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
                       for row in world.interest.tolist())
-    interest = "[\n" + rows + "\n ]" if rows else "[]"
     # head ends with the closing "\n}" of its object
-    text = head[:-2] + ',\n "images": [\n' + images + '\n ],\n "interest": ' + interest + "\n}\n"
+    text = head[:-2] + ',\n "images": [\n' + images + '\n ],\n "interest": [\n' + rows + "\n ]\n}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

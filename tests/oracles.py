@@ -1,16 +1,20 @@
 """Test oracles kept out of the package: an exhaustive grid search over the
 budget simplex, which the exact allocator is checked against, the per-image
-successive sampler, which the vectorized image draw is checked against, and
-the ``csv.writer`` loop that ``save_records`` is checked against."""
+successive sampler, which the vectorized image draw is checked against, the
+``csv.writer`` loop that ``save_records`` is checked against, and the
+frozenset records with their per-row loader, dict-loop baseline and
+set-based holdout that the sorted records table replaced."""
 
 import csv
 import io
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from attnalloc.allocate import AllocationProblem, AllocationResult, objective_value
-from attnalloc.records import CSV_HEADER
+from attnalloc.mf import BaselineModel
+from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, RecordsParseError
 from attnalloc.world import _popularity
 
 
@@ -103,3 +107,101 @@ def csv_writer_records_text(records) -> str:
     for user, obj, level in records.sorted_list():
         writer.writerow((user, obj, level))
     return out.getvalue()
+
+
+@dataclass(frozen=True)
+class FrozensetRecords:
+    """The records as a frozenset of (user, object, level) tuples, checked
+    one record at a time; test oracle only."""
+
+    records: frozenset = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", frozenset(self.records))
+        seen = set()
+        for rec in self.records:
+            user, obj, level = rec
+            if user < 0 or obj < 0:
+                raise ValueError(f"negative user or object id in record {rec}")
+            if not (MIN_LEVEL <= level <= MAX_LEVEL):
+                raise ValueError(f"level {level} out of range for record {rec}")
+            if (user, obj) in seen:
+                raise ValueError(f"duplicate record for pair ({user}, {obj})")
+            seen.add((user, obj))
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        return iter(self.sorted_list())
+
+    def sorted_list(self) -> list:
+        return sorted(self.records)
+
+    def pairs(self) -> set:
+        return {(u, o) for u, o, _ in self.records}
+
+
+def frozenset_load_records(path) -> FrozensetRecords:
+    """The per-row loader: every check runs on each row as it is read, so
+    the first faulty row in file order is named; test oracle only."""
+    triples = set()
+    seen_pairs = set()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+            raise RecordsParseError(
+                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                user, obj, level = (int(v) for v in row)
+            except ValueError:
+                raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
+            if user < 0 or obj < 0:
+                raise RecordsParseError(f"line {lineno}: negative user or object id in {row!r}")
+            if not (MIN_LEVEL <= level <= MAX_LEVEL):
+                raise RecordsParseError(f"line {lineno}: level {level} out of range 1..5")
+            if (user, obj) in seen_pairs:
+                raise RecordsParseError(f"line {lineno}: duplicate pair ({user}, {obj})")
+            seen_pairs.add((user, obj))
+            triples.add((user, obj, level))
+    return FrozensetRecords(frozenset(triples))
+
+
+def dict_fit_baseline(records) -> BaselineModel:
+    """Per-id means collected in dict lists; test oracle only."""
+    user_acc: dict = {}
+    object_acc: dict = {}
+    total = 0.0
+    for user, object_id, level in records:
+        user_acc.setdefault(user, []).append(level)
+        object_acc.setdefault(object_id, []).append(level)
+        total += level
+    return BaselineModel(
+        mu=total / len(records),
+        user_means={u: float(np.mean(v)) for u, v in user_acc.items()},
+        object_means={o: float(np.mean(v)) for o, v in object_acc.items()},
+    )
+
+
+def set_holdout_mask(records, num_users: int, num_objects: int,
+                     fraction: float = 0.25, seed: int = 0) -> set:
+    """The holdout draw with each user's candidates found by testing every
+    pair against the observed set; test oracle only."""
+    observed = records.pairs()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
+    mask = set()
+    for user in range(num_users):
+        candidates = [o for o in range(num_objects) if (user, o) not in observed]
+        if not candidates:
+            continue
+        k = max(1, round(fraction * len(candidates)))
+        chosen = rng.choice(len(candidates), size=min(k, len(candidates)), replace=False)
+        mask.update((user, candidates[int(i)]) for i in chosen)
+    return mask

@@ -434,6 +434,17 @@ def test_fit_rejects_negative_ids(tmp_path, capsys, rows):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("field", ["99999999999999999999", "-99999999999999999999"])
+def test_fit_names_line_of_id_beyond_int64(tmp_path, capsys, field):
+    records = tmp_path / "records.csv"
+    records.write_text(f"user_id,object_id,level\n0,0,3\n\n1,{field},2\n")
+    code, _, err = run(capsys, "fit", "--records", str(records),
+                       "--out", str(tmp_path / "model.json"))
+    assert code == EXIT_DATA
+    assert "line 4: field outside the 64-bit integer range" in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def _break_image_3(doc, case):
     image = doc["images"][3]
     if case == "object id -1":
@@ -553,6 +564,16 @@ def test_sparsify_rejects_bad_world_seed(tmp_path, capsys, config_file, seed, ga
     )
     assert code == EXIT_DATA
     assert "seed must be a non-negative integer" in err
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("gaze_noise", [False, True])
+def test_sparsify_rejects_bool_world_gaze_noise(tmp_path, capsys, config_file, gaze_noise):
+    code, err, records = _sparsify_world_doc(
+        tmp_path, capsys, config_file, lambda doc: doc.update(gaze_noise=gaze_noise)
+    )
+    assert code == EXIT_DATA
+    assert f"gaze_noise must lie in [0, 1), got {gaze_noise}" in err
     assert not records.exists()
 
 

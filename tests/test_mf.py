@@ -31,6 +31,7 @@ from attnalloc.mf import (
     save_model,
 )
 from attnalloc.world import GroundTruthLevels
+from oracles import FrozensetRecords, dict_fit_baseline, set_holdout_mask
 
 
 def constant_records(level=3, users=4, objects=6):
@@ -200,6 +201,29 @@ def test_holdout_mask_excludes_observed():
     assert mask
     assert not (mask & records.pairs())
     assert mask == holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=0)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 30), st.integers(1, 5)),
+             min_size=1, unique_by=lambda rec: rec[:2]),
+    st.integers(1, 10), st.integers(1, 25), st.floats(0.05, 0.95), st.integers(0, 3),
+)
+def test_baseline_and_holdout_match_dict_and_set_oracles(rows, num_users, num_objects,
+                                                         fraction, seed):
+    # some records may lie outside num_users x num_objects; the holdout skips them
+    records = SparseAttentionRecords(rows)
+    oracle = FrozensetRecords(frozenset(rows))
+    assert fit_baseline(records) == dict_fit_baseline(oracle)
+    assert holdout_mask(records, num_users, num_objects, fraction, seed) \
+        == set_holdout_mask(oracle, num_users, num_objects, fraction, seed)
+
+
+def test_baseline_and_holdout_match_oracles_on_default_records(default_runner):
+    records, world = default_runner.records, default_runner.world
+    oracle = FrozensetRecords(records.records)
+    assert fit_baseline(records) == dict_fit_baseline(oracle)
+    assert holdout_mask(records, world.num_users, world.num_objects) \
+        == set_holdout_mask(oracle, world.num_users, world.num_objects)
 
 
 def test_model_roundtrip(tmp_path):

@@ -434,11 +434,11 @@ def test_save_world_matches_json_dump_on_small_worlds(tmp_path_factory, config, 
     _assert_saved_as_json_dump(world, tmp_path_factory.mktemp("worlds") / "world.json")
 
 
-def test_save_world_matches_json_dump_without_users(tmp_path):
-    # a World may hold no users (no file loads to one); json writes "interest": []
-    world = dataclasses.replace(make_manual_world([[0.5]], [((0, 10),)]),
-                                interest=np.empty((0, 1)))
-    _assert_saved_as_json_dump(world, tmp_path / "world.json")
+def test_world_rejects_zero_users():
+    base = make_manual_world([[0.5]], [((0, 10),)])
+    for interest in (np.empty((0, 1)), []):
+        with pytest.raises(ValueError, match="at least one user"):
+            dataclasses.replace(base, interest=interest)
 
 
 # escapes and non-ASCII labels, an int gaze_noise, int interest entries,
@@ -608,7 +608,7 @@ def test_world_rejects_bad_seed():
 
 def test_world_rejects_gaze_noise_outside_unit_interval():
     base = make_manual_world([[0.5]], [((0, 10),)])
-    for gaze_noise in (-0.1, 1.0, float("nan"), None, "0.1"):
+    for gaze_noise in (-0.1, 1.0, float("nan"), None, "0.1", False, True):
         with pytest.raises(ValueError, match="gaze_noise"):
             dataclasses.replace(base, gaze_noise=gaze_noise)
 
