@@ -57,8 +57,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", parents=[common], help="fit a factor model")
     p.add_argument("--records", required=True, help="records CSV")
-    p.add_argument("--world", default=None,
-                   help="world JSON that sets the model's dimensions (default: largest ids)")
+    p.add_argument("--world", required=True, help="world JSON that sets the model's dimensions")
 
     p = sub.add_parser("eval", parents=[out], help="holdout metrics for a model")
     p.add_argument("--model", required=True, help="model JSON")
@@ -128,11 +127,8 @@ def _cmd_fit(args):
     if args.seed is not None:
         fit_cfg = dataclasses.replace(fit_cfg, seed=args.seed)
     records = rec_mod.load_records(args.records)
-    dims = {}
-    if args.world:
-        world = world_mod.load_world(args.world)
-        dims = {"num_users": world.num_users, "num_objects": world.num_objects}
-    model = mf_mod.fit_mf(records, fit_cfg, **dims)
+    world = world_mod.load_world(args.world)
+    model = mf_mod.fit_mf(records, fit_cfg, world.num_users, world.num_objects)
     out = args.out or "model.json"
     mf_mod.save_model(model, out)
     print(f"wrote {out}")

@@ -19,8 +19,8 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .world import (WorldConfig, _require_finite_fields, generate_world, raw_attention_values,
-                    sparsify_users, write_json)
+from .world import (WorldConfig, _attention_matrix, _check_user, _require_finite_fields,
+                    generate_world, sparsify_users, write_json)
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
 
@@ -104,7 +104,7 @@ class ExperimentRunner:
         self._world = None
         self._records = None
         self._model = None
-        self._truth_raw = {}
+        self._truth = None
         self._scenes = {}
 
     @property
@@ -130,11 +130,14 @@ class ExperimentRunner:
             )
         return self._model
 
-    def truth_raw(self, user: int) -> dict:
-        if user not in self._truth_raw:
-            world = self.world
-            self._truth_raw[user] = raw_attention_values(world, user, range(world.num_images))
-        return self._truth_raw[user]
+    def truth_raw(self, user: int) -> np.ndarray:
+        """The user's true attention values over all images, indexed by
+        object id."""
+        _check_user(self.world, user)
+        if self._truth is None:
+            self._truth = _attention_matrix(self.world)
+            self._truth.setflags(write=False)
+        return self._truth[user]
 
     def scene_objects(self, user: int) -> list:
         """The evaluated scene: objects of a random retained subset of one
@@ -161,8 +164,7 @@ class ExperimentRunner:
         budget = n * factor
         floor = cfg.floor_k
 
-        truth = self.truth_raw(user)
-        weights_true = np.array([truth[o] for o in objects])
+        weights_true = self.truth_raw(user)[objects]
         weights_pred = predict_scene(self.model, user, objects)
 
         alloc_uniform = allocate_uniform(n, budget, floor)

@@ -143,7 +143,7 @@ def _objective(users, objects, target, U, bu, V, bo, lam) -> float:
 
 
 def fit_mf(records: SparseAttentionRecords, config: FitConfig,
-           num_users: int | None = None, num_objects: int | None = None) -> FactorModel:
+           num_users: int, num_objects: int) -> FactorModel:
     """Fit the factor model by alternating least squares with λ·n-weighted
     ridge (ALS-WR, Zhou et al. 2008).
 
@@ -153,20 +153,20 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     objective over its block, so the objective never rises. The object
     factors start from the seeded draw (the user draw is kept so that the
     seed gives the same object draw, and the first half-sweep replaces it);
-    ids with no records end at zero. The result is a pure function of
-    (records, config) on one host, but the solves go through LAPACK, so it
-    is not bit-portable across BLAS builds. ``training_curve`` holds the
-    objective per record after each sweep. Raises ``FitError`` on empty
-    records, a record outside the requested dimensions (naming the pair)
-    or a solve that is not finite.
+    the model has ``num_users`` x ``num_objects`` rows, and ids with no
+    records end at zero. The result is a pure function of the arguments on
+    one host, but the solves go through LAPACK, so it is not bit-portable
+    across BLAS builds. ``training_curve`` holds the objective per record
+    after each sweep. Raises ``FitError`` on empty records, a record
+    outside the requested dimensions (naming the pair) or a solve that is
+    not finite.
     """
     config.validate()
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
 
     users, objects, levels = records.users, records.objects, records.levels
-    nu = num_users if num_users is not None else int(users.max()) + 1
-    no = num_objects if num_objects is not None else int(objects.max()) + 1
+    nu, no = num_users, num_objects
     outside = (users >= nu) | (objects >= no)
     if outside.any():
         i = int(np.argmax(outside))

@@ -325,13 +325,15 @@ def _place_missing_objects(config: WorldConfig, rng, pixels: np.ndarray) -> None
         load[image] += px
 
 
-def _gaze_factors(world: World, user: int) -> np.ndarray:
-    """Gaze-noise factor of every occurrence, in the CSR order: ``1 + U(-g, g)``
-    from the user's own generator, one draw per occurrence. An (image, object)
-    pair keeps its factor in every call, whatever images a call reads."""
+def _gaze_factors(world: World, user: int, count: int) -> np.ndarray:
+    """Gaze-noise factors of the first ``count`` occurrences in the CSR order:
+    ``1 + U(-g, g)`` from the user's own generator, one draw per occurrence.
+    An (image, object) pair keeps its factor in every call, whatever images a
+    call reads: PCG64 spends one 64-bit word per double, so a shorter draw is
+    a prefix of a longer one."""
     g = world.gaze_noise
     rng = np.random.default_rng((world.seed, _GAZE_STREAM, user))
-    return 1.0 + rng.uniform(-g, g, size=world._objects.size)
+    return 1.0 + rng.uniform(-g, g, size=count)
 
 
 def attention_from_gaze(pixel_counts, gaze_masses) -> float:
@@ -355,73 +357,78 @@ def _check_user(world: World, user: int) -> None:
         raise ValueError(f"user {user} outside 0..{world.num_users - 1}")
 
 
-def raw_attention_values(world: World, user: int, image_ids) -> dict:
-    """Attention value for every object occurring in the given images.
+def _gaze_mass(world: World, user: int, at, objects, px) -> np.ndarray:
+    """Per-object sums of gaze mass, interest * pixels * (1 + noise), over the
+    given occurrences. bincount's weighted loop adds them one after another,
+    so each sum is sequential in the given order (a pairwise sum, matmul or
+    reduceat would change the last bit of some values)."""
+    mass = world.interest[user][objects] * px
+    if world.gaze_noise > 0:
+        mass *= _gaze_factors(world, user, int(at.max()) + 1)[at]
+    return np.bincount(objects, weights=mass, minlength=world.num_objects)
+
+
+def raw_attention_values(world: World, user: int, image_ids):
+    """Attention value for every object occurring in the given images, as
+    ``(objects, values)`` arrays in ascending object id.
 
     Value = (sum of gaze mass over occurrences) / (sum of pixels over
-    occurrences), gaze mass being interest * pixels * (1 + noise). The noise
-    of an occurrence is the user's draw at its CSR position, so an image
-    listed twice counts twice with the same noise.
+    occurrences), capped at 1 as in ``attention_from_gaze``. The noise of an
+    occurrence is the user's draw at its CSR position, so an image listed
+    twice counts twice with the same noise.
     """
     _check_user(world, user)
-    ids = np.fromiter(image_ids, dtype=np.intp)
+    ids = np.asarray(image_ids if isinstance(image_ids, np.ndarray) else list(image_ids),
+                     dtype=np.intp)
     if not ids.size:
-        return {}
+        return np.empty(0, dtype=np.intp), np.empty(0)
     if ids.min() < 0 or ids.max() >= world.num_images:
         raise KeyError(f"image ids must lie in 0..{world.num_images - 1}")
     at, objects, px = world.occurrences(ids)
-    mass = world.interest[user][objects] * px
-    if world.gaze_noise > 0:
-        mass *= _gaze_factors(world, user)[at]
-    # bincount's weighted loop adds the occurrences to their objects one after
-    # another, so each object's gaze mass is the sequential sum over its images
-    # in the given order (a pairwise sum would change the last bit of some
-    # values). Pixel sums are float64, which is exact below 2**53.
-    gaze = np.bincount(objects, weights=mass, minlength=world.num_objects)
+    gaze = _gaze_mass(world, user, at, objects, px)
+    # float64 pixel sums are exact below 2**53
     pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
     present = np.flatnonzero(pixel_sum)
-    values = np.minimum(gaze[present] / pixel_sum[present], 1.0)
-    return dict(zip(present.tolist(), values.tolist()))
+    return present, np.minimum(gaze[present] / pixel_sum[present], 1.0)
 
 
-def quantize_levels(raw) -> list:
-    """Equal-frequency quintile binning of (object_id, value) pairs.
+def _attention_matrix(world: World) -> np.ndarray:
+    """Every user's attention values over all images, users x objects: row
+    ``u`` holds ``raw_attention_values(world, u, range(world.num_images))``'s
+    values bit for bit. An object that occurs in no image raises."""
+    at, objects, px = world.occurrences(np.arange(world.num_images))
+    pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
+    absent = np.flatnonzero(pixel_sum == 0)
+    if absent.size:
+        o = absent[0]
+        raise ValueError(f"object {o} ({world.labels[o]!r}) occurs in no image, "
+                         "so it has no ground-truth level")
+    gaze = np.stack([_gaze_mass(world, user, at, objects, px)
+                     for user in range(world.num_users)])
+    return np.minimum(gaze / pixel_sum, 1.0)
 
-    Ties break by ascending object_id; a constant list maps to level 3.
-    Returns (object_id, level) pairs in the input order.
-    """
-    items = list(raw)
-    if not items:
-        return []
-    for _, value in items:
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"attention value {value} outside [0, 1]")
-    first = items[0][1]
-    if all(v == first for _, v in items):
-        return [(o, 3) for o, _ in items]
-    n = len(items)
-    order = sorted(range(n), key=lambda i: (items[i][1], items[i][0]))
-    level_of_position = {}
-    for rank, i in enumerate(order):
-        level_of_position[i] = rank * 5 // n + 1
-    return [(items[i][0], level_of_position[i]) for i in range(n)]
+
+def quantize_levels(values) -> np.ndarray:
+    """Equal-frequency quintile levels 1..5 of attention values given in
+    ascending object id: the value of rank ``r`` among ``n`` gets level
+    ``r * 5 // n + 1``. Ties rank by ascending object id (the sort is
+    stable); a constant row maps to level 3."""
+    values = np.asarray(values, dtype=np.float64)
+    outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
+    if outside.any():
+        raise ValueError(f"attention value {values[outside][0]} outside [0, 1]")
+    n = values.size
+    if not n or (values == values[0]).all():
+        return np.full(n, 3, dtype=np.int64)
+    levels = np.empty(n, dtype=np.int64)
+    levels[np.argsort(values, kind="stable")] = np.arange(n) * 5 // n + 1
+    return levels
 
 
 def ground_truth_levels(world: World) -> GroundTruthLevels:
     """Per-user quintile levels of attention values computed over all images.
     Every object must occur in some image, or it would have no level."""
-    absent = np.flatnonzero(~world.pixels.any(axis=0))
-    if absent.size:
-        o = absent[0]
-        raise ValueError(f"object {o} ({world.labels[o]!r}) occurs in no image, "
-                         "so it has no ground-truth level")
-    levels = np.empty((world.num_users, world.num_objects), dtype=np.int64)
-    for user in range(world.num_users):
-        values = raw_attention_values(world, user, range(world.num_images))
-        pairs = quantize_levels(sorted(values.items()))
-        for object_id, level in pairs:
-            levels[user, object_id] = level
-    return GroundTruthLevels(levels)
+    return GroundTruthLevels(np.stack([quantize_levels(row) for row in _attention_matrix(world)]))
 
 
 @dataclass(frozen=True)
@@ -459,19 +466,14 @@ def sparsify_with_info(world: World, user: int, seed: int):
             ids = world.group_image_ids(g)
             keep = round(ran2 * len(ids) / 100)
             if keep > 0:
-                chosen = rng.choice(len(ids), size=keep, replace=False)
-                retained.extend(ids[np.sort(chosen)].tolist())
+                retained.append(ids[np.sort(rng.choice(len(ids), size=keep, replace=False))])
         if not retained:
             continue
-        values = raw_attention_values(world, user, retained)
-        pairs = quantize_levels(sorted(values.items()))
-        records = SparseAttentionRecords([(user, object_id, level) for object_id, level in pairs])
-        info = SparsifyInfo(
-            ran1=ran1, ran2=ran2,
-            selected_groups=tuple(groups),
-            retained_images=tuple(retained),
-        )
-        return records, info
+        retained = np.concatenate(retained)
+        objects, values = raw_attention_values(world, user, retained)
+        records = SparseAttentionRecords(
+            np.column_stack((np.full(objects.size, user), objects, quantize_levels(values))))
+        return records, SparsifyInfo(ran1, ran2, tuple(groups), tuple(retained.tolist()))
     raise RuntimeError("could not draw a non-empty retained image subset")
 
 

@@ -1,9 +1,11 @@
 """Test oracles kept out of the package: an exhaustive grid search over the
 budget simplex, which the exact allocator is checked against, the per-image
 successive sampler, which the vectorized image draw is checked against, the
-``csv.writer`` loop that ``save_records`` is checked against, and the
+``csv.writer`` loop that ``save_records`` is checked against, the
 frozenset records with their per-row loader, dict-loop baseline and
-set-based holdout that the sorted records table replaced."""
+set-based holdout that the sorted records table replaced, and the
+list-of-pairs quantizer and dict-path sparsify that the attention arrays
+replaced."""
 
 import csv
 import io
@@ -15,7 +17,8 @@ import numpy as np
 from attnalloc.allocate import AllocationProblem, AllocationResult, objective_value
 from attnalloc.mf import BaselineModel
 from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, RecordsParseError
-from attnalloc.world import _popularity
+from attnalloc.records import SparseAttentionRecords
+from attnalloc.world import _SPARSIFY_STREAM, _popularity
 
 
 class SearchSpaceError(ValueError):
@@ -205,3 +208,50 @@ def set_holdout_mask(records, num_users: int, num_objects: int,
         chosen = rng.choice(len(candidates), size=min(k, len(candidates)), replace=False)
         mask.update((user, candidates[int(i)]) for i in chosen)
     return mask
+
+
+def quantize_pairs(raw) -> list:
+    """Equal-frequency quintile binning of (object_id, value) pairs, sorted
+    in Python: ties break by ascending object_id, a constant list maps to
+    level 3, and the (object_id, level) pairs come back in the input order;
+    test oracle only."""
+    items = list(raw)
+    if not items:
+        return []
+    for _, value in items:
+        if not (0.0 <= value <= 1.0):
+            raise ValueError(f"attention value {value} outside [0, 1]")
+    first = items[0][1]
+    if all(v == first for _, v in items):
+        return [(o, 3) for o, _ in items]
+    n = len(items)
+    order = sorted(range(n), key=lambda i: (items[i][1], items[i][0]))
+    level_of_position = {}
+    for rank, i in enumerate(order):
+        level_of_position[i] = rank * 5 // n + 1
+    return [(items[i][0], level_of_position[i]) for i in range(n)]
+
+
+def dict_sparsify(world, user: int, seed: int, raw_values) -> SparseAttentionRecords:
+    """One user's sparsify draw on lists and dicts: the same generator calls
+    as ``sparsify_with_info``, the retained ids as a list, their
+    ``{object: value}`` from ``raw_values(world, user, ids)``, and
+    ``quantize_pairs``; test oracle only."""
+    for attempt in range(100):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_SPARSIFY_STREAM, user, attempt))
+        )
+        ran1 = min(int(rng.integers(2, 5)), world.num_groups)
+        ran2 = int(rng.integers(30, 71))
+        groups = sorted(int(g) for g in rng.choice(world.num_groups, size=ran1, replace=False))
+        retained = []
+        for g in groups:
+            ids = world.group_image_ids(g)
+            keep = round(ran2 * len(ids) / 100)
+            if keep > 0:
+                chosen = rng.choice(len(ids), size=keep, replace=False)
+                retained.extend(ids[np.sort(chosen)].tolist())
+        if retained:
+            pairs = quantize_pairs(sorted(raw_values(world, user, retained).items()))
+            return SparseAttentionRecords([(user, o, level) for o, level in pairs])
+    raise RuntimeError("could not draw a non-empty retained image subset")

@@ -145,7 +145,7 @@ def test_sparsify_and_fit_and_eval(tmp_path, capsys, config_file):
     assert records.read_text().startswith("user_id,object_id,level\n")
 
     assert run(capsys, "fit", "--config", config_file, "--records", str(records),
-               "--out", str(model))[0] == EXIT_OK
+               "--world", str(world), "--out", str(model))[0] == EXIT_OK
     assert json.loads(model.read_text())["version"] == "attn-mf/1"
 
     code, out, _ = run(capsys, "eval", "--model", str(model), "--world", str(world),
@@ -255,8 +255,9 @@ def test_generate_impossible_world_exits_2(tmp_path, capsys, world, message):
     assert not out.exists()
 
 
-def test_fit_missing_records(capsys):
-    assert run(capsys, "fit", "--records", "nope.csv")[0] == EXIT_DATA
+def test_fit_missing_records(tmp_path, capsys, config_file):
+    world, _ = _tiny_world(tmp_path, capsys, config_file)
+    assert run(capsys, "fit", "--records", "nope.csv", "--world", str(world))[0] == EXIT_DATA
 
 
 def _write_tiny_records(path):
@@ -271,25 +272,27 @@ def _write_tiny_records(path):
     ("regularization = nan", "regularization"),
     ("init_scale = inf", "init_scale"),
 ])
-def test_fit_rejects_non_finite_config(tmp_path, capsys, line, name):
+def test_fit_rejects_non_finite_config(tmp_path, capsys, config_file, line, name):
     records = tmp_path / "records.csv"
     _write_tiny_records(records)
+    world, _ = _tiny_world(tmp_path, capsys, config_file)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[fit]\n{line}\n")
     code, _, err = run(capsys, "fit", "--config", str(cfg), "--records", str(records),
-                       "--out", str(tmp_path / "model.json"))
+                       "--world", str(world), "--out", str(tmp_path / "model.json"))
     assert code == EXIT_DATA
     assert name in err
     assert not (tmp_path / "model.json").exists()
 
 
-def test_fit_divergence_exits_2(tmp_path, capsys):
+def test_fit_divergence_exits_2(tmp_path, capsys, config_file):
     records = tmp_path / "records.csv"
     _write_tiny_records(records)
+    world, _ = _tiny_world(tmp_path, capsys, config_file)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("[fit]\ninit_scale = 1e308\n")
     code, _, err = run(capsys, "fit", "--config", str(cfg), "--records", str(records),
-                       "--out", str(tmp_path / "model.json"))
+                       "--world", str(world), "--out", str(tmp_path / "model.json"))
     assert code == EXIT_DATA
     assert "not finite in sweep 1 of 15: regularization 0.1 is too small or " \
         "init_scale 1e+308 too large" in err
@@ -303,7 +306,7 @@ def _tiny_world(tmp_path, capsys, config_file):
 
 
 def test_fit_world_sets_model_dimensions(tmp_path, capsys, config_file):
-    # without --world the records 0,0,3 and 1,1,2 gave a 2 x 2 model
+    # the world's users x objects, not the 2 x 2 of the records' largest ids
     records = tmp_path / "records.csv"
     records.write_text("user_id,object_id,level\n0,0,3\n1,1,2\n")
     world, doc = _tiny_world(tmp_path, capsys, config_file)
@@ -321,13 +324,20 @@ def test_fit_world_rejects_records_outside_it(tmp_path, capsys, config_file):
     world, doc = _tiny_world(tmp_path, capsys, config_file)
     users, objects = len(doc["interest"]), len(doc["catalog"])
     records = tmp_path / "records.csv"
-    records.write_text(f"user_id,object_id,level\n0,0,3\n{users},1,2\n")
     model = tmp_path / "model.json"
-    code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
-                       "--out", str(model))
-    assert code == EXIT_DATA
-    assert (f"record pair ({users}, 1) lies outside the model's "
-            f"{users} users x {objects} objects") in err
+    # the first id just outside the world, and one that, when the model was
+    # sized from the largest id, died allocating 42.6 PiB (exit 1)
+    for user in (users, 10**15):
+        records.write_text(f"user_id,object_id,level\n0,0,3\n{user},1,2\n")
+        code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
+                           "--out", str(model))
+        assert code == EXIT_DATA
+        assert (f"record pair ({user}, 1) lies outside the model's "
+                f"{users} users x {objects} objects") in err
+        assert not model.exists()
+    # the world is what sizes the model, so fit needs it
+    code, _, err = run(capsys, "fit", "--records", str(records), "--out", str(model))
+    assert code == EXIT_USAGE and "--world" in err
     assert not model.exists()
 
 
@@ -424,10 +434,11 @@ def test_allocate_extreme_weight_ratio(tmp_path, capsys):
     "-1,0,5\n",  # used to die with an IndexError traceback
     "0,-1,5\n0,0,1\n1,1,3\n",
 ])
-def test_fit_rejects_negative_ids(tmp_path, capsys, rows):
+def test_fit_rejects_negative_ids(tmp_path, capsys, config_file, rows):
     records = tmp_path / "records.csv"
     records.write_text("user_id,object_id,level\n" + rows)
-    code, _, err = run(capsys, "fit", "--records", str(records),
+    world, _ = _tiny_world(tmp_path, capsys, config_file)
+    code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
                        "--out", str(tmp_path / "model.json"))
     assert code == EXIT_DATA
     assert "line 2" in err and "negative" in err
@@ -435,10 +446,11 @@ def test_fit_rejects_negative_ids(tmp_path, capsys, rows):
 
 
 @pytest.mark.parametrize("field", ["99999999999999999999", "-99999999999999999999"])
-def test_fit_names_line_of_id_beyond_int64(tmp_path, capsys, field):
+def test_fit_names_line_of_id_beyond_int64(tmp_path, capsys, config_file, field):
     records = tmp_path / "records.csv"
     records.write_text(f"user_id,object_id,level\n0,0,3\n\n1,{field},2\n")
-    code, _, err = run(capsys, "fit", "--records", str(records),
+    world, _ = _tiny_world(tmp_path, capsys, config_file)
+    code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
                        "--out", str(tmp_path / "model.json"))
     assert code == EXIT_DATA
     assert "line 4: field outside the 64-bit integer range" in err
@@ -616,7 +628,8 @@ def test_directory_paths_exit_2(tmp_path, capsys, config_file):
     for argv in (
         ("sparsify", "--config", config_file, "--world", str(folder),
          "--out", str(tmp_path / "records.csv")),
-        ("fit", "--records", str(folder), "--out", str(tmp_path / "model.json")),
+        ("fit", "--records", str(folder), "--world", str(folder),
+         "--out", str(tmp_path / "model.json")),
         ("generate", "--config", config_file, "--out", str(folder)),
     ):
         code, _, err = run(capsys, *argv)

@@ -21,6 +21,7 @@ from attnalloc.experiment import (
     reports_to_csv,
     sweep_to_csv,
 )
+from attnalloc.world import raw_attention_values
 
 
 def test_config_validation():
@@ -81,6 +82,18 @@ def test_scene_objects_stable_and_grouped(default_runner):
     assert scene == sorted(set(scene))
     assert 1 <= len(scene) <= default_runner.world.num_objects
     assert scene == default_runner.scene_objects(1)
+
+
+def test_truth_raw_is_all_image_attention(default_runner):
+    world = default_runner.world
+    for user in (0, world.num_users - 1):
+        objects, values = raw_attention_values(world, user, range(world.num_images))
+        assert objects.tolist() == list(range(world.num_objects))
+        assert np.array_equal(default_runner.truth_raw(user), values)
+    # a row of the cached matrix, so a negative user must not wrap around
+    for user in (-1, world.num_users):
+        with pytest.raises(ValueError, match=f"user {user} outside"):
+            default_runner.truth_raw(user)
 
 
 def test_aggregate_identity():

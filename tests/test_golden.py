@@ -1,0 +1,52 @@
+"""Golden digests: the SHA-256 of the dataset files that the CLI writes and of
+the dense ground-truth levels, for master seeds 0-2 at gaze noise 0 and 0.1.
+
+These outputs are integers or come from integer-exact, host-stable draws, so
+their bytes may only change on purpose. The report and sweep files are not
+pinned here: their floats go through LAPACK and depend on the host's BLAS."""
+
+import hashlib
+
+import pytest
+
+from attnalloc import ground_truth_levels, load_world
+from attnalloc.cli import EXIT_OK, cli_main
+
+# (gaze_noise, seed): (world.json, records.csv, levels as little-endian int64)
+GOLDEN = {
+    (0.0, 0): ("405ed39cd9f1a4330c3d54f559583bd155a1115a4799e0be211e4b6734e36256",
+               "e966d02d89619159d55cdac6bd2508df43380b19b4e485f01d059267222ae9cb",
+               "3d169c9742e8b841189af7b658f6683f8e50f546f8958474a5a6d7870cff0621"),
+    (0.0, 1): ("a558dc872b5daee87739dcb8484abae6207182d7b62bb224ef5786caf912f73d",
+               "1945ed52f2320722988658f8be17e0373b005de179a99b112a273ddffbbded76",
+               "15e40113270b5d1a07b3c8ce15693d25773a3061b961608b37cbcf78ea2a643f"),
+    (0.0, 2): ("e1dd9dd63399f939d715a014086d7ca9384f4264ac96571342dffb976c2939b1",
+               "004155e0f45782cb5027acfa88580dce22386f0fdbefc1f7c076e82fa650a3fd",
+               "53c2ad64086f2e754f9409324398b81cce0eea2a54cbf7530a19a759fce713f8"),
+    (0.1, 0): ("b3c45f9495c18dcc7fd3600854ff17441f80ef2bc21dd6dfe90af59138444a5e",
+               "46f5c4ff2861a4e59b17a23cadbffb256d0b6272ad59e8ac70f0b6e45edbaa8c",
+               "2866444fc13111d72411e28df2471ea059e0068e7a676a4b0a9754a84c6fe7e7"),
+    (0.1, 1): ("b2aa2c7c2e54f3953d7ed97a593fe6ebd21b3bb89c526ddeb86deee7f0678472",
+               "eaebd502bc6291f97e9e492a1049f6915173af4b43406876362fd0db2e078412",
+               "9a7eec3b284f7f1285c8aa709fbe01f3e72c4813c426bf48a7e1a306f2fc0c1c"),
+    (0.1, 2): ("1ec781a515e528e355ff784b6ef9f14c124477d31cdd751e8ffb36eb76bdcc8b",
+               "f1c010c6acf6df1876bc91c176ef3ea6b595485fda95b9cbcfd14f66aca2307a",
+               "88e9d0f089997f644c2a2ff4f6f10af6198378c95b4c463c4a9e65ae0308dbf2"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("gaze_noise, seed", sorted(GOLDEN))
+def test_dataset_digests(tmp_path, gaze_noise, seed):
+    config = tmp_path / "noise.cfg"
+    config.write_text(f"[world]\ngaze_noise = {gaze_noise}\n")
+    world, records = tmp_path / "world.json", tmp_path / "records.csv"
+    common = ["--config", str(config), "--seed", str(seed)]
+    assert cli_main(["generate", *common, "--out", str(world)]) == EXIT_OK
+    assert cli_main(["sparsify", *common, "--world", str(world), "--out", str(records)]) == EXIT_OK
+    levels = ground_truth_levels(load_world(world)).levels.astype("<i8").tobytes()
+    assert (_sha256(world.read_bytes()), _sha256(records.read_bytes()),
+            _sha256(levels)) == GOLDEN[gaze_noise, seed]

@@ -34,6 +34,10 @@ from attnalloc.world import GroundTruthLevels
 from oracles import FrozensetRecords, dict_fit_baseline, set_holdout_mask
 
 
+# constant_records' users x objects, the model's dimensions in fits on them
+CONSTANT_DIMS = {"num_users": 4, "num_objects": 6}
+
+
 def constant_records(level=3, users=4, objects=6):
     return SparseAttentionRecords(
         frozenset((u, o, level) for u in range(users) for o in range(objects))
@@ -51,7 +55,7 @@ def zero_model(mu=3.0, users=2, objects=2, f=2):
 
 
 def test_constant_records_fit():
-    model = fit_mf(constant_records(), dataclasses.replace(FitConfig(), epochs=50))
+    model = fit_mf(constant_records(), dataclasses.replace(FitConfig(), epochs=50), **CONSTANT_DIMS)
     for u in range(4):
         for o in range(6):
             assert abs(predict(model, u, o) - 3.0) < 0.1
@@ -60,23 +64,23 @@ def test_constant_records_fit():
 def test_fit_deterministic():
     # constant levels would fit to all-zero factors whatever the seed
     records = _random_records(seed=1)
-    a = fit_mf(records, FitConfig(epochs=10))
-    b = fit_mf(records, FitConfig(epochs=10))
+    a = fit_mf(records, FitConfig(epochs=10), **RANDOM_DIMS)
+    b = fit_mf(records, FitConfig(epochs=10), **RANDOM_DIMS)
     assert np.array_equal(a.user_factors, b.user_factors)
     assert np.array_equal(a.object_factors, b.object_factors)
     assert a.training_curve == b.training_curve
-    c = fit_mf(records, FitConfig(epochs=10, seed=1))
+    c = fit_mf(records, FitConfig(epochs=10, seed=1), **RANDOM_DIMS)
     assert not np.array_equal(a.user_factors, c.user_factors)
 
 
 def test_fit_rejects_empty_and_bad_config():
     with pytest.raises(FitError):
-        fit_mf(SparseAttentionRecords(), FitConfig())
+        fit_mf(SparseAttentionRecords(), FitConfig(), **CONSTANT_DIMS)
     with pytest.raises(FitError):
-        fit_mf(constant_records(), FitConfig(epochs=0))
+        fit_mf(constant_records(), FitConfig(epochs=0), **CONSTANT_DIMS)
     for lam in (0.0, -1.0):
         with pytest.raises(FitError, match="regularization must be positive"):
-            fit_mf(constant_records(), FitConfig(regularization=lam))
+            fit_mf(constant_records(), FitConfig(regularization=lam), **CONSTANT_DIMS)
     with pytest.raises(FitError, match=r"record pair \(0, 2\) lies outside the model's "
                                        r"2 users x 2 objects"):
         fit_mf(constant_records(), FitConfig(), num_users=2, num_objects=2)
@@ -87,7 +91,7 @@ def test_training_loss_trend():
     records = SparseAttentionRecords(frozenset(
         (u, o, int(rng.integers(1, 6))) for u in range(10) for o in range(12)
     ))
-    model = fit_mf(records, FitConfig(epochs=60))
+    model = fit_mf(records, FitConfig(epochs=60), num_users=10, num_objects=12)
     curve = model.training_curve
     assert len(curve) == 60
     assert curve[-1] < curve[0]
@@ -109,7 +113,7 @@ def test_rank_one_structure_learned():
                 if (u, o) not in {(a, b) for a, b, _ in triples}]
     assert held_out
 
-    model = fit_mf(records, FitConfig(f=2))
+    model = fit_mf(records, FitConfig(f=2), num_users=8, num_objects=10)
     mu = np.mean([l for _, _, l in triples])
     err_mf = [(predict(model, u, o) - l) ** 2 for u, o, l in held_out]
     err_mu = [(mu - l) ** 2 for _, _, l in held_out]
@@ -143,7 +147,7 @@ def test_predict_scene_order_and_duplicates():
 
 def test_huge_regularization_shrinks_factors():
     records = constant_records(level=5)
-    model = fit_mf(records, FitConfig(regularization=1e6, epochs=20))
+    model = fit_mf(records, FitConfig(regularization=1e6, epochs=20), **CONSTANT_DIMS)
     assert np.isfinite(model.user_factors).all()
     assert np.linalg.norm(model.user_factors) < 1e-3
     assert np.linalg.norm(model.object_factors) < 1e-3
@@ -154,8 +158,8 @@ def test_label_shift_equivariance():
     base = [(u, o, int(rng.integers(1, 4))) for u in range(6) for o in range(8)]
     shifted = [(u, o, l + 2) for u, o, l in base]
     config = FitConfig(epochs=100)
-    a = fit_mf(SparseAttentionRecords(frozenset(base)), config)
-    b = fit_mf(SparseAttentionRecords(frozenset(shifted)), config)
+    a = fit_mf(SparseAttentionRecords(frozenset(base)), config, num_users=6, num_objects=8)
+    b = fit_mf(SparseAttentionRecords(frozenset(shifted)), config, num_users=6, num_objects=8)
     for u in range(6):
         for o in range(8):
             assert abs((raw_score(b, u, o) - raw_score(a, u, o)) - 2.0) < 0.05
@@ -227,7 +231,7 @@ def test_baseline_and_holdout_match_oracles_on_default_records(default_runner):
 
 
 def test_model_roundtrip(tmp_path):
-    model = fit_mf(constant_records(), FitConfig(epochs=5))
+    model = fit_mf(constant_records(), FitConfig(epochs=5), **CONSTANT_DIMS)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -237,7 +241,7 @@ def test_model_roundtrip(tmp_path):
 
 
 def test_model_version_check(tmp_path):
-    model = fit_mf(constant_records(), FitConfig(epochs=1))
+    model = fit_mf(constant_records(), FitConfig(epochs=1), **CONSTANT_DIMS)
     path = tmp_path / "model.json"
     save_model(model, path)
     path.write_text(path.read_text().replace("attn-mf/1", "attn-mf/9"))
@@ -245,15 +249,14 @@ def test_model_version_check(tmp_path):
         load_model(path)
 
 
-def _reference_fit_mf(records, config, num_users=None, num_objects=None):
+def _reference_fit_mf(records, config, num_users, num_objects):
     """ALS-WR one id at a time, the slow oracle for fit_mf: each user's, then
     each object's ``[factors, bias]`` is the ``lstsq`` solution of its records'
     design stacked on ``sqrt(lam * max(n, 1)) * I``. Returns the four factor
     arrays, ``mu`` and the objective per record after each sweep."""
     triples = np.array(records.sorted_list())
     users, objects, levels = triples.T
-    nu = num_users if num_users is not None else users.max() + 1
-    no = num_objects if num_objects is not None else objects.max() + 1
+    nu, no = num_users, num_objects
     rng = np.random.default_rng(config.seed)
     f, lam = config.f, config.regularization
     U = rng.uniform(-0.05, 0.05, size=(nu, f)) * config.init_scale
@@ -288,6 +291,11 @@ def _reference_objective(triples, mu, U, bu, V, bo, lam):
     return total
 
 
+# _random_records' users x objects; at density 0.6 the seeds used here draw
+# a record for the last user and the last object
+RANDOM_DIMS = {"num_users": 10, "num_objects": 12}
+
+
 def _random_records(seed, users=10, objects=12, density=0.6):
     rng = np.random.default_rng(seed)
     return SparseAttentionRecords(frozenset(
@@ -315,7 +323,7 @@ def _assert_fits_agree(records, config, **dims):
     FitConfig(init_scale=3.0, epochs=15, seed=5),
 ], ids=["f1", "f6", "heavy-regularization", "init-scale-3"])
 def test_fit_matches_reference_loop(config):
-    _assert_fits_agree(_random_records(seed=2), config)
+    _assert_fits_agree(_random_records(seed=2), config, **RANDOM_DIMS)
 
 
 def test_fit_matches_reference_with_padded_dimensions():
@@ -376,13 +384,13 @@ def test_fit_config_rejects_non_finite(name, value):
     with pytest.raises(FitError, match=name):
         config.validate()
     with pytest.raises(FitError, match=name):
-        fit_mf(constant_records(), config)
+        fit_mf(constant_records(), config, **CONSTANT_DIMS)
 
 
 def _assert_fit_fails_in_first_sweep(config, message):
     records = SparseAttentionRecords(frozenset({(0, 0, 5), (0, 1, 1), (1, 0, 2)}))
     with pytest.raises(FitError, match="not finite in sweep 1 of 15") as err:
-        fit_mf(records, config)
+        fit_mf(records, config, num_users=2, num_objects=2)
     assert message in str(err.value)
 
 

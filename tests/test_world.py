@@ -25,6 +25,8 @@ from attnalloc import (
 from attnalloc.world import (
     ConfigurationError,
     _GAZE_STREAM,
+    _attention_matrix,
+    _gaze_factors,
     _generate_images,
     _generate_interest,
     raw_attention_values,
@@ -34,7 +36,13 @@ from attnalloc.world import (
     world_to_dict,
 )
 from conftest import SMALL_WORLD
-from oracles import successive_sampling_images
+from oracles import dict_sparsify, quantize_pairs, successive_sampling_images
+
+
+def _raw_dict(world, user, image_ids) -> dict:
+    """``raw_attention_values`` as an {object: value} dict."""
+    objects, values = raw_attention_values(world, user, image_ids)
+    return dict(zip(objects.tolist(), values.tolist()))
 
 
 def _reference_gaze_factors(world: World, user: int) -> dict:
@@ -255,73 +263,88 @@ def test_constant_interest_recovered_exactly():
         [(((0, 100), (1, 50))), ((0, 321),), ((0, 7), (1, 9))],
     )
     for subset in ([0], [1], [0, 1, 2], [2, 0]):
-        assert raw_attention_values(world, 0, subset)[0] == pytest.approx(0.35, abs=1e-12)
+        assert _raw_dict(world, 0, subset)[0] == pytest.approx(0.35, abs=1e-12)
 
 
 def test_full_attention_single_image():
     world = make_manual_world([[1.0]], [((0, 400),)])
-    assert raw_attention_values(world, 0, [0])[0] == 1.0
+    assert _raw_dict(world, 0, [0]) == {0: 1.0}
 
 
 def test_absent_object_raises():
     world = make_manual_world([[0.5, 0.5]], [((0, 10),), ((1, 10),)])
-    assert raw_attention_values(world, 0, [0]).keys() == {0}
+    objects, values = raw_attention_values(world, 0, [0])
+    assert objects.tolist() == [0] and values.shape == (1,)
+    objects, values = raw_attention_values(world, 0, [])
+    assert objects.size == values.size == 0
 
 
 def test_gaze_noise_bounded_and_deterministic():
     world = make_manual_world([[0.5]], [((0, 1000),)], gaze_noise=0.2)
-    v1 = raw_attention_values(world, 0, [0])[0]
-    v2 = raw_attention_values(world, 0, [0])[0]
+    v1 = _raw_dict(world, 0, [0])[0]
+    v2 = _raw_dict(world, 0, [0])[0]
     assert v1 == v2
     assert 0.4 <= v1 <= 0.6
     assert v1 != 0.5
 
 
 def test_quantize_one_per_quintile():
-    pairs = [(i, v) for i, v in enumerate((0.1, 0.2, 0.3, 0.4, 0.5))]
-    assert [l for _, l in quantize_levels(pairs)] == [1, 2, 3, 4, 5]
+    assert quantize_levels([0.1, 0.2, 0.3, 0.4, 0.5]).tolist() == [1, 2, 3, 4, 5]
 
 
 def test_quantize_constant_maps_to_three():
-    assert [l for _, l in quantize_levels([(0, 0.4), (1, 0.4), (2, 0.4)])] == [3, 3, 3]
+    assert quantize_levels([0.4, 0.4, 0.4]).tolist() == [3, 3, 3]
 
 
 def test_quantize_equal_pairs():
     values = [0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4, 0.4, 0.5, 0.5]
-    pairs = [(i, v) for i, v in enumerate(values)]
-    assert [l for _, l in quantize_levels(pairs)] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    assert quantize_levels(values).tolist() == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
 
 def test_quantize_ties_break_by_object_id():
-    pairs = [(1, 0.5), (0, 0.5), (2, 0.1), (4, 0.2), (3, 0.9)]
-    levels = dict(quantize_levels(pairs))
+    # values of objects 0..4; objects 0 and 1 tie at 0.5
+    levels = quantize_levels([0.5, 0.5, 0.1, 0.9, 0.2]).tolist()
     assert levels[2] == 1 and levels[4] == 2 and levels[3] == 5
     assert levels[0] == 3 and levels[1] == 4
 
 
 def test_quantize_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        quantize_levels([(0, 1.5)])
-    assert quantize_levels([]) == []
+    for values in ([1.5], [0.2, -0.1], [float("nan")]):
+        with pytest.raises(ValueError, match="outside"):
+            quantize_levels(values)
+    levels = quantize_levels([])
+    assert levels.size == 0 and levels.dtype == np.int64
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50, unique=True),
        st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_quantize_permutation_equivariant(values, rnd):
-    pairs = [(i, v) for i, v in enumerate(values)]
-    shuffled = pairs[:]
-    rnd.shuffle(shuffled)
-    base = dict(quantize_levels(pairs))
-    assert dict(quantize_levels(shuffled)) == base
+    # distinct values: relabelling the objects relabels their levels
+    order = list(range(len(values)))
+    rnd.shuffle(order)
+    base = quantize_levels(values)
+    assert quantize_levels(np.array(values)[order]).tolist() == base[order].tolist()
 
 
 @given(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=50, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_quantize_monotone_invariant(values):
-    pairs = [(i, v) for i, v in enumerate(values)]
-    squared = [(i, v * v) for i, v in pairs]  # strictly monotone on (0, 1)
-    assert quantize_levels(pairs) == quantize_levels(squared)
+    squared = [v * v for v in values]  # strictly monotone on (0, 1)
+    assert quantize_levels(values).tolist() == quantize_levels(squared).tolist()
+
+
+@given(st.one_of(
+    # few distinct values, so ties, repeats and constant rows are common
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9999999999999999, 1.0]), max_size=40),
+    st.lists(st.floats(0.0, 1.0), max_size=4),  # n < 5
+    st.lists(st.floats(0.0, 1.0), max_size=40),
+))
+@settings(max_examples=300, deadline=None)
+def test_quantize_matches_pair_oracle(values):
+    levels = quantize_levels(values)
+    assert levels.dtype == np.int64
+    assert levels.tolist() == [level for _, level in quantize_pairs(enumerate(values))]
 
 
 def test_ground_truth_levels_dense(default_world):
@@ -386,7 +409,8 @@ def test_sparsify_matches_full_raw_values_on_shared_subset(small_world):
     _, info = sparsify_with_info(small_world, user=2, seed=9)
     direct = raw_attention_values(small_world, 2, info.retained_images)
     again = raw_attention_values(small_world, 2, list(info.retained_images))
-    assert direct == again
+    for a, b in zip(direct, again):
+        assert np.array_equal(a, b)
 
 
 def test_world_roundtrip(tmp_path, small_world):
@@ -536,7 +560,7 @@ def _assert_matches_reference(world, master_seed, users):
         _, info = sparsify_with_info(world, user, master_seed)
         factors = _reference_gaze_factors(world, user)
         for ids in (every, list(info.retained_images), shuffled):
-            assert raw_attention_values(world, user, ids) == \
+            assert _raw_dict(world, user, ids) == \
                 _reference_raw_attention_values(images, world, user, ids, factors)
 
 
@@ -549,6 +573,47 @@ def test_raw_attention_matches_reference_loop(seed):
 def test_raw_attention_matches_reference_loop_with_gaze_noise(seed):
     config = dataclasses.replace(WorldConfig(), gaze_noise=0.1)
     _assert_matches_reference(generate_world(config, seed), seed, range(30))
+
+
+@pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
+@pytest.mark.parametrize("config, seed", [
+    (WorldConfig(), 0), (WorldConfig(), 1), (WorldConfig(), 2), (SMALL_WORLD, 5),
+], ids=["seed0", "seed1", "seed2", "small-seed5"])
+def test_attention_arrays_match_dict_path(config, seed, gaze_noise):
+    # exact equality: the matrix rows, the levels and the records are the
+    # bits of the dict-and-list path
+    world = generate_world(dataclasses.replace(config, gaze_noise=gaze_noise), seed)
+    every = range(world.num_images)
+    matrix = _attention_matrix(world)
+    for user in range(world.num_users):
+        objects, values = raw_attention_values(world, user, every)
+        assert objects.tolist() == list(range(world.num_objects))
+        assert np.array_equal(matrix[user], values)
+    expected = [[level for _, level in quantize_pairs(sorted(_raw_dict(world, u, every).items()))]
+                for u in range(world.num_users)]
+    assert ground_truth_levels(world).levels.tolist() == expected
+    # the oracle's gaze factors are the whole stream, not a prefix
+    images = world_to_dict(world)["images"]
+    for user in range(world.num_users):
+        factors = _reference_gaze_factors(world, user)
+        oracle = dict_sparsify(world, user, seed, lambda w, u, ids: _reference_raw_attention_values(
+            images, w, u, ids, factors))
+        assert sparsify(world, user, seed) == oracle
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
+def test_gaze_draw_is_prefix_of_longer_draw(seed):
+    # raw_attention_values draws the factors only up to the last occurrence
+    # it reads, which gives the same factors only while this holds
+    for g in (0.1, 0.5):
+        full = np.random.default_rng((seed, _GAZE_STREAM, 3)).uniform(-g, g, size=1000)
+        for m in (0, 1, 2, 7, 999):
+            prefix = np.random.default_rng((seed, _GAZE_STREAM, 3)).uniform(-g, g, size=m)
+            assert np.array_equal(prefix, full[:m])
+    world = dataclasses.replace(generate_world(SMALL_WORLD, 1), gaze_noise=0.1, seed=seed)
+    n = world._objects.size
+    for m in (1, n // 2, n):
+        assert np.array_equal(_gaze_factors(world, 0, m), _gaze_factors(world, 0, n)[:m])
 
 
 def test_parent_order_world_file_loads_to_same_matrix(default_world):
@@ -582,7 +647,7 @@ def test_gaze_factor_fixed_per_pair_across_calls(seed):
     compositions = world_to_dict(world)["images"]
     factor = {(i, o): value / interest[o]
               for i in range(world.num_images)
-              for o, value in raw_attention_values(world, 0, [i]).items()}
+              for o, value in _raw_dict(world, 0, [i]).items()}
     assert len(factor) == np.count_nonzero(world.pixels) == len(set(factor.values()))
     assert all(0.8 <= f <= 1.2 for f in factor.values())
     for ids in ([0, 1, 2, 3], [3, 1], [2, 0, 2], [1, 1, 3, 0, 1]):
@@ -592,7 +657,7 @@ def test_gaze_factor_fixed_per_pair_across_calls(seed):
                 mass[o] = mass.get(o, 0.0) + interest[o] * px * factor[i, o]
                 pixels[o] = pixels.get(o, 0) + px
         expected = {o: mass[o] / pixels[o] for o in mass}
-        assert raw_attention_values(world, 0, ids) == pytest.approx(expected, rel=1e-12)
+        assert _raw_dict(world, 0, ids) == pytest.approx(expected, rel=1e-12)
 
 
 def test_world_rejects_bad_seed():
@@ -603,7 +668,7 @@ def test_world_rejects_bad_seed():
     with pytest.raises(ValueError, match="seed"):
         generate_world(SMALL_WORLD, seed=-1)
     # seeds of several entropy words stay valid
-    assert raw_attention_values(dataclasses.replace(base, seed=2**40), 0, [0])[0] != 0.5
+    assert _raw_dict(dataclasses.replace(base, seed=2**40), 0, [0])[0] != 0.5
 
 
 def test_world_rejects_gaze_noise_outside_unit_interval():
@@ -677,7 +742,7 @@ def test_raw_attention_matches_reference_on_small_worlds(data, world):
     images = [{"composition": comp} for comp in _dense_compositions(world.pixels)]
     ids = data.draw(st.lists(st.integers(0, world.num_images - 1), min_size=1, max_size=24))
     user = data.draw(st.integers(0, world.num_users - 1))
-    assert raw_attention_values(world, user, ids) == _reference_raw_attention_values(
+    assert _raw_dict(world, user, ids) == _reference_raw_attention_values(
         images, world, user, ids, _reference_gaze_factors(world, user))
 
 
