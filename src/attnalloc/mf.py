@@ -43,6 +43,10 @@ class FitConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("f", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise FitError(f"{name} must be an integer, got {value!r}")
         _require_finite_fields(self, FitError)
         if self.f < 1:
             raise FitError("latent dimension f must be >= 1")
@@ -54,6 +58,8 @@ class FitConfig:
             raise FitError("epochs must be >= 1")
         if self.init_scale <= 0:
             raise FitError("init_scale must be positive")
+        if self.seed < 0:
+            raise FitError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,32 +106,28 @@ class FactorModel:
         return lambda u, o: predict(self, u, o)
 
 
-def _solve_side(ids, size, others, other_factors, other_bias, target, lam):
-    """One ALS half-sweep: every id's ``[factors, bias]`` from one batched
+def _solve_side(observed, target, other_factors, other_bias, lam):
+    """One ALS half-sweep: every row's ``[factors, bias]`` from one batched
     ``np.linalg.solve`` of (f+1) x (f+1) ridge systems, the other side fixed.
 
-    Row i minimizes ``sum((t - [q, 1] @ x) ** 2) + lam * n_i * |x| ** 2`` over
-    id i's n_i records, with ``t = target - other_bias`` and ``q`` the other
-    side's factors; an id with no records gets zeros (the ridge is
-    ``lam * max(n_i, 1)``), and a system that is singular in floating point
-    (a subnormal ``lam``) gives NaN rows for the caller's finiteness check.
-    Returns ``(factors, bias)``.
+    ``observed`` (rows x the other side's ids) is 1.0 at each record and
+    0.0 elsewhere; ``target`` is the record's level minus ``mu``, else 0.0.
+    Row i minimizes ``sum((t - [q, 1] @ x) ** 2) + lam * n_i * |x| ** 2``
+    over its n_i records, with ``t = target - other_bias`` and ``q`` the
+    other side's factors. All rows' Gram matrices are one product of the
+    mask with each id's flattened ``[q, 1] [q, 1]^T``, and ``n_i`` at
+    ``[f, f]`` is an exact count. A row with no records gets zeros (the
+    ridge is ``lam * max(n_i, 1)``), and a system that is singular in
+    floating point (a subnormal ``lam``) gives NaN rows for the caller's
+    finiteness check. Returns ``(factors, bias)``.
     """
     f = other_factors.shape[1]
     d = f + 1
-    # one row per entry of each record's [q, 1, t], so every product is contiguous
-    z = np.empty((d + 1, len(ids)))
-    z[:f] = other_factors[others].T
-    z[f] = 1.0
-    z[d] = target - other_bias[others]
-    # per id, the sums of z z^T hold the Gram matrix of [q, 1], the right-hand
-    # side in the last column and the record count n at [f, f]
-    sums = np.empty((size, d + 1, d + 1))
-    for j, k in zip(*np.triu_indices(d + 1)):
-        sums[:, j, k] = sums[:, k, j] = np.bincount(ids, weights=z[j] * z[k], minlength=size)
-    gram, rhs = sums[:, :d, :d], sums[:, :d, d]
+    q = np.column_stack((other_factors, np.ones(len(other_factors))))
+    gram = (observed @ (q[:, :, None] * q[:, None, :]).reshape(-1, d * d)).reshape(-1, d, d)
+    rhs = (target - observed * other_bias) @ q
     diagonal = np.arange(d)
-    gram[:, diagonal, diagonal] += lam * np.maximum(sums[:, f, f], 1)[:, None]
+    gram[:, diagonal, diagonal] += lam * np.maximum(gram[:, f, f], 1)[:, None]
     try:
         x = np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -133,13 +135,14 @@ def _solve_side(ids, size, others, other_factors, other_bias, target, lam):
     return x[:, :f], x[:, f]
 
 
-def _objective(users, objects, target, U, bu, V, bo, lam) -> float:
-    """The ALS-WR objective: squared error of ``target`` (levels minus
-    ``mu``) plus ``lam`` times each record's user and object ``|[p, b]|**2``."""
-    err = target - (bu[users] + bo[objects] + np.einsum("ij,ij->i", U[users], V[objects]))
-    ridge = (np.square(U).sum(1) + np.square(bu))[users].sum() \
-        + (np.square(V).sum(1) + np.square(bo))[objects].sum()
-    return float(err @ err + lam * ridge)
+def _objective(observed, target, U, bu, V, bo, lam) -> float:
+    """The ALS-WR objective over ``_solve_side``'s users x objects arrays:
+    squared error of ``target`` (levels minus ``mu``) at the records, plus
+    ``lam`` times each id's ``|[p, b]|**2`` weighted by its record count."""
+    err = observed * (target - bu[:, None] - bo - U @ V.T)
+    ridge = observed.sum(1) @ (np.square(U).sum(1) + np.square(bu)) \
+        + observed.sum(0) @ (np.square(V).sum(1) + np.square(bo))
+    return float(np.square(err).sum() + lam * ridge)
 
 
 def fit_mf(records: SparseAttentionRecords, config: FitConfig,
@@ -147,19 +150,23 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     """Fit the factor model by alternating least squares with λ·n-weighted
     ridge (ALS-WR, Zhou et al. 2008).
 
-    Each of ``config.epochs`` sweeps solves every user's ``[p_u, b_u]``
-    with the objects fixed, then every object's ``[q_o, b_o]``, each side as
-    one batched ``np.linalg.solve``. Each half-sweep exactly minimizes the
-    objective over its block, so the objective never rises. The object
-    factors start from the seeded draw (the user draw is kept so that the
-    seed gives the same object draw, and the first half-sweep replaces it);
-    the model has ``num_users`` x ``num_objects`` rows, and ids with no
-    records end at zero. The result is a pure function of the arguments on
-    one host, but the solves go through LAPACK, so it is not bit-portable
-    across BLAS builds. ``training_curve`` holds the objective per record
-    after each sweep. Raises ``FitError`` on empty records, a record
-    outside the requested dimensions (naming the pair) or a solve that is
-    not finite.
+    The records become two dense ``num_users`` x ``num_objects`` arrays,
+    the observed mask and the centred levels, built once per fit; memory is
+    O(users x objects), the order of the world's interest matrix. Each of
+    ``config.epochs`` sweeps solves every user's ``[p_u, b_u]`` with the
+    objects fixed, then every object's ``[q_o, b_o]``, each side's normal
+    equations as one masked matrix product (``_solve_side``) and one batched
+    ``np.linalg.solve``. Each half-sweep exactly minimizes the objective
+    over its block, so the objective never rises. The object factors start
+    from the seeded draw (the user draw is kept so that the seed gives the
+    same object draw, and the first half-sweep replaces it); the model has
+    ``num_users`` x ``num_objects`` rows, and ids with no records end at
+    zero. The result is a pure function of the arguments on one host, but
+    the products and solves go through BLAS and LAPACK, so it is not
+    bit-portable across BLAS builds. ``training_curve`` holds the objective
+    per record after each sweep. Raises ``FitError`` on empty records, a
+    record outside the requested dimensions (naming the pair) or a solve
+    that is not finite.
     """
     config.validate()
     if len(records) == 0:
@@ -179,19 +186,23 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     V = rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale
     bo = np.zeros(no)
     mu = float(levels.mean())
-    target = levels - mu
+    # the records as dense users x objects arrays; pairs are unique
+    observed = np.zeros((nu, no))
+    observed[users, objects] = 1.0
+    target = np.zeros((nu, no))
+    target[users, objects] = levels - mu
     lam = config.regularization
 
     curve = []
     for sweep in range(1, config.epochs + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
-            U, bu = _solve_side(users, nu, objects, V, bo, target, lam)
-            V, bo = _solve_side(objects, no, users, U, bu, target, lam)
+            U, bu = _solve_side(observed, target, V, bo, lam)
+            V, bo = _solve_side(observed.T, target.T, U, bu, lam)
         if not all(np.isfinite(a).all() for a in (U, bu, V, bo)):
             raise FitError(f"ALS solve is not finite in sweep {sweep} of {config.epochs}: "
                            f"regularization {lam} is too small or init_scale "
                            f"{config.init_scale} too large")
-        curve.append(_objective(users, objects, target, U, bu, V, bo, lam) / len(target))
+        curve.append(_objective(observed, target, U, bu, V, bo, lam) / len(levels))
 
     return FactorModel(
         user_factors=U, object_factors=V, user_bias=bu, object_bias=bo,

@@ -378,8 +378,7 @@ def raw_attention_values(world: World, user: int, image_ids):
     twice counts twice with the same noise.
     """
     _check_user(world, user)
-    ids = np.asarray(image_ids if isinstance(image_ids, np.ndarray) else list(image_ids),
-                     dtype=np.intp)
+    ids = _image_id_array(image_ids)
     if not ids.size:
         return np.empty(0, dtype=np.intp), np.empty(0)
     if ids.min() < 0 or ids.max() >= world.num_images:
@@ -390,6 +389,18 @@ def raw_attention_values(world: World, user: int, image_ids):
     pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
     present = np.flatnonzero(pixel_sum)
     return present, np.minimum(gaze[present] / pixel_sum[present], 1.0)
+
+
+def _image_id_array(image_ids) -> np.ndarray:
+    """Image ids as an ``intp`` array; a float or bool id raises
+    ``ValueError`` by name instead of being cast to an image."""
+    if isinstance(image_ids, np.ndarray) and image_ids.dtype.kind in "iu":
+        return image_ids.astype(np.intp, copy=False)
+    ids = image_ids.tolist() if isinstance(image_ids, np.ndarray) else list(image_ids)
+    bad = [i for i in ids if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+    if bad:
+        raise ValueError(f"image id {bad[0]!r} is not an integer")
+    return np.array(ids, dtype=np.intp)
 
 
 def _attention_matrix(world: World) -> np.ndarray:

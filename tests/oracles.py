@@ -5,7 +5,8 @@ successive sampler, which the vectorized image draw is checked against, the
 frozenset records with their per-row loader, dict-loop baseline and
 set-based holdout that the sorted records table replaced, and the
 list-of-pairs quantizer and dict-path sparsify that the attention arrays
-replaced."""
+replaced, and the per-record ``bincount`` ALS half-sweep that the dense
+masked product replaced."""
 
 import csv
 import io
@@ -255,3 +256,27 @@ def dict_sparsify(world, user: int, seed: int, raw_values) -> SparseAttentionRec
             pairs = quantize_pairs(sorted(raw_values(world, user, retained).items()))
             return SparseAttentionRecords([(user, o, level) for o, level in pairs])
     raise RuntimeError("could not draw a non-empty retained image subset")
+
+
+def bincount_solve_side(ids, size, others, other_factors, other_bias, target, lam):
+    """The ALS half-sweep over the records themselves: record r pairs
+    ``ids[r]`` (0..size-1) with ``others[r]`` and holds ``target[r]``, the
+    level minus ``mu``. Each id's normal equations are the sums of
+    ``z z^T`` over its records, ``z = [q, 1, t]`` with ``t = target -
+    other_bias``, from one in-order ``np.bincount`` per entry, ridged by
+    ``lam * max(n, 1)`` and solved in one batch; returns ``(factors,
+    bias)``. Test oracle only."""
+    f = other_factors.shape[1]
+    d = f + 1
+    z = np.empty((d + 1, len(ids)))
+    z[:f] = other_factors[others].T
+    z[f] = 1.0
+    z[d] = target - other_bias[others]
+    sums = np.empty((size, d + 1, d + 1))
+    for j, k in zip(*np.triu_indices(d + 1)):
+        sums[:, j, k] = sums[:, k, j] = np.bincount(ids, weights=z[j] * z[k], minlength=size)
+    gram, rhs = sums[:, :d, :d], sums[:, :d, d]
+    diagonal = np.arange(d)
+    gram[:, diagonal, diagonal] += lam * np.maximum(sums[:, f, f], 1)[:, None]
+    x = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return x[:, :f], x[:, f]

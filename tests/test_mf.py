@@ -31,7 +31,7 @@ from attnalloc.mf import (
     save_model,
 )
 from attnalloc.world import GroundTruthLevels
-from oracles import FrozensetRecords, dict_fit_baseline, set_holdout_mask
+from oracles import FrozensetRecords, bincount_solve_side, dict_fit_baseline, set_holdout_mask
 
 
 # constant_records' users x objects, the model's dimensions in fits on them
@@ -81,6 +81,8 @@ def test_fit_rejects_empty_and_bad_config():
     for lam in (0.0, -1.0):
         with pytest.raises(FitError, match="regularization must be positive"):
             fit_mf(constant_records(), FitConfig(regularization=lam), **CONSTANT_DIMS)
+    with pytest.raises(FitError, match="seed must be >= 0, got -1"):
+        fit_mf(constant_records(), FitConfig(seed=-1), **CONSTANT_DIMS)
     with pytest.raises(FitError, match=r"record pair \(0, 2\) lies outside the model's "
                                        r"2 users x 2 objects"):
         fit_mf(constant_records(), FitConfig(), num_users=2, num_objects=2)
@@ -357,23 +359,76 @@ def test_fit_matches_reference_on_sparse_records(levels, f, lam, seed):
                        num_users=6, num_objects=8)
 
 
+def _dense(triples, num_users, num_objects):
+    """fit_mf's observed mask and centred-level target for sorted triples."""
+    users, objects, levels = triples.T
+    observed = np.zeros((num_users, num_objects))
+    observed[users, objects] = 1.0
+    target = np.zeros((num_users, num_objects))
+    target[users, objects] = levels - levels.mean()
+    return observed, target
+
+
+def _random_sides(seed, f, init_scale, num_users, num_objects):
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-0.05, 0.05, size=(num_users, f)) * init_scale
+    V = rng.uniform(-0.05, 0.05, size=(num_objects, f)) * init_scale
+    return U, rng.normal(size=num_users), V, rng.normal(size=num_objects)
+
+
+@given(levels=_record_maps, f=st.integers(1, 4),
+       lam=st.floats(1e-3, 10.0), init_scale=st.floats(0.1, 10.0),
+       pad_users=st.integers(0, 3), pad_objects=st.integers(0, 3), seed=st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_dense_half_sweep_matches_bincount_oracle(levels, f, lam, init_scale,
+                                                  pad_users, pad_objects, seed):
+    # up to 20 records over 6 x 8 ids, padded with ids that have no records.
+    # The two sums round differently, and a solve scales that by its
+    # condition number (about 1e5 at init_scale 100 and lam 1e-3, so 1e-11
+    # apart there), so init_scale stops at 10 and each id's [factors, bias]
+    # is compared with its largest entry; an id without records is exactly 0
+    nu, no = 6 + pad_users, 8 + pad_objects
+    triples = np.array(sorted((u, o, l) for (u, o), l in levels.items()))
+    users, objects = triples[:, 0], triples[:, 1]
+    observed, target = _dense(triples, nu, no)
+    U, bu, V, bo = _random_sides(seed, f, init_scale, nu, no)
+    sides = [
+        (_solve_side(observed, target, V, bo, lam),
+         bincount_solve_side(users, nu, objects, V, bo, target[users, objects], lam)),
+        (_solve_side(observed.T, target.T, U, bu, lam),
+         bincount_solve_side(objects, no, users, U, bu, target[users, objects], lam)),
+    ]
+    for got, want in sides:
+        got, want = np.column_stack(got), np.column_stack(want)
+        scale = np.abs(want).max(1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-12 * scale).all(), (got, want)
+
+
+@given(levels=_record_maps, f=st.integers(1, 4), lam=st.floats(1e-3, 10.0),
+       init_scale=st.floats(0.1, 100.0), seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_dense_objective_matches_reference(levels, f, lam, init_scale, seed):
+    triples = np.array(sorted((u, o, l) for (u, o), l in levels.items()))
+    observed, target = _dense(triples, 7, 9)
+    U, bu, V, bo = _random_sides(seed, f, init_scale, 7, 9)
+    want = _reference_objective(triples, triples[:, 2].mean(), U, bu, V, bo, lam)
+    assert _objective(observed, target, U, bu, V, bo, lam) == pytest.approx(want, rel=1e-12)
+
+
 @given(levels=_record_maps, f=st.integers(1, 4),
        lam=st.floats(1e-3, 10.0), init_scale=st.floats(0.1, 100.0),
        seed=st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_objective_never_rises_between_half_sweeps(levels, f, lam, init_scale, seed):
     triples = np.array(sorted((u, o, l) for (u, o), l in levels.items()))
-    users, objects, target = triples[:, 0], triples[:, 1], triples[:, 2] - triples[:, 2].mean()
-    rng = np.random.default_rng(seed)
-    U = rng.uniform(-0.05, 0.05, size=(6, f)) * init_scale
-    V = rng.uniform(-0.05, 0.05, size=(8, f)) * init_scale
-    bu, bo = rng.normal(size=6), rng.normal(size=8)
-    values = [_objective(users, objects, target, U, bu, V, bo, lam)]
+    observed, target = _dense(triples, 6, 8)
+    U, bu, V, bo = _random_sides(seed, f, init_scale, 6, 8)
+    values = [_objective(observed, target, U, bu, V, bo, lam)]
     for _ in range(4):
-        U, bu = _solve_side(users, 6, objects, V, bo, target, lam)
-        values.append(_objective(users, objects, target, U, bu, V, bo, lam))
-        V, bo = _solve_side(objects, 8, users, U, bu, target, lam)
-        values.append(_objective(users, objects, target, U, bu, V, bo, lam))
+        U, bu = _solve_side(observed, target, V, bo, lam)
+        values.append(_objective(observed, target, U, bu, V, bo, lam))
+        V, bo = _solve_side(observed.T, target.T, U, bu, lam)
+        values.append(_objective(observed, target, U, bu, V, bo, lam))
     assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(values, values[1:])), values
 
 
@@ -385,6 +440,15 @@ def test_fit_config_rejects_non_finite(name, value):
         config.validate()
     with pytest.raises(FitError, match=name):
         fit_mf(constant_records(), config, **CONSTANT_DIMS)
+
+
+@pytest.mark.parametrize("name", ["f", "epochs", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_fit_config_rejects_non_integer_counts(name, value):
+    config = dataclasses.replace(FitConfig(), **{name: value})
+    with pytest.raises(FitError, match=f"{name} must be an integer, got {value!r}"):
+        fit_mf(constant_records(), config, **CONSTANT_DIMS)
+    dataclasses.replace(FitConfig(), **{name: np.int64(2)}).validate()
 
 
 def _assert_fit_fails_in_first_sweep(config, message):

@@ -697,6 +697,23 @@ def test_raw_attention_rejects_user_outside_world(gaze_noise):
             sparsify(world, user, 0)
 
 
+def test_raw_attention_rejects_non_integer_image_ids():
+    world = make_manual_world([[0.5, 0.4]], [((0, 10),), ((1, 20),), ((0, 5),)])
+    cases = [([1.7], "1.7"), ([True], "True"), ([0, 2, False], "False"),
+             (np.array([1.0, 2.0]), "1.0"), (np.array([True]), "True"),
+             (np.array([0, 2.5], dtype=object), "2.5"), ([None], "None")]
+    for ids, bad in cases:
+        with pytest.raises(ValueError, match=rf"image id {re.escape(bad)} is not an integer"):
+            raw_attention_values(world, 0, ids)
+    want = raw_attention_values(world, 0, [0, 1])
+    for ids in ([0, 1], range(2), np.array([0, 1], dtype=np.uint8), [np.int64(0), 1]):
+        got = raw_attention_values(world, 0, ids)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for ids in ([], np.array([])):
+        objects, values = raw_attention_values(world, 0, ids)
+        assert objects.size == values.size == 0
+
+
 def test_sparsify_users_merges_per_user_draws(small_world):
     merged = sparsify_users(small_world, range(small_world.num_users), 5)
     expected = frozenset().union(
