@@ -145,9 +145,12 @@ def _cmd_eval(args):
             f"{model.num_users} users x {model.num_objects} objects"
         )
     truth = world_mod.ground_truth_levels(world)
-    mask = set(np.ndindex(shape))
+    observed = np.zeros(shape, dtype=bool)
     if args.records:
-        mask -= rec_mod.load_records(args.records).pairs()
+        records = rec_mod.load_records(args.records)
+        mf_mod.check_record_ids(records, *shape)
+        observed[records.users, records.objects] = True
+    mask = zip(*(ids.tolist() for ids in np.nonzero(~observed)))
     metrics = mf_mod.evaluate(model.predictor(), truth, mask)
     doc = {"rmse": metrics.rmse, "mae": metrics.mae, "count": metrics.count}
     if args.out:
@@ -252,9 +255,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, alloc_mod.InfeasibleError, rec_mod.RecordsParseError,
-            config_mod.ConfigFileError, world_mod.ConfigurationError,
-            mf_mod.FitError, mf_mod.EvaluationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,68 +1,69 @@
 """Flat sectioned key-value configuration files for the experiment harness.
 
-Sections [experiment], [world], [fit], [channel] mirror the corresponding
-dataclasses field-for-field; an optional [link] section, which must set every
-``LinkParams`` field, overrides the channel model. Unknown sections or keys
-are errors.
+[experiment] holds ``ExperimentConfig``'s own fields; each of its fields
+that holds a config dataclass is a section of the same name, [world], [fit],
+[channel] and [link], field-for-field. [link] overrides the channel model;
+it has no defaults, so it must set every field. Values are cast by the
+fields' annotated types. Unknown sections or keys are errors, and a value
+that a section's config rejects names the section.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import io
+import typing
 
 from .experiment import ExperimentConfig
-from .qoe import LinkParams
+from .world import _field_types
 
 
 class ConfigFileError(ValueError):
     pass
 
 
-# ExperimentConfig fields that are whole sections; [link] overrides the channel
-_SECTIONS = ("world", "fit", "channel")
+_TYPES = _field_types(ExperimentConfig)
+# the fields that hold a config dataclass (``X`` or ``X | None``) are sections
+_SECTIONS = {name: cls for name, kind in _TYPES.items()
+             for cls in (kind, *typing.get_args(kind)) if dataclasses.is_dataclass(cls)}
+_EXPERIMENT_TYPES = {name: kind for name, kind in _TYPES.items() if name not in _SECTIONS}
 
-_EXPERIMENT_KEYS = tuple(
-    f.name for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in _SECTIONS and f.name != "link"
-)
+# "none" or an empty value leaves an optional float (e.g. uplink_sinr) unset
+_PARSERS = {
+    int: int,
+    float: float,
+    float | None: lambda text: None if text.lower() in ("", "none") else float(text),
+    tuple[float, ...]: lambda text: tuple(map(float, text.replace(",", " ").split())),
+}
 
 
-def _cast_like(template, name, text):
-    current = getattr(template, name)
+def _cast(kind, name, text):
     text = text.strip()
     try:
-        if isinstance(current, int):
-            return int(text)
-        if isinstance(current, float):
-            return float(text)
-        if current is None:  # optional floats (e.g. uplink_sinr)
-            return None if text.lower() in ("", "none") else float(text)
+        return _PARSERS[kind](text)
     except ValueError:
         raise ConfigFileError(f"cannot parse {name} = {text!r}") from None
-    raise ConfigFileError(f"unsupported config field {name}")
 
 
-def _section_values(parser, section, template) -> dict:
-    """The section's keys, each cast like the same field of ``template``."""
-    known = {f.name for f in dataclasses.fields(template)}
+def _section_values(parser, section, types) -> dict:
+    """The section's keys, each cast by its type in ``types``."""
     values = {}
-    for key, value in parser.items(section):
-        if key not in known:
+    for key, text in parser.items(section):
+        if key not in types:
             raise ConfigFileError(f"unknown key {key!r} in [{section}]")
-        values[key] = _cast_like(template, key, value)
+        values[key] = _cast(types[key], key, text)
     return values
 
 
-def _parse_sweep_factors(text):
+@contextlib.contextmanager
+def _naming(section):
+    """Raise a config's ValueError as a ConfigFileError naming ``section``."""
     try:
-        factors = tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigFileError(f"cannot parse sweep_factors = {text!r}") from None
-    if not factors:
-        raise ConfigFileError("sweep_factors must list at least one budget factor")
-    return factors
+        yield
+    except ValueError as exc:
+        raise ConfigFileError(f"invalid [{section}] section: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -72,43 +73,28 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigFileError(f"malformed config file: {exc}") from None
 
-    allowed = {"experiment", *_SECTIONS, "link"}
     for section in parser.sections():
-        if section not in allowed:
+        if section != "experiment" and section not in _SECTIONS:
             raise ConfigFileError(f"unknown section [{section}]")
 
     defaults = ExperimentConfig()
-    sections = {}
-    for name in _SECTIONS:
-        template = getattr(defaults, name)
-        values = _section_values(parser, name, template) if parser.has_section(name) else {}
-        sections[name] = dataclasses.replace(template, **values)
-
-    link = None
-    if parser.has_section("link"):
-        # LinkParams has no defaults; the default channel's link types the keys
-        values = _section_values(parser, "link", defaults.link_params())
-        missing = [f.name for f in dataclasses.fields(LinkParams) if f.name not in values]
-        if missing:
-            raise ConfigFileError(f"[link] must set {' and '.join(missing)}")
-        try:
-            link = LinkParams(**values)
-        except ValueError as exc:
-            raise ConfigFileError(f"invalid [link] section: {exc}") from None
-
     updates = {}
+    for name, cls in _SECTIONS.items():
+        if not parser.has_section(name):
+            continue
+        types = _field_types(cls)
+        values = _section_values(parser, name, types)
+        current = getattr(defaults, name)
+        missing = [key for key in types if key not in values]
+        if current is None and missing:
+            raise ConfigFileError(f"[{name}] must set {' and '.join(missing)}")
+        with _naming(name):
+            updates[name] = (cls(**values) if current is None
+                             else dataclasses.replace(current, **values))
     if parser.has_section("experiment"):
-        for key, value in parser.items("experiment"):
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigFileError(f"unknown key {key!r} in [experiment]")
-            if key == "sweep_factors":
-                updates[key] = _parse_sweep_factors(value)
-            else:
-                updates[key] = _cast_like(defaults, key, value)
-
-    config = dataclasses.replace(defaults, link=link, **sections, **updates)
-    config.validate()
-    return config
+        updates.update(_section_values(parser, "experiment", _EXPERIMENT_TYPES))
+    with _naming("experiment"):
+        return dataclasses.replace(defaults, **updates)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -116,20 +102,19 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(float(f)) for f in value)
+    return "" if value is None else repr(value)
+
+
 def dump_config(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        key: ", ".join(repr(float(f)) for f in config.sweep_factors)
-        if key == "sweep_factors" else repr(getattr(config, key))
-        for key in _EXPERIMENT_KEYS
-    }
-    for section in (*_SECTIONS, "link"):
-        obj = getattr(config, section)
-        if obj is not None:
-            parser[section] = {
-                f.name: "" if getattr(obj, f.name) is None else repr(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
-            }
+    parser["experiment"] = {key: _format(getattr(config, key)) for key in _EXPERIMENT_TYPES}
+    for name in _SECTIONS:
+        section = getattr(config, name)
+        if section is not None:
+            parser[name] = {key: _format(getattr(section, key)) for key in _field_types(type(section))}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

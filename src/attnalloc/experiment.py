@@ -11,7 +11,6 @@ truth rather than the model's own beliefs. Everything is a pure function of
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .world import (WorldConfig, _attention_matrix, _check_user, _require_finite_fields,
+from .world import (WorldConfig, _attention_matrix, _check_fields, _check_user,
                     generate_world, sparsify_users, write_json)
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
@@ -38,15 +37,13 @@ class ExperimentConfig:
     # binds would leave little capacity to move when the budget is scarce
     floor_k: float = 2.0
     budget_per_object_k: float = 20.0
-    sweep_factors: tuple = tuple(range(16, 41, 2))
+    sweep_factors: tuple[float, ...] = tuple(range(16, 41, 2))
     sweep_user: int = 2
     scene_retain_lo: int = 30
     scene_retain_hi: int = 70
 
-    def validate(self):
-        _require_finite_fields(self)
-        if not all(map(math.isfinite, self.sweep_factors)):
-            raise ValueError(f"sweep_factors must be finite, got {self.sweep_factors!r}")
+    def __post_init__(self):
+        _check_fields(self)
         if self.budget_per_object_k <= self.floor_k:
             raise ValueError("budget_per_object_k must exceed floor_k")
         if not self.sweep_factors:
@@ -99,7 +96,6 @@ class ExperimentRunner:
     per-user reports and sweeps reuse them."""
 
     def __init__(self, config: ExperimentConfig):
-        config.validate()
         self.config = config
         self._world = None
         self._records = None

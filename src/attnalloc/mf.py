@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import SparseAttentionRecords
-from .world import _is_number, _require, _require_finite_fields, write_json
+from .world import _check_fields, _is_number, _require, write_json
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 
@@ -42,12 +42,8 @@ class FitConfig:
     init_scale: float = 1.0
     seed: int = 0
 
-    def validate(self):
-        for name in ("f", "epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise FitError(f"{name} must be an integer, got {value!r}")
-        _require_finite_fields(self, FitError)
+    def __post_init__(self):
+        _check_fields(self, FitError)
         if self.f < 1:
             raise FitError("latent dimension f must be >= 1")
         if self.regularization <= 0:
@@ -145,6 +141,16 @@ def _objective(observed, target, U, bu, V, bo, lam) -> float:
     return float(np.square(err).sum() + lam * ridge)
 
 
+def check_record_ids(records: SparseAttentionRecords, num_users: int, num_objects: int) -> None:
+    """Raise FitError naming the first record whose pair lies outside
+    ``num_users`` x ``num_objects``."""
+    outside = (records.users >= num_users) | (records.objects >= num_objects)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise FitError(f"record pair ({records.users[i]}, {records.objects[i]}) lies outside "
+                       f"the model's {num_users} users x {num_objects} objects")
+
+
 def fit_mf(records: SparseAttentionRecords, config: FitConfig,
            num_users: int, num_objects: int) -> FactorModel:
     """Fit the factor model by alternating least squares with λ·n-weighted
@@ -168,17 +174,12 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     record outside the requested dimensions (naming the pair) or a solve
     that is not finite.
     """
-    config.validate()
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
+    check_record_ids(records, num_users, num_objects)
 
     users, objects, levels = records.users, records.objects, records.levels
     nu, no = num_users, num_objects
-    outside = (users >= nu) | (objects >= no)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise FitError(f"record pair ({users[i]}, {objects[i]}) lies outside the "
-                       f"model's {nu} users x {no} objects")
 
     rng = np.random.default_rng(config.seed)
     f = config.f

@@ -81,9 +81,6 @@ class SparseAttentionRecords:
     def records(self) -> frozenset:
         return frozenset(self)
 
-    def pairs(self) -> set:
-        return set(zip(self.users.tolist(), self.objects.tolist()))
-
 
 def save_records(records: SparseAttentionRecords, path) -> None:
     """Write records as CSV (header ``user_id,object_id,level``, LF endings),

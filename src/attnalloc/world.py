@@ -8,9 +8,11 @@ observation records by sampling service groups and image subsets.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,18 +63,11 @@ class WorldConfig:
     max_pixels_per_object: int = 5000
     max_image_pixels: int = 360 * 640
 
-    def validate(self) -> None:
-        _require_finite_fields(self, ConfigurationError)
-        counts = {
-            "num_users": self.num_users,
-            "num_objects": self.num_objects,
-            "num_images": self.num_images,
-            "num_groups": self.num_groups,
-            "latent_rank": self.latent_rank,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    def __post_init__(self):
+        _check_fields(self, ConfigurationError)
+        for name, kind in _field_types(WorldConfig).items():
+            if kind is int and getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_groups > self.num_images:
             raise ConfigurationError("num_groups cannot exceed num_images")
         if not (0.0 <= self.interest_noise < 1.0):
@@ -233,7 +228,6 @@ def _reject_images(mask, problem: str) -> None:
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Build a deterministic synthetic world from a seed."""
-    config.validate()
     _check_seed(seed)
     rng = np.random.default_rng(seed)
 
@@ -588,13 +582,43 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
 
 
-def _require_finite_fields(config, error=ValueError) -> None:
-    """Raise ``error`` naming the first ``float`` field of the dataclass
-    ``config`` that is NaN or infinite, before a derived quantity fails."""
-    for name in (f.name for f in fields(config)):
+@functools.cache
+def _field_rule(kind):
+    """``(accepts, what)`` for values of the resolved annotation ``kind``:
+    an ``int`` takes an integer (numpy's too) and a ``float`` a finite real
+    (an integer too), neither a bool; ``tuple[float, ...]`` takes a tuple of
+    such reals, ``X | None`` None too and a class its instances."""
+    if kind is int:
+        return (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)), "an integer"
+    if kind is float:  # the bounds exclude NaN and infinities
+        return (lambda v: isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and -_MAX_FLOAT <= v <= _MAX_FLOAT), "finite"
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        item, what = _field_rule(args[0])
+        return (lambda v: isinstance(v, tuple) and all(map(item, v))), f"{what} numbers in a tuple"
+    if type(None) in args:
+        inner, what = _field_rule(next(a for a in args if a is not type(None)))
+        return (lambda v: v is None or inner(v)), f"{what} or None"
+    return (lambda v: isinstance(v, kind)), f"a {kind.__name__}"
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field of the dataclass ``cls`` by name, to its resolved annotation."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _check_fields(config, error=ValueError) -> None:
+    """Raise ``error`` naming the first field of the dataclass ``config``
+    that its annotated type does not take (see ``_field_rule``), before a
+    range rule or a derived quantity fails on it."""
+    for name, kind in _field_types(type(config)).items():
+        accepts, what = _field_rule(kind)
         value = getattr(config, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value!r}")
+        if not accepts(value):
+            raise error(f"{name} must be {what}, got {value!r}")
 
 
 def write_json(doc, path) -> None:

@@ -2,8 +2,8 @@
 budget simplex, which the exact allocator is checked against, the per-image
 successive sampler, which the vectorized image draw is checked against, the
 ``csv.writer`` loop that ``save_records`` is checked against, the
-frozenset records with their per-row loader, dict-loop baseline and
-set-based holdout that the sorted records table replaced, and the
+frozenset records with their per-row loader, dict-loop baseline,
+set-based holdout and pair set that the sorted records table replaced, and the
 list-of-pairs quantizer and dict-path sparsify that the attention arrays
 replaced, and the per-record ``bincount`` ALS half-sweep that the dense
 masked product replaced."""
@@ -144,6 +144,12 @@ class FrozensetRecords:
 
     def pairs(self) -> set:
         return {(u, o) for u, o, _ in self.records}
+
+
+def record_pairs(records) -> set:
+    """The (user, object) pairs of ``records`` as a set, which ``eval`` once
+    took from the set of every pair in the world; test oracle only."""
+    return set(zip(records.users.tolist(), records.objects.tolist()))
 
 
 def frozenset_load_records(path) -> FrozensetRecords:

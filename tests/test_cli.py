@@ -13,6 +13,7 @@ import pytest
 
 import attnalloc
 from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
+from oracles import record_pairs
 
 SMALL_CONFIG = """\
 [experiment]
@@ -168,8 +169,20 @@ def test_sparsify_and_fit_and_eval(tmp_path, capsys, config_file):
         dense[user, obj] = level
         seen.add((user, obj))
     expected = evaluate(load_model(model).predictor(), GroundTruthLevels(dense),
-                        seen - load_records(records).pairs())
+                        seen - record_pairs(load_records(records)))
     assert doc == {"rmse": expected.rmse, "mae": expected.mae, "count": expected.count}
+
+    # a record outside the world fails by name instead of being ignored
+    shape = levels.shape
+    rejected = tmp_path / "rejected.json"
+    for user, obj in ((shape[0], 0), (0, shape[1])):
+        with records.open("a") as fh:
+            fh.write(f"{user},{obj},3\n")
+        code, _, err = run(capsys, "eval", "--model", str(model), "--world", str(world),
+                           "--records", str(records), "--out", str(rejected))
+        assert code == EXIT_DATA
+        assert f"record pair ({user}, {obj}) lies outside the model's {shape[0]} users" in err
+        assert not rejected.exists()
 
 
 def test_sparsify_single_user(tmp_path, capsys, config_file):

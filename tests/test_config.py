@@ -1,10 +1,50 @@
-"""Sectioned key-value config files: parsing, validation, and dump round-trip."""
+"""Config dataclasses' field checks, and sectioned key-value config files:
+parsing, validation, and dump round-trip."""
 
+import dataclasses
+import typing
+
+import numpy as np
 import pytest
 
 from attnalloc.config import ConfigFileError, dump_config, load_config, parse_config
 from attnalloc.experiment import ExperimentConfig
-from attnalloc.qoe import LinkParams
+from attnalloc.mf import FitConfig, FitError
+from attnalloc.qoe import ChannelConfig, LinkParams
+from attnalloc.world import ConfigurationError, WorldConfig
+
+# a valid instance of each config, with every optional field set
+BASES = (WorldConfig(), FitConfig(), ChannelConfig(uplink_sinr=2.0), LinkParams(8.0, 0.0),
+         ExperimentConfig())
+ERRORS = {WorldConfig: ConfigurationError, FitConfig: FitError}
+NAN, INF = float("nan"), float("inf")
+# values that a field of each annotated type rejects; any other type is a
+# config class, which rejects a string
+REJECTED = {
+    int: (2.5, 2.0, True, "2", None),
+    float: (NAN, INF, True, "x"),
+    float | None: (NAN, INF, True, "x"),
+    tuple[float, ...]: ("abc", (16.0, NAN), (True,), [16.0]),
+}
+
+
+@pytest.mark.parametrize("base, name", [
+    pytest.param(base, field.name, id=f"{type(base).__name__}.{field.name}")
+    for base in BASES for field in dataclasses.fields(base)])
+def test_config_field_checks_its_type(base, name):
+    kind, valid = typing.get_type_hints(type(base))[name], getattr(base, name)
+    for value in REJECTED.get(kind, ("x",)):
+        with pytest.raises(ERRORS.get(type(base), ValueError), match=f"^{name} must be"):
+            dataclasses.replace(base, **{name: value})
+    # numpy scalars pass, and so does an int in a float field
+    if kind is int:
+        accepted = [np.int64(valid)]
+    elif kind in (float, float | None):
+        accepted = [np.float64(valid)] + ([int(valid)] if float(valid).is_integer() else [])
+    else:
+        accepted = []
+    for value in accepted:
+        assert dataclasses.replace(base, **{name: value}) == base
 
 
 def test_empty_config_is_defaults():
@@ -67,8 +107,16 @@ def test_bad_values_rejected():
         parse_config("[world]\nnum_users = many\n")
     with pytest.raises(ConfigFileError):
         parse_config("not an ini file")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigFileError, match=r"invalid \[experiment\] section: budget_per"):
         parse_config("[experiment]\nfloor_k = 15\nbudget_per_object_k = 5\n")
+    # each used to parse, failing only when a command generated the world or
+    # fitted the model, or to fail naming no section
+    with pytest.raises(ConfigFileError, match=r"invalid \[world\] section: num_users must be >= 1"):
+        parse_config("[world]\nnum_users = 0\n")
+    with pytest.raises(ConfigFileError, match=r"invalid \[fit\] section: epochs must be >= 1"):
+        parse_config("[fit]\nepochs = 0\n")
+    with pytest.raises(ConfigFileError, match=r"invalid \[channel\] section: antenna counts"):
+        parse_config("[channel]\ntx_antennas = 0\n")
 
 
 def test_optional_uplink_sinr():

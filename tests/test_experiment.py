@@ -26,14 +26,14 @@ from attnalloc.world import raw_attention_values
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(floor_k=15.0, budget_per_object_k=10.0).validate()
+        ExperimentConfig(floor_k=15.0, budget_per_object_k=10.0)
     with pytest.raises(ValueError):
-        ExperimentConfig(sweep_factors=()).validate()
+        ExperimentConfig(sweep_factors=())
     with pytest.raises(ValueError):
-        ExperimentConfig(floor_k=15.0, sweep_factors=(14.0,)).validate()
+        ExperimentConfig(floor_k=15.0, sweep_factors=(14.0,))
     with pytest.raises(ValueError):
-        ExperimentConfig(scene_retain_lo=0).validate()
-    ExperimentConfig().validate()
+        ExperimentConfig(scene_retain_lo=0)
+    ExperimentConfig()
 
 
 def test_link_override():

@@ -112,13 +112,13 @@ def test_minimal_world():
 
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
-        generate_world(WorldConfig(num_users=0), seed=0)
+        WorldConfig(num_users=0)
     with pytest.raises(ConfigurationError):
-        generate_world(WorldConfig(interest_noise=1.5), seed=0)
+        WorldConfig(interest_noise=1.5)
     with pytest.raises(ConfigurationError):
-        generate_world(WorldConfig(hot_fraction=0.0), seed=0)
+        WorldConfig(hot_fraction=0.0)
     with pytest.raises(ConfigurationError):
-        WorldConfig(num_groups=7, num_images=3).validate()
+        WorldConfig(num_groups=7, num_images=3)
 
 
 # 1,000 images per group: every (group, object) inclusion count expects >= 5
@@ -203,7 +203,7 @@ def test_generated_world_properties(config, seed):
     assert world_to_dict(again) == world_to_dict(world)
 
 
-# passes validate(), yet the fourth object fits in no image of 3 x 5000 pixels
+# WorldConfig accepts it, yet the fourth object fits in no image of 3 x 5000 pixels
 NO_ROOM = WorldConfig(num_users=1, num_objects=4, num_images=1, num_groups=1,
                       min_objects_per_image=3, max_objects_per_image=3,
                       min_pixels_per_object=5000, max_pixels_per_object=5000,
@@ -221,13 +221,12 @@ def test_missing_object_without_room_raises():
 def test_too_few_positive_weights_rejected():
     # (1 + i) ** -400 underflows to 0 for all but 6 objects; the draw would
     # otherwise have to pick 0-weight objects
-    config = WorldConfig(object_popularity_exponent=400.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError,
                            match="object_popularity_exponent 400.0 leaves 6 objects with "
                                  "positive weight, fewer than max_objects_per_image 12"):
-            generate_world(config, 0)
+            WorldConfig(object_popularity_exponent=400.0)
 
 
 def test_zero_weight_objects_never_drawn():
