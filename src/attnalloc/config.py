@@ -111,10 +111,10 @@ def _format(value) -> str:
 def dump_config(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
     parser["experiment"] = {key: _format(getattr(config, key)) for key in _EXPERIMENT_TYPES}
-    for name in _SECTIONS:
+    for name, cls in _SECTIONS.items():
         section = getattr(config, name)
         if section is not None:
-            parser[name] = {key: _format(getattr(section, key)) for key in _field_types(type(section))}
+            parser[name] = {key: _format(getattr(section, key)) for key in _field_types(cls)}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -142,8 +142,7 @@ def _objective(observed, target, U, bu, V, bo, lam) -> float:
 
 
 def check_record_ids(records: SparseAttentionRecords, num_users: int, num_objects: int) -> None:
-    """Raise FitError naming the first record whose pair lies outside
-    ``num_users`` x ``num_objects``."""
+    """Raise FitError naming the first record outside ``num_users`` x ``num_objects``."""
     outside = (records.users >= num_users) | (records.objects >= num_objects)
     if outside.any():
         i = int(np.argmax(outside))

@@ -589,7 +589,8 @@ def _field_rule(kind):
     (an integer too), neither a bool; ``tuple[float, ...]`` takes a tuple of
     such reals, ``X | None`` None too and a class its instances."""
     if kind is int:
-        return (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)), "an integer"
+        return (lambda v: isinstance(v, (int, np.integer))
+                and not isinstance(v, bool)), "an integer"
     if kind is float:  # the bounds exclude NaN and infinities
         return (lambda v: isinstance(v, (int, float, np.integer, np.floating))
                 and not isinstance(v, bool) and -_MAX_FLOAT <= v <= _MAX_FLOAT), "finite"
