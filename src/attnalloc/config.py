@@ -16,6 +16,8 @@ import dataclasses
 import io
 import typing
 
+import numpy as np
+
 from .experiment import ExperimentConfig
 from .world import _field_types
 
@@ -103,8 +105,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _format(value) -> str:
+    """A field's value as ``parse_config`` reads it back; a numpy scalar is
+    written as the Python number it holds."""
     if isinstance(value, tuple):
         return ", ".join(repr(float(f)) for f in value)
+    if isinstance(value, np.generic):
+        value = value.item()
     return "" if value is None else repr(value)
 
 

@@ -12,13 +12,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .records import SparseAttentionRecords
-from .world import _check_fields, _is_number, _require, write_json
+from .world import (_all_numbers, _check_fields, _first_non_number_row, _is_number,
+                    _json_layout, _require, _write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
+# the model file's arrays, in file order
+_MODEL_ARRAYS = ("user_bias", "object_bias", "user_factors", "object_factors")
 
 LEVEL_CLAMP = (1.0, 5.0)
 
@@ -309,33 +313,33 @@ def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: i
 
 
 def model_to_dict(model: FactorModel) -> dict:
+    return {**_model_header(model),
+            **{name: getattr(model, name).tolist() for name in _MODEL_ARRAYS}}
+
+
+def _model_header(model: FactorModel) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
         "num_users": model.num_users,
         "num_objects": model.num_objects,
         "f": model.f,
         "mu": model.mu,
-        "user_bias": list(model.user_bias),
-        "object_bias": list(model.object_bias),
-        "user_factors": [list(row) for row in model.user_factors],
-        "object_factors": [list(row) for row in model.object_factors],
     }
 
 
 def model_from_dict(doc: dict) -> FactorModel:
     """Build the model from an ``attn-mf/1`` document, naming a missing key.
-    ``mu`` must be a JSON number, checked by exact type (a bool or a string is
-    not one); ``FactorModel`` checks the shapes and that ``mu`` is finite.
-    ``num_users``, ``num_objects`` and ``f`` must be ``int``s that equal the
-    factor shapes."""
+    ``mu`` and the entries of the four arrays must be JSON numbers, checked
+    by exact type (a bool or a string is not one); an array is a list of
+    numbers or a list of rows that are lists of numbers, and a faulty one is
+    named with its first faulty row. ``FactorModel`` checks the shapes and
+    finiteness. ``num_users``, ``num_objects`` and ``f`` must be ``int``s that
+    equal the factor shapes."""
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, not a {type(doc).__name__}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    arrays = {
-        name: np.array(_require(doc, name, "model file"), dtype=np.float64)
-        for name in ("user_factors", "object_factors", "user_bias", "object_bias")
-    }
+    arrays = {name: _number_array(doc, name) for name in _MODEL_ARRAYS}
     mu = _require(doc, "mu", "model file")
     if not _is_number(mu):
         raise ValueError(f"model file: 'mu' must be a number, got {mu!r}")
@@ -348,8 +352,31 @@ def model_from_dict(doc: dict) -> FactorModel:
     return model
 
 
+def _number_array(doc: dict, name: str) -> np.ndarray:
+    """The model file's array ``name``, a list of numbers or of lists of
+    numbers, as float64."""
+    value = _require(doc, name, "model file", list)
+    if value and type(value[0]) is list:
+        row = _first_non_number_row(value)
+        if row is not None:
+            raise ValueError(f"model file: {name!r} row {row} is not a list of numbers")
+    elif not _all_numbers(value):
+        row = next(i for i, entry in enumerate(value) if not _is_number(entry))
+        raise ValueError(f"model file: {name!r} row {row} is {value[row]!r}, not a number")
+    return np.array(value, dtype=np.float64)
+
+
 def save_model(model: FactorModel, path) -> None:
-    write_json(model_to_dict(model), path)
+    """Write ``write_json(model_to_dict(model), path)``'s bytes from the
+    arrays with one ``%``-template, as ``world.save_world`` does; the header
+    goes through ``json.dumps``."""
+    head = json.dumps(_model_header(model), indent=1)
+    arrays = [getattr(model, name) for name in _MODEL_ARRAYS]
+    layout = "".join(f',\n "{name}": ' + _json_layout(array.shape, 1)
+                     for name, array in zip(_MODEL_ARRAYS, arrays))
+    values = tuple(chain.from_iterable(array.ravel().tolist() for array in arrays))
+    # head ends with the closing "\n}" of its object
+    _write_text(head[:-2] + layout % values + "\n}\n", path)
 
 
 def load_model(path) -> FactorModel:

@@ -9,6 +9,8 @@ accepts either.
 from __future__ import annotations
 
 import csv
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -84,38 +86,64 @@ class SparseAttentionRecords:
 
 def save_records(records: SparseAttentionRecords, path) -> None:
     """Write records as CSV (header ``user_id,object_id,level``, LF endings),
-    the bytes ``csv.writer`` writes for these integer rows."""
-    rows = ["%d,%d,%d\n" % record for record in records]
+    the bytes ``csv.writer`` writes for these integer rows, from one
+    ``%``-template over the whole table."""
+    text = ("%d,%d,%d\n" * len(records)) % tuple(records.table.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n" + "".join(rows))
+        fh.write(",".join(CSV_HEADER) + "\n" + text)
 
 
 def load_records(path) -> SparseAttentionRecords:
     """Load a records CSV, or a dense ground-truth dump (same schema); a
-    faulty row raises RecordsParseError naming its line."""
-    rows, lines = [], []
+    faulty row raises RecordsParseError naming its line. Line ``n`` is the
+    ``n``-th row ``csv.reader`` returns, and blank rows are skipped. The rows
+    are checked in bulk; only when a check fails is the first faulty row
+    looked up."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise RecordsParseError(
-                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                rows.append(list(map(int, row)))
-            except ValueError:
-                raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
-            lines.append(lineno)
+        header, rows = None, []
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise RecordsParseError(
+                    f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+                )
+            rows.extend(reader)  # keeps the rows read before a csv.Error
+        except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
+            line = 1 if header is None else len(rows) + 2
+            raise RecordsParseError(f"line {line}: {err}") from None
+    lengths = set(map(len, rows))
+    if 0 in lengths:
+        lines = [n for n, row in enumerate(rows, start=2) if row]
+        rows = list(filter(None, rows))
+    else:
+        lines = range(2, len(rows) + 2)
+    if lengths - {0, 3}:
+        _raise_row_fault(rows, lines)
     try:
-        return SparseAttentionRecords(np.array(rows, dtype=np.int64))
+        values = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        _raise_row_fault(rows, lines)
+    try:
+        table = np.array(values, dtype=np.int64).reshape(len(rows), 3)
     except OverflowError:
-        i = next(i for i, row in enumerate(rows) if not -2**63 <= min(row) <= max(row) < 2**63)
+        i = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63) // 3
         raise RecordsParseError(f"line {lines[i]}: field outside the 64-bit integer range "
-                                f"in {rows[i]}") from None
+                                f"in {values[3 * i:3 * i + 3]}") from None
+    try:
+        return SparseAttentionRecords(table)
     except InvalidRecordError as err:
         raise RecordsParseError(f"line {lines[err.index]}: {err}") from None
+
+
+def _raise_row_fault(rows, lines) -> NoReturn:
+    """Raise the RecordsParseError of the first row that has not three
+    integer fields."""
+    for lineno, row in zip(lines, rows):
+        if len(row) != 3:
+            raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        try:
+            list(map(int, row))
+        except ValueError:
+            raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
+    raise AssertionError("a bulk row check failed, but every row is well formed")

@@ -14,6 +14,7 @@ import math
 import numbers
 import typing
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -518,39 +519,22 @@ def world_from_dict(doc: dict) -> World:
     any order), rejecting missing keys, non-integer ids, groups and pixel
     counts, interest entries that are not numbers, and entries that would not
     map one-to-one onto the matrix. The type checks are exact: a JSON integer
-    loads as ``int`` and any other number as ``float``; a bool is neither."""
+    loads as ``int`` and any other number as ``float``; a bool is neither.
+    Everything is checked in bulk; only when a check fails is the first
+    faulty entry in document order looked up, to name it."""
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
     labels = tuple(_require(doc, "catalog", "world file", list))
     images = _require(doc, "images", "world file", list)
-    pixels = np.zeros((len(images), len(labels)), dtype=np.int32)
-    group_of = np.zeros(len(images), dtype=np.int64)
-    for position, image in enumerate(images):
-        where = f"image {position}"
-        image_id = _require(image, "id", where)
-        if type(image_id) is not int or image_id != position:
-            raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
-        group = _require(image, "group", where)
-        if type(group) is not int or not 0 <= group < len(images):
-            raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
-        group_of[position] = group
-        for entry in _require(image, "composition", where, list):
-            if type(entry) is not list or len(entry) != 2 \
-                    or type(entry[0]) is not int or type(entry[1]) is not int:
-                raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
-            o, px = entry
-            if not 0 <= o < len(labels):
-                raise ValueError(f"{where}: object id {o} outside 0..{len(labels) - 1}")
-            if pixels[position, o]:
-                raise ValueError(f"{where} repeats object {o}")
-            if not 1 <= px <= _MAX_PIXEL_COUNT:
-                raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
-            pixels[position, o] = px
+    arrays = _image_arrays(images, len(labels))
+    if arrays is None:
+        _raise_image_fault(images, len(labels))
+    pixels, group_of = arrays
     rows = _require(doc, "interest", "world file", list)
-    for user, row in enumerate(rows):
-        if type(row) is not list or not all(map(_is_number, row)):
-            raise ValueError(f"world file: interest row {user} is not a list of numbers")
+    user = _first_non_number_row(rows)
+    if user is not None:
+        raise ValueError(f"world file: interest row {user} is not a list of numbers")
     interest = np.array(rows, dtype=np.float64)
     num_users = _require(doc, "num_users", "world file")
     if interest.shape[:1] != (num_users,):
@@ -563,6 +547,72 @@ def world_from_dict(doc: dict) -> World:
         seed=_require(doc, "seed", "world file"),
         gaze_noise=_require(doc, "gaze_noise", "world file"),
     )
+
+
+def _image_arrays(images: list, num_objects: int):
+    """``(pixels, group_of)`` of a document's ``images``, or None when one
+    of the checks that ``_raise_image_fault`` makes entry by entry fails.
+    An image without objects is left to ``World``."""
+    n = len(images)
+    if not set(map(type, images)) <= {dict}:
+        return None
+    try:
+        ids = [image["id"] for image in images]
+        groups = [image["group"] for image in images]
+        compositions = [image["composition"] for image in images]
+    except KeyError:
+        return None
+    if not (set(map(type, ids)) <= {int} and ids == list(range(n))
+            and set(map(type, groups)) <= {int} and set(map(type, compositions)) <= {list}):
+        return None
+    entries = list(chain.from_iterable(compositions))
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        return None
+    values = groups + list(chain.from_iterable(entries))
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    group_of, objects, counts = values[:n], values[n::2], values[n + 1::2]
+    if not (((group_of >= 0) & (group_of < n)).all()
+            and ((objects >= 0) & (objects < num_objects)).all()
+            and ((counts >= 1) & (counts <= _MAX_PIXEL_COUNT)).all()):
+        return None
+    pixels = np.zeros((n, num_objects), dtype=np.int32)
+    pixels[np.repeat(np.arange(n), list(map(len, compositions))), objects] = counts
+    # with every count positive, a repeated object leaves fewer nonzeros
+    if np.count_nonzero(pixels) != len(entries):
+        return None
+    return pixels, group_of
+
+
+def _raise_image_fault(images: list, num_objects: int) -> typing.NoReturn:
+    """Raise the ValueError that names the first faulty image entry of a
+    document, in document order."""
+    for position, image in enumerate(images):
+        where = f"image {position}"
+        image_id = _require(image, "id", where)
+        if type(image_id) is not int or image_id != position:
+            raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
+        group = _require(image, "group", where)
+        if type(group) is not int or not 0 <= group < len(images):
+            raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
+        seen = set()
+        for entry in _require(image, "composition", where, list):
+            if type(entry) is not list or len(entry) != 2 \
+                    or type(entry[0]) is not int or type(entry[1]) is not int:
+                raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
+            o, px = entry
+            if not 0 <= o < num_objects:
+                raise ValueError(f"{where}: object id {o} outside 0..{num_objects - 1}")
+            if o in seen:
+                raise ValueError(f"{where} repeats object {o}")
+            if not 1 <= px <= _MAX_PIXEL_COUNT:
+                raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
+            seen.add(o)
+    raise AssertionError("a bulk image check failed, but no image entry is faulty")
 
 
 def _require(mapping, key: str, where: str, kind=object):
@@ -580,6 +630,22 @@ def _is_number(value) -> bool:
     ``float`` (the callers reject NaN and infinities by name) or an ``int``
     within range; a bool is neither."""
     return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
+
+
+def _all_numbers(values: list) -> bool:
+    """Whether every entry of ``values`` is a number by ``_is_number``,
+    checked by type in bulk."""
+    types = set(map(type, values))
+    return types <= {float} or (types <= {float, int} and all(map(_is_number, values)))
+
+
+def _first_non_number_row(rows: list):
+    """The position of the first entry of ``rows`` that is not a list of
+    numbers (by ``_is_number``), or None when all are."""
+    if set(map(type, rows)) <= {list} and _all_numbers(list(chain.from_iterable(rows))):
+        return None
+    return next(i for i, row in enumerate(rows)
+                if type(row) is not list or not all(map(_is_number, row)))
 
 
 @functools.cache
@@ -624,21 +690,47 @@ def _check_fields(config, error=ValueError) -> None:
 
 def write_json(doc, path) -> None:
     """The package's JSON output format: indent 1, UTF-8, LF line ends and a
-    final newline. ``save_world`` is the format's second writer; it writes
-    the same bytes for ``world_to_dict``'s document."""
+    final newline. ``save_world`` and ``mf.save_model`` write the same bytes
+    for their documents from the arrays."""
+    _write_text(json.dumps(doc, indent=1) + "\n", path)
+
+
+def _write_text(text: str, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+@functools.lru_cache(maxsize=16)
+def _json_layout(shape: tuple, depth: int, entry: str = "%r") -> str:
+    """``json.dumps(indent=1)``'s text for a nested list of the given shape
+    whose brackets open at nesting ``depth`` (1 for a value of the top-level
+    object), with the ``%``-conversion ``entry`` in place of each number:
+    ``%d`` for an ``int``, and ``%r``, which is ``float.__repr__`` and so
+    json's own encoding, for a finite ``float``."""
+    if not shape:
+        return entry
+    if not shape[0]:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    item = _json_layout(shape[1:], depth + 1, entry)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
+
+
+@functools.lru_cache(maxsize=128)
+def _image_layout(num_entries: int) -> str:
+    """The text of one image of ``num_entries`` objects in ``world.json``,
+    with ``%d`` for its id, its group and its entries' integers."""
+    return ('{\n   "id": %d,\n   "group": %d,\n   "composition": '
+            + _json_layout((num_entries, 2), 3, "%d") + "\n  }")
 
 
 def save_world(world: World, path) -> None:
     """Write ``write_json(world_to_dict(world), path)``'s bytes from the
-    arrays: with an indent, ``json.dump`` runs its pure-Python encoder, which
-    is several times slower on the default world. The header goes
+    arrays with one ``%``-template: with an indent, ``json.dump`` runs its
+    pure-Python encoder, which is several times slower. The header goes
     through ``json.dumps`` (label escapes, an int ``gaze_noise`` stay json's
-    own), every image has at least one entry and the world at least one user,
-    and ``float.__repr__`` is json's encoding of the finite interest values a
-    ``World`` holds."""
+    own); every image has at least one entry, the world at least one user,
+    and its interest values are finite."""
     head = json.dumps({
         "version": WORLD_FORMAT_VERSION,
         "seed": world.seed,
@@ -646,20 +738,18 @@ def save_world(world: World, path) -> None:
         "gaze_noise": world.gaze_noise,
         "catalog": list(world.labels),
     }, indent=1)
-    entries = ["    [\n     %d,\n     %d\n    ]" % entry
-               for entry in zip(world._objects.tolist(), world._counts.tolist())]
-    bounds = world._indptr.tolist()
-    images = ",\n".join(
-        '  {\n   "id": %d,\n   "group": %d,\n   "composition": [\n%s\n   ]\n  }'
-        % (i, g, ",\n".join(entries[bounds[i]:bounds[i + 1]]))
-        for i, g in enumerate(world.group_of.tolist())
-    )
-    rows = ",\n".join("  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
-                      for row in world.interest.tolist())
+    n, indptr, lengths = world.num_images, world._indptr, np.diff(world._indptr)
+    # image i's integers, [i, group, object, count, ...], start at 2 * (i + indptr[i])
+    ints = np.empty(2 * (n + indptr[-1]), dtype=np.int64)
+    starts = 2 * (np.arange(n) + indptr[:-1])
+    ints[starts], ints[starts + 1] = np.arange(n), world.group_of
+    at = 2 * (np.repeat(np.arange(1, n + 1), lengths) + np.arange(indptr[-1]))
+    ints[at], ints[at + 1] = world._objects, world._counts
+    layout = ("[\n  " + ",\n  ".join(map(_image_layout, lengths.tolist()))
+              + '\n ],\n "interest": ' + _json_layout(world.interest.shape, 1))
     # head ends with the closing "\n}" of its object
-    text = head[:-2] + ',\n "images": [\n' + images + '\n ],\n "interest": [\n' + rows + "\n ]\n}\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    body = layout % tuple(ints.tolist() + world.interest.ravel().tolist())
+    _write_text(head[:-2] + ',\n "images": ' + body + "\n}\n", path)
 
 
 def load_world(path) -> World:

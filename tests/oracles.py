@@ -2,7 +2,8 @@
 budget simplex, which the exact allocator is checked against, the per-image
 successive sampler, which the vectorized image draw is checked against, the
 ``csv.writer`` loop that ``save_records`` is checked against, the
-frozenset records with their per-row loader, dict-loop baseline,
+frozenset records with their per-row loader, the row loop and the per-entry
+world loader that the bulk-checked readers replaced, dict-loop baseline,
 set-based holdout and pair set that the sorted records table replaced, and the
 list-of-pairs quantizer and dict-path sparsify that the attention arrays
 replaced, and the per-record ``bincount`` ALS half-sweep that the dense
@@ -17,9 +18,10 @@ import numpy as np
 
 from attnalloc.allocate import AllocationProblem, AllocationResult, objective_value
 from attnalloc.mf import BaselineModel
-from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, RecordsParseError
-from attnalloc.records import SparseAttentionRecords
-from attnalloc.world import _SPARSIFY_STREAM, _popularity
+from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, InvalidRecordError
+from attnalloc.records import RecordsParseError, SparseAttentionRecords
+from attnalloc.world import (_MAX_PIXEL_COUNT, _SPARSIFY_STREAM, WORLD_FORMAT_VERSION, World,
+                             _is_number, _popularity, _require)
 
 
 class SearchSpaceError(ValueError):
@@ -184,6 +186,38 @@ def frozenset_load_records(path) -> FrozensetRecords:
     return FrozensetRecords(frozenset(triples))
 
 
+def row_loop_load_records(path) -> SparseAttentionRecords:
+    """The row loop that ``records.load_records``' bulk checks replaced:
+    the field count and the integers of each row are checked as it is read,
+    then the table; test oracle only."""
+    rows, lines = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+            raise RecordsParseError(
+                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                rows.append(list(map(int, row)))
+            except ValueError:
+                raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
+            lines.append(lineno)
+    try:
+        return SparseAttentionRecords(np.array(rows, dtype=np.int64))
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not -2**63 <= min(row) <= max(row) < 2**63)
+        raise RecordsParseError(f"line {lines[i]}: field outside the 64-bit integer range "
+                                f"in {rows[i]}") from None
+    except InvalidRecordError as err:
+        raise RecordsParseError(f"line {lines[err.index]}: {err}") from None
+
+
 def dict_fit_baseline(records) -> BaselineModel:
     """Per-id means collected in dict lists; test oracle only."""
     user_acc: dict = {}
@@ -286,3 +320,53 @@ def bincount_solve_side(ids, size, others, other_factors, other_bias, target, la
     gram[:, diagonal, diagonal] += lam * np.maximum(sums[:, f, f], 1)[:, None]
     x = np.linalg.solve(gram, rhs[..., None])[..., 0]
     return x[:, :f], x[:, f]
+
+
+def loop_world_from_dict(doc: dict) -> World:
+    """The per-entry loader that ``world.world_from_dict``'s bulk checks
+    replaced: every check runs on each image entry as it is read, so the
+    first faulty entry in document order is named; test oracle only."""
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != WORLD_FORMAT_VERSION:
+        raise ValueError(f"unsupported world file version {version!r}")
+    labels = tuple(_require(doc, "catalog", "world file", list))
+    images = _require(doc, "images", "world file", list)
+    pixels = np.zeros((len(images), len(labels)), dtype=np.int32)
+    group_of = np.zeros(len(images), dtype=np.int64)
+    for position, image in enumerate(images):
+        where = f"image {position}"
+        image_id = _require(image, "id", where)
+        if type(image_id) is not int or image_id != position:
+            raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
+        group = _require(image, "group", where)
+        if type(group) is not int or not 0 <= group < len(images):
+            raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
+        group_of[position] = group
+        for entry in _require(image, "composition", where, list):
+            if type(entry) is not list or len(entry) != 2 \
+                    or type(entry[0]) is not int or type(entry[1]) is not int:
+                raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
+            o, px = entry
+            if not 0 <= o < len(labels):
+                raise ValueError(f"{where}: object id {o} outside 0..{len(labels) - 1}")
+            if pixels[position, o]:
+                raise ValueError(f"{where} repeats object {o}")
+            if not 1 <= px <= _MAX_PIXEL_COUNT:
+                raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
+            pixels[position, o] = px
+    rows = _require(doc, "interest", "world file", list)
+    for user, row in enumerate(rows):
+        if type(row) is not list or not all(map(_is_number, row)):
+            raise ValueError(f"world file: interest row {user} is not a list of numbers")
+    interest = np.array(rows, dtype=np.float64)
+    num_users = _require(doc, "num_users", "world file")
+    if interest.shape[:1] != (num_users,):
+        raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
+    return World(
+        pixels=pixels,
+        group_of=group_of,
+        labels=labels,
+        interest=interest,
+        seed=_require(doc, "seed", "world file"),
+        gaze_noise=_require(doc, "gaze_noise", "world file"),
+    )

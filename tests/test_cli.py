@@ -470,6 +470,18 @@ def test_fit_names_line_of_id_beyond_int64(tmp_path, capsys, config_file, field)
     assert not (tmp_path / "model.json").exists()
 
 
+def test_fit_names_line_of_overlong_field(tmp_path, capsys, config_file):
+    # a field beyond csv's field size limit died with an _csv.Error traceback
+    records = tmp_path / "records.csv"
+    records.write_text("user_id,object_id,level\n0,0,3\n\n1," + "1" * 131_073 + ",2\n")
+    world, _ = _tiny_world(tmp_path, capsys, config_file)
+    code, _, err = run(capsys, "fit", "--records", str(records), "--world", str(world),
+                       "--out", str(tmp_path / "model.json"))
+    assert code == EXIT_DATA
+    assert "line 4: field larger than field limit (131072)" in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def _break_image_3(doc, case):
     image = doc["images"][3]
     if case == "object id -1":
@@ -696,6 +708,22 @@ def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
     code, err = _eval_model_doc(tmp_path, capsys, edit)
     assert code == EXIT_DATA
     assert message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each used to load: true as 1.0, "0.25" as 0.25
+    (lambda doc: doc["user_bias"].__setitem__(1, True), "'user_bias' row 1 is True, not a number"),
+    (lambda doc: doc["object_bias"].__setitem__(0, "0.25"),
+     "'object_bias' row 0 is '0.25', not a number"),
+    (lambda doc: doc["user_factors"][1].__setitem__(0, True),
+     "'user_factors' row 1 is not a list of numbers"),
+    (lambda doc: doc["object_factors"][0].__setitem__(0, "0.25"),
+     "'object_factors' row 0 is not a list of numbers"),
+], ids=["bool bias", "string bias", "bool factor", "string factor"])
+def test_eval_rejects_non_number_model_entries(tmp_path, capsys, edit, message):
+    code, err = _eval_model_doc(tmp_path, capsys, edit)
+    assert code == EXIT_DATA
+    assert f"model file: {message}" in err
 
 
 @pytest.mark.parametrize("key, value, actual", [

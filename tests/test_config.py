@@ -138,6 +138,26 @@ def test_dump_parse_roundtrip_with_link():
     assert parse_config(text) == original
 
 
+def test_dump_parse_roundtrip_with_numpy_scalars():
+    # np.int64(3) used to dump as "master_seed = np.int64(3)", which
+    # parse_config rejected
+    original = dataclasses.replace(
+        ExperimentConfig(), master_seed=np.int64(3), floor_k=np.float64(2.5),
+        budget_per_object_k=np.float32(20.5), sweep_user=np.int32(4),
+        sweep_factors=(np.float64(16.0), 18),
+        world=dataclasses.replace(WorldConfig(), num_users=np.int64(12),
+                                  gaze_noise=np.float64(0.1)),
+        fit=dataclasses.replace(FitConfig(), regularization=np.float64(0.2), epochs=np.uint8(9)),
+        channel=dataclasses.replace(ChannelConfig(), tx_antennas=np.int16(4)),
+        link=LinkParams(downlink_rate=np.float64(5.5), uplink_ber=np.float32(0.125)),
+    )
+    text = dump_config(original)
+    assert "np." not in text
+    assert "master_seed = 3\n" in text and "budget_per_object_k = 20.5\n" in text
+    assert "num_users = 12\n" in text and "epochs = 9\n" in text
+    assert parse_config(text) == original
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("[experiment]\nmaster_seed = 99\n")

@@ -1,6 +1,7 @@
 """Latent-factor model fitting, prediction, baselines, and metrics."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -489,3 +490,73 @@ def test_model_dimensions_must_match_factors(key):
             model_from_dict({**doc, key: value})
     with pytest.raises(ValueError, match=f"model file has no '{key}'"):
         model_from_dict({k: v for k, v in doc.items() if k != key})
+
+
+def _assert_saved_as_write_json(model, path):
+    """``save_model`` writes the bytes of ``write_json`` on ``model_to_dict``'s
+    document, the writer it replaced."""
+    save_model(model, path)
+    assert path.read_bytes() == (json.dumps(model_to_dict(model), indent=1) + "\n").encode()
+
+
+def test_save_model_matches_write_json_on_default_model(tmp_path, default_runner):
+    _assert_saved_as_write_json(default_runner.model, tmp_path / "model.json")
+
+
+# finite floats, the edges of float64 and its repr among them
+_model_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([1e-05, -0.0, 0.0, 1e300, 5e-324, -1e16, 0.1, 3.0]))
+
+
+@st.composite
+def _models(draw):
+    users, objects, f = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_model_values, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    return FactorModel(array(users, f), array(objects, f), array(users), array(objects),
+                       mu=draw(st.one_of(_model_values, st.integers(-5, 5))))
+
+
+@given(_models())
+@settings(max_examples=200, deadline=None)
+def test_save_model_matches_write_json(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("models") / "model.json"
+    _assert_saved_as_write_json(model, path)
+    if model.num_users and model.num_objects:  # "[]" loads as a 1-D array
+        assert model_to_dict(load_model(path)) == model_to_dict(model)
+
+
+@pytest.mark.parametrize("value", [True, "0.25", None, 10**400, [0.5]],
+                         ids=["bool", "string", "null", "int beyond float64", "list"])
+@pytest.mark.parametrize("name, row, place", [
+    ("user_bias", 1, lambda doc, value: doc["user_bias"].__setitem__(1, value)),
+    ("object_bias", 2, lambda doc, value: doc["object_bias"].__setitem__(2, value)),
+    ("user_factors", 1, lambda doc, value: doc["user_factors"][1].__setitem__(3, value)),
+    ("object_factors", 2, lambda doc, value: doc["object_factors"][2].__setitem__(0, value)),
+], ids=["user_bias", "object_bias", "user_factors", "object_factors"])
+def test_model_entries_must_be_numbers(name, row, place, value):
+    # true loaded as 1.0 and "0.25" as 0.25
+    doc = model_to_dict(zero_model(users=2, objects=3, f=4))
+    place(doc, value)
+    kind = "not a number" if name.endswith("bias") else "is not a list of numbers"
+    with pytest.raises(ValueError, match=rf"model file: '{name}' row {row} .*{kind}"):
+        model_from_dict(doc)
+
+
+def test_model_rows_must_be_lists():
+    doc = model_to_dict(zero_model(users=3, objects=3, f=2))
+    doc["object_factors"][1] = 0.5
+    with pytest.raises(ValueError, match="'object_factors' row 1 is not a list of numbers"):
+        model_from_dict(doc)
+    with pytest.raises(ValueError, match="'user_bias' must be a list"):
+        model_from_dict({**doc, "user_bias": 0.5})
+    # ints within float64 are numbers
+    doc = model_to_dict(zero_model(users=2, objects=2, f=1))
+    doc["user_bias"][0] = 2
+    doc["user_factors"][1][0] = -3
+    loaded = model_from_dict(doc)
+    assert loaded.user_bias[0] == 2.0 and loaded.user_factors[1, 0] == -3.0

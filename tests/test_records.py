@@ -3,13 +3,13 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnalloc import SparseAttentionRecords, load_records, save_records
 from attnalloc.records import RecordsParseError
 from oracles import (FrozensetRecords, csv_writer_records_text, frozenset_load_records,
-                     record_pairs)
+                     record_pairs, row_loop_load_records)
 
 record_sets = st.sets(
     st.tuples(st.integers(0, 9), st.integers(0, 30), st.integers(1, 5))
@@ -167,3 +167,83 @@ def test_constructor_names_first_faulty_record_in_input_order():
         SparseAttentionRecords([(0, 1, 3), (0, 2, 9), (-1, 0, 3), (0, 1, 4)])
     with pytest.raises(ValueError, match=r"duplicate pair \(0, 1\) in record \(0, 1, 4\)"):
         SparseAttentionRecords([(0, 1, 3), (2, 2, 2), (0, 1, 4), (0, 2, 9)])
+
+
+# a CSV field: an integer written plainly, with a sign or spaces, quoted, or
+# beyond int64, or a field that is no integer at all
+_fields = st.one_of(
+    st.integers(0, 9).map(str),
+    st.integers(1, 5).map(str),
+    st.sampled_from([" 3", "+3", "3 ", '"3"', '"+2"', "-1", "7", "0", "6",
+                     "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+                     "99999999999999999999", "a", "1.5", "", '" "', '"1,2"']),
+)
+
+
+@st.composite
+def rough_csv(draw):
+    """A records CSV whose rows mostly have three integer fields, mixed with
+    blank lines, short and long rows, non-integers, quoted fields and fields
+    beyond int64."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        width = {"row": 3, "short": draw(st.integers(1, 2)), "long": 4}[kind]
+        lines.append(",".join(draw(st.lists(_fields, min_size=width, max_size=width))))
+    return "user_id,object_id,level\n" + "".join(line + "\n" for line in lines)
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path).sorted_list()
+    except Exception as err:  # the exception is the outcome compared
+        return type(err), str(err)
+
+
+@given(rough_csv())
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_row_loop_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("records") / "r.csv"
+    path.write_text(text)
+    assert _load_outcome(load_records, path) == _load_outcome(row_loop_load_records, path)
+
+
+@pytest.mark.parametrize("body", [
+    "0,1,2\n\n\n1,1,3\n",  # blank lines
+    '"0","1","2"\n1," 1",+3\n',  # quoted fields, a space and a sign
+    "0,1,2\na,1,2\n1,2\n",  # a short row after a bad integer
+    "1,2\n0,a,2\n",  # a bad integer after a short row
+    "0,1,2\n\n1,9223372036854775808,3\n",  # beyond int64 after a blank line
+    "0,1,2\n-9223372036854775809,1,3\n",
+    "0,1,2\n\n0,1,3\n",  # a repeated pair after a blank line
+    "0,1,7\n1,1,1,1\n",  # a bad level before a long row
+], ids=["blank lines", "quoted", "short after bad int", "bad int after short",
+        "int64 overflow", "int64 underflow", "repeat", "bad level then long row"])
+def test_loader_matches_row_loop_oracle_on_examples(tmp_path, body):
+    path = tmp_path / "r.csv"
+    path.write_text("user_id,object_id,level\n" + body)
+    assert _load_outcome(load_records, path) == _load_outcome(row_loop_load_records, path)
+
+
+def test_load_names_line_of_overlong_field(tmp_path):
+    # csv.Error used to escape as a traceback
+    path = tmp_path / "r.csv"
+    path.write_text("user_id,object_id,level\n0,1,2\n\n1," + "9" * 200_000 + ",3\n")
+    with pytest.raises(RecordsParseError, match=r"line 4: field larger than field limit"):
+        load_records(path)
+    path.write_text("user_id," + "x" * 200_000 + "\n")
+    with pytest.raises(RecordsParseError, match=r"line 1: field larger than field limit"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("rows", [[], [(u, o, (u + o) % 5 + 1) for u in range(30)
+                                       for o in range(96)]], ids=["empty", "dense"])
+def test_save_matches_csv_writer_on_empty_and_dense_tables(tmp_path, rows):
+    path = tmp_path / "r.csv"
+    records = SparseAttentionRecords(rows)
+    save_records(records, path)
+    assert path.read_bytes() == csv_writer_records_text(FrozensetRecords(frozenset(rows))).encode()
+    assert load_records(path) == records

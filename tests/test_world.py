@@ -36,7 +36,8 @@ from attnalloc.world import (
     world_to_dict,
 )
 from conftest import SMALL_WORLD
-from oracles import dict_sparsify, quantize_pairs, successive_sampling_images
+from oracles import (dict_sparsify, loop_world_from_dict, quantize_pairs,
+                     successive_sampling_images)
 
 
 def _raw_dict(world, user, image_ids) -> dict:
@@ -818,3 +819,89 @@ def test_world_rejects_bad_labels(labels, message):
     base = make_manual_world([[0.5] * max(len(labels), 1)], [((0, 10),)])
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(base, labels=labels)
+
+
+# faults of one field of a world document: those of test_cli.py's
+# _break_image_3 and _set_non_integer, integers beyond int64, a bool group,
+# missing keys, malformed entries and interest rows
+_DOCUMENT_FAULTS = {
+    "object id -1": lambda image, entry: entry.__setitem__(0, -1),
+    "object id past the catalog": lambda image, entry: entry.__setitem__(0, 10**6),
+    "duplicate image id": lambda image, entry: image.update(id=max(image["id"] - 1, 1)),
+    "negative group": lambda image, entry: image.update(group=-1),
+    "repeated object": lambda image, entry: image["composition"].append([entry[0], 50]),
+    "pixel count 0": lambda image, entry: entry.__setitem__(1, 0),
+    "empty composition": lambda image, entry: image.update(composition=[]),
+    "fractional object id": lambda image, entry: entry.__setitem__(0, entry[0] + 0.7),
+    "fractional pixel count": lambda image, entry: entry.__setitem__(1, entry[1] + 0.5),
+    "bool object id": lambda image, entry: entry.__setitem__(0, True),
+    "string pixel count": lambda image, entry: entry.__setitem__(1, str(entry[1])),
+    "fractional group": lambda image, entry: image.update(group=image["group"] + 0.5),
+    "string image id": lambda image, entry: image.update(id=str(image["id"])),
+    "object id 10**30": lambda image, entry: entry.__setitem__(0, 10**30),
+    "pixel count 10**30": lambda image, entry: entry.__setitem__(1, 10**30),
+    "bool group": lambda image, entry: image.update(group=True),
+    "group past the images": lambda image, entry: image.update(group=10**3),
+    "no id": lambda image, entry: image.pop("id"),
+    "no composition": lambda image, entry: image.pop("composition"),
+    "entry of three": lambda image, entry: entry.append(1),
+    "entry not a list": lambda image, entry: image["composition"].insert(0, 7),
+}
+
+
+def _break_document(doc, fault, position, k):
+    """Apply one fault to image ``position`` (entry ``k`` of its composition)
+    or to the interest rows."""
+    images, rows = doc["images"], doc["interest"]
+    if fault == "id out of order":
+        other = position + 1 if position + 1 < len(images) else position - 1
+        if other >= 0:
+            images[position], images[other] = images[other], images[position]
+    elif fault == "image not a dict":
+        images[position] = [images[position]]
+    elif fault.startswith("interest "):
+        row = rows[position % len(rows)]
+        value = {"interest string": "0.5", "interest bool": True, "interest null": None,
+                 "interest beyond float64": 10**400, "interest int": 1}[fault]
+        row[k % len(row)] = value
+    elif fault == "interest row not a list":
+        rows[position % len(rows)] = 0.5
+    else:
+        image = images[position]
+        _DOCUMENT_FAULTS[fault](image, image["composition"][k % len(image["composition"])])
+
+
+def _load_outcome(load, doc):
+    try:
+        return world_to_dict(load(doc))
+    except Exception as err:  # the exception is the outcome compared
+        return type(err), str(err)
+
+
+@given(st.data(), _small_worlds())
+@settings(max_examples=400, deadline=None)
+def test_world_from_dict_matches_per_entry_oracle(data, world):
+    # zero to two faults in any image; both loaders must name the same first
+    # fault in document order with the same exception, or build equal worlds
+    doc = world_to_dict(world)
+    faults = [*_DOCUMENT_FAULTS, "id out of order", "image not a dict", "interest string",
+              "interest bool", "interest null", "interest beyond float64", "interest int",
+              "interest row not a list"]
+    for _ in range(data.draw(st.integers(0, 2))):
+        position = data.draw(st.integers(0, len(doc["images"]) - 1))
+        try:
+            _break_document(doc, data.draw(st.sampled_from(faults)), position,
+                            data.draw(st.integers(0, 20)))
+        except (KeyError, TypeError, IndexError, ZeroDivisionError):  # an earlier fault
+            pass  # removed the target
+    assert _load_outcome(world_from_dict, doc) == _load_outcome(loop_world_from_dict, doc)
+
+
+@pytest.mark.parametrize("fault", [*_DOCUMENT_FAULTS, "id out of order", "image not a dict"])
+def test_world_from_dict_names_each_fault_as_oracle(default_world, fault):
+    # each fault alone in image 3 of the default world
+    doc = world_to_dict(default_world)
+    _break_document(doc, fault, 3, 0)
+    outcome = _load_outcome(world_from_dict, doc)
+    assert outcome == _load_outcome(loop_world_from_dict, doc)
+    assert outcome[0] is ValueError and "image 3" in outcome[1]
