@@ -145,13 +145,10 @@ def _cmd_eval(args):
             f"{model.num_users} users x {model.num_objects} objects"
         )
     truth = world_mod.ground_truth_levels(world)
-    observed = np.zeros(shape, dtype=bool)
-    if args.records:
-        records = rec_mod.load_records(args.records)
-        mf_mod.check_record_ids(records, *shape)
-        observed[records.users, records.objects] = True
-    mask = zip(*(ids.tolist() for ids in np.nonzero(~observed)))
-    metrics = mf_mod.evaluate(model.predictor(), truth, mask)
+    records = (rec_mod.load_records(args.records) if args.records
+               else rec_mod.SparseAttentionRecords())
+    observed = mf_mod.observed_mask(records, *shape)
+    metrics = mf_mod.evaluate(model.predictor(), truth, np.nonzero(~observed))
     doc = {"rmse": metrics.rmse, "mae": metrics.mae, "count": metrics.count}
     if args.out:
         world_mod.write_json(doc, args.out)

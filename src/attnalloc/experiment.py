@@ -234,17 +234,11 @@ def sweep_to_csv(report: SweepReport, path) -> None:
             writer.writerow((repr(factor), repr(improvement)))
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    echo = asdict(config)
-    echo["sweep_factors"] = list(config.sweep_factors)
-    return echo
-
-
 def report_summary_json(config: ExperimentConfig, reports, agg: Aggregate, path) -> None:
     doc = {
         "version": REPORT_FORMAT_VERSION,
         "seed": config.master_seed,
-        "config": _config_echo(config),
+        "config": asdict(config),
         "reports": [asdict(r) for r in sorted(reports, key=lambda r: r.user_id)],
         "aggregate": asdict(agg),
     }

@@ -80,8 +80,9 @@ class FactorModel:
             object.__setattr__(self, name, arr)
         for factors, bias in (("user_factors", "user_bias"), ("object_factors", "object_bias")):
             shape = getattr(self, factors).shape
-            if len(shape) != 2:
-                raise ValueError(f"{factors} must be a 2-D matrix, got shape {shape}")
+            if len(shape) != 2 or not shape[0]:  # so that every model saved loads back
+                raise ValueError(f"{factors} must be a 2-D matrix with at least one row, "
+                                 f"got shape {shape}")
             if getattr(self, bias).shape != shape[:1]:
                 raise ValueError(f"{bias} has shape {getattr(self, bias).shape} "
                                  f"for {shape[0]} rows of {factors}")
@@ -145,13 +146,16 @@ def _objective(observed, target, U, bu, V, bo, lam) -> float:
     return float(np.square(err).sum() + lam * ridge)
 
 
-def check_record_ids(records: SparseAttentionRecords, num_users: int, num_objects: int) -> None:
-    """Raise FitError naming the first record outside ``num_users`` x ``num_objects``."""
+def observed_mask(records: SparseAttentionRecords, num_users: int, num_objects: int) -> np.ndarray:
+    """The records' pairs as a users x objects bool matrix; FitError names one outside."""
     outside = (records.users >= num_users) | (records.objects >= num_objects)
     if outside.any():
         i = int(np.argmax(outside))
         raise FitError(f"record pair ({records.users[i]}, {records.objects[i]}) lies outside "
                        f"the model's {num_users} users x {num_objects} objects")
+    observed = np.zeros((num_users, num_objects), dtype=bool)
+    observed[records.users, records.objects] = True
+    return observed
 
 
 def fit_mf(records: SparseAttentionRecords, config: FitConfig,
@@ -179,7 +183,7 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     """
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
-    check_record_ids(records, num_users, num_objects)
+    observed = observed_mask(records, num_users, num_objects).astype(np.float64)
 
     users, objects, levels = records.users, records.objects, records.levels
     nu, no = num_users, num_objects
@@ -190,9 +194,6 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     V = rng.uniform(-0.05, 0.05, size=(no, f)) * config.init_scale
     bo = np.zeros(no)
     mu = float(levels.mean())
-    # the records as dense users x objects arrays; pairs are unique
-    observed = np.zeros((nu, no))
-    observed[users, objects] = 1.0
     target = np.zeros((nu, no))
     target[users, objects] = levels - mu
     lam = config.regularization
@@ -282,34 +283,37 @@ class Metrics:
 
 
 def evaluate(predict_fn, truth, mask) -> Metrics:
-    """RMSE/MAE of a predictor against ground-truth levels over held-out pairs."""
-    pairs = sorted(mask)
-    if not pairs:
+    """RMSE/MAE of a predictor against ground-truth levels over held-out
+    pairs, given as ``holdout_mask``'s ``(users, objects)`` int arrays."""
+    users, objects = mask
+    if not len(users):
         raise EvaluationError("holdout mask is empty")
-    errors = np.array([predict_fn(u, o) - truth.levels[u, o] for u, o in pairs])
+    predictions = [predict_fn(u, o) for u, o in zip(users.tolist(), objects.tolist())]
+    errors = np.array(predictions) - truth.levels[users, objects]
     return Metrics(
         rmse=float(np.sqrt(np.mean(errors ** 2))),
         mae=float(np.mean(np.abs(errors))),
-        count=len(pairs),
+        count=len(users),
     )
 
 
 def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: int,
-                 fraction: float = 0.25, seed: int = 0) -> set:
-    """Sample unobserved (user, object) pairs, stratified per user."""
+                 fraction: float = 0.25, seed: int = 0) -> tuple:
+    """Sample unobserved pairs, stratified per user, skipping records outside the
+    dimensions; returns ``(users, objects)`` int arrays in ascending pair order."""
     observed = np.zeros((num_users, num_objects), dtype=bool)
     inside = (records.users < num_users) & (records.objects < num_objects)
     observed[records.users[inside], records.objects[inside]] = True
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
-    mask = set()
+    held = np.zeros_like(observed)
     for user in range(num_users):
         candidates = np.flatnonzero(~observed[user])
         if not candidates.size:
             continue
         k = max(1, round(fraction * len(candidates)))
         chosen = rng.choice(len(candidates), size=min(k, len(candidates)), replace=False)
-        mask.update((user, o) for o in candidates[chosen].tolist())
-    return mask
+        held[user, candidates[chosen]] = True
+    return np.nonzero(held)
 
 
 def model_to_dict(model: FactorModel) -> dict:

@@ -156,13 +156,17 @@ class World:
         group_of = np.asarray(self.group_of, dtype=np.int64)
         if group_of.shape != (pixels.shape[0],):
             raise ValueError("group_of must give one group per image")
-        _reject_images(group_of < 0, "has a negative group")
+        _reject_images(np.flatnonzero(group_of < 0), "has a negative group")
         groups = np.unique(group_of)
         if groups[-1] != groups.size - 1:
             missing = np.flatnonzero(groups != np.arange(groups.size))[0]
             raise ValueError(f"group ids must cover 0..{groups[-1]}; group {missing} has no images")
-        _reject_images((pixels < 0).any(axis=1), "has a negative pixel count")
-        _reject_images(~pixels.any(axis=1), "has no objects")
+        # the occurrences (CSR), from which both per-image checks read
+        rows, objects = np.nonzero(pixels)
+        counts = pixels[rows, objects]
+        per_image = np.bincount(rows, minlength=pixels.shape[0])
+        _reject_images(rows[counts < 0], "has a negative pixel count")
+        _reject_images(np.flatnonzero(per_image == 0), "has no objects")
         interest = np.asarray(self.interest, dtype=np.float64)
         if interest.shape[:1] == (0,):
             raise ValueError("a world must have at least one user")
@@ -176,11 +180,9 @@ class World:
                 f"interest of user {user} in object {obj} is {interest[user, obj].item()!r}, "
                 "not a finite number in (0, 1]"
             )
-        rows, objects = np.nonzero(pixels)
-        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(pixels, axis=1))))
+        indptr = np.concatenate(([0], np.cumsum(per_image)))
         for name, arr in (("pixels", pixels), ("group_of", group_of), ("interest", interest),
-                          ("_indptr", indptr), ("_objects", objects),
-                          ("_counts", pixels[rows, objects])):
+                          ("_indptr", indptr), ("_objects", objects), ("_counts", counts)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -220,11 +222,10 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _reject_images(mask, problem: str) -> None:
-    """Raise a ValueError naming the first image for which ``mask`` holds."""
-    bad = np.flatnonzero(mask)
-    if bad.size:
-        raise ValueError(f"image {bad[0]} {problem}")
+def _reject_images(images, problem: str) -> None:
+    """Raise a ValueError naming the first of ``images``, ascending image ids."""
+    if images.size:
+        raise ValueError(f"image {images[0]} {problem}")
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
@@ -657,9 +658,12 @@ def _field_rule(kind):
     if kind is int:
         return (lambda v: isinstance(v, (int, np.integer))
                 and not isinstance(v, bool)), "an integer"
-    if kind is float:  # the bounds exclude NaN and infinities
+    if kind is float:  # the bounds exclude NaN and infinities; a numpy scalar is compared
+        # as the Python number it holds, since a float32 overflows casting them
         return (lambda v: isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) and -_MAX_FLOAT <= v <= _MAX_FLOAT), "finite"
+                and not isinstance(v, bool)
+                and -_MAX_FLOAT <= (v.item() if isinstance(v, np.generic) else v) <= _MAX_FLOAT
+                ), "finite"
     args = typing.get_args(kind)
     if typing.get_origin(kind) is tuple:
         item, what = _field_rule(args[0])

@@ -168,8 +168,9 @@ def test_sparsify_and_fit_and_eval(tmp_path, capsys, config_file):
     for user, obj, level in load_records(truth):
         dense[user, obj] = level
         seen.add((user, obj))
+    held_out = np.array(sorted(seen - record_pairs(load_records(records))))
     expected = evaluate(load_model(model).predictor(), GroundTruthLevels(dense),
-                        seen - record_pairs(load_records(records)))
+                        (held_out[:, 0], held_out[:, 1]))
     assert doc == {"rmse": expected.rmse, "mae": expected.mae, "count": expected.count}
 
     # a record outside the world fails by name instead of being ignored

@@ -28,6 +28,7 @@ from attnalloc.mf import (
     load_model,
     model_from_dict,
     model_to_dict,
+    observed_mask,
     raw_score,
     save_model,
 )
@@ -191,24 +192,42 @@ def test_baseline_additive_blend():
 
 def test_evaluate_metrics():
     truth = GroundTruthLevels(np.full((2, 2), 5))
-    metrics = evaluate(lambda u, o: 3.0, truth, {(0, 0), (1, 1)})
+    metrics = evaluate(lambda u, o: 3.0, truth, (np.array([0, 1]), np.array([0, 1])))
     assert metrics.rmse == pytest.approx(2.0)
     assert metrics.mae == pytest.approx(2.0)
     assert metrics.count == 2
 
-    perfect = evaluate(lambda u, o: 5.0, truth, {(0, 1)})
+    calls = []
+    perfect = evaluate(lambda u, o: calls.append((u, o)) or 5.0, truth,
+                       (np.array([0, 1]), np.array([1, 0])))
     assert perfect.rmse == 0.0 and perfect.mae == 0.0
+    assert calls == [(0, 1), (1, 0)]  # once per pair, in the arrays' order
 
-    with pytest.raises(EvaluationError):
-        evaluate(lambda u, o: 3.0, truth, set())
+    with pytest.raises(EvaluationError, match="holdout mask is empty"):
+        evaluate(lambda u, o: 3.0, truth, np.nonzero(np.zeros((2, 2), dtype=bool)))
+
+
+def _pairs(mask) -> list:
+    """A holdout mask's (user, object) pairs, in the order of its arrays."""
+    return list(zip(*(ids.tolist() for ids in mask)))
 
 
 def test_holdout_mask_excludes_observed():
     records = constant_records(users=3, objects=10)
-    mask = holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=0)
-    assert mask
-    assert not (mask & record_pairs(records))
-    assert mask == holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=0)
+    users, objects = mask = holdout_mask(records, num_users=3, num_objects=20, fraction=0.5,
+                                         seed=0)
+    assert users.dtype.kind == objects.dtype.kind == "i" and users.shape == objects.shape
+    pairs = _pairs(mask)
+    assert pairs and all(a < b for a, b in zip(pairs, pairs[1:]))  # strictly increasing
+    assert not (set(pairs) & record_pairs(records))
+    again = holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=0)
+    assert _pairs(again) == pairs
+
+
+def test_observed_mask_marks_the_record_pairs():
+    records = SparseAttentionRecords([(0, 1, 3), (2, 0, 5)])
+    assert observed_mask(records, 3, 2).tolist() == [[False, True], [False, False],
+                                                     [True, False]]
 
 
 @given(
@@ -222,7 +241,7 @@ def test_baseline_and_holdout_match_dict_and_set_oracles(rows, num_users, num_ob
     records = SparseAttentionRecords(rows)
     oracle = FrozensetRecords(frozenset(rows))
     assert fit_baseline(records) == dict_fit_baseline(oracle)
-    assert holdout_mask(records, num_users, num_objects, fraction, seed) \
+    assert set(_pairs(holdout_mask(records, num_users, num_objects, fraction, seed))) \
         == set_holdout_mask(oracle, num_users, num_objects, fraction, seed)
 
 
@@ -230,7 +249,7 @@ def test_baseline_and_holdout_match_oracles_on_default_records(default_runner):
     records, world = default_runner.records, default_runner.world
     oracle = FrozensetRecords(records.records)
     assert fit_baseline(records) == dict_fit_baseline(oracle)
-    assert holdout_mask(records, world.num_users, world.num_objects) \
+    assert set(_pairs(holdout_mask(records, world.num_users, world.num_objects))) \
         == set_holdout_mask(oracle, world.num_users, world.num_objects)
 
 
@@ -510,7 +529,7 @@ _model_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 @st.composite
 def _models(draw):
-    users, objects, f = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    users, objects, f = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
 
     def array(*shape):
         size = int(np.prod(shape))
@@ -526,8 +545,16 @@ def _models(draw):
 def test_save_model_matches_write_json(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("models") / "model.json"
     _assert_saved_as_write_json(model, path)
-    if model.num_users and model.num_objects:  # "[]" loads as a 1-D array
-        assert model_to_dict(load_model(path)) == model_to_dict(model)
+    assert model_to_dict(load_model(path)) == model_to_dict(model)
+
+
+@pytest.mark.parametrize("users, objects, name", [(0, 2, "user_factors"),
+                                                   (2, 0, "object_factors")])
+def test_model_rejects_factors_without_rows(users, objects, name):
+    # such a model would save "[]", which loads as a 1-D array
+    with pytest.raises(ValueError, match=rf"{name} must be a 2-D matrix with at least one row, "
+                                         r"got shape \(0, 2\)"):
+        zero_model(users=users, objects=objects)
 
 
 @pytest.mark.parametrize("value", [True, "0.25", None, 10**400, [0.5]],

@@ -687,6 +687,22 @@ def test_world_rejects_group_gaps():
     assert make_manual_world([[0.5]], compositions, groups=[2, 0, 1, 0]).num_groups == 3
 
 
+def test_world_rejects_images_with_negative_counts_or_no_objects():
+    def world(pixels):
+        return World(pixels=pixels, group_of=[0] * len(pixels), labels=("a", "b"),
+                     interest=[[0.5, 0.5]], seed=0)
+
+    # the negative count is named first, although image 1 has no objects
+    with pytest.raises(ValueError, match="image 2 has a negative pixel count"):
+        world([[10, 0], [0, 0], [5, -1], [-3, 0]])
+    with pytest.raises(ValueError, match="image 1 has no objects"):
+        world([[10, 0], [0, 0], [0, 0]])
+    layout = world([[10, 0], [0, 7], [3, 4]])
+    assert layout._indptr.tolist() == [0, 1, 2, 4]
+    assert layout._objects.tolist() == [0, 1, 0, 1]
+    assert layout._counts.tolist() == [10, 7, 3, 4]
+
+
 @pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
 def test_raw_attention_rejects_user_outside_world(gaze_noise):
     world = make_manual_world([[0.2], [0.5], [0.8]], [((0, 10),)], gaze_noise=gaze_noise)
