@@ -255,6 +255,10 @@ def cli_main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # e.g. a config whose arrays cannot be allocated
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def main() -> None:

@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError("budget_per_object_k must exceed floor_k")
         if not self.sweep_factors:
             raise ValueError("sweep_factors must be non-empty")
+        if self.sweep_user < 0:
+            raise ValueError(f"sweep_user must be >= 0, got {self.sweep_user}")
         if any(f <= self.floor_k for f in self.sweep_factors):
             raise ValueError("every sweep budget factor must exceed floor_k")
         if not (1 <= self.scene_retain_lo <= self.scene_retain_hi <= 100):
@@ -139,6 +141,7 @@ class ExperimentRunner:
         """The evaluated scene: objects of a random retained subset of one
         randomly selected service group (seeded per user)."""
         if user not in self._scenes:
+            _check_user(self.world, user)  # before a negative id reaches the seed sequence
             cfg = self.config
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(_SCENE_STREAM, user))

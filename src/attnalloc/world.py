@@ -1,7 +1,8 @@
 """Synthetic user-object-attention world.
 
-Generates a catalog of objects, grouped scene images held as one images x
-objects pixel matrix, and a latent per-user interest matrix; computes ground-truth attention values
+Generates a catalog of objects, grouped scene images held row by row as
+sparse occurrences (CSR: row offsets, object ids, pixel counts), and a
+latent per-user interest matrix; computes ground-truth attention values
 (gaze mass on an object divided by the pixels it occupies) and produces sparse
 observation records by sampling service groups and image subsets.
 """
@@ -26,7 +27,7 @@ WORLD_FORMAT_VERSION = "uoal-sim/1"
 _GAZE_STREAM = 101
 _SPARSIFY_STREAM = 102
 
-_MAX_PIXEL_COUNT = int(np.iinfo(np.int32).max)  # World.pixels is int32
+_MAX_PIXEL_COUNT = int(np.iinfo(np.int32).max)  # World.counts is int32
 _MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
@@ -118,14 +119,15 @@ class GroundTruthLevels:
 
 @dataclass(frozen=True)
 class World:
-    """The users x objects x images cube as arrays: ``pixels[i, o]`` is the
-    pixel count of object ``o`` in image ``i``, 0 when the object is absent.
+    """The users x objects x images cube as arrays. The images are held row
+    by row as occurrences (CSR): image ``i``'s objects are
+    ``objects[indptr[i]:indptr[i + 1]]`` in strictly ascending id, with their
+    pixel counts in ``counts``. The checks run on whole arrays and name the
+    first faulty image."""
 
-    The nonzeros of ``pixels`` are also held row by row as occurrences (CSR):
-    image ``i``'s objects are ``_objects[_indptr[i]:_indptr[i + 1]]`` in
-    ascending id, with their pixel counts in ``_counts``."""
-
-    pixels: np.ndarray  # int32, num_images x num_objects
+    indptr: np.ndarray  # num_images + 1 row offsets into objects and counts
+    objects: np.ndarray  # object ids, ascending within each image
+    counts: np.ndarray  # int32 pixel counts in 1..2**31-1
     group_of: np.ndarray  # num_images service group ids
     labels: tuple  # the catalog, one string per object
     interest: np.ndarray  # num_users x num_objects, entries in (0, 1]
@@ -150,23 +152,34 @@ class World:
         if len(set(labels)) != len(labels):
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise ValueError(f"catalog label {repeated!r} is not unique")
-        pixels = np.asarray(self.pixels, dtype=np.int32)
-        if pixels.ndim != 2 or not pixels.shape[0] or pixels.shape[1] != len(labels):
-            raise ValueError("pixels must be a non-empty images x objects matrix")
-        group_of = np.asarray(self.group_of, dtype=np.int64)
-        if group_of.shape != (pixels.shape[0],):
-            raise ValueError("group_of must give one group per image")
+        arrays = [np.asarray(a) for a in (self.indptr, self.objects, self.counts, self.group_of)]
+        if any(a.size and a.dtype.kind not in "iu" for a in arrays):  # a float is not cast
+            raise ValueError("indptr, objects, counts and group_of must hold integers")
+        indptr, objects, counts, group_of = (a.astype(np.int64, copy=False) for a in arrays)
+        n = group_of.size
+        if not n or group_of.ndim != 1 or indptr.shape != (n + 1,) or objects.ndim != 1 \
+                or counts.shape != objects.shape:
+            raise ValueError("group_of must list at least one image, indptr one offset more "
+                             "than the images, and counts one entry per object id")
         _reject_images(np.flatnonzero(group_of < 0), "has a negative group")
         groups = np.unique(group_of)
         if groups[-1] != groups.size - 1:
             missing = np.flatnonzero(groups != np.arange(groups.size))[0]
             raise ValueError(f"group ids must cover 0..{groups[-1]}; group {missing} has no images")
-        # the occurrences (CSR), from which both per-image checks read
-        rows, objects = np.nonzero(pixels)
-        counts = pixels[rows, objects]
-        per_image = np.bincount(rows, minlength=pixels.shape[0])
-        _reject_images(rows[counts < 0], "has a negative pixel count")
-        _reject_images(np.flatnonzero(per_image == 0), "has no objects")
+        lengths = np.diff(indptr)
+        faulty = lengths < 0
+        faulty[0] |= indptr[0] != 0
+        faulty[-1] |= indptr[-1] != objects.size
+        _reject_images(np.flatnonzero(faulty), f"has indptr offsets that do not rise from 0 "
+                                               f"to {objects.size}, the number of occurrences")
+        rows = np.repeat(np.arange(n), lengths)
+        _reject_images(rows[(objects < 0) | (objects >= len(labels))],
+                       f"has an object id outside 0..{len(labels) - 1}")
+        _reject_images(rows[1:][(rows[1:] == rows[:-1]) & (objects[1:] <= objects[:-1])],
+                       "does not list its objects in strictly ascending id")
+        _reject_images(rows[(counts < 1) | (counts > _MAX_PIXEL_COUNT)],
+                       "has a pixel count outside 1..2**31-1")
+        _reject_images(np.flatnonzero(lengths == 0), "has no objects")
         interest = np.asarray(self.interest, dtype=np.float64)
         if interest.shape[:1] == (0,):
             raise ValueError("a world must have at least one user")
@@ -176,13 +189,11 @@ class World:
         bad = np.argwhere(~((interest > 0) & (interest <= 1)))
         if bad.size:
             user, obj = bad[0].tolist()
-            raise ValueError(
-                f"interest of user {user} in object {obj} is {interest[user, obj].item()!r}, "
-                "not a finite number in (0, 1]"
-            )
-        indptr = np.concatenate(([0], np.cumsum(per_image)))
-        for name, arr in (("pixels", pixels), ("group_of", group_of), ("interest", interest),
-                          ("_indptr", indptr), ("_objects", objects), ("_counts", counts)):
+            raise ValueError(f"interest of user {user} in object {obj} is "
+                             f"{interest[user, obj].item()!r}, not a finite number in (0, 1]")
+        for name, arr in (("indptr", indptr), ("objects", objects),
+                          ("counts", counts.astype(np.int32, copy=False)),
+                          ("group_of", group_of), ("interest", interest)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -192,11 +203,11 @@ class World:
 
     @property
     def num_objects(self) -> int:
-        return self.pixels.shape[1]
+        return len(self.labels)
 
     @property
     def num_images(self) -> int:
-        return self.pixels.shape[0]
+        return self.group_of.size
 
     @property
     def num_groups(self) -> int:
@@ -209,12 +220,12 @@ class World:
         """The occurrences of the images ``image_ids`` (an int array of valid
         ids) in the given order, repeats included, each image's in ascending
         object id: (positions in the CSR layout, object ids, pixel counts)."""
-        starts = self._indptr[image_ids]
-        lengths = self._indptr[image_ids + 1] - starts
+        starts = self.indptr[image_ids]
+        lengths = self.indptr[image_ids + 1] - starts
         # output position k of image j reads occurrence starts[j] + k - first[j]
         first = np.cumsum(lengths) - lengths
         at = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
-        return at, self._objects[at], self._counts[at]
+        return at, self.objects[at], self.counts[at]
 
 
 def _check_seed(seed) -> None:
@@ -232,18 +243,11 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     """Build a deterministic synthetic world from a seed."""
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-
     interest = _generate_interest(config, rng)
-    pixels, group_of = _generate_images(config, rng)
-    _place_missing_objects(config, rng, pixels)
-    return World(
-        pixels=pixels,
-        group_of=group_of,
-        labels=tuple(f"object_{i:03d}" for i in range(config.num_objects)),
-        interest=interest,
-        seed=seed,
-        gaze_noise=config.gaze_noise,
-    )
+    occurrences, group_of = _generate_images(config, rng)
+    return World(*_place_missing_objects(config, rng, *occurrences), group_of=group_of,
+                 labels=tuple(f"object_{i:03d}" for i in range(config.num_objects)),
+                 interest=interest, seed=seed, gaze_noise=config.gaze_noise)
 
 
 def _generate_interest(config: WorldConfig, rng) -> np.ndarray:
@@ -277,8 +281,9 @@ def _run_ids(n: int, parts: int) -> np.ndarray:
 
 
 def _generate_images(config: WorldConfig, rng):
-    """Pixel matrix and group ids of the images, before missing objects are
-    placed. An image's ``k`` objects have the ``k`` smallest keys ``E / w``,
+    """The images' occurrences before missing objects are placed, as
+    ``(image, object, pixel count)`` arrays in key order, and their group
+    ids. An image's ``k`` objects have the ``k`` smallest keys ``E / w``,
     ``E`` standard exponential and ``w`` the group's weight: successive
     weighted sampling without replacement (Efraimidis and Spirakis, 2006).
     Keys are compared as logarithms, so no tiny weight overflows its key;
@@ -295,20 +300,20 @@ def _generate_images(config: WorldConfig, rng):
     hi = config.max_objects_per_image
     k = rng.integers(config.min_objects_per_image, hi + 1, size=n_img)
     keys = np.log(rng.standard_exponential((n_img, n_obj))) - group_log_weight[group_of]
-    smallest = np.argsort(keys, axis=1)[:, :hi]
-    taken = np.arange(hi) < k[:, None]
-    pixels = np.zeros((n_img, n_obj), dtype=np.int32)
-    pixels[np.nonzero(taken)[0], smallest[taken]] = rng.integers(
-        config.min_pixels_per_object, config.max_pixels_per_object + 1, size=int(k.sum())
-    )
-    return pixels, group_of
+    objects = np.argsort(keys, axis=1)[:, :hi][np.arange(hi) < k[:, None]]
+    counts = rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1,
+                          size=objects.size)
+    return (np.repeat(np.arange(n_img), k), objects, counts), group_of
 
 
-def _place_missing_objects(config: WorldConfig, rng, pixels: np.ndarray) -> None:
-    """Put every object that occurs in no image into one image, in place: draw
-    its pixel count, then pick uniformly among the images with room for it."""
-    load = pixels.sum(axis=1, dtype=np.int64)
-    for missing in np.flatnonzero(~pixels.any(axis=0)):
+def _place_missing_objects(config: WorldConfig, rng, rows, objects, counts):
+    """Put every object that occurs in no image into one image: draw its pixel
+    count, then pick uniformly among the images with room for it. Returns
+    ``(indptr, objects, counts)``, each image's objects in ascending id."""
+    # float64 sums of the counts are exact below 2**53
+    load = np.bincount(rows, weights=counts, minlength=config.num_images).astype(np.int64)
+    placed = []
+    for missing in np.flatnonzero(np.bincount(objects, minlength=config.num_objects) == 0):
         px = int(rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1))
         room = np.flatnonzero(load + px <= config.max_image_pixels)
         if not room.size:
@@ -317,8 +322,13 @@ def _place_missing_objects(config: WorldConfig, rng, pixels: np.ndarray) -> None
                 f"under max_image_pixels {config.max_image_pixels}"
             )
         image = room[rng.integers(room.size)]
-        pixels[image, missing] = px
+        placed.append((image, missing, px))
         load[image] += px
+    added = np.array(placed, dtype=np.int64).reshape(-1, 3).T
+    rows, objects, counts = map(np.concatenate, zip((rows, objects, counts), added))
+    order = np.argsort(rows * config.num_objects + objects, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=config.num_images))))
+    return indptr, objects[order], counts[order]
 
 
 def _gaze_factors(world: World, user: int, count: int) -> np.ndarray:
@@ -333,10 +343,8 @@ def _gaze_factors(world: World, user: int, count: int) -> np.ndarray:
 
 
 def attention_from_gaze(pixel_counts, gaze_masses) -> float:
-    """Attention value from observed occurrences of one object.
-
-    The ratio of total gaze mass to total pixels occupied, capped at 1.
-    """
+    """Attention value from observed occurrences of one object: the ratio of
+    total gaze mass to total pixels occupied, capped at 1."""
     pixels = [float(px) for px in pixel_counts]
     masses = [float(m) for m in gaze_masses]
     if len(pixels) != len(masses) or not pixels:
@@ -464,8 +472,7 @@ def sparsify_with_info(world: World, user: int, seed: int):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_SPARSIFY_STREAM, user, attempt))
         )
-        ran1 = int(rng.integers(2, 5))
-        ran1 = min(ran1, world.num_groups)
+        ran1 = min(int(rng.integers(2, 5)), world.num_groups)
         ran2 = int(rng.integers(30, 71))
         groups = sorted(int(g) for g in rng.choice(world.num_groups, size=ran1, replace=False))
         retained = []
@@ -485,8 +492,7 @@ def sparsify_with_info(world: World, user: int, seed: int):
 
 
 def sparsify(world: World, user: int, seed: int) -> SparseAttentionRecords:
-    records, _ = sparsify_with_info(world, user, seed)
-    return records
+    return sparsify_with_info(world, user, seed)[0]
 
 
 def sparsify_users(world: World, users, seed: int) -> SparseAttentionRecords:
@@ -499,8 +505,8 @@ def sparsify_users(world: World, users, seed: int) -> SparseAttentionRecords:
 def world_to_dict(world: World) -> dict:
     """The ``uoal-sim/1`` document; each composition lists its objects in
     ascending id."""
-    entries = [[o, px] for o, px in zip(world._objects.tolist(), world._counts.tolist())]
-    bounds = world._indptr.tolist()
+    entries = [[o, px] for o, px in zip(world.objects.tolist(), world.counts.tolist())]
+    bounds = world.indptr.tolist()
     return {
         "version": WORLD_FORMAT_VERSION,
         "seed": world.seed,
@@ -516,10 +522,10 @@ def world_to_dict(world: World) -> dict:
 
 
 def world_from_dict(doc: dict) -> World:
-    """Build the pixel matrix from a ``uoal-sim/1`` document (compositions in
-    any order), rejecting missing keys, non-integer ids, groups and pixel
-    counts, interest entries that are not numbers, and entries that would not
-    map one-to-one onto the matrix. The type checks are exact: a JSON integer
+    """Build the world from a ``uoal-sim/1`` document (compositions in any
+    order), rejecting missing keys, non-integer ids, groups and pixel counts,
+    interest entries that are not numbers, and an image that repeats an
+    object. The type checks are exact: a JSON integer
     loads as ``int`` and any other number as ``float``; a bool is neither.
     Everything is checked in bulk; only when a check fails is the first
     faulty entry in document order looked up, to name it."""
@@ -528,10 +534,7 @@ def world_from_dict(doc: dict) -> World:
         raise ValueError(f"unsupported world file version {version!r}")
     labels = tuple(_require(doc, "catalog", "world file", list))
     images = _require(doc, "images", "world file", list)
-    arrays = _image_arrays(images, len(labels))
-    if arrays is None:
-        _raise_image_fault(images, len(labels))
-    pixels, group_of = arrays
+    arrays = _image_arrays(images, len(labels)) or _raise_image_fault(images, len(labels))
     rows = _require(doc, "interest", "world file", list)
     user = _first_non_number_row(rows)
     if user is not None:
@@ -540,20 +543,16 @@ def world_from_dict(doc: dict) -> World:
     num_users = _require(doc, "num_users", "world file")
     if interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
-    return World(
-        pixels=pixels,
-        group_of=group_of,
-        labels=labels,
-        interest=interest,
-        seed=_require(doc, "seed", "world file"),
-        gaze_noise=_require(doc, "gaze_noise", "world file"),
-    )
+    return World(*arrays, labels=labels, interest=interest,
+                 seed=_require(doc, "seed", "world file"),
+                 gaze_noise=_require(doc, "gaze_noise", "world file"))
 
 
 def _image_arrays(images: list, num_objects: int):
-    """``(pixels, group_of)`` of a document's ``images``, or None when one
-    of the checks that ``_raise_image_fault`` makes entry by entry fails.
-    An image without objects is left to ``World``."""
+    """``(indptr, objects, counts, group_of)`` of a document's ``images``,
+    each image's entries in ascending object id, or None when one of the
+    checks that ``_raise_image_fault`` makes entry by entry fails. An image
+    without objects is left to ``World``."""
     n = len(images)
     if not set(map(type, images)) <= {dict}:
         return None
@@ -577,16 +576,16 @@ def _image_arrays(images: list, num_objects: int):
     except OverflowError:
         return None
     group_of, objects, counts = values[:n], values[n::2], values[n + 1::2]
+    lengths = list(map(len, compositions))
+    keys = np.repeat(np.arange(n), lengths) * num_objects + objects
+    order = np.argsort(keys, kind="stable")
+    # with every object id in range, a repeated one is two equal keys side by side
     if not (((group_of >= 0) & (group_of < n)).all()
             and ((objects >= 0) & (objects < num_objects)).all()
-            and ((counts >= 1) & (counts <= _MAX_PIXEL_COUNT)).all()):
+            and ((counts >= 1) & (counts <= _MAX_PIXEL_COUNT)).all()
+            and np.diff(keys[order]).all()):
         return None
-    pixels = np.zeros((n, num_objects), dtype=np.int32)
-    pixels[np.repeat(np.arange(n), list(map(len, compositions))), objects] = counts
-    # with every count positive, a repeated object leaves fewer nonzeros
-    if np.count_nonzero(pixels) != len(entries):
-        return None
-    return pixels, group_of
+    return np.concatenate(([0], np.cumsum(lengths))), objects[order], counts[order], group_of
 
 
 def _raise_image_fault(images: list, num_objects: int) -> typing.NoReturn:
@@ -742,13 +741,13 @@ def save_world(world: World, path) -> None:
         "gaze_noise": world.gaze_noise,
         "catalog": list(world.labels),
     }, indent=1)
-    n, indptr, lengths = world.num_images, world._indptr, np.diff(world._indptr)
+    n, indptr, lengths = world.num_images, world.indptr, np.diff(world.indptr)
     # image i's integers, [i, group, object, count, ...], start at 2 * (i + indptr[i])
     ints = np.empty(2 * (n + indptr[-1]), dtype=np.int64)
     starts = 2 * (np.arange(n) + indptr[:-1])
     ints[starts], ints[starts + 1] = np.arange(n), world.group_of
     at = 2 * (np.repeat(np.arange(1, n + 1), lengths) + np.arange(indptr[-1]))
-    ints[at], ints[at + 1] = world._objects, world._counts
+    ints[at], ints[at + 1] = world.objects, world.counts
     layout = ("[\n  " + ",\n  ".join(map(_image_layout, lengths.tolist()))
               + '\n ],\n "interest": ' + _json_layout(world.interest.shape, 1))
     # head ends with the closing "\n}" of its object

@@ -1,13 +1,14 @@
 """Test oracles kept out of the package: an exhaustive grid search over the
 budget simplex, which the exact allocator is checked against, the per-image
 successive sampler, which the vectorized image draw is checked against, the
-``csv.writer`` loop that ``save_records`` is checked against, the
-frozenset records with their per-row loader, the row loop and the per-entry
-world loader that the bulk-checked readers replaced, dict-loop baseline,
-set-based holdout and pair set that the sorted records table replaced, and the
-list-of-pairs quantizer and dict-path sparsify that the attention arrays
-replaced, and the per-record ``bincount`` ALS half-sweep that the dense
-masked product replaced."""
+dense images x objects pixel matrix that the world once held and the draw
+that filled it, the ``csv.writer`` loop that ``save_records`` is checked
+against, the frozenset records with their per-row loader, the row loop and
+the per-entry world loader that the bulk-checked readers replaced, dict-loop
+baseline, set-based holdout and pair set that the sorted records table
+replaced, and the list-of-pairs quantizer and dict-path sparsify that the
+attention arrays replaced, and the per-record ``bincount`` ALS half-sweep
+that the dense masked product replaced."""
 
 import csv
 import io
@@ -20,8 +21,9 @@ from attnalloc.allocate import AllocationProblem, AllocationResult, objective_va
 from attnalloc.mf import BaselineModel
 from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, InvalidRecordError
 from attnalloc.records import RecordsParseError, SparseAttentionRecords
-from attnalloc.world import (_MAX_PIXEL_COUNT, _SPARSIFY_STREAM, WORLD_FORMAT_VERSION, World,
-                             _is_number, _popularity, _require)
+from attnalloc.world import (_MAX_PIXEL_COUNT, _SPARSIFY_STREAM, WORLD_FORMAT_VERSION,
+                             ConfigurationError, World, _generate_interest, _is_number,
+                             _popularity, _require, _run_ids)
 
 
 class SearchSpaceError(ValueError):
@@ -102,6 +104,80 @@ def successive_sampling_images(config, rng):
             config.min_pixels_per_object, config.max_pixels_per_object + 1, size=k
         )
     return pixels, group_of
+
+
+def dense_pixels(world) -> np.ndarray:
+    """The world's images as an images x objects int32 matrix: entry
+    ``[i, o]`` is object ``o``'s pixel count in image ``i``, 0 when it is
+    absent; test oracle only."""
+    pixels = np.zeros((world.num_images, world.num_objects), dtype=np.int32)
+    rows = np.repeat(np.arange(world.num_images), np.diff(world.indptr))
+    pixels[rows, world.objects] = world.counts
+    return pixels
+
+
+def world_from_pixels(pixels, **fields) -> World:
+    """The World whose images are the nonzeros of an images x objects pixel
+    matrix, read row by row as ``World`` once read its ``pixels`` field;
+    ``fields`` are its other fields. Test oracle only."""
+    pixels = np.asarray(pixels)
+    rows, objects = np.nonzero(pixels)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(pixels)))))
+    return World(indptr=indptr, objects=objects, counts=pixels[rows, objects], **fields)
+
+
+def dense_generate_images(config, rng):
+    """The images drawn into a pixel matrix, as ``world._generate_images``
+    did before the world held its occurrences only: the same draws, with each
+    count written at its (image, object) entry. Returns (pixels, group_of)
+    before missing objects are placed; test oracle only."""
+    n_img, n_obj = config.num_images, config.num_objects
+    popularity = rng.permutation(_popularity(config))
+    log_weight = np.log(popularity, out=np.full(n_obj, -np.inf), where=popularity > 0)
+    in_block = _run_ids(n_obj, config.num_groups) == np.arange(config.num_groups)[:, None]
+    group_log_weight = log_weight + math.log(config.group_bias) * in_block
+    group_of = _run_ids(n_img, config.num_groups)
+
+    hi = config.max_objects_per_image
+    k = rng.integers(config.min_objects_per_image, hi + 1, size=n_img)
+    keys = np.log(rng.standard_exponential((n_img, n_obj))) - group_log_weight[group_of]
+    smallest = np.argsort(keys, axis=1)[:, :hi]
+    taken = np.arange(hi) < k[:, None]
+    pixels = np.zeros((n_img, n_obj), dtype=np.int32)
+    pixels[np.nonzero(taken)[0], smallest[taken]] = rng.integers(
+        config.min_pixels_per_object, config.max_pixels_per_object + 1, size=int(k.sum())
+    )
+    return pixels, group_of
+
+
+def dense_place_missing_objects(config, rng, pixels: np.ndarray) -> None:
+    """Put every object that occurs in no image of the matrix into one image,
+    in place, with the same draws as ``world._place_missing_objects``; test
+    oracle only."""
+    load = pixels.sum(axis=1, dtype=np.int64)
+    for missing in np.flatnonzero(~pixels.any(axis=0)):
+        px = int(rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1))
+        room = np.flatnonzero(load + px <= config.max_image_pixels)
+        if not room.size:
+            raise ConfigurationError(
+                f"object {missing} occurs in no image, and its {px} pixels fit in no image "
+                f"under max_image_pixels {config.max_image_pixels}"
+            )
+        image = room[rng.integers(room.size)]
+        pixels[image, missing] = px
+        load[image] += px
+
+
+def dense_generate_world(config, seed: int) -> World:
+    """``generate_world`` through the pixel matrix: the dense draw and
+    placement, then ``world_from_pixels``; test oracle only."""
+    rng = np.random.default_rng(seed)
+    interest = _generate_interest(config, rng)
+    pixels, group_of = dense_generate_images(config, rng)
+    dense_place_missing_objects(config, rng, pixels)
+    return world_from_pixels(
+        pixels, group_of=group_of, interest=interest, seed=seed, gaze_noise=config.gaze_noise,
+        labels=tuple(f"object_{i:03d}" for i in range(config.num_objects)))
 
 
 def csv_writer_records_text(records) -> str:
@@ -362,8 +438,8 @@ def loop_world_from_dict(doc: dict) -> World:
     num_users = _require(doc, "num_users", "world file")
     if interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
-    return World(
-        pixels=pixels,
+    return world_from_pixels(
+        pixels,
         group_of=group_of,
         labels=labels,
         interest=interest,

@@ -13,7 +13,7 @@ import pytest
 
 import attnalloc
 from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
-from oracles import record_pairs
+from oracles import record_pairs, world_from_pixels
 
 SMALL_CONFIG = """\
 [experiment]
@@ -235,6 +235,48 @@ def test_experiment_and_sweep(tmp_path, capsys, config_file):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("user", ["-1", "4"])
+def test_sweep_rejects_user_outside_world_before_any_draw(tmp_path, capsys, config_file, user):
+    # --user -1 used to reach the scene's seed sequence and fail with numpy's
+    # "expected non-negative integer", which did not name the user
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--config", config_file, "--user", user,
+                       "--out", str(out))
+    assert code == EXIT_DATA
+    assert f"user {user} outside 0..3" in err
+    assert not out.exists()
+
+
+def test_negative_sweep_user_rejected_when_config_is_built(tmp_path, capsys):
+    with pytest.raises(ValueError, match="sweep_user must be >= 0, got -1"):
+        attnalloc.ExperimentConfig(sweep_user=-1)
+    path = tmp_path / "bad.cfg"
+    path.write_text("[experiment]\nsweep_user = -1\n")
+    code, _, err = run(capsys, "sweep", "--config", str(path))
+    assert code == EXIT_DATA
+    assert "invalid [experiment] section: sweep_user must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("command, detail, expected", [
+    ("experiment", ("Unable to allocate 22.4 GiB for an array",),
+     "error: experiment ran out of memory: Unable to allocate 22.4 GiB for an array\n"),
+    ("sweep", (), "error: sweep ran out of memory\n"),
+])
+def test_memory_error_exits_2_naming_the_command(tmp_path, capsys, monkeypatch, command, detail,
+                                                 expected):
+    # [fit] f = 100000000 asks for arrays that cannot be allocated; the error
+    # is injected here rather than provoked
+    def fit_out_of_memory(*args, **kwargs):
+        raise MemoryError(*detail)
+
+    monkeypatch.setattr(attnalloc.experiment, "fit_mf", fit_out_of_memory)
+    path = tmp_path / "huge.cfg"
+    path.write_text("[fit]\nf = 100000000\n")
+    code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (EXIT_DATA, "", expected)
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "experiment", "--config", "missing.toml")
     assert code == EXIT_DATA
@@ -392,12 +434,13 @@ def test_allocate_non_finite_budget_or_floor(tmp_path, capsys, budget, floor, na
 
 def _save_world(path, pixels, num_users=2):
     """Save a manual world with the given images x objects pixel matrix."""
-    from attnalloc import World, save_world
+    from attnalloc import save_world
 
     pixels = np.asarray(pixels)
-    save_world(World(pixels=pixels, group_of=[0] * len(pixels),
-                     labels=tuple(f"o{i}" for i in range(pixels.shape[1])),
-                     interest=np.full((num_users, pixels.shape[1]), 0.5), seed=0), path)
+    save_world(world_from_pixels(pixels, group_of=[0] * len(pixels),
+                                 labels=tuple(f"o{i}" for i in range(pixels.shape[1])),
+                                 interest=np.full((num_users, pixels.shape[1]), 0.5), seed=0),
+               path)
 
 
 def _save_zero_model(path):

@@ -36,8 +36,9 @@ from attnalloc.world import (
     world_to_dict,
 )
 from conftest import SMALL_WORLD
-from oracles import (dict_sparsify, loop_world_from_dict, quantize_pairs,
-                     successive_sampling_images)
+from oracles import (dense_generate_images, dense_generate_world, dense_pixels, dict_sparsify,
+                     loop_world_from_dict, quantize_pairs, successive_sampling_images,
+                     world_from_pixels)
 
 
 def _raw_dict(world, user, image_ids) -> dict:
@@ -49,9 +50,9 @@ def _raw_dict(world, user, image_ids) -> dict:
 def _reference_gaze_factors(world: World, user: int) -> dict:
     """The gaze-noise rule read off the dense matrix, not the occurrence
     layout: pair (image, object) gets the user's generator's draw at the
-    pair's rank among the row-major nonzeros of ``world.pixels``. The
+    pair's rank among the row-major nonzeros of ``dense_pixels(world)``. The
     differential oracle for the gather (exact equality)."""
-    images, objects = np.nonzero(world.pixels)  # row-major order
+    images, objects = np.nonzero(dense_pixels(world))  # row-major order
     g = world.gaze_noise
     draws = np.random.default_rng((world.seed, _GAZE_STREAM, user)).uniform(
         -g, g, size=images.size)
@@ -66,8 +67,8 @@ def make_manual_world(interest_rows, compositions, gaze_noise=0.0, groups=None):
     for image_id, comp in enumerate(compositions):
         for object_id, px in comp:
             pixels[image_id, object_id] = px
-    return World(
-        pixels=pixels, group_of=groups or [0] * len(compositions),
+    return world_from_pixels(
+        pixels, group_of=groups or [0] * len(compositions),
         labels=tuple(f"o{i}" for i in range(n_obj)), interest=interest,
         seed=0, gaze_noise=gaze_noise,
     )
@@ -83,7 +84,7 @@ def test_default_world_shape(default_world):
 
 
 def test_every_object_appears(default_world):
-    pixels = default_world.pixels
+    pixels = dense_pixels(default_world)
     assert (pixels.sum(axis=1) <= 360 * 640).all()
     assert set(np.flatnonzero(pixels.any(axis=0))) == set(range(96))
 
@@ -151,7 +152,7 @@ def test_image_draw_matches_successive_sampling_oracle(seed):
         config, _stream_after_interest(config, seed))
     assert oracle_pixels.any(axis=0).all()  # nothing left for the placement
     table = np.stack([
-        _inclusion_counts(world.pixels, world.group_of, config.num_groups).ravel(),
+        _inclusion_counts(dense_pixels(world), world.group_of, config.num_groups).ravel(),
         _inclusion_counts(oracle_pixels, oracle_groups, config.num_groups).ravel(),
     ])
     result = chi2_contingency(table)
@@ -179,7 +180,10 @@ def _world_configs(draw):
 @given(_world_configs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_generated_world_properties(config, seed):
-    drawn, _ = _generate_images(config, _stream_after_interest(config, seed))
+    (rows, objects, counts), _ = _generate_images(config, _stream_after_interest(config, seed))
+    drawn = np.zeros((config.num_images, config.num_objects), dtype=np.int64)
+    drawn[rows, objects] = counts
+    assert np.count_nonzero(drawn) == objects.size  # no image draws an object twice
     per_image = np.count_nonzero(drawn, axis=1)
     assert ((per_image >= config.min_objects_per_image)
             & (per_image <= config.max_objects_per_image)).all()
@@ -190,7 +194,7 @@ def test_generated_world_properties(config, seed):
         named = re.match(r"object (\d+) occurs in no image", str(exc))
         assert named and int(named[1]) in missing
         return
-    pixels = world.pixels
+    pixels = dense_pixels(world)
     placed = pixels != drawn
     # the placement adds each missing object once and changes nothing else
     assert not drawn[placed].any()
@@ -237,10 +241,10 @@ def test_zero_weight_objects_never_drawn():
                          max_objects_per_image=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        drawn, _ = _generate_images(config, _stream_after_interest(config, 0))
+        (_, drawn, _), _ = _generate_images(config, _stream_after_interest(config, 0))
         world = generate_world(config, 0)
-    assert np.count_nonzero(drawn.any(axis=0)) <= 6
-    assert world.pixels.any(axis=0).all()
+    assert np.unique(drawn).size <= 6
+    assert dense_pixels(world).any(axis=0).all()
 
 
 def test_attention_from_gaze_worked_example():
@@ -370,8 +374,8 @@ def test_ground_truth_preserves_rank_order():
 def test_ground_truth_rejects_absent_object():
     # an object in no image used to get whatever np.empty held: a misleading
     # "levels must be ... 1..5", or silently a stale level
-    world = World(pixels=[[100, 200, 0], [50, 0, 0]], group_of=[0, 1], labels=("a", "b", "c"),
-                  interest=np.full((2, 3), 0.5), seed=0)
+    world = world_from_pixels([[100, 200, 0], [50, 0, 0]], group_of=[0, 1],
+                              labels=("a", "b", "c"), interest=np.full((2, 3), 0.5), seed=0)
     with pytest.raises(ValueError, match="object 2 \\('c'\\) occurs in no image"):
         ground_truth_levels(world)
 
@@ -382,7 +386,8 @@ def test_sparsify_draw_ranges(small_world):
         assert info.ran1 in (2, 3)  # capped by the 3-group small world
         assert 30 <= info.ran2 <= 70
         assert len(info.selected_groups) == info.ran1
-        present = set(np.flatnonzero(small_world.pixels[list(info.retained_images)].any(axis=0)))
+        retained = dense_pixels(small_world)[list(info.retained_images)]
+        present = set(np.flatnonzero(retained.any(axis=0)))
         assert {o for _, o, _ in records} <= present
 
 
@@ -489,7 +494,7 @@ def test_save_world_matches_json_dump_on_hand_written_file(tmp_path):
     world = load_world(source)
     assert world.labels == ('say "hi"', "back\\slash", "two\nlines", "\x01ctl", "chaise_é", "雪")
     assert type(world.gaze_noise) is int and world.seed == 2**53 + 1
-    assert world.pixels[0, 5] == 2**31 - 1
+    assert dense_pixels(world)[0, 5] == 2**31 - 1
     path = tmp_path / "world.json"
     _assert_saved_as_json_dump(world, path)
     text = path.read_text(encoding="ascii")
@@ -611,7 +616,7 @@ def test_gaze_draw_is_prefix_of_longer_draw(seed):
             prefix = np.random.default_rng((seed, _GAZE_STREAM, 3)).uniform(-g, g, size=m)
             assert np.array_equal(prefix, full[:m])
     world = dataclasses.replace(generate_world(SMALL_WORLD, 1), gaze_noise=0.1, seed=seed)
-    n = world._objects.size
+    n = world.objects.size
     for m in (1, n // 2, n):
         assert np.array_equal(_gaze_factors(world, 0, m), _gaze_factors(world, 0, n)[:m])
 
@@ -625,7 +630,7 @@ def test_parent_order_world_file_loads_to_same_matrix(default_world):
         comp = image["composition"]
         image["composition"] = [comp[i] for i in rng.permutation(len(comp))]
     loaded = world_from_dict(doc)
-    assert np.array_equal(loaded.pixels, default_world.pixels)
+    assert np.array_equal(dense_pixels(loaded), dense_pixels(default_world))
     assert np.array_equal(loaded.group_of, default_world.group_of)
     assert np.array_equal(ground_truth_levels(loaded).levels,
                           ground_truth_levels(default_world).levels)
@@ -648,7 +653,7 @@ def test_gaze_factor_fixed_per_pair_across_calls(seed):
     factor = {(i, o): value / interest[o]
               for i in range(world.num_images)
               for o, value in _raw_dict(world, 0, [i]).items()}
-    assert len(factor) == np.count_nonzero(world.pixels) == len(set(factor.values()))
+    assert len(factor) == world.objects.size == len(set(factor.values()))
     assert all(0.8 <= f <= 1.2 for f in factor.values())
     for ids in ([0, 1, 2, 3], [3, 1], [2, 0, 2], [1, 1, 3, 0, 1]):
         mass, pixels = {}, {}
@@ -689,18 +694,18 @@ def test_world_rejects_group_gaps():
 
 def test_world_rejects_images_with_negative_counts_or_no_objects():
     def world(pixels):
-        return World(pixels=pixels, group_of=[0] * len(pixels), labels=("a", "b"),
-                     interest=[[0.5, 0.5]], seed=0)
+        return world_from_pixels(pixels, group_of=[0] * len(pixels), labels=("a", "b"),
+                                 interest=[[0.5, 0.5]], seed=0)
 
-    # the negative count is named first, although image 1 has no objects
-    with pytest.raises(ValueError, match="image 2 has a negative pixel count"):
+    # the non-positive count is named first, although image 1 has no objects
+    with pytest.raises(ValueError, match=r"image 2 has a pixel count outside 1\.\.2\*\*31-1"):
         world([[10, 0], [0, 0], [5, -1], [-3, 0]])
     with pytest.raises(ValueError, match="image 1 has no objects"):
         world([[10, 0], [0, 0], [0, 0]])
     layout = world([[10, 0], [0, 7], [3, 4]])
-    assert layout._indptr.tolist() == [0, 1, 2, 4]
-    assert layout._objects.tolist() == [0, 1, 0, 1]
-    assert layout._counts.tolist() == [10, 7, 3, 4]
+    assert layout.indptr.tolist() == [0, 1, 2, 4]
+    assert layout.objects.tolist() == [0, 1, 0, 1]
+    assert layout.counts.tolist() == [10, 7, 3, 4]
 
 
 @pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
@@ -760,8 +765,8 @@ def _small_worlds(draw):
         st.lists(st.floats(1e-3, 1.0), min_size=num_objects, max_size=num_objects),
         min_size=1, max_size=3,
     ))
-    return World(
-        pixels=pixels, group_of=[0] * num_images,
+    return world_from_pixels(
+        pixels, group_of=[0] * num_images,
         labels=tuple(f"o{i}" for i in range(num_objects)), interest=interest,
         seed=draw(st.integers(0, 2**32 - 1)), gaze_noise=draw(st.sampled_from([0.0, 0.1])),
     )
@@ -772,7 +777,7 @@ def _small_worlds(draw):
 def test_raw_attention_matches_reference_on_small_worlds(data, world):
     # unsorted image lists with repeats; the oracle reads the compositions off
     # the dense matrix, not off the occurrence layout
-    images = [{"composition": comp} for comp in _dense_compositions(world.pixels)]
+    images = [{"composition": comp} for comp in _dense_compositions(dense_pixels(world))]
     ids = data.draw(st.lists(st.integers(0, world.num_images - 1), min_size=1, max_size=24))
     user = data.draw(st.integers(0, world.num_users - 1))
     assert _raw_dict(world, user, ids) == _reference_raw_attention_values(
@@ -796,25 +801,27 @@ def _loaded_parent_order_world():
 ], ids=["generated", "generated-small", "loaded-parent-order", "manual"])
 def test_occurrence_layout_matches_pixels(make):
     world = make()
-    dense = _dense_compositions(world.pixels)
-    bounds = world._indptr.tolist()
-    assert bounds[0] == 0 and bounds[-1] == np.count_nonzero(world.pixels)
+    pixels = dense_pixels(world)
+    dense = _dense_compositions(pixels)
+    bounds = world.indptr.tolist()
+    assert bounds[0] == 0 and bounds[-1] == np.count_nonzero(pixels)
     for i, comp in enumerate(dense):
         a, b = bounds[i], bounds[i + 1]
-        assert [[o, px] for o, px in zip(world._objects[a:b].tolist(),
-                                         world._counts[a:b].tolist())] == comp
+        assert [[o, px] for o, px in zip(world.objects[a:b].tolist(),
+                                         world.counts[a:b].tolist())] == comp
     assert [image["composition"] for image in world_to_dict(world)["images"]] == dense
-    for arr in (world._indptr, world._objects, world._counts):
+    for arr in (world.indptr, world.objects, world.counts):
         assert not arr.flags.writeable
+    assert world.counts.dtype == np.int32
     # a gather reads the images in the given order, repeats included
     ids = np.random.default_rng(0).integers(0, world.num_images, 2 * world.num_images + 3)
     at, objects, px = world.occurrences(ids)
-    rows, expected_objects = np.nonzero(world.pixels[ids])
+    rows, expected_objects = np.nonzero(pixels[ids])
     # each occurrence's position is its pair's rank among the row-major nonzeros
-    rank = np.cumsum(world.pixels != 0).reshape(world.pixels.shape) - 1
+    rank = np.cumsum(pixels != 0).reshape(pixels.shape) - 1
     assert at.tolist() == rank[ids[rows], expected_objects].tolist()
     assert objects.tolist() == expected_objects.tolist()
-    assert px.tolist() == world.pixels[ids][rows, expected_objects].tolist()
+    assert px.tolist() == pixels[ids][rows, expected_objects].tolist()
 
 
 @pytest.mark.parametrize("value", [float("nan"), None, float("inf"), 0.0, 1.5])
@@ -921,3 +928,130 @@ def test_world_from_dict_names_each_fault_as_oracle(default_world, fault):
     outcome = _load_outcome(world_from_dict, doc)
     assert outcome == _load_outcome(loop_world_from_dict, doc)
     assert outcome[0] is ValueError and "image 3" in outcome[1]
+
+
+def _generation_outcome(generate, config, seed):
+    try:
+        return world_to_dict(generate(config, seed))
+    except ConfigurationError as err:  # the exception is the outcome compared
+        return str(err)
+
+
+@given(_world_configs(), st.integers(1, 3), st.sampled_from([0.0, 0.1]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_generate_world_matches_dense_oracle(config, num_users, gaze_noise, seed):
+    # the occurrence layout is built without the pixel matrix, yet the worlds
+    # (or the placement's error) are those of the matrix draw
+    config = dataclasses.replace(config, num_users=num_users, gaze_noise=gaze_noise)
+    assert _generation_outcome(generate_world, config, seed) \
+        == _generation_outcome(dense_generate_world, config, seed)
+
+
+@pytest.mark.parametrize("config, seed", [
+    (NO_ROOM, 0),
+    (WorldConfig(num_images=200, object_popularity_exponent=400.0, max_objects_per_image=6), 0),
+    (WorldConfig(num_users=2, num_objects=40, num_images=12, num_groups=3,
+                 max_objects_per_image=4), 3),
+], ids=["no-room", "steep-popularity", "few-images"])
+def test_generate_world_matches_dense_oracle_where_placement_runs(config, seed):
+    drawn, _ = dense_generate_images(config, _stream_after_interest(config, seed))
+    assert not drawn.any(axis=0).all()  # some object is left for the placement
+    assert _generation_outcome(generate_world, config, seed) \
+        == _generation_outcome(dense_generate_world, config, seed)
+
+
+@st.composite
+def _csr_worlds(draw):
+    """A valid world's fields, the images as (indptr, objects, counts) lists."""
+    num_objects = draw(st.integers(1, 6))
+    compositions = draw(st.lists(
+        st.lists(st.integers(0, num_objects - 1), min_size=1, unique=True).map(sorted),
+        min_size=1, max_size=6))
+    objects = [o for comp in compositions for o in comp]
+    return dict(
+        indptr=np.cumsum([0] + [len(comp) for comp in compositions]).tolist(),
+        objects=objects,
+        counts=draw(st.lists(st.integers(1, 2**31 - 1), min_size=len(objects),
+                             max_size=len(objects))),
+        group_of=[0] * len(compositions), labels=tuple(f"o{i}" for i in range(num_objects)),
+        interest=[[0.5] * num_objects], seed=0, gaze_noise=draw(st.sampled_from([0.0, 0.1])))
+
+
+_INDPTR = "has indptr offsets that do not rise from 0 to"
+_ORDER = "does not list its objects in strictly ascending id"
+_EMPTY = "has no objects"
+# each fault that World must name, to the start of its message
+_CSR_FAULTS = {
+    "first offset": _INDPTR, "decreasing offset": _INDPTR, "last offset": _INDPTR,
+    "object id": "has an object id outside", "order": _ORDER, "repeat": _ORDER,
+    "count": r"has a pixel count outside 1\.\.2\*\*31-1", "empty": _EMPTY,
+}
+
+
+def _inject_csr_fault(data, fields):
+    """Break one image of a valid world's fields in place; returns the image
+    and the start of the message that names it."""
+    indptr, objects, counts = fields["indptr"], fields["objects"], fields["counts"]
+    n = len(indptr) - 1
+    image = data.draw(st.integers(0, n - 1))
+    start, end = indptr[image], indptr[image + 1]
+    k = data.draw(st.integers(start, end - 1))  # an occurrence of the image
+    kind = data.draw(st.sampled_from(sorted(_CSR_FAULTS)))
+    if kind == "first offset":
+        indptr[0] = data.draw(st.sampled_from([-1, 1]))
+        image = 0
+    elif kind == "decreasing offset":
+        indptr[image + 1] = start - data.draw(st.integers(1, 3))
+    elif kind == "last offset":
+        indptr[-1] += data.draw(st.sampled_from([-1, 1]))
+        image = n - 1
+    elif kind == "object id":
+        objects[k] = data.draw(st.sampled_from([-1, len(fields["labels"]), 10**6]))
+    elif kind in ("order", "repeat"):
+        if end - start < 2:  # one object is always in order; empty the image instead
+            return _empty_image(fields, image)
+        j = data.draw(st.integers(start, end - 2))
+        if kind == "repeat":
+            objects[j + 1] = objects[j]
+        else:
+            objects[j], objects[j + 1] = objects[j + 1], objects[j]
+    elif kind == "count":
+        counts[k] = data.draw(st.sampled_from([0, -1, 2**31, 2**40]))
+    else:
+        return _empty_image(fields, image)
+    return image, _CSR_FAULTS[kind]
+
+
+def _empty_image(fields, image):
+    """Drop the objects of one image of a valid world's fields, in place."""
+    indptr = fields["indptr"]
+    start, end = indptr[image], indptr[image + 1]
+    del fields["objects"][start:end], fields["counts"][start:end]
+    indptr[image + 1:] = [i - (end - start) for i in indptr[image + 1:]]
+    return image, _EMPTY
+
+
+@given(st.data(), _csr_worlds())
+@settings(max_examples=400, deadline=None)
+def test_world_names_first_faulty_image_of_each_csr_fault(data, fields):
+    world = World(**fields)  # valid: it round-trips through the document
+    again = world_from_dict(world_to_dict(world))
+    assert world_to_dict(again) == world_to_dict(world)
+    for name in ("indptr", "objects", "counts"):
+        assert np.array_equal(getattr(again, name), getattr(world, name))
+    image, message = _inject_csr_fault(data, fields)
+    with pytest.raises(ValueError, match=rf"^image {image} {message}"):
+        World(**fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("indptr", [0.0, 1.0]), ("objects", [0.5]), ("counts", [3.0]), ("group_of", [True]),
+])
+def test_world_rejects_non_integer_layout(field, value):
+    # a float is not cast, which would make object id 0.5 read object 0
+    fields = dict(indptr=[0, 1], objects=[0], counts=[3], group_of=[0], labels=("a",),
+                  interest=[[0.5]], seed=0)
+    with pytest.raises(ValueError, match="indptr, objects, counts and group_of must hold integers"):
+        World(**{**fields, field: value})
+    assert World(**fields).counts.tolist() == [3]
