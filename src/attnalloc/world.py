@@ -534,6 +534,8 @@ def world_from_dict(doc: dict) -> World:
         raise ValueError(f"unsupported world file version {version!r}")
     labels = tuple(_require(doc, "catalog", "world file", list))
     images = _require(doc, "images", "world file", list)
+    if not images:
+        raise ValueError("world file: 'images' must list at least one image")
     arrays = _image_arrays(images, len(labels)) or _raise_image_fault(images, len(labels))
     rows = _require(doc, "interest", "world file", list)
     user = _first_non_number_row(rows)

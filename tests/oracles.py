@@ -407,6 +407,8 @@ def loop_world_from_dict(doc: dict) -> World:
         raise ValueError(f"unsupported world file version {version!r}")
     labels = tuple(_require(doc, "catalog", "world file", list))
     images = _require(doc, "images", "world file", list)
+    if not images:
+        raise ValueError("world file: 'images' must list at least one image")
     pixels = np.zeros((len(images), len(labels)), dtype=np.int32)
     group_of = np.zeros(len(images), dtype=np.int64)
     for position, image in enumerate(images):

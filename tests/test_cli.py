@@ -881,3 +881,61 @@ def test_utf8_world_read_under_c_locale(tmp_path, capsys, config_file):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert records.read_bytes() == expected.read_bytes()
+
+
+def test_eval_names_images_key_when_world_lists_none(tmp_path, capsys):
+    model, world = tmp_path / "model.json", tmp_path / "world.json"
+    _save_zero_model(model)
+    _save_world(world, [[10, 20]])
+    doc = json.loads(world.read_text())
+    doc["images"] = []
+    world.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--model", str(model), "--world", str(world))
+    assert code == EXIT_DATA and out == ""
+    assert err == "error: world file: 'images' must list at least one image\n"
+
+
+# fault: the exit code it gives
+_RECORDS_FILE_FAULTS = {"missing path": EXIT_DATA, "directory": EXIT_DATA,
+                        "invalid utf-8 byte": EXIT_DATA, "nul byte": EXIT_DATA,
+                        "last row cut short": EXIT_DATA, "crlf": EXIT_OK}
+
+
+def _faulty_records(records: Path, fault: str) -> Path:
+    """A path with ``fault``, made from the good records file ``records``."""
+    if fault == "missing path":
+        return records.with_name("absent.csv")
+    if fault == "directory":
+        return records.parent
+    data = records.read_bytes()
+    records.write_bytes({
+        "invalid utf-8 byte": data[:-3] + b"\xff\n",
+        "nul byte": data[:-3] + b"\x00\n",
+        "last row cut short": data[:-4],
+        "crlf": data.replace(b"\n", b"\r\n"),
+    }[fault])
+    return records
+
+
+@pytest.mark.parametrize("fault", _RECORDS_FILE_FAULTS)
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_records_file_faults_exit_by_name(tmp_path, capsys, config_file, command, fault):
+    world = tmp_path / "world.json"
+    records, model = tmp_path / "records.csv", tmp_path / "model.json"
+    assert run(capsys, "generate", "--config", config_file, "--out", str(world))[0] == EXIT_OK
+    assert run(capsys, "sparsify", "--config", config_file, "--world", str(world),
+               "--out", str(records))[0] == EXIT_OK
+    assert run(capsys, "fit", "--config", config_file, "--records", str(records),
+               "--world", str(world), "--out", str(model))[0] == EXIT_OK
+    path = _faulty_records(records, fault)
+    out = tmp_path / "out.json"
+    argv = {"fit": ("fit", "--config", config_file, "--world", str(world)),
+            "eval": ("eval", "--model", str(model), "--world", str(world))}[command]
+    code, _, err = run(capsys, *argv, "--records", str(path), "--out", str(out))
+    assert code == _RECORDS_FILE_FAULTS[fault], err
+    assert "Traceback" not in err
+    if code == EXIT_DATA:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()

@@ -470,6 +470,18 @@ def test_world_rejects_zero_users():
             dataclasses.replace(base, interest=interest)
 
 
+def test_load_world_names_images_key_when_it_lists_none(tmp_path):
+    # used to raise World's message about group_of and indptr
+    path = tmp_path / "world.json"
+    doc = world_to_dict(make_manual_world([[0.5]], [((0, 10),)]))
+    doc["images"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^world file: 'images' must list at least one image$"):
+        load_world(path)
+    with pytest.raises(ValueError, match=r"^world file: 'images' must list at least one image$"):
+        loop_world_from_dict(doc)
+
+
 # escapes and non-ASCII labels, an int gaze_noise, int interest entries,
 # compositions out of order, the largest pixel count and a seed above 2**53
 HAND_WRITTEN_WORLD = r"""{
