@@ -31,7 +31,7 @@ from .mf import (
     predict,
     predict_scene,
 )
-from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
+from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel
 from .records import SparseAttentionRecords, load_records, save_records
 from .world import (
     GroundTruthLevels,

@@ -19,6 +19,7 @@ from . import config as config_mod
 from . import experiment as exp_mod
 from . import mf as mf_mod
 from . import records as rec_mod
+from . import schema
 from . import world as world_mod
 
 EXIT_OK = 0
@@ -151,7 +152,7 @@ def _cmd_eval(args):
     metrics = mf_mod.evaluate(model.predictor(), truth, np.nonzero(~observed))
     doc = {"rmse": metrics.rmse, "mae": metrics.mae, "count": metrics.count}
     if args.out:
-        world_mod.write_json(doc, args.out)
+        schema.write_json(doc, args.out)
         print(f"wrote {args.out}")
     else:
         print(json.dumps(doc, indent=1))
@@ -214,7 +215,7 @@ def _cmd_calibrate(args):
         "envelope": envelope,
     }
     out = args.out or "envelope.json"
-    world_mod.write_json(doc, out)
+    schema.write_json(doc, out)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -19,14 +19,14 @@ import typing
 import numpy as np
 
 from .experiment import ExperimentConfig
-from .world import _field_types
+from .schema import field_types, read_text
 
 
 class ConfigFileError(ValueError):
     pass
 
 
-_TYPES = _field_types(ExperimentConfig)
+_TYPES = field_types(ExperimentConfig)
 # the fields that hold a config dataclass (``X`` or ``X | None``) are sections
 _SECTIONS = {name: cls for name, kind in _TYPES.items()
              for cls in (kind, *typing.get_args(kind)) if dataclasses.is_dataclass(cls)}
@@ -68,8 +68,13 @@ def _naming(section):
         raise ConfigFileError(f"invalid [{section}] section: {exc}") from None
 
 
+def _parser() -> configparser.ConfigParser:
+    # no %-interpolation; no header can name "", so [DEFAULT] is an unknown section
+    return configparser.ConfigParser(interpolation=None, default_section="")
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = _parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -84,7 +89,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for name, cls in _SECTIONS.items():
         if not parser.has_section(name):
             continue
-        types = _field_types(cls)
+        types = field_types(cls)
         values = _section_values(parser, name, types)
         current = getattr(defaults, name)
         missing = [key for key in types if key not in values]
@@ -100,8 +105,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 def _format(value) -> str:
@@ -115,12 +119,12 @@ def _format(value) -> str:
 
 
 def dump_config(config: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = _parser()
     parser["experiment"] = {key: _format(getattr(config, key)) for key in _EXPERIMENT_TYPES}
     for name, cls in _SECTIONS.items():
         section = getattr(config, name)
         if section is not None:
-            parser[name] = {key: _format(getattr(section, key)) for key in _field_types(cls)}
+            parser[name] = {key: _format(getattr(section, key)) for key in field_types(cls)}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -18,8 +18,8 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .world import (WorldConfig, _attention_matrix, _check_fields, _check_user,
-                    generate_world, sparsify_users, write_json)
+from .schema import check_fields, write_json
+from .world import WorldConfig, attention_matrix, check_user, generate_world, sparsify_users
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
 
@@ -43,7 +43,7 @@ class ExperimentConfig:
     scene_retain_hi: int = 70
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if self.budget_per_object_k <= self.floor_k:
             raise ValueError("budget_per_object_k must exceed floor_k")
         if not self.sweep_factors:
@@ -131,9 +131,9 @@ class ExperimentRunner:
     def truth_raw(self, user: int) -> np.ndarray:
         """The user's true attention values over all images, indexed by
         object id."""
-        _check_user(self.world, user)
+        check_user(self.world, user)
         if self._truth is None:
-            self._truth = _attention_matrix(self.world)
+            self._truth = attention_matrix(self.world)
             self._truth.setflags(write=False)
         return self._truth[user]
 
@@ -141,7 +141,7 @@ class ExperimentRunner:
         """The evaluated scene: objects of a random retained subset of one
         randomly selected service group (seeded per user)."""
         if user not in self._scenes:
-            _check_user(self.world, user)  # before a negative id reaches the seed sequence
+            check_user(self.world, user)  # before a negative id reaches the seed sequence
             cfg = self.config
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(_SCENE_STREAM, user))

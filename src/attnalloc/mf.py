@@ -17,8 +17,8 @@ from itertools import chain
 import numpy as np
 
 from .records import SparseAttentionRecords
-from .world import (_all_numbers, _check_fields, _first_non_number_row, _is_number,
-                    _json_layout, _require, _write_text)
+from .schema import (all_numbers, check_fields, first_non_number_row, is_number, json_layout,
+                     read_json, require, write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -47,7 +47,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, FitError)
+        check_fields(self, FitError)
         if self.f < 1:
             raise FitError("latent dimension f must be >= 1")
         if self.regularization <= 0:
@@ -344,12 +344,12 @@ def model_from_dict(doc: dict) -> FactorModel:
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
     arrays = {name: _number_array(doc, name) for name in _MODEL_ARRAYS}
-    mu = _require(doc, "mu", "model file")
-    if not _is_number(mu):
+    mu = require(doc, "mu", "model file")
+    if not is_number(mu):
         raise ValueError(f"model file: 'mu' must be a number, got {mu!r}")
     model = FactorModel(mu=float(mu), **arrays)
     for key in ("num_users", "num_objects", "f"):
-        value = _require(doc, key, "model file")
+        value = require(doc, key, "model file")
         if type(value) is not int or value != getattr(model, key):
             raise ValueError(f"model file: {key!r} is {value!r}, but the factors give "
                              f"{getattr(model, key)}")
@@ -359,13 +359,13 @@ def model_from_dict(doc: dict) -> FactorModel:
 def _number_array(doc: dict, name: str) -> np.ndarray:
     """The model file's array ``name``, a list of numbers or of lists of
     numbers, as float64."""
-    value = _require(doc, name, "model file", list)
+    value = require(doc, name, "model file", list)
     if value and type(value[0]) is list:
-        row = _first_non_number_row(value)
+        row = first_non_number_row(value)
         if row is not None:
             raise ValueError(f"model file: {name!r} row {row} is not a list of numbers")
-    elif not _all_numbers(value):
-        row = next(i for i, entry in enumerate(value) if not _is_number(entry))
+    elif not all_numbers(value):
+        row = next(i for i, entry in enumerate(value) if not is_number(entry))
         raise ValueError(f"model file: {name!r} row {row} is {value[row]!r}, not a number")
     return np.array(value, dtype=np.float64)
 
@@ -376,13 +376,12 @@ def save_model(model: FactorModel, path) -> None:
     goes through ``json.dumps``."""
     head = json.dumps(_model_header(model), indent=1)
     arrays = [getattr(model, name) for name in _MODEL_ARRAYS]
-    layout = "".join(f',\n "{name}": ' + _json_layout(array.shape, 1)
+    layout = "".join(f',\n "{name}": ' + json_layout(array.shape, 1)
                      for name, array in zip(_MODEL_ARRAYS, arrays))
     values = tuple(chain.from_iterable(array.ravel().tolist() for array in arrays))
     # head ends with the closing "\n}" of its object
-    _write_text(head[:-2] + layout % values + "\n}\n", path)
+    write_text(head[:-2] + layout % values + "\n}\n", path)
 
 
 def load_model(path) -> FactorModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import _check_fields
+from .schema import check_fields
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class LinkParams:
     uplink_ber: float     # probability
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if self.downlink_rate <= 0:
             raise ValueError("downlink_rate must be positive")
         if not (0.0 <= self.uplink_ber < 1.0):
@@ -58,7 +58,7 @@ class ChannelConfig:
     uplink_sinr: float | None = None   # defaults to the downlink SINR
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         for name in ("bandwidth", "tx_power", "distance", "interference_power", "noise_psd"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

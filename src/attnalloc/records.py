@@ -16,6 +16,8 @@ from typing import NoReturn
 
 import numpy as np
 
+from .schema import read_text, write_text
+
 CSV_HEADER = ("user_id", "object_id", "level")
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 # a line of the body that is not three plain decimal fields of 1 to 18
@@ -142,8 +144,7 @@ def save_records(records: SparseAttentionRecords, path) -> None:
     the bytes ``csv.writer`` writes for these integer rows, from one
     ``%``-template over the whole table."""
     text = ("%d,%d,%d\n" * len(records)) % tuple(records.table.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_HEADER_LINE + text)
+    write_text(_HEADER_LINE + text, path)
 
 
 def load_records(path) -> SparseAttentionRecords:
@@ -152,8 +153,7 @@ def load_records(path) -> SparseAttentionRecords:
     exactly what ``save_records`` writes is parsed in one pass; any other
     text goes through ``csv.reader``, with the same result for every text
     both accept."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = read_text(path, newline="")
     table, lines = _canonical_table(text) or _csv_table(text)
     try:
         return SparseAttentionRecords(table)

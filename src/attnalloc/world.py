@@ -14,12 +14,14 @@ import json
 import math
 import numbers
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .records import SparseAttentionRecords
+from .schema import (check_fields, field_types, first_non_number_row, json_layout, read_json,
+                     require, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -28,7 +30,6 @@ _GAZE_STREAM = 101
 _SPARSIFY_STREAM = 102
 
 _MAX_PIXEL_COUNT = int(np.iinfo(np.int32).max)  # World.counts is int32
-_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 class ConfigurationError(ValueError):
@@ -66,8 +67,8 @@ class WorldConfig:
     max_image_pixels: int = 360 * 640
 
     def __post_init__(self):
-        _check_fields(self, ConfigurationError)
-        for name, kind in _field_types(WorldConfig).items():
+        check_fields(self, ConfigurationError)
+        for name, kind in field_types(WorldConfig).items():
             if kind is int and getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_groups > self.num_images:
@@ -356,7 +357,7 @@ def attention_from_gaze(pixel_counts, gaze_masses) -> float:
     return min(sum(masses) / sum(pixels), 1.0)
 
 
-def _check_user(world: World, user: int) -> None:
+def check_user(world: World, user: int) -> None:
     if not 0 <= user < world.num_users:
         raise ValueError(f"user {user} outside 0..{world.num_users - 1}")
 
@@ -381,7 +382,7 @@ def raw_attention_values(world: World, user: int, image_ids):
     occurrence is the user's draw at its CSR position, so an image listed
     twice counts twice with the same noise.
     """
-    _check_user(world, user)
+    check_user(world, user)
     ids = _image_id_array(image_ids)
     if not ids.size:
         return np.empty(0, dtype=np.intp), np.empty(0)
@@ -407,7 +408,7 @@ def _image_id_array(image_ids) -> np.ndarray:
     return np.array(ids, dtype=np.intp)
 
 
-def _attention_matrix(world: World) -> np.ndarray:
+def attention_matrix(world: World) -> np.ndarray:
     """Every user's attention values over all images, users x objects: row
     ``u`` holds ``raw_attention_values(world, u, range(world.num_images))``'s
     values bit for bit. An object that occurs in no image raises."""
@@ -443,7 +444,7 @@ def quantize_levels(values) -> np.ndarray:
 def ground_truth_levels(world: World) -> GroundTruthLevels:
     """Per-user quintile levels of attention values computed over all images.
     Every object must occur in some image, or it would have no level."""
-    return GroundTruthLevels(np.stack([quantize_levels(row) for row in _attention_matrix(world)]))
+    return GroundTruthLevels(np.stack([quantize_levels(row) for row in attention_matrix(world)]))
 
 
 @dataclass(frozen=True)
@@ -465,7 +466,7 @@ def sparsify_with_info(world: World, user: int, seed: int):
     (seed, user); an empty retained subset (only possible for degenerate
     worlds) retries on the next substream.
     """
-    _check_user(world, user)
+    check_user(world, user)
     if world.num_groups < 2:
         raise ValueError("sparsify requires a world with at least 2 groups")
     for attempt in range(100):
@@ -532,22 +533,22 @@ def world_from_dict(doc: dict) -> World:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
-    labels = tuple(_require(doc, "catalog", "world file", list))
-    images = _require(doc, "images", "world file", list)
+    labels = tuple(require(doc, "catalog", "world file", list))
+    images = require(doc, "images", "world file", list)
     if not images:
         raise ValueError("world file: 'images' must list at least one image")
     arrays = _image_arrays(images, len(labels)) or _raise_image_fault(images, len(labels))
-    rows = _require(doc, "interest", "world file", list)
-    user = _first_non_number_row(rows)
+    rows = require(doc, "interest", "world file", list)
+    user = first_non_number_row(rows)
     if user is not None:
         raise ValueError(f"world file: interest row {user} is not a list of numbers")
     interest = np.array(rows, dtype=np.float64)
-    num_users = _require(doc, "num_users", "world file")
+    num_users = require(doc, "num_users", "world file")
     if interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
     return World(*arrays, labels=labels, interest=interest,
-                 seed=_require(doc, "seed", "world file"),
-                 gaze_noise=_require(doc, "gaze_noise", "world file"))
+                 seed=require(doc, "seed", "world file"),
+                 gaze_noise=require(doc, "gaze_noise", "world file"))
 
 
 def _image_arrays(images: list, num_objects: int):
@@ -595,14 +596,14 @@ def _raise_image_fault(images: list, num_objects: int) -> typing.NoReturn:
     document, in document order."""
     for position, image in enumerate(images):
         where = f"image {position}"
-        image_id = _require(image, "id", where)
+        image_id = require(image, "id", where)
         if type(image_id) is not int or image_id != position:
             raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
-        group = _require(image, "group", where)
+        group = require(image, "group", where)
         if type(group) is not int or not 0 <= group < len(images):
             raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
         seen = set()
-        for entry in _require(image, "composition", where, list):
+        for entry in require(image, "composition", where, list):
             if type(entry) is not list or len(entry) != 2 \
                     or type(entry[0]) is not int or type(entry[1]) is not int:
                 raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
@@ -617,116 +618,12 @@ def _raise_image_fault(images: list, num_objects: int) -> typing.NoReturn:
     raise AssertionError("a bulk image check failed, but no image entry is faulty")
 
 
-def _require(mapping, key: str, where: str, kind=object):
-    """``mapping[key]``, or a ValueError naming ``where`` and the key when it
-    is missing or not a ``kind``."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValueError(f"{where} has no {key!r}")
-    if not isinstance(mapping[key], kind):
-        raise ValueError(f"{where}: {key!r} must be a {kind.__name__}")
-    return mapping[key]
-
-
-def _is_number(value) -> bool:
-    """Whether a loaded JSON value is a number that a float64 holds: any
-    ``float`` (the callers reject NaN and infinities by name) or an ``int``
-    within range; a bool is neither."""
-    return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
-
-
-def _all_numbers(values: list) -> bool:
-    """Whether every entry of ``values`` is a number by ``_is_number``,
-    checked by type in bulk."""
-    types = set(map(type, values))
-    return types <= {float} or (types <= {float, int} and all(map(_is_number, values)))
-
-
-def _first_non_number_row(rows: list):
-    """The position of the first entry of ``rows`` that is not a list of
-    numbers (by ``_is_number``), or None when all are."""
-    if set(map(type, rows)) <= {list} and _all_numbers(list(chain.from_iterable(rows))):
-        return None
-    return next(i for i, row in enumerate(rows)
-                if type(row) is not list or not all(map(_is_number, row)))
-
-
-@functools.cache
-def _field_rule(kind):
-    """``(accepts, what)`` for values of the resolved annotation ``kind``:
-    an ``int`` takes an integer (numpy's too) and a ``float`` a finite real
-    (an integer too), neither a bool; ``tuple[float, ...]`` takes a tuple of
-    such reals, ``X | None`` None too and a class its instances."""
-    if kind is int:
-        return (lambda v: isinstance(v, (int, np.integer))
-                and not isinstance(v, bool)), "an integer"
-    if kind is float:  # the bounds exclude NaN and infinities; a numpy scalar is compared
-        # as the Python number it holds, since a float32 overflows casting them
-        return (lambda v: isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool)
-                and -_MAX_FLOAT <= (v.item() if isinstance(v, np.generic) else v) <= _MAX_FLOAT
-                ), "finite"
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        item, what = _field_rule(args[0])
-        return (lambda v: isinstance(v, tuple) and all(map(item, v))), f"{what} numbers in a tuple"
-    if type(None) in args:
-        inner, what = _field_rule(next(a for a in args if a is not type(None)))
-        return (lambda v: v is None or inner(v)), f"{what} or None"
-    return (lambda v: isinstance(v, kind)), f"a {kind.__name__}"
-
-
-@functools.cache
-def _field_types(cls) -> dict:
-    """Each field of the dataclass ``cls`` by name, to its resolved annotation."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _check_fields(config, error=ValueError) -> None:
-    """Raise ``error`` naming the first field of the dataclass ``config``
-    that its annotated type does not take (see ``_field_rule``), before a
-    range rule or a derived quantity fails on it."""
-    for name, kind in _field_types(type(config)).items():
-        accepts, what = _field_rule(kind)
-        value = getattr(config, name)
-        if not accepts(value):
-            raise error(f"{name} must be {what}, got {value!r}")
-
-
-def write_json(doc, path) -> None:
-    """The package's JSON output format: indent 1, UTF-8, LF line ends and a
-    final newline. ``save_world`` and ``mf.save_model`` write the same bytes
-    for their documents from the arrays."""
-    _write_text(json.dumps(doc, indent=1) + "\n", path)
-
-
-def _write_text(text: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-@functools.lru_cache(maxsize=16)
-def _json_layout(shape: tuple, depth: int, entry: str = "%r") -> str:
-    """``json.dumps(indent=1)``'s text for a nested list of the given shape
-    whose brackets open at nesting ``depth`` (1 for a value of the top-level
-    object), with the ``%``-conversion ``entry`` in place of each number:
-    ``%d`` for an ``int``, and ``%r``, which is ``float.__repr__`` and so
-    json's own encoding, for a finite ``float``."""
-    if not shape:
-        return entry
-    if not shape[0]:
-        return "[]"
-    pad = "\n" + " " * (depth + 1)
-    item = _json_layout(shape[1:], depth + 1, entry)
-    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
-
-
 @functools.lru_cache(maxsize=128)
 def _image_layout(num_entries: int) -> str:
     """The text of one image of ``num_entries`` objects in ``world.json``,
     with ``%d`` for its id, its group and its entries' integers."""
     return ('{\n   "id": %d,\n   "group": %d,\n   "composition": '
-            + _json_layout((num_entries, 2), 3, "%d") + "\n  }")
+            + json_layout((num_entries, 2), 3, "%d") + "\n  }")
 
 
 def save_world(world: World, path) -> None:
@@ -751,12 +648,11 @@ def save_world(world: World, path) -> None:
     at = 2 * (np.repeat(np.arange(1, n + 1), lengths) + np.arange(indptr[-1]))
     ints[at], ints[at + 1] = world.objects, world.counts
     layout = ("[\n  " + ",\n  ".join(map(_image_layout, lengths.tolist()))
-              + '\n ],\n "interest": ' + _json_layout(world.interest.shape, 1))
+              + '\n ],\n "interest": ' + json_layout(world.interest.shape, 1))
     # head ends with the closing "\n}" of its object
     body = layout % tuple(ints.tolist() + world.interest.ravel().tolist())
-    _write_text(head[:-2] + ',\n "images": ' + body + "\n}\n", path)
+    write_text(head[:-2] + ',\n "images": ' + body + "\n}\n", path)
 
 
 def load_world(path) -> World:
-    with open(path, encoding="utf-8") as fh:
-        return world_from_dict(json.load(fh))
+    return world_from_dict(read_json(path))

@@ -21,9 +21,10 @@ from attnalloc.allocate import AllocationProblem, AllocationResult, objective_va
 from attnalloc.mf import BaselineModel
 from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, InvalidRecordError
 from attnalloc.records import RecordsParseError, SparseAttentionRecords
+from attnalloc.schema import is_number, require
 from attnalloc.world import (_MAX_PIXEL_COUNT, _SPARSIFY_STREAM, WORLD_FORMAT_VERSION,
-                             ConfigurationError, World, _generate_interest, _is_number,
-                             _popularity, _require, _run_ids)
+                             ConfigurationError, World, _generate_interest, _popularity,
+                             _run_ids)
 
 
 class SearchSpaceError(ValueError):
@@ -405,22 +406,22 @@ def loop_world_from_dict(doc: dict) -> World:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
-    labels = tuple(_require(doc, "catalog", "world file", list))
-    images = _require(doc, "images", "world file", list)
+    labels = tuple(require(doc, "catalog", "world file", list))
+    images = require(doc, "images", "world file", list)
     if not images:
         raise ValueError("world file: 'images' must list at least one image")
     pixels = np.zeros((len(images), len(labels)), dtype=np.int32)
     group_of = np.zeros(len(images), dtype=np.int64)
     for position, image in enumerate(images):
         where = f"image {position}"
-        image_id = _require(image, "id", where)
+        image_id = require(image, "id", where)
         if type(image_id) is not int or image_id != position:
             raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
-        group = _require(image, "group", where)
+        group = require(image, "group", where)
         if type(group) is not int or not 0 <= group < len(images):
             raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
         group_of[position] = group
-        for entry in _require(image, "composition", where, list):
+        for entry in require(image, "composition", where, list):
             if type(entry) is not list or len(entry) != 2 \
                     or type(entry[0]) is not int or type(entry[1]) is not int:
                 raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
@@ -432,12 +433,12 @@ def loop_world_from_dict(doc: dict) -> World:
             if not 1 <= px <= _MAX_PIXEL_COUNT:
                 raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
             pixels[position, o] = px
-    rows = _require(doc, "interest", "world file", list)
+    rows = require(doc, "interest", "world file", list)
     for user, row in enumerate(rows):
-        if type(row) is not list or not all(map(_is_number, row)):
+        if type(row) is not list or not all(map(is_number, row)):
             raise ValueError(f"world file: interest row {user} is not a list of numbers")
     interest = np.array(rows, dtype=np.float64)
-    num_users = _require(doc, "num_users", "world file")
+    num_users = require(doc, "num_users", "world file")
     if interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
     return world_from_pixels(
@@ -445,6 +446,6 @@ def loop_world_from_dict(doc: dict) -> World:
         group_of=group_of,
         labels=labels,
         interest=interest,
-        seed=_require(doc, "seed", "world file"),
-        gaze_noise=_require(doc, "gaze_noise", "world file"),
+        seed=require(doc, "seed", "world file"),
+        gaze_noise=require(doc, "gaze_noise", "world file"),
     )

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import attnalloc
 from attnalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
@@ -939,3 +941,137 @@ def test_records_file_faults_exit_by_name(tmp_path, capsys, config_file, command
         assert not out.exists()
     else:
         assert err == "" and out.exists()
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """A config, world, records and model file, each made by the CLI."""
+    folder = tmp_path_factory.mktemp("good")
+    paths = {name: str(folder / name) for name in ("config", "world", "records", "model")}
+    Path(paths["config"]).write_text(SMALL_CONFIG)
+    for argv in (("generate", "--out", paths["world"]),
+                 ("sparsify", "--world", paths["world"], "--out", paths["records"]),
+                 ("fit", "--records", paths["records"], "--world", paths["world"],
+                  "--out", paths["model"])):
+        assert cli_main([*argv, "--config", paths["config"]]) == EXIT_OK
+    return paths
+
+
+# each file reader, with a command that reads it and the other files it needs
+_READERS = {"config": ("generate",), "world": ("sparsify", "--config", "config"),
+            "records": ("fit", "--config", "config", "--world", "world"),
+            "model": ("eval", "--world", "world")}
+
+
+def _reader_argv(reader, path, good_files, out):
+    command, *rest = _READERS[reader]
+    return [command, *(good_files.get(arg, arg) for arg in rest),
+            f"--{reader}", str(path), "--out", str(out)]
+
+
+@pytest.mark.parametrize("reader, fault", [
+    *((reader, "invalid utf-8 byte") for reader in _READERS),
+    *((reader, fault) for reader in ("world", "model") for fault in ("truncated", "deep nesting")),
+])
+def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
+    # a bad byte gave only the decoder's text, a JSON fault did not say which
+    # file, and deep nesting ended in a RecursionError traceback (exit 1)
+    lines = Path(good_files[reader]).read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    data = {"invalid utf-8 byte": b"\n".join(lines), "deep nesting": b"[" * 100_000,
+            "truncated": Path(good_files[reader]).read_bytes()[:40]}[fault]
+    path, out = tmp_path / f"bad.{reader}", tmp_path / "out"
+    path.write_bytes(data)
+    code, stdout, err = run(capsys, *_reader_argv(reader, path, good_files, out))
+    offset = len(lines[0]) + len(lines[1]) + 2
+    expected = {"invalid utf-8 byte": "line 3 is not UTF-8 ('utf-8' codec can't decode byte "
+                                      f"0xff in position {offset}: invalid start byte)",
+                "deep nesting": "nested too deeply to parse",
+                "truncated": "Expecting"}[fault]
+    assert (code, stdout) == (EXIT_DATA, "")
+    assert err.startswith(f"error: {path}: {expected}") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
+# the input files each command reads, and the function that MemoryError is
+# injected into
+_COMMAND_FILES = {"generate": ("config",), "sparsify": ("config", "world"),
+                  "fit": ("config", "records", "world"), "eval": ("model", "world", "records"),
+                  "experiment": ("config",), "sweep": ("config",), "allocate": ()}
+_OUT_OF_MEMORY = {"generate": ("world", "generate_world"), "sparsify": ("world", "sparsify_users"),
+                  "fit": ("mf", "fit_mf"), "eval": ("mf", "evaluate"),
+                  "experiment": ("experiment", "fit_mf"), "sweep": ("experiment", "fit_mf"),
+                  "allocate": ("allocate", "allocate_weighted")}
+# faults that exit 2 wherever they are, in any input file and in a config
+# file only; a cut or a NUL byte may leave a file that still loads
+_FILE_FAULTS_EXIT_2 = ("missing path", "directory", "invalid utf-8 byte", "deep nesting",
+                       "wrong file")
+_CONFIG_FAULTS_EXIT_2 = ("percent value", "DEFAULT section")
+_WRONG_FILE = {"config": "model", "world": "records", "model": "records", "records": "world"}
+
+
+def _faulty_file(folder, good_files, name, fault, at):
+    """The path of a ``name`` file with ``fault``, made from the good one;
+    ``at`` places a cut or an inserted byte."""
+    path = folder / f"faulty.{name}"
+    data = Path(good_files[name]).read_bytes()
+    at %= len(data) + 1
+    if fault == "missing path":
+        return folder / "absent"
+    if fault == "directory":
+        return folder
+    if fault == "wrong file":
+        return good_files[_WRONG_FILE[name]]
+    path.write_bytes({
+        "truncated": data[:at],
+        "invalid utf-8 byte": data[:at] + b"\xff" + data[at:],
+        "nul byte": data[:at] + b"\x00" + data[at:],
+        "deep nesting": b"[" * 100_000,
+        "percent value": b"[experiment]\nmaster_seed = 5%\n",
+        "DEFAULT section": b"[DEFAULT]\nf = 3\n",
+    }[fault])
+    return path
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_faults_exit_by_name(tmp_path_factory, capsys, good_files, data):
+    # any command, on good files, with one faulty input file or out of memory
+    # in its main step: exit 0, 1 or 2, no traceback, and exit 2 prints one
+    # "error:" line
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FILES)))
+    files = _COMMAND_FILES[command]
+    target = data.draw(st.sampled_from(files)) if files else None
+    faults_exit_2 = _FILE_FAULTS_EXIT_2 + (_CONFIG_FAULTS_EXIT_2 if target == "config" else ())
+    faults = ["truncated", "nul byte", *faults_exit_2]
+    fault = data.draw(st.sampled_from([None, *faults])) if target else None
+    out_of_memory = data.draw(st.booleans())
+    folder = tmp_path_factory.mktemp("cli")
+    paths = dict(good_files)
+    if fault:
+        paths[target] = str(_faulty_file(folder, good_files, target, fault,
+                                         data.draw(st.integers(0, 10**6))))
+    argv = [command, "--out", str(folder / "out")]
+    argv += [arg for name in files for arg in (f"--{name}", paths[name])]
+    if command == "allocate":
+        argv += ["--weights", "4,1,2", "--budget", "60"]
+    with pytest.MonkeyPatch.context() as patch:
+        if out_of_memory:
+            def fail(*args, **kwargs):
+                raise MemoryError()
+            module, name = _OUT_OF_MEMORY[command]
+            patch.setattr(f"attnalloc.{module}.{name}", fail)
+        code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+    assert "Traceback" not in err
+    if code == EXIT_DATA:
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert err.startswith("error: ") and len(errors) == 1
+    if fault in faults_exit_2 or out_of_memory:
+        assert code == EXIT_DATA, err
+    if fault in ("missing path", "directory", "invalid utf-8 byte"):
+        assert str(paths[target]) in err
+    if fault is None and not out_of_memory:
+        assert (code, err) == (EXIT_OK, "")

@@ -2,6 +2,7 @@
 parsing, validation, and dump round-trip."""
 
 import dataclasses
+import re
 import typing
 
 import numpy as np
@@ -100,6 +101,24 @@ def test_unknown_sections_and_keys_rejected():
         parse_config("[world]\nnum_planets = 3\n")
     with pytest.raises(ConfigFileError, match="unknown key"):
         parse_config("[experiment]\nbudget = 7\n")
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nf = 3\n", "[DEFAULT]\n",
+                                  "[fit]\nf = 3\n[DEFAULT]\nepochs = 2\n"],
+                         ids=["alone", "empty", "after-fit"])
+def test_default_section_is_unknown(text):
+    # [DEFAULT] was ignored, or its keys leaked into every section
+    with pytest.raises(ConfigFileError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("line, shown", [("[experiment]\nmaster_seed = 5%", "master_seed = '5%'"),
+                                         ("[fit]\nf = %(x)s", "f = '%(x)s'")],
+                         ids=["bare-percent", "named-reference"])
+def test_percent_is_not_interpolated(line, shown):
+    # %-interpolation raised configparser's own errors, uncaught
+    with pytest.raises(ConfigFileError, match=f"^cannot parse {re.escape(shown)}$"):
+        parse_config(line + "\n")
 
 
 def test_bad_values_rejected():

@@ -12,9 +12,8 @@ from attnalloc import (
     LinkParams,
     QoETerms,
     link_from_channel,
-    qoe,
 )
-from attnalloc.qoe import dbw_to_watts, q_function
+from attnalloc.qoe import dbw_to_watts, q_function, qoe
 
 IDENTITY_LINK = LinkParams(downlink_rate=1.0, uplink_ber=0.0)
 

@@ -25,10 +25,10 @@ from attnalloc import (
 from attnalloc.world import (
     ConfigurationError,
     _GAZE_STREAM,
-    _attention_matrix,
     _gaze_factors,
     _generate_images,
     _generate_interest,
+    attention_matrix,
     raw_attention_values,
     sparsify_users,
     sparsify_with_info,
@@ -601,7 +601,7 @@ def test_attention_arrays_match_dict_path(config, seed, gaze_noise):
     # bits of the dict-and-list path
     world = generate_world(dataclasses.replace(config, gaze_noise=gaze_noise), seed)
     every = range(world.num_images)
-    matrix = _attention_matrix(world)
+    matrix = attention_matrix(world)
     for user in range(world.num_users):
         objects, values = raw_attention_values(world, user, every)
         assert objects.tolist() == list(range(world.num_objects))
@@ -927,8 +927,9 @@ def test_world_from_dict_matches_per_entry_oracle(data, world):
         try:
             _break_document(doc, data.draw(st.sampled_from(faults)), position,
                             data.draw(st.integers(0, 20)))
-        except (KeyError, TypeError, IndexError, ZeroDivisionError):  # an earlier fault
-            pass  # removed the target
+        # an earlier fault removed the target, or made an entry an int
+        except (AttributeError, KeyError, TypeError, IndexError, ZeroDivisionError):
+            pass
     assert _load_outcome(world_from_dict, doc) == _load_outcome(loop_world_from_dict, doc)
 
 
