@@ -68,14 +68,16 @@ class AllocationProblem:
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """Read-only capacities and, for a weighted allocation with a free object,
+    the multiplier lambda in the original weight units. The package's solvers
+    build the capacities from a checked ``AllocationProblem`` or
+    ``_check_feasible``, so they are finite and are not checked again."""
+
     capacities: np.ndarray
     lagrange_multiplier: float | None
-    objective: float | None
 
     def __post_init__(self):
         capacities = np.asarray(self.capacities, dtype=np.float64)
-        if not np.isfinite(capacities).all():
-            raise ValueError("capacities must be finite")
         capacities.setflags(write=False)
         object.__setattr__(self, "capacities", capacities)
 
@@ -95,6 +97,18 @@ def _canonical_ratios(weights: np.ndarray) -> np.ndarray:
     # digits or to 0, and its object sits at the floor either way
     scale = 10.0 ** (_RATIO_DIGITS - 1 - np.maximum(np.floor(np.log10(r)), -300))
     return np.round(r * scale) / scale
+
+
+def _multiplier(free_weights: np.ndarray, available: float):
+    """lambda in the weights' units: the free weights' sum over the capacity
+    left after the floors. lambda is below every free weight, since each free
+    capacity exceeds 1 K, so only the sum can overflow; it is then taken at
+    2**-64 scale, which is exact for every weight large enough to count."""
+    with np.errstate(over="ignore"):
+        total = free_weights.sum()
+    if math.isinf(total):
+        return (free_weights * 2.0 ** -64).sum() / available * 2.0 ** 64
+    return total / available
 
 
 def allocate_weighted(problem: AllocationProblem) -> AllocationResult:
@@ -117,12 +131,8 @@ def allocate_weighted(problem: AllocationProblem) -> AllocationResult:
             free = r >= desc[clears[-1]]
             available = budget - (n - np.count_nonzero(free)) * floor
             capacities[free] = r[free] / (r[free].sum() / available)
-            lam_orig = problem.weights[free].sum() / available
-    return AllocationResult(
-        capacities=capacities,
-        lagrange_multiplier=lam_orig,
-        objective=objective_value(problem.weights, capacities),
-    )
+            lam_orig = _multiplier(problem.weights[free], available)
+    return AllocationResult(capacities=capacities, lagrange_multiplier=lam_orig)
 
 
 def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationResult:
@@ -131,11 +141,7 @@ def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationR
         raise ValueError("n_objects must be >= 1")
     _check_feasible(n_objects, budget, floor)
     share = budget / n_objects
-    return AllocationResult(
-        capacities=np.full(n_objects, share),
-        lagrange_multiplier=None,
-        objective=None,
-    )
+    return AllocationResult(capacities=np.full(n_objects, share), lagrange_multiplier=None)
 
 
 def save_allocation(weights, result: AllocationResult, path) -> None:
@@ -149,9 +155,10 @@ def save_allocation(weights, result: AllocationResult, path) -> None:
 
 
 def allocation_summary(problem: AllocationProblem, result: AllocationResult) -> dict:
+    """The ``allocate`` command's summary; the only reader of the objective."""
     allocated = float(result.capacities.sum())
     return {
-        "objective": result.objective,
+        "objective": objective_value(problem.weights, result.capacities),
         "lagrange_multiplier": result.lagrange_multiplier,
         "budget_total_k": problem.budget,
         "budget_allocated_k": allocated,

@@ -73,13 +73,43 @@ def _parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None, default_section="")
 
 
+def _one_line(exc: configparser.Error) -> str:
+    """configparser's fault, which may span three lines, as one line that
+    names the line of the file."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: file contains no section headers"
+    if isinstance(exc, configparser.ParsingError):
+        lineno, line = exc.errors[0]
+        return f"line {lineno}: cannot parse {line}"
+    # a duplicate section or option: "While reading from ... [line  3]: ..."
+    return f"line {exc.lineno}: {str(exc).partition(']: ')[2]}"
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = _parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigFileError(f"malformed config file: {exc}") from None
+    return _from_parser(parser)
 
+
+def load_config(path) -> ExperimentConfig:
+    """The config in the file at ``path``; every fault names the file, and a
+    malformed file's fault its line, on one line."""
+    text = read_text(path)
+    parser = _parser()
+    try:
+        parser.read_string(text)
+        return _from_parser(parser)
+    except configparser.Error as exc:
+        raise ConfigFileError(f"{path}: malformed config file: {_one_line(exc)}") from None
+    except ConfigFileError as exc:
+        raise ConfigFileError(f"{path}: {exc}") from None
+
+
+def _from_parser(parser) -> ExperimentConfig:
+    """The config that a parser's sections set over the defaults."""
     for section in parser.sections():
         if section != "experiment" and section not in _SECTIONS:
             raise ConfigFileError(f"unknown section [{section}]")
@@ -102,10 +132,6 @@ def parse_config(text: str) -> ExperimentConfig:
         updates.update(_section_values(parser, "experiment", _EXPERIMENT_TYPES))
     with _naming("experiment"):
         return dataclasses.replace(defaults, **updates)
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config(read_text(path))
 
 
 def _format(value) -> str:

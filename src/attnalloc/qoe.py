@@ -109,4 +109,4 @@ def qoe(terms: QoETerms) -> float:
     """Sum over objects of connection coefficient times ln(capacity in K)."""
     if (terms.capacities <= 1.0).any():
         raise ValueError("every capacity must exceed 1 K for a positive log term")
-    return float(terms.link.factor * np.sum(terms.weights * np.log(terms.capacities)))
+    return float(terms.link.factor * (terms.weights * np.log(terms.capacities)).sum())

@@ -30,7 +30,8 @@ MAX_LEVEL = 5
 
 
 class RecordsParseError(ValueError):
-    """Malformed records CSV; message names the offending line number."""
+    """Malformed records CSV; ``load_records`` names the file and the
+    offending line number."""
 
 
 class InvalidRecordError(ValueError):
@@ -149,16 +150,18 @@ def save_records(records: SparseAttentionRecords, path) -> None:
 
 def load_records(path) -> SparseAttentionRecords:
     """Load a records CSV, or a dense ground-truth dump (same schema); a
-    faulty row raises RecordsParseError naming its line. Text that is
-    exactly what ``save_records`` writes is parsed in one pass; any other
-    text goes through ``csv.reader``, with the same result for every text
-    both accept."""
+    faulty row raises RecordsParseError naming the file and the row's line.
+    Text that is exactly what ``save_records`` writes is parsed in one pass;
+    any other text goes through ``csv.reader``, with the same result for
+    every text both accept."""
     text = read_text(path, newline="")
-    table, lines = _canonical_table(text) or _csv_table(text)
     try:
+        table, lines = _canonical_table(text) or _csv_table(text)
         return SparseAttentionRecords(table)
     except InvalidRecordError as err:
-        raise RecordsParseError(f"line {lines[err.index]}: {err}") from None
+        raise RecordsParseError(f"{path}: line {lines[err.index]}: {err}") from None
+    except RecordsParseError as err:
+        raise RecordsParseError(f"{path}: {err}") from None
 
 
 def _canonical_table(text: str):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from attnalloc.allocate import AllocationProblem, AllocationResult, objective_value
+from attnalloc.allocate import AllocationProblem, AllocationResult
 from attnalloc.mf import BaselineModel
 from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, InvalidRecordError
 from attnalloc.records import RecordsParseError, SparseAttentionRecords
@@ -70,11 +70,7 @@ def brute_force_allocate(problem: AllocationProblem, grid_step: float) -> Alloca
         idx = int(np.argmax(obj))
         best = np.array([float(np.atleast_1d(col)[idx]) for col in cols])
 
-    return AllocationResult(
-        capacities=best,
-        lagrange_multiplier=None,
-        objective=objective_value(w, best),
-    )
+    return AllocationResult(capacities=best, lagrange_multiplier=None)
 
 
 def successive_sampling_images(config, rng):

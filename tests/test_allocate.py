@@ -52,11 +52,7 @@ def _reference_allocate_weighted(problem: AllocationProblem) -> AllocationResult
         )
     else:
         lam_orig = None
-    return AllocationResult(
-        capacities=capacities,
-        lagrange_multiplier=lam_orig,
-        objective=objective_value(problem.weights, capacities),
-    )
+    return AllocationResult(capacities=capacities, lagrange_multiplier=lam_orig)
 
 
 def test_equal_weights_split_evenly():
@@ -80,7 +76,7 @@ def test_symmetric_default_budget():
 def test_uniform_baseline():
     result = allocate_uniform(3, 60.0, 15.0)
     assert np.allclose(result.capacities, [20.0, 20.0, 20.0])
-    assert result.objective is None
+    assert result.lagrange_multiplier is None
     assert allocate_uniform(1, 37.5, 15.0).capacities[0] == 37.5
 
 
@@ -172,6 +168,57 @@ def test_scale_invariance_exact(weights, scale):
     assert np.array_equal(base.capacities, scaled.capacities)
 
 
+@st.composite
+def _extreme_problems(draw):
+    """Feasible (weights, budget, floor) at the edges of float64: zero
+    weights, weights from 1e-300 to 1e308, up to 5,000 objects, floors just
+    above 1 K and budgets from the floors' total (less the feasibility
+    tolerance) up to 1e308 K."""
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.just(1e-300), st.just(1e308), st.floats(1e-300, 1e308)),
+            min_size=1, max_size=16)))
+    else:
+        n = draw(st.integers(17, 5000))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        lo, hi = sorted(draw(st.lists(st.floats(-300.0, 308.0), min_size=2, max_size=2)))
+        w = 10.0 ** rng.uniform(lo, hi, size=n)
+        w[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    n = w.size
+    floor = draw(st.one_of(st.just(float(np.nextafter(1.0, 2.0))),
+                           st.floats(1.0, 1e6, exclude_min=True)))
+    budget = draw(st.one_of(st.just(n * floor), st.just(n * floor * (1.0 - 1e-10)),
+                            st.floats(n * floor, 1e308)))
+    return w, budget, floor
+
+
+@given(_extreme_problems())
+@settings(max_examples=300, deadline=None)
+def test_capacities_finite_read_only_and_feasible(case):
+    # the evidence for AllocationResult not re-checking finiteness: both
+    # solvers' capacities are finite for every input AllocationProblem and
+    # _check_feasible accept
+    w, budget, floor = case
+    n = w.size
+    for result in (allocate_weighted(AllocationProblem(w, budget, floor)),
+                   allocate_uniform(n, budget, floor)):
+        c = result.capacities
+        assert c.dtype == np.float64 and c.shape == (n,)
+        assert np.isfinite(c).all()
+        assert not c.flags.writeable
+        assert abs(c.sum() - budget) <= 1e-9 * budget
+        assert c.min() >= floor * (1.0 - 1e-12) - 1e-9 * budget / n
+        assert result.lagrange_multiplier is None or np.isfinite(result.lagrange_multiplier)
+
+
+def test_multiplier_of_weights_whose_sum_overflows():
+    # the free weights' sum overflowed: lambda was inf, with a RuntimeWarning
+    w = np.array([1e308, 1e308, 0.5e308])
+    result = allocate_weighted(AllocationProblem(w, 10.0, 1.25))
+    assert np.allclose(result.capacities, [4.0, 4.0, 2.0])
+    assert result.lagrange_multiplier == pytest.approx(2.5e307, rel=1e-15)
+
+
 def test_summary_and_csv(tmp_path):
     problem = AllocationProblem(np.array([4.0, 1.0]), 40.0, 15.0)
     result = allocate_weighted(problem)
@@ -236,7 +283,8 @@ def test_matches_reference_loop(n, seed, spread, zero_frac, ties, floor, slack):
     new = allocate_weighted(problem)
     ref = _reference_allocate_weighted(problem)
     assert np.array_equal(new.capacities, ref.capacities)
-    assert new.objective == ref.objective
+    assert objective_value(problem.weights, new.capacities) == objective_value(
+        problem.weights, ref.capacities)
     assert new.lagrange_multiplier == ref.lagrange_multiplier
 
 
@@ -257,4 +305,5 @@ def test_matches_reference_loop_on_floor_boundaries(
     new = allocate_weighted(problem)
     ref = _reference_allocate_weighted(problem)
     np.testing.assert_allclose(new.capacities, ref.capacities, rtol=1e-12, atol=0)
-    assert new.objective == pytest.approx(ref.objective, rel=1e-12, abs=0)
+    assert objective_value(problem.weights, new.capacities) == pytest.approx(
+        objective_value(problem.weights, ref.capacities), rel=1e-12, abs=0)

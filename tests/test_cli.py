@@ -972,14 +972,22 @@ def _reader_argv(reader, path, good_files, out):
 @pytest.mark.parametrize("reader, fault", [
     *((reader, "invalid utf-8 byte") for reader in _READERS),
     *((reader, fault) for reader in ("world", "model") for fault in ("truncated", "deep nesting")),
+    ("config", "no section header"), ("config", "unknown section"),
+    ("records", "world file"), ("records", "level out of range"),
 ])
 def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
     # a bad byte gave only the decoder's text, a JSON fault did not say which
-    # file, and deep nesting ended in a RecursionError traceback (exit 1)
-    lines = Path(good_files[reader]).read_bytes().split(b"\n")
+    # file, and deep nesting ended in a RecursionError traceback (exit 1); a
+    # config fault named no file (and configparser's took three lines), nor
+    # did a records fault
+    good = Path(good_files[reader]).read_bytes()
+    lines = good.split(b"\n")
     lines[2] = b"\xff" + lines[2]
     data = {"invalid utf-8 byte": b"\n".join(lines), "deep nesting": b"[" * 100_000,
-            "truncated": Path(good_files[reader]).read_bytes()[:40]}[fault]
+            "truncated": good[:40], "no section header": b"not an ini file\n",
+            "unknown section": good + b"\n[render]\nscale = 2\n",
+            "world file": Path(good_files["world"]).read_bytes(),
+            "level out of range": good.replace(b"\n", b"\n0,0,9\n", 1)}[fault]
     path, out = tmp_path / f"bad.{reader}", tmp_path / "out"
     path.write_bytes(data)
     code, stdout, err = run(capsys, *_reader_argv(reader, path, good_files, out))
@@ -987,7 +995,13 @@ def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
     expected = {"invalid utf-8 byte": "line 3 is not UTF-8 ('utf-8' codec can't decode byte "
                                       f"0xff in position {offset}: invalid start byte)",
                 "deep nesting": "nested too deeply to parse",
-                "truncated": "Expecting"}[fault]
+                "truncated": "Expecting",
+                "no section header":
+                    "malformed config file: line 1: file contains no section headers\n",
+                "unknown section": "unknown section [render]\n",
+                "world file": "line 1: expected header 'user_id,object_id,level', got ['{']\n",
+                "level out of range": "line 2: level 9 out of range 1..5 in record (0, 0, 9)\n",
+                }[fault]
     assert (code, stdout) == (EXIT_DATA, "")
     assert err.startswith(f"error: {path}: {expected}") and err.count("\n") == 1
     assert not list(tmp_path.glob("out*"))

@@ -3,7 +3,11 @@ the dense ground-truth levels, for master seeds 0-2 at gaze noise 0 and 0.1.
 
 These outputs are integers or come from integer-exact, host-stable draws, so
 their bytes may only change on purpose. The report and sweep files are not
-pinned here: their floats go through LAPACK and depend on the host's BLAS."""
+pinned here: their floats go through LAPACK and depend on the host's BLAS.
+
+The ``allocate`` command's summary and ``allocation.csv`` are pinned too. Their
+floats come from numpy's elementwise arithmetic, ``log10``, power and ``log``
+with no BLAS; the digests were taken with numpy 2.4 on x86-64."""
 
 import hashlib
 
@@ -35,6 +39,19 @@ GOLDEN = {
 }
 
 
+# allocate's (--weights, --budget, --floor): (stdout summary, allocation.csv);
+# README's example, three objects clamped to the floor, and a zero weight
+GOLDEN_ALLOCATE = {
+    ("4,1", "40", "15"): ("6ae7faedb727e3a2fe938f0c011cccd919f2e821ae85831f5c1c96cd40c4d9d4",
+                          "1184468c79c08d6395a9892cb8c9fed6a0fb009d01fd843680b5b155353f7843"),
+    ("5,3,0.2,0.1,1", "100", "15"): (
+        "f8e7ebe5c1d0836cb5eace8214e90bf0b59565105fa0b8f8e029bc55d7875b52",
+        "f3cf190749472709b264794ee39ce82949fad7637edaec8176900cb60950bfdf"),
+    ("3,0,2", "60", "15"): ("c24c37a277d6731f0492c0b8eda545ee20cad3d30b37b30a0c2199145223272c",
+                            "05fbedcffe140c607aaff3f6732d295e11be0eaa15d00472babf6fa871a46cbf"),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -50,3 +67,13 @@ def test_dataset_digests(tmp_path, gaze_noise, seed):
     levels = ground_truth_levels(load_world(world)).levels.astype("<i8").tobytes()
     assert (_sha256(world.read_bytes()), _sha256(records.read_bytes()),
             _sha256(levels)) == GOLDEN[gaze_noise, seed]
+
+
+@pytest.mark.parametrize("weights, budget, floor", sorted(GOLDEN_ALLOCATE))
+def test_allocate_digests(tmp_path, capsys, weights, budget, floor):
+    out = tmp_path / "allocation.csv"
+    argv = ["allocate", "--weights", weights, "--budget", budget, "--floor", floor]
+    assert cli_main([*argv, "--out", str(out)]) == EXIT_OK
+    summary = capsys.readouterr().out.removesuffix(f"wrote {out}\n")
+    assert (_sha256(summary.encode()), _sha256(out.read_bytes())) == GOLDEN_ALLOCATE[
+        weights, budget, floor]

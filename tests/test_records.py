@@ -149,6 +149,12 @@ def faulty_csv(draw):
     return "user_id,object_id,level\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
+def _unnamed(err, path) -> str:
+    """The message of a ``load_records`` fault after the file name it starts with."""
+    assert str(err).startswith(f"{path}: "), err
+    return str(err)[len(f"{path}: "):]
+
+
 def _line_and_cause(err) -> str:
     return re.match(r"line \d+: (negative|level \d+|duplicate pair \(\d+, \d+\))",
                     str(err)).group(0)
@@ -162,7 +168,7 @@ def test_loader_names_the_frozenset_oracles_line_and_cause(tmp_path_factory, tex
         load_records(path)
     with pytest.raises(RecordsParseError) as oracle_err:
         frozenset_load_records(path)
-    assert _line_and_cause(err.value) == _line_and_cause(oracle_err.value)
+    assert _line_and_cause(_unnamed(err.value, path)) == _line_and_cause(oracle_err.value)
 
 
 def test_constructor_names_first_faulty_record_in_input_order():
@@ -200,10 +206,13 @@ def rough_csv(draw):
 
 
 def _load_outcome(load, path):
+    """The sorted records that ``load`` reads from ``path``, or its fault's
+    type and message; ``load_records`` names the file first, and the row
+    oracle, which reads the rows alone, does not."""
     try:
         return load(path).sorted_list()
     except Exception as err:  # the exception is the outcome compared
-        return type(err), str(err)
+        return type(err), _unnamed(err, path) if load is load_records else str(err)
 
 
 @given(rough_csv())
@@ -342,7 +351,7 @@ def test_bulk_path_names_line(tmp_path, no_csv_reader, body, message):
     path.write_bytes(("user_id,object_id,level\n" + body).encode())
     with pytest.raises(RecordsParseError) as err:
         load_records(path)
-    assert str(err.value) == message
+    assert str(err.value) == f"{path}: {message}"
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
