@@ -79,10 +79,12 @@ def _one_line(exc: configparser.Error) -> str:
     if isinstance(exc, configparser.MissingSectionHeaderError):
         return f"line {exc.lineno}: file contains no section headers"
     if isinstance(exc, configparser.ParsingError):
-        lineno, line = exc.errors[0]
-        return f"line {lineno}: cannot parse {line}"
-    # a duplicate section or option: "While reading from ... [line  3]: ..."
-    return f"line {exc.lineno}: {str(exc).partition(']: ')[2]}"
+        return f"line {exc.errors[0][0]}: expected [section] or key = value"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: duplicate key {exc.option!r} in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: duplicate section [{exc.section}]"
+    return str(exc)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -90,26 +92,8 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigFileError(f"malformed config file: {exc}") from None
-    return _from_parser(parser)
+        raise ConfigFileError(f"malformed config file: {_one_line(exc)}") from None
 
-
-def load_config(path) -> ExperimentConfig:
-    """The config in the file at ``path``; every fault names the file, and a
-    malformed file's fault its line, on one line."""
-    text = read_text(path)
-    parser = _parser()
-    try:
-        parser.read_string(text)
-        return _from_parser(parser)
-    except configparser.Error as exc:
-        raise ConfigFileError(f"{path}: malformed config file: {_one_line(exc)}") from None
-    except ConfigFileError as exc:
-        raise ConfigFileError(f"{path}: {exc}") from None
-
-
-def _from_parser(parser) -> ExperimentConfig:
-    """The config that a parser's sections set over the defaults."""
     for section in parser.sections():
         if section != "experiment" and section not in _SECTIONS:
             raise ConfigFileError(f"unknown section [{section}]")
@@ -132,6 +116,14 @@ def _from_parser(parser) -> ExperimentConfig:
         updates.update(_section_values(parser, "experiment", _EXPERIMENT_TYPES))
     with _naming("experiment"):
         return dataclasses.replace(defaults, **updates)
+
+
+def load_config(path) -> ExperimentConfig:
+    """The config in the file at ``path``; every fault names the file."""
+    try:
+        return parse_config(read_text(path))
+    except ConfigFileError as exc:
+        raise ConfigFileError(f"{path}: {exc}") from None
 
 
 def _format(value) -> str:

@@ -972,7 +972,8 @@ def _reader_argv(reader, path, good_files, out):
 @pytest.mark.parametrize("reader, fault", [
     *((reader, "invalid utf-8 byte") for reader in _READERS),
     *((reader, fault) for reader in ("world", "model") for fault in ("truncated", "deep nesting")),
-    ("config", "no section header"), ("config", "unknown section"),
+    ("config", "no section header"), ("config", "unparsable line"),
+    ("config", "duplicate section"), ("config", "duplicate key"), ("config", "unknown section"),
     ("records", "world file"), ("records", "level out of range"),
 ])
 def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
@@ -985,6 +986,9 @@ def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
     lines[2] = b"\xff" + lines[2]
     data = {"invalid utf-8 byte": b"\n".join(lines), "deep nesting": b"[" * 100_000,
             "truncated": good[:40], "no section header": b"not an ini file\n",
+            "unparsable line": b"[fit]\nepochs 3\n",
+            "duplicate section": b"[fit]\nepochs = 3\n[fit]\n",
+            "duplicate key": b"[fit]\nepochs = 3\nepochs = 4\n",
             "unknown section": good + b"\n[render]\nscale = 2\n",
             "world file": Path(good_files["world"]).read_bytes(),
             "level out of range": good.replace(b"\n", b"\n0,0,9\n", 1)}[fault]
@@ -998,6 +1002,11 @@ def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
                 "truncated": "Expecting",
                 "no section header":
                     "malformed config file: line 1: file contains no section headers\n",
+                "unparsable line":
+                    "malformed config file: line 2: expected [section] or key = value\n",
+                "duplicate section": "malformed config file: line 3: duplicate section [fit]\n",
+                "duplicate key":
+                    "malformed config file: line 3: duplicate key 'epochs' in [fit]\n",
                 "unknown section": "unknown section [render]\n",
                 "world file": "line 1: expected header 'user_id,object_id,level', got ['{']\n",
                 "level out of range": "line 2: level 9 out of range 1..5 in record (0, 0, 9)\n",

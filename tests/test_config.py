@@ -124,7 +124,8 @@ def test_percent_is_not_interpolated(line, shown):
 def test_bad_values_rejected():
     with pytest.raises(ConfigFileError):
         parse_config("[world]\nnum_users = many\n")
-    with pytest.raises(ConfigFileError):
+    with pytest.raises(ConfigFileError,
+                       match="^malformed config file: line 1: file contains no section headers$"):
         parse_config("not an ini file")
     with pytest.raises(ConfigFileError, match=r"invalid \[experiment\] section: budget_per"):
         parse_config("[experiment]\nfloor_k = 15\nbudget_per_object_k = 5\n")
