@@ -14,11 +14,13 @@ weight vector.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .schema import write_text
 
 WEIGHT_EPS = 1e-9
 
@@ -145,20 +147,23 @@ def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationR
 
 
 def save_allocation(weights, result: AllocationResult, path) -> None:
-    """CSV with one row per object: object_id, weight, capacity_k."""
-    w = np.asarray(weights, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("object_id", "weight", "capacity_k"))
-        for i, (wi, ci) in enumerate(zip(w, result.capacities)):
-            writer.writerow((i, repr(float(wi)), repr(float(ci))))
+    """CSV rows object_id, weight, capacity_k, from one ``%``-template."""
+    rows = list(zip(range(len(result.capacities)),
+                    np.asarray(weights, dtype=np.float64).tolist(), result.capacities.tolist()))
+    text = ("%d,%r,%r\n" * len(rows)) % tuple(chain.from_iterable(rows))
+    write_text("object_id,weight,capacity_k\n" + text, path)
 
 
 def allocation_summary(problem: AllocationProblem, result: AllocationResult) -> dict:
-    """The ``allocate`` command's summary; the only reader of the objective."""
+    """The ``allocate`` command's summary, the objective's one reader; raises if it overflows."""
+    with np.errstate(over="ignore"):
+        objective = objective_value(problem.weights, result.capacities)
+    if not math.isfinite(objective):
+        raise ValueError("the objective overflows float64; the capacities depend only on the weight"
+                         " ratios, so divide every weight by one factor for the same allocation")
     allocated = float(result.capacities.sum())
     return {
-        "objective": objective_value(problem.weights, result.capacities),
+        "objective": objective,
         "lagrange_multiplier": result.lagrange_multiplier,
         "budget_total_k": problem.budget,
         "budget_allocated_k": allocated,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -155,7 +154,7 @@ def _cmd_eval(args):
         schema.write_json(doc, args.out)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(doc, indent=1))
+        print(schema.json_text(doc), end="")
     return EXIT_OK
 
 
@@ -168,9 +167,10 @@ def _cmd_allocate(args):
         raise _UsageError("--weights must list at least one weight")
     problem = alloc_mod.AllocationProblem(weights, args.budget, args.floor)
     result = alloc_mod.allocate_weighted(problem)
+    summary = alloc_mod.allocation_summary(problem, result)  # before any file is written
     out = args.out or "allocation.csv"
     alloc_mod.save_allocation(weights, result, out)
-    print(json.dumps(alloc_mod.allocation_summary(problem, result), indent=1))
+    print(schema.json_text(summary), end="")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -10,15 +10,15 @@ truth rather than the model's own beliefs. Everything is a pure function of
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 
 import numpy as np
 
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
-from .schema import check_fields, write_json
+from .schema import check_fields, write_json, write_text
 from .world import WorldConfig, attention_matrix, check_user, generate_world, sparsify_users
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError("budget_per_object_k must exceed floor_k")
         if not self.sweep_factors:
             raise ValueError("sweep_factors must be non-empty")
+        if any(b <= a for a, b in zip(self.sweep_factors, self.sweep_factors[1:])):
+            raise ValueError(f"sweep_factors must be strictly increasing, got {self.sweep_factors}")
         if self.sweep_user < 0:
             raise ValueError(f"sweep_user must be >= 0, got {self.sweep_user}")
         if any(f <= self.floor_k for f in self.sweep_factors):
@@ -217,24 +219,15 @@ def run_sweep(config: ExperimentConfig, user: int | None = None) -> SweepReport:
 
 
 def reports_to_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("user_id", "n_objects", "qoe_uniform", "qoe_aware", "qoe_oracle", "improvement_pct")
-        )
-        for r in sorted(reports, key=lambda r: r.user_id):
-            writer.writerow((
-                r.user_id, r.n_objects, repr(r.qoe_uniform), repr(r.qoe_aware),
-                repr(r.qoe_oracle), repr(r.improvement_pct),
-            ))
+    rows = [(r.user_id, r.n_objects, r.qoe_uniform, r.qoe_aware, r.qoe_oracle, r.improvement_pct)
+            for r in sorted(reports, key=lambda r: r.user_id)]
+    write_text("user_id,n_objects,qoe_uniform,qoe_aware,qoe_oracle,improvement_pct\n"
+               + ("%d,%d,%r,%r,%r,%r\n" * len(rows)) % tuple(chain.from_iterable(rows)), path)
 
 
 def sweep_to_csv(report: SweepReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("budget_factor_k", "mean_improvement_pct"))
-        for factor, improvement in report.points:
-            writer.writerow((repr(factor), repr(improvement)))
+    write_text("budget_factor_k,mean_improvement_pct\n" + ("%r,%r\n" * len(report.points))
+               % tuple(chain.from_iterable(report.points)), path)
 
 
 def report_summary_json(config: ExperimentConfig, reports, agg: Aggregate, path) -> None:

@@ -9,22 +9,21 @@ level range at prediction time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .records import SparseAttentionRecords
+from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
 from .schema import (all_numbers, check_fields, first_non_number_row, is_number, json_layout,
-                     read_json, require, write_text)
+                     json_text, read_json, require, write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
 _MODEL_ARRAYS = ("user_bias", "object_bias", "user_factors", "object_factors")
 
-LEVEL_CLAMP = (1.0, 5.0)
+LEVEL_CLAMP = (float(MIN_LEVEL), float(MAX_LEVEL))
 
 
 class FitError(ValueError):
@@ -373,14 +372,12 @@ def _number_array(doc: dict, name: str) -> np.ndarray:
 def save_model(model: FactorModel, path) -> None:
     """Write ``write_json(model_to_dict(model), path)``'s bytes from the
     arrays with one ``%``-template, as ``world.save_world`` does; the header
-    goes through ``json.dumps``."""
-    head = json.dumps(_model_header(model), indent=1)
+    goes through ``json_text``."""
     arrays = [getattr(model, name) for name in _MODEL_ARRAYS]
     layout = "".join(f',\n "{name}": ' + json_layout(array.shape, 1)
                      for name, array in zip(_MODEL_ARRAYS, arrays))
     values = tuple(chain.from_iterable(array.ravel().tolist() for array in arrays))
-    # head ends with the closing "\n}" of its object
-    write_text(head[:-2] + layout % values + "\n}\n", path)
+    write_text(json_text(_model_header(model), layout % values), path)
 
 
 def load_model(path) -> FactorModel:

@@ -1,6 +1,6 @@
 """The rules of the package's files: UTF-8 text, the indent-1 JSON layout
 and exact-type JSON numbers, and config fields checked by their annotations.
-Every file the package reads goes through ``read_text``, which names it on a fault."""
+Every file goes through ``read_text`` (which names it on a fault) or ``write_text``."""
 
 from __future__ import annotations
 
@@ -91,11 +91,16 @@ def check_fields(config, error=ValueError) -> None:
             raise error(f"{name} must be {what}, got {value!r}")
 
 
-def write_json(doc, path) -> None:
-    """The package's JSON output format: indent 1, UTF-8, LF line ends and a
-    final newline. ``save_world`` and ``mf.save_model`` write the same bytes
-    for their documents from the arrays."""
-    write_text(json.dumps(doc, indent=1) + "\n", path)
+def json_text(doc: dict, members: str = "") -> str:
+    """The package's JSON text of the non-empty object ``doc``: indent 1 and a final
+    newline, with ``members`` (more members' text, led by a comma) before the closing
+    brace. NaN and the infinities, which JSON has no number for, raise a ValueError."""
+    return json.dumps(doc, indent=1, allow_nan=False)[:-2] + members + "\n}\n"
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``json_text(doc)`` to the file at ``path``."""
+    write_text(json_text(doc), path)
 
 
 def write_text(text: str, path) -> None:

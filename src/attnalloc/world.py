@@ -10,7 +10,6 @@ observation records by sampling service groups and image subsets.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import typing
@@ -19,9 +18,9 @@ from itertools import chain
 
 import numpy as np
 
-from .records import SparseAttentionRecords
-from .schema import (check_fields, field_types, first_non_number_row, json_layout, read_json,
-                     require, write_text)
+from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
+from .schema import (check_fields, field_types, first_non_number_row, json_layout, json_text,
+                     read_json, require, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -112,8 +111,9 @@ class GroundTruthLevels:
 
     def __post_init__(self):
         arr = np.asarray(self.levels, dtype=np.int64)
-        if arr.ndim != 2 or not ((arr >= 1) & (arr <= 5)).all():
-            raise ValueError("levels must be a 2-D matrix with entries in 1..5")
+        if arr.ndim != 2 or not ((arr >= MIN_LEVEL) & (arr <= MAX_LEVEL)).all():
+            raise ValueError("levels must be a 2-D matrix with entries in "
+                             f"{MIN_LEVEL}..{MAX_LEVEL}")
         arr.setflags(write=False)
         object.__setattr__(self, "levels", arr)
 
@@ -435,9 +435,10 @@ def quantize_levels(values) -> np.ndarray:
         raise ValueError(f"attention value {values[outside][0]} outside [0, 1]")
     n = values.size
     if not n or (values == values[0]).all():
-        return np.full(n, 3, dtype=np.int64)
+        return np.full(n, (MIN_LEVEL + MAX_LEVEL) // 2, dtype=np.int64)
     levels = np.empty(n, dtype=np.int64)
-    levels[np.argsort(values, kind="stable")] = np.arange(n) * 5 // n + 1
+    num_levels = MAX_LEVEL - MIN_LEVEL + 1
+    levels[np.argsort(values, kind="stable")] = np.arange(n) * num_levels // n + MIN_LEVEL
     return levels
 
 
@@ -630,16 +631,9 @@ def save_world(world: World, path) -> None:
     """Write ``write_json(world_to_dict(world), path)``'s bytes from the
     arrays with one ``%``-template: with an indent, ``json.dump`` runs its
     pure-Python encoder, which is several times slower. The header goes
-    through ``json.dumps`` (label escapes, an int ``gaze_noise`` stay json's
+    through ``json_text`` (label escapes, an int ``gaze_noise`` stay json's
     own); every image has at least one entry, the world at least one user,
     and its interest values are finite."""
-    head = json.dumps({
-        "version": WORLD_FORMAT_VERSION,
-        "seed": world.seed,
-        "num_users": world.num_users,
-        "gaze_noise": world.gaze_noise,
-        "catalog": list(world.labels),
-    }, indent=1)
     n, indptr, lengths = world.num_images, world.indptr, np.diff(world.indptr)
     # image i's integers, [i, group, object, count, ...], start at 2 * (i + indptr[i])
     ints = np.empty(2 * (n + indptr[-1]), dtype=np.int64)
@@ -649,9 +643,14 @@ def save_world(world: World, path) -> None:
     ints[at], ints[at + 1] = world.objects, world.counts
     layout = ("[\n  " + ",\n  ".join(map(_image_layout, lengths.tolist()))
               + '\n ],\n "interest": ' + json_layout(world.interest.shape, 1))
-    # head ends with the closing "\n}" of its object
     body = layout % tuple(ints.tolist() + world.interest.ravel().tolist())
-    write_text(head[:-2] + ',\n "images": ' + body + "\n}\n", path)
+    write_text(json_text({
+        "version": WORLD_FORMAT_VERSION,
+        "seed": world.seed,
+        "num_users": world.num_users,
+        "gaze_noise": world.gaze_noise,
+        "catalog": list(world.labels),
+    }, ',\n "images": ' + body), path)
 
 
 def load_world(path) -> World:

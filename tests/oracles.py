@@ -2,7 +2,7 @@
 budget simplex, which the exact allocator is checked against, the per-image
 successive sampler, which the vectorized image draw is checked against, the
 dense images x objects pixel matrix that the world once held and the draw
-that filled it, the ``csv.writer`` loop that ``save_records`` is checked
+that filled it, the ``csv.writer`` loop that the CSV writers are checked
 against, the frozenset records with their per-row loader, the row loop and
 the per-entry world loader that the bulk-checked readers replaced, dict-loop
 baseline, set-based holdout and pair set that the sorted records table
@@ -177,14 +177,15 @@ def dense_generate_world(config, seed: int) -> World:
         labels=tuple(f"object_{i:03d}" for i in range(config.num_objects)))
 
 
-def csv_writer_records_text(records) -> str:
-    """The records CSV as the ``csv.writer`` loop that ``save_records``
-    replaced writes it; test oracle only."""
+def csv_writer_text(header, rows) -> str:
+    """The CSV text of ``header`` and ``rows`` as the ``csv.writer`` loops
+    that ``save_records``, ``save_allocation``, ``reports_to_csv`` and
+    ``sweep_to_csv`` replaced write it; test oracle only."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for user, obj, level in records.sorted_list():
-        writer.writerow((user, obj, level))
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
     return out.getvalue()
 
 

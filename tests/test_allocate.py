@@ -19,7 +19,7 @@ from attnalloc.allocate import (
     objective_value,
     save_allocation,
 )
-from oracles import SearchSpaceError, brute_force_allocate
+from oracles import SearchSpaceError, brute_force_allocate, csv_writer_text
 
 
 
@@ -232,6 +232,22 @@ def test_summary_and_csv(tmp_path):
     assert lines[0] == "object_id,weight,capacity_k"
     assert len(lines) == 3
     assert lines[1].startswith("0,4.0,25.0")
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e308)), min_size=1, max_size=50),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_allocation_csv_matches_csv_writer(tmp_path_factory, weights, data):
+    capacities = data.draw(st.lists(st.floats(5e-324, 1e308), min_size=len(weights),
+                                    max_size=len(weights)))
+    result = AllocationResult(np.array(capacities), None)
+    path = tmp_path_factory.mktemp("allocations") / "alloc.csv"
+    save_allocation(weights, result, path)
+    w = np.asarray(weights, dtype=np.float64)
+    rows = [(i, repr(float(wi)), repr(float(ci)))
+            for i, (wi, ci) in enumerate(zip(w, result.capacities))]
+    expected = csv_writer_text(("object_id", "weight", "capacity_k"), rows)
+    assert path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("budget, floor, name", [

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,21 @@ def test_fit_world_rejects_records_outside_it(tmp_path, capsys, config_file):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("factors, shown", [("20, 16", "(20.0, 16.0)"),
+                                            ("16, 16", "(16.0, 16.0)")])
+def test_sweep_factors_out_of_order_exit_2(tmp_path, capsys, command, factors, shown):
+    # experiment used to exit 0 with the factors in its JSON; sweep ran every
+    # report before failing without naming the key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[experiment]\nsweep_factors = {factors}\n")
+    code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == EXIT_DATA
+    assert err == (f"error: {cfg}: invalid [experiment] section: "
+                   f"sweep_factors must be strictly increasing, got {shown}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("section, line, message", [
     # each used to fail with a message about a derived quantity, or not at all
     ("world", "group_bias = nan", "group_bias must be finite, got nan"),
@@ -477,6 +493,24 @@ def test_eval_rejects_world_with_absent_object(tmp_path, capsys):
     assert code == EXIT_DATA
     assert "object 1 ('o1') occurs in no image" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("weights, budget, floor", [
+    ("1e308,1e308", "100", "15"),  # each weight times its log overflows
+    ("1.5e308,1.5e308", "5.4366", "1.5"),  # each term is finite, their sum is not
+])
+def test_allocate_objective_overflow_exits_2(tmp_path, capsys, weights, budget, floor):
+    # used to print a RuntimeWarning and "objective": Infinity, which is not JSON
+    out = tmp_path / "alloc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "allocate", "--weights", weights, "--budget", budget,
+                                "--floor", floor, "--out", str(out))
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert err.startswith("error: the objective overflows float64") and err.count("\n") == 1
+    assert "divide every weight by one factor" in err
+    assert not out.exists()
 
 
 def test_allocate_extreme_weight_ratio(tmp_path, capsys):

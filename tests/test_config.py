@@ -77,6 +77,15 @@ def test_sweep_factors_list():
         parse_config("[experiment]\nsweep_factors =\n")
 
 
+@pytest.mark.parametrize("text, shown", [("20, 16", "(20.0, 16.0)"), ("16, 16", "(16.0, 16.0)")])
+def test_sweep_factors_out_of_order_named(text, shown):
+    # used to parse, failing only when a sweep had run every report
+    message = ("invalid [experiment] section: sweep_factors must be strictly increasing, "
+               f"got {shown}")
+    with pytest.raises(ConfigFileError, match=f"^{re.escape(message)}$"):
+        parse_config(f"[experiment]\nsweep_factors = {text}\n")
+
+
 def test_link_section():
     config = parse_config("[link]\ndownlink_rate = 5.5\nuplink_ber = 0.125\n")
     assert config.link.downlink_rate == 5.5

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnalloc import (
     ExperimentConfig,
@@ -22,6 +24,7 @@ from attnalloc.experiment import (
     sweep_to_csv,
 )
 from attnalloc.world import raw_attention_values
+from oracles import csv_writer_text
 
 
 def test_config_validation():
@@ -144,6 +147,49 @@ def test_sweep_csv_format(tmp_path):
     assert lines[1] == "16.0,3.5"
 
 
+# positive QoE values from the smallest subnormal up, and improvements of
+# either sign, -0.0 among them
+_qoe_values = st.floats(5e-324, 1e308)
+_improvements = st.floats(-1e308, 1e308)
+
+
+@st.composite
+def _reports(draw):
+    users = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=20))
+    reports = []
+    for user in users:
+        aware, oracle = sorted(draw(st.lists(_qoe_values, min_size=2, max_size=2)))
+        reports.append(UserReport(user, draw(st.integers(1, 10**6)), draw(_qoe_values),
+                                  aware, oracle, draw(_improvements)))
+    return reports
+
+
+@given(_reports())
+@settings(max_examples=200, deadline=None)
+def test_reports_csv_matches_csv_writer(tmp_path_factory, reports):
+    path = tmp_path_factory.mktemp("reports") / "reports.csv"
+    reports_to_csv(reports, path)
+    rows = [(r.user_id, r.n_objects, repr(r.qoe_uniform), repr(r.qoe_aware),
+             repr(r.qoe_oracle), repr(r.improvement_pct))
+            for r in sorted(reports, key=lambda r: r.user_id)]
+    header = ("user_id", "n_objects", "qoe_uniform", "qoe_aware", "qoe_oracle",
+              "improvement_pct")
+    assert path.read_bytes() == csv_writer_text(header, rows).encode()
+
+
+@given(st.lists(_qoe_values, unique=True, max_size=20).map(sorted), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sweep_csv_matches_csv_writer(tmp_path_factory, factors, data):
+    improvements = data.draw(st.lists(_improvements, min_size=len(factors),
+                                      max_size=len(factors)))
+    report = SweepReport(3, tuple(zip(factors, improvements)))
+    path = tmp_path_factory.mktemp("sweeps") / "sweep.csv"
+    sweep_to_csv(report, path)
+    rows = [(repr(factor), repr(improvement)) for factor, improvement in report.points]
+    expected = csv_writer_text(("budget_factor_k", "mean_improvement_pct"), rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_summary_json(tmp_path, default_runner):
     reports = default_runner.all_reports()
     agg = aggregate(reports)
@@ -157,6 +203,15 @@ def test_summary_json(tmp_path, default_runner):
         agg.mean_improvement_pct
     )
     assert doc["config"]["world"]["num_objects"] == 96
+
+
+def test_summary_json_rejects_non_finite_numbers(tmp_path, default_runner):
+    # JSON has no number for NaN or an infinity; the file is not written
+    path = tmp_path / "summary.json"
+    agg = Aggregate(float("inf"), 1.0, float("nan"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_summary_json(default_runner.config, [], agg, path)
+    assert not path.exists()
 
 
 def test_improvement_independent_of_link_scale(default_runner):

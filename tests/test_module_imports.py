@@ -1,5 +1,6 @@
-"""The package's modules use one another only through public names, and the
-file rules do not depend on the synthetic world."""
+"""The package's modules use one another only through public names, the
+file rules do not depend on the synthetic world, and ``schema`` is the one
+module that opens a file or formats JSON."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,32 @@ def test_file_rules_qoe_and_factor_model_do_not_import_the_world():
              if module in ("schema", "records", "qoe", "mf", "config")
              and "world" in (source, name)]
     assert not world, "\n".join(world)
+
+
+def _file_format_uses():
+    """``(module, line, what)`` for every ``open`` call and every import of
+    ``json`` or ``csv`` in the package's modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [(node.module or "").split(".")[0]]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = ["open"] if (isinstance(func, ast.Name) and func.id == "open"
+                                     or isinstance(func, ast.Attribute)
+                                     and func.attr == "open") else []
+            else:
+                continue
+            for name in names:
+                if name in ("open", "json", "csv"):
+                    yield path.stem, node.lineno, name
+
+
+def test_only_schema_opens_files_or_formats_json():
+    # the records reader's csv.reader fallback is the one other file-format use
+    allowed = {"open": {"schema"}, "json": {"schema"}, "csv": {"records"}}
+    stray = [f"{module}.py:{line}: {what}" for module, line, what in _file_format_uses()
+             if module not in allowed[what]]
+    assert not stray, "\n".join(stray)
