@@ -113,8 +113,8 @@ def _cmd_sparsify(args):
         world = world_mod.load_world(args.world)
     else:
         world = world_mod.generate_world(cfg.world, cfg.master_seed)
-    users = [args.user] if args.user is not None else range(world.num_users)
-    records = world_mod.sparsify_users(world, users, cfg.master_seed)
+    users = args.user if args.user is not None else range(world.num_users)
+    records = world_mod.sparsify(world, users, cfg.master_seed)
     out = args.out or "records.csv"
     rec_mod.save_records(records, out)
     print(f"wrote {out} ({len(records)} records)")
@@ -259,6 +259,10 @@ def cli_main(argv=None) -> int:
     except MemoryError as exc:  # e.g. a config whose arrays cannot be allocated
         detail = f": {exc}" if str(exc) else ""
         print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
+    except ArithmeticError as exc:  # e.g. a [channel] link whose SINR overflows
+        print(f"error: {args.command} failed on arithmetic: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_DATA
 
 

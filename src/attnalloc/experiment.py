@@ -19,7 +19,7 @@ from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
 from .schema import check_fields, write_json, write_text
-from .world import WorldConfig, attention_matrix, check_user, generate_world, sparsify_users
+from .world import WorldConfig, attention_matrix, check_user, generate_world, sparsify
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
 
@@ -116,7 +116,7 @@ class ExperimentRunner:
     @property
     def records(self):
         if self._records is None:
-            self._records = sparsify_users(
+            self._records = sparsify(
                 self.world, range(self.world.num_users), self.config.master_seed
             )
         return self._records

@@ -315,11 +315,6 @@ def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: i
     return np.nonzero(held)
 
 
-def model_to_dict(model: FactorModel) -> dict:
-    return {**_model_header(model),
-            **{name: getattr(model, name).tolist() for name in _MODEL_ARRAYS}}
-
-
 def _model_header(model: FactorModel) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -370,9 +365,9 @@ def _number_array(doc: dict, name: str) -> np.ndarray:
 
 
 def save_model(model: FactorModel, path) -> None:
-    """Write ``write_json(model_to_dict(model), path)``'s bytes from the
-    arrays with one ``%``-template, as ``world.save_world`` does; the header
-    goes through ``json_text``."""
+    """Write the model's ``attn-mf/1`` document, indent-1 JSON as
+    ``write_json`` formats it: the header goes through ``json_text``, the
+    four arrays through one ``%``-template, as ``world.save_world`` does."""
     arrays = [getattr(model, name) for name in _MODEL_ARRAYS]
     layout = "".join(f',\n "{name}": ' + json_layout(array.shape, 1)
                      for name, array in zip(_MODEL_ARRAYS, arrays))

@@ -215,7 +215,21 @@ class World:
         return int(self.group_of.max()) + 1
 
     def group_image_ids(self, group_id: int) -> np.ndarray:
-        return np.flatnonzero(self.group_of == group_id)
+        """The group's image ids, ascending (read-only); none for an id that
+        is no group."""
+        if not 0 <= group_id < len(self._group_images):
+            return np.empty(0, dtype=np.intp)
+        return self._group_images[group_id]
+
+    @functools.cached_property
+    def _group_images(self) -> tuple:
+        """Every group's image ids, split once from one stable sort, so a
+        draw per user reads them instead of scanning every image."""
+        by_group = np.argsort(self.group_of, kind="stable")
+        groups = np.split(by_group, np.cumsum(np.bincount(self.group_of))[:-1])
+        for ids in groups:
+            ids.setflags(write=False)
+        return tuple(groups)
 
     def occurrences(self, image_ids: np.ndarray):
         """The occurrences of the images ``image_ids`` (an int array of valid
@@ -424,28 +438,51 @@ def attention_matrix(world: World) -> np.ndarray:
     return np.minimum(gaze / pixel_sum, 1.0)
 
 
+def _check_unit_interval(values: np.ndarray) -> None:
+    outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
+    if outside.any():
+        raise ValueError(f"attention value {values[outside][0]} outside [0, 1]")
+
+
+def _rank_levels(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Quintile levels of every row of ``values`` (rows x width) in one
+    stable row-wise sort. Row ``r`` holds ``sizes[r]`` >= 1 values, in
+    ascending object id, and ``+inf`` in its other entries (holes), which
+    sort after every value. A value of rank ``k`` in its row gets ``k * 5 //
+    sizes[r] + 1``, ties rank by column, and a row whose values are all
+    equal gets level 3. The levels of holes are left unspecified."""
+    rows, width = values.shape
+    starts = np.arange(0, rows * width, width)
+    # the flat positions of each row's entries in rank order, holes last
+    ranked = (np.argsort(values, axis=1, kind="stable") + starts[:, None]).ravel()
+    flat = values.ravel()
+    by_rank = np.arange(width) * (MAX_LEVEL - MIN_LEVEL + 1) // sizes[:, None] + MIN_LEVEL
+    constant = flat[ranked[starts]] == flat[ranked[starts + sizes - 1]]  # lowest == highest
+    by_rank[constant] = (MIN_LEVEL + MAX_LEVEL) // 2
+    levels = np.empty(rows * width, dtype=np.int64)
+    levels[ranked] = by_rank.ravel()
+    return levels.reshape(rows, width)
+
+
 def quantize_levels(values) -> np.ndarray:
     """Equal-frequency quintile levels 1..5 of attention values given in
     ascending object id: the value of rank ``r`` among ``n`` gets level
     ``r * 5 // n + 1``. Ties rank by ascending object id (the sort is
     stable); a constant row maps to level 3."""
     values = np.asarray(values, dtype=np.float64)
-    outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
-    if outside.any():
-        raise ValueError(f"attention value {values[outside][0]} outside [0, 1]")
-    n = values.size
-    if not n or (values == values[0]).all():
-        return np.full(n, (MIN_LEVEL + MAX_LEVEL) // 2, dtype=np.int64)
-    levels = np.empty(n, dtype=np.int64)
-    num_levels = MAX_LEVEL - MIN_LEVEL + 1
-    levels[np.argsort(values, kind="stable")] = np.arange(n) * num_levels // n + MIN_LEVEL
-    return levels
+    _check_unit_interval(values)
+    if not values.size:
+        return np.empty(0, dtype=np.int64)
+    return _rank_levels(values.reshape(1, -1), np.array([values.size]))[0]
 
 
 def ground_truth_levels(world: World) -> GroundTruthLevels:
-    """Per-user quintile levels of attention values computed over all images.
-    Every object must occur in some image, or it would have no level."""
-    return GroundTruthLevels(np.stack([quantize_levels(row) for row in attention_matrix(world)]))
+    """Per-user quintile levels of attention values computed over all images,
+    every row ranked in one sort. Every object must occur in some image, or
+    it would have no level."""
+    values = attention_matrix(world)
+    _check_unit_interval(values)
+    return GroundTruthLevels(_rank_levels(values, np.full(len(values), values.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -458,18 +495,13 @@ class SparsifyInfo:
     retained_images: tuple
 
 
-def sparsify_with_info(world: World, user: int, seed: int):
-    """Sparse records for one user plus the draw diagnostics.
+def _draw_images(world: World, user: int, seed: int):
+    """One user's draw: ``(ran1, ran2, groups, retained image ids)``.
 
     Draws ran1 in {2,3,4} service groups and retains ran2% (integer percent in
-    [30, 70]) of each selected group's images, then computes and quantizes
-    attention values for the objects present. Independent substream per
+    [30, 70]) of each selected group's images. Independent substream per
     (seed, user); an empty retained subset (only possible for degenerate
-    worlds) retries on the next substream.
-    """
-    check_user(world, user)
-    if world.num_groups < 2:
-        raise ValueError("sparsify requires a world with at least 2 groups")
+    worlds) retries on the next substream."""
     for attempt in range(100):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_SPARSIFY_STREAM, user, attempt))
@@ -483,25 +515,64 @@ def sparsify_with_info(world: World, user: int, seed: int):
             keep = round(ran2 * len(ids) / 100)
             if keep > 0:
                 retained.append(ids[np.sort(rng.choice(len(ids), size=keep, replace=False))])
-        if not retained:
-            continue
-        retained = np.concatenate(retained)
-        objects, values = raw_attention_values(world, user, retained)
-        records = SparseAttentionRecords(
-            np.column_stack((np.full(objects.size, user), objects, quantize_levels(values))))
-        return records, SparsifyInfo(ran1, ran2, tuple(groups), tuple(retained.tolist()))
+        if retained:
+            return ran1, ran2, groups, np.concatenate(retained)
     raise RuntimeError("could not draw a non-empty retained image subset")
 
 
-def sparsify(world: World, user: int, seed: int) -> SparseAttentionRecords:
-    return sparsify_with_info(world, user, seed)[0]
+def sparsify(world: World, users, seed: int) -> SparseAttentionRecords:
+    """Sparse records of one sparsify draw per user: ``users`` is one user id
+    or a sequence of them, whose records are merged (a repeated user raises
+    ``InvalidRecordError``, as its pairs repeat).
+
+    Each user draws its retained images from its own substream and gets the
+    attention values of the objects present in them (``raw_attention_values``).
+    Then every value is checked to lie in [0, 1], all users' values are
+    ranked into quintile levels in one row-wise sort (``quantize_levels``
+    per user, bit for bit), and the merged table is checked once.
+    """
+    users = list(users) if np.iterable(users) else [users]
+    if not users:
+        return SparseAttentionRecords()
+    _check_sparsifiable(world, users)
+    return _ranked_records(world, users, [_draw_images(world, user, seed)[3] for user in users])
 
 
-def sparsify_users(world: World, users, seed: int) -> SparseAttentionRecords:
-    """The merged records of one sparsify draw per listed user."""
-    return SparseAttentionRecords(
-        np.concatenate([sparsify(world, user, seed).table for user in users])
-    )
+def _check_sparsifiable(world: World, users) -> None:
+    for user in users:
+        check_user(world, user)
+    if world.num_groups < 2:
+        raise ValueError("sparsify requires a world with at least 2 groups")
+
+
+def _ranked_records(world: World, users: list, retained: list) -> SparseAttentionRecords:
+    """The merged records of each user's attention values over its retained
+    images, ranked in one pass and checked as one table."""
+    drawn = [raw_attention_values(world, user, ids) for user, ids in zip(users, retained)]
+    if len(drawn) == 1:  # one row needs no padding
+        (objects, values), = drawn
+        levels = quantize_levels(values)
+        user_ids = np.full(objects.size, users[0])
+    else:  # each user's row holds its values at their object ids, +inf elsewhere
+        sizes = np.array([objects.size for objects, _ in drawn])
+        objects = np.concatenate([objects for objects, _ in drawn])
+        values = np.concatenate([values for _, values in drawn])
+        _check_unit_interval(values)
+        rows = np.repeat(np.arange(len(drawn)), sizes)
+        padded = np.full((len(drawn), world.num_objects), np.inf)
+        padded[rows, objects] = values
+        levels = _rank_levels(padded, sizes)[rows, objects]
+        user_ids = np.repeat(users, sizes)
+    return SparseAttentionRecords(np.column_stack((user_ids, objects, levels)))
+
+
+def sparsify_with_info(world: World, user: int, seed: int):
+    """``sparsify(world, user, seed)`` for one user, plus the draw's
+    diagnostics."""
+    _check_sparsifiable(world, [user])
+    ran1, ran2, groups, retained = _draw_images(world, user, seed)
+    records = _ranked_records(world, [user], [retained])
+    return records, SparsifyInfo(ran1, ran2, tuple(groups), tuple(retained.tolist()))
 
 
 def world_to_dict(world: World) -> dict:

@@ -7,8 +7,10 @@ against, the frozenset records with their per-row loader, the row loop and
 the per-entry world loader that the bulk-checked readers replaced, dict-loop
 baseline, set-based holdout and pair set that the sorted records table
 replaced, and the list-of-pairs quantizer and dict-path sparsify that the
-attention arrays replaced, and the per-record ``bincount`` ALS half-sweep
-that the dense masked product replaced."""
+attention arrays replaced, the per-record ``bincount`` ALS half-sweep that
+the dense masked product replaced, the one-row quantizer and per-user
+sparsify loop that the row-wise ranking pass replaced, and the model
+document as plain lists."""
 
 import csv
 import io
@@ -18,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from attnalloc.allocate import AllocationProblem, AllocationResult
-from attnalloc.mf import BaselineModel
+from attnalloc.mf import MODEL_FORMAT_VERSION, BaselineModel
 from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, InvalidRecordError
 from attnalloc.records import RecordsParseError, SparseAttentionRecords
 from attnalloc.schema import is_number, require
 from attnalloc.world import (_MAX_PIXEL_COUNT, _SPARSIFY_STREAM, WORLD_FORMAT_VERSION,
                              ConfigurationError, World, _generate_interest, _popularity,
-                             _run_ids)
+                             _run_ids, raw_attention_values)
 
 
 class SearchSpaceError(ValueError):
@@ -347,11 +349,38 @@ def quantize_pairs(raw) -> list:
     return [(items[i][0], level_of_position[i]) for i in range(n)]
 
 
-def dict_sparsify(world, user: int, seed: int, raw_values) -> SparseAttentionRecords:
-    """One user's sparsify draw on lists and dicts: the same generator calls
-    as ``sparsify_with_info``, the retained ids as a list, their
-    ``{object: value}`` from ``raw_values(world, user, ids)``, and
-    ``quantize_pairs``; test oracle only."""
+def row_quantize_levels(values) -> np.ndarray:
+    """One user's levels from a stable ``argsort`` of that row alone: ``r *
+    5 // n + 1`` for rank ``r`` among ``n``, level 3 for a constant row, and
+    the same ``[0, 1]`` check; test oracle only."""
+    values = np.asarray(values, dtype=np.float64)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise ValueError(f"attention value {values[outside][0]} outside [0, 1]")
+    n = values.size
+    if not n or (values == values[0]).all():
+        return np.full(n, (MIN_LEVEL + MAX_LEVEL) // 2, dtype=np.int64)
+    levels = np.empty(n, dtype=np.int64)
+    levels[np.argsort(values, kind="stable")] = np.arange(n) * 5 // n + MIN_LEVEL
+    return levels
+
+
+def loop_sparsify(world, users, seed: int) -> SparseAttentionRecords:
+    """The per-user sparsify loop: for each listed user (or the one user
+    id), its draw, ``raw_attention_values`` on the retained ids and
+    ``row_quantize_levels`` give one table; the tables are merged into one
+    ``SparseAttentionRecords``; test oracle only."""
+    tables = []
+    for user in [users] if isinstance(users, (int, np.integer)) else users:
+        objects, values = raw_attention_values(world, user, _retained_images(world, user, seed))
+        tables.append(np.column_stack((np.full(objects.size, user), objects,
+                                       row_quantize_levels(values))))
+    return SparseAttentionRecords(np.concatenate(tables))
+
+
+def _retained_images(world, user: int, seed: int) -> list:
+    """One user's retained image ids, drawn with the same generator calls
+    as ``sparsify_with_info``, as a list."""
     for attempt in range(100):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_SPARSIFY_STREAM, user, attempt))
@@ -361,15 +390,33 @@ def dict_sparsify(world, user: int, seed: int, raw_values) -> SparseAttentionRec
         groups = sorted(int(g) for g in rng.choice(world.num_groups, size=ran1, replace=False))
         retained = []
         for g in groups:
-            ids = world.group_image_ids(g)
+            ids = np.flatnonzero(world.group_of == g)
             keep = round(ran2 * len(ids) / 100)
             if keep > 0:
                 chosen = rng.choice(len(ids), size=keep, replace=False)
                 retained.extend(ids[np.sort(chosen)].tolist())
         if retained:
-            pairs = quantize_pairs(sorted(raw_values(world, user, retained).items()))
-            return SparseAttentionRecords([(user, o, level) for o, level in pairs])
+            return retained
     raise RuntimeError("could not draw a non-empty retained image subset")
+
+
+def dict_sparsify(world, user: int, seed: int, raw_values) -> SparseAttentionRecords:
+    """One user's sparsify draw on lists and dicts: the retained ids of
+    ``_retained_images``, their ``{object: value}`` from ``raw_values(world,
+    user, ids)``, and ``quantize_pairs``; test oracle only."""
+    retained = _retained_images(world, user, seed)
+    pairs = quantize_pairs(sorted(raw_values(world, user, retained).items()))
+    return SparseAttentionRecords([(user, o, level) for o, level in pairs])
+
+
+def model_to_dict(model) -> dict:
+    """A factor model's ``attn-mf/1`` document as plain lists, in the key
+    order ``save_model`` writes; test oracle only."""
+    return {"version": MODEL_FORMAT_VERSION, "num_users": model.num_users,
+            "num_objects": model.num_objects, "f": model.f, "mu": model.mu,
+            "user_bias": model.user_bias.tolist(), "object_bias": model.object_bias.tolist(),
+            "user_factors": model.user_factors.tolist(),
+            "object_factors": model.object_factors.tolist()}
 
 
 def bincount_solve_side(ids, size, others, other_factors, other_bias, target, lam):

@@ -187,7 +187,7 @@ def test_criterion_7_determinism_round_trip(tmp_path):
     from attnalloc import load_records, load_world
     from attnalloc.mf import load_model
     from attnalloc.world import world_to_dict
-    from attnalloc.mf import model_to_dict
+    from oracles import model_to_dict
     round_trips = True
     loaded_world = load_world(a / "world.json")
     save_world(loaded_world, a / "world2.json")

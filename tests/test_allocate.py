@@ -181,7 +181,10 @@ def _extreme_problems(draw):
     else:
         n = draw(st.integers(17, 5000))
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        lo, hi = sorted(draw(st.lists(st.floats(-300.0, 308.0), min_size=2, max_size=2)))
+        # + 0.0 turns -0.0 into 0.0: sorted() keeps [0.0, -0.0] in that order,
+        # and uniform() rejects it as high < low
+        lo, hi = sorted(x + 0.0 for x in draw(st.lists(st.floats(-300.0, 308.0),
+                                                       min_size=2, max_size=2)))
         w = 10.0 ** rng.uniform(lo, hi, size=n)
         w[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
     n = w.size

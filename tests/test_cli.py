@@ -280,6 +280,19 @@ def test_memory_error_exits_2_naming_the_command(tmp_path, capsys, monkeypatch, 
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_arithmetic_overflow_exits_2_naming_the_command(tmp_path, capsys, command):
+    # the link's SINR, tx_power * distance ** -2, overflows when the reports
+    # are scored; the config is not yet rejected when it is read
+    path = tmp_path / "near.cfg"
+    path.write_text("[channel]\ndistance = 1e-200\n")
+    code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith(f"error: {command} failed on arithmetic: OverflowError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "experiment", "--config", "missing.toml")
     assert code == EXIT_DATA
@@ -747,7 +760,7 @@ def _eval_model_doc(tmp_path, capsys, edit):
     replacement), then run ``eval --model`` on it against a 2 x 2 world;
     returns (exit code, stderr)."""
     from attnalloc import FactorModel
-    from attnalloc.mf import model_to_dict
+    from oracles import model_to_dict
 
     doc = model_to_dict(FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2),
                                     np.zeros(2), mu=3.0))
@@ -1055,7 +1068,7 @@ def test_read_faults_name_the_file(tmp_path, capsys, good_files, reader, fault):
 _COMMAND_FILES = {"generate": ("config",), "sparsify": ("config", "world"),
                   "fit": ("config", "records", "world"), "eval": ("model", "world", "records"),
                   "experiment": ("config",), "sweep": ("config",), "allocate": ()}
-_OUT_OF_MEMORY = {"generate": ("world", "generate_world"), "sparsify": ("world", "sparsify_users"),
+_OUT_OF_MEMORY = {"generate": ("world", "generate_world"), "sparsify": ("world", "sparsify"),
                   "fit": ("mf", "fit_mf"), "eval": ("mf", "evaluate"),
                   "experiment": ("experiment", "fit_mf"), "sweep": ("experiment", "fit_mf"),
                   "allocate": ("allocate", "allocate_weighted")}

@@ -27,14 +27,13 @@ from attnalloc.mf import (
     holdout_mask,
     load_model,
     model_from_dict,
-    model_to_dict,
     observed_mask,
     raw_score,
     save_model,
 )
 from attnalloc.world import GroundTruthLevels
-from oracles import (FrozensetRecords, bincount_solve_side, dict_fit_baseline, record_pairs,
-                     set_holdout_mask)
+from oracles import (FrozensetRecords, bincount_solve_side, dict_fit_baseline, model_to_dict,
+                     record_pairs, set_holdout_mask)
 
 
 # constant_records' users x objects, the model's dimensions in fits on them

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from attnalloc import (SparseAttentionRecords, WorldConfig, generate_world, ground_truth_levels,
                        load_records, save_records)
-from attnalloc.world import sparsify_users
+from attnalloc.world import sparsify
 from attnalloc.records import CSV_HEADER, InvalidRecordError, RecordsParseError
 from oracles import (FrozensetRecords, csv_writer_text, frozenset_load_records,
                      record_pairs, row_loop_load_records)
@@ -317,7 +317,7 @@ def _saved_tables():
     config = WorldConfig()
     for seed in range(3):
         world = generate_world(config, seed)
-        yield f"seed {seed}", sparsify_users(world, range(world.num_users), seed)
+        yield f"seed {seed}", sparsify(world, range(world.num_users), seed)
     levels = ground_truth_levels(generate_world(config, 7)).levels
     users, objects = np.indices(levels.shape).reshape(2, -1)
     yield "dense", SparseAttentionRecords(np.column_stack((users, objects, levels.ravel())))

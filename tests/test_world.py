@@ -28,17 +28,18 @@ from attnalloc.world import (
     _gaze_factors,
     _generate_images,
     _generate_interest,
+    _rank_levels,
     attention_matrix,
     raw_attention_values,
-    sparsify_users,
     sparsify_with_info,
     world_from_dict,
     world_to_dict,
 )
+from attnalloc.records import InvalidRecordError, SparseAttentionRecords
 from conftest import SMALL_WORLD
 from oracles import (dense_generate_images, dense_generate_world, dense_pixels, dict_sparsify,
-                     loop_world_from_dict, quantize_pairs, successive_sampling_images,
-                     world_from_pixels)
+                     loop_sparsify, loop_world_from_dict, quantize_pairs, row_quantize_levels,
+                     successive_sampling_images, world_from_pixels)
 
 
 def _raw_dict(world, user, image_ids) -> dict:
@@ -80,7 +81,11 @@ def test_default_world_shape(default_world):
     assert default_world.num_images == 1000
     assert default_world.num_groups == 5
     for g in range(5):
-        assert len(default_world.group_image_ids(g)) == 200
+        ids = default_world.group_image_ids(g)
+        assert len(ids) == 200 and not ids.flags.writeable
+        assert ids.tolist() == np.flatnonzero(default_world.group_of == g).tolist()
+    for g in (-1, 5):  # no group
+        assert default_world.group_image_ids(g).size == 0
 
 
 def test_every_object_appears(default_world):
@@ -349,6 +354,48 @@ def test_quantize_matches_pair_oracle(values):
     levels = quantize_levels(values)
     assert levels.dtype == np.int64
     assert levels.tolist() == [level for _, level in quantize_pairs(enumerate(values))]
+
+
+@st.composite
+def _padded_rows(draw):
+    """``(width, rows)``: each row's values at a drawn set of columns out of
+    ``width``, ascending, each row's values from its own pool (one value, so
+    the row is constant; a few values, so they tie; or any in [0, 1])."""
+    width = draw(st.integers(1, 64))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        columns = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1)))
+        pool = draw(st.sampled_from([(0.5,), (0.0, 0.25, 1.0), None]))
+        value = st.sampled_from(pool) if pool else st.floats(0.0, 1.0)
+        rows.append((columns, draw(st.lists(value, min_size=len(columns),
+                                            max_size=len(columns)))))
+    return width, rows
+
+
+@given(_padded_rows())
+@settings(max_examples=300, deadline=None)
+def test_rank_levels_match_row_oracle(drawn):
+    # one row-wise sort over rows with +inf holes gives each row's levels
+    # from a stable argsort of that row alone
+    width, rows = drawn
+    padded = np.full((len(rows), width), np.inf)
+    for r, (columns, values) in enumerate(rows):
+        padded[r, columns] = values
+    levels = _rank_levels(padded, np.array([len(columns) for columns, _ in rows]))
+    for r, (columns, values) in enumerate(rows):
+        assert levels[r, columns].tolist() == row_quantize_levels(values).tolist()
+        assert quantize_levels(values).tolist() == row_quantize_levels(values).tolist()
+
+
+def test_rank_levels_cases():
+    inf = np.inf
+    padded = np.array([[0.5, inf, 0.5, 0.5],  # constant row with a hole
+                       [inf, 0.3, inf, inf],  # one value
+                       [0.2, 0.1, 0.2, 0.1],  # ties rank by column
+                       [0.9, 0.0, inf, 1.0]])
+    levels = _rank_levels(padded, np.array([3, 1, 4, 3]))
+    present = padded != inf
+    assert levels[present].tolist() == [3, 3, 3, 3, 3, 1, 4, 2, 2, 1, 4]
 
 
 def test_ground_truth_levels_dense(default_world):
@@ -747,13 +794,47 @@ def test_raw_attention_rejects_non_integer_image_ids():
         assert objects.size == values.size == 0
 
 
-def test_sparsify_users_merges_per_user_draws(small_world):
-    merged = sparsify_users(small_world, range(small_world.num_users), 5)
+def test_sparsify_merges_per_user_draws(small_world):
+    merged = sparsify(small_world, range(small_world.num_users), 5)
     expected = frozenset().union(
         *(sparsify(small_world, u, 5).records for u in range(small_world.num_users))
     )
     assert merged.records == expected
-    assert sparsify_users(small_world, [2], 5) == sparsify(small_world, 2, 5)
+    assert sparsify(small_world, [2], 5) == sparsify(small_world, 2, 5)
+    assert sparsify(small_world, [], 5) == SparseAttentionRecords()
+
+
+@st.composite
+def _sparsifiable_worlds(draw):
+    """A valid world of ``_csr_worlds``' images in 2 to 4 groups, with 1 to
+    4 users whose interest often repeats a few values, so attention values
+    tie; gaze noise 0 or 0.1."""
+    fields = draw(_csr_worlds().filter(lambda fields: len(fields["group_of"]) >= 2))
+    n = len(fields["group_of"])
+    groups = draw(st.integers(2, min(n, 4)))
+    fields["group_of"] = draw(st.permutations([i % groups for i in range(n)]))
+    row = st.lists(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0)),
+                   min_size=len(fields["labels"]), max_size=len(fields["labels"]))
+    fields["interest"] = draw(st.lists(row, min_size=1, max_size=4))
+    fields["seed"] = draw(st.integers(0, 2**40))
+    return World(**fields)
+
+
+@given(_sparsifiable_worlds(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparsify_matches_per_user_loop(world, data):
+    seed = data.draw(st.integers(0, 1000))
+    user = st.integers(0, world.num_users - 1)
+    users = data.draw(st.one_of(user, user.map(np.int64), st.lists(user, min_size=1, max_size=6),
+                                st.lists(user, min_size=1, max_size=6).map(np.array)))
+    try:
+        expected = loop_sparsify(world, users, seed)
+    except InvalidRecordError as exc:  # a repeated user repeats its pairs
+        with pytest.raises(InvalidRecordError) as raised:
+            sparsify(world, users, seed)
+        assert (str(raised.value), raised.value.index) == (str(exc), exc.index)
+        return
+    assert sparsify(world, users, seed) == expected
 
 
 def _dense_compositions(pixels):
