@@ -19,6 +19,7 @@ import typing
 import numpy as np
 
 from .experiment import ExperimentConfig
+from .qoe import ChannelError
 from .schema import field_types, read_text
 
 
@@ -61,9 +62,12 @@ def _section_values(parser, section, types) -> dict:
 
 @contextlib.contextmanager
 def _naming(section):
-    """Raise a config's ValueError as a ConfigFileError naming ``section``."""
+    """Raise a config's ValueError as a ConfigFileError naming ``section``, or
+    [channel] for the link that ``ExperimentConfig`` builds from it."""
     try:
         yield
+    except ChannelError as exc:
+        raise ConfigFileError(f"invalid [channel] section: {exc}") from None
     except ValueError as exc:
         raise ConfigFileError(f"invalid [{section}] section: {exc}") from None
 

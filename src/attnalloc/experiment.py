@@ -10,6 +10,7 @@ truth rather than the model's own beliefs. Everything is a pure function of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from itertools import chain
 
@@ -56,9 +57,22 @@ class ExperimentConfig:
             raise ValueError("every sweep budget factor must exceed floor_k")
         if not (1 <= self.scene_retain_lo <= self.scene_retain_hi <= 100):
             raise ValueError("scene retain percentages must satisfy 1 <= lo <= hi <= 100")
+        # a scene's budget is its size times a factor, and a scene holds at
+        # most num_objects objects
+        n = self.world.num_objects
+        for name, factor in (("budget_per_object_k", self.budget_per_object_k),
+                             ("sweep factor", self.sweep_factors[-1])):
+            if not math.isfinite(factor * n):
+                raise ValueError(f"{name} {factor!r} times world.num_objects {n} "
+                                 "is not finite")
+        # built once, here, so that a channel that gives no link fails when
+        # the config is read; an attribute, not a field, so asdict and the
+        # config file leave it out
+        object.__setattr__(self, "_link", self.link if self.link is not None
+                           else link_from_channel(self.channel))
 
     def link_params(self) -> LinkParams:
-        return self.link if self.link is not None else link_from_channel(self.channel)
+        return self._link
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,7 @@ class ExperimentRunner:
         self._records = None
         self._model = None
         self._truth = None
-        self._scenes = {}
+        self._scenes = {}  # user id -> scene object ids
 
     @property
     def world(self):
@@ -141,21 +155,40 @@ class ExperimentRunner:
 
     def scene_objects(self, user: int) -> list:
         """The evaluated scene: objects of a random retained subset of one
-        randomly selected service group (seeded per user)."""
+        randomly selected service group (seeded per user), ascending."""
         if user not in self._scenes:
-            check_user(self.world, user)  # before a negative id reaches the seed sequence
-            cfg = self.config
+            self._draw_scenes([user])
+        return self._scenes[user]
+
+    def _draw_scenes(self, users) -> None:
+        """Draw the scenes of ``users``, each from its own substream, then
+        find every scene's objects in one pass over their images' occurrences."""
+        if not users:
+            return
+        world, cfg = self.world, self.config
+        for user in users:
+            check_user(world, user)  # before a negative id reaches the seed sequence
+        images = []
+        for user in users:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(_SCENE_STREAM, user))
             )
-            group = int(rng.integers(self.world.num_groups))
+            group = int(rng.integers(world.num_groups))
             pct = int(rng.integers(cfg.scene_retain_lo, cfg.scene_retain_hi + 1))
-            ids = self.world.group_image_ids(group)
+            ids = world.group_image_ids(group)
             keep = max(1, round(pct * len(ids) / 100))
-            chosen = np.sort(rng.choice(len(ids), size=keep, replace=False))
-            _, objects, _ = self.world.occurrences(ids[chosen])
-            self._scenes[user] = np.unique(objects).tolist()
-        return self._scenes[user]
+            images.append(ids[np.sort(rng.choice(len(ids), size=keep, replace=False))])
+        ids = np.concatenate(images)
+        _, objects, _ = world.occurrences(ids)
+        # row r of the users x objects presence matrix holds users[r]'s scene
+        rows = np.repeat(np.repeat(np.arange(len(users)), [i.size for i in images]),
+                         world.indptr[ids + 1] - world.indptr[ids])
+        present = np.zeros((len(users), world.num_objects), dtype=bool)
+        present[rows, objects] = True
+        indptr = np.concatenate(([0], np.cumsum(present.sum(1)))).tolist()
+        flat = np.nonzero(present)[1].tolist()
+        for r, user in enumerate(users):
+            self._scenes[user] = flat[indptr[r]:indptr[r + 1]]
 
     def user_report(self, user: int, budget_factor_k: float | None = None) -> UserReport:
         cfg = self.config
@@ -188,7 +221,9 @@ class ExperimentRunner:
         )
 
     def all_reports(self) -> list:
-        return [self.user_report(u) for u in range(self.world.num_users)]
+        users = range(self.world.num_users)
+        self._draw_scenes([u for u in users if u not in self._scenes])
+        return [self.user_report(u) for u in users]
 
     def sweep(self, user: int | None = None) -> SweepReport:
         user = self.config.sweep_user if user is None else user

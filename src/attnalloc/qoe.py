@@ -66,6 +66,8 @@ class ChannelConfig:
             raise ValueError("path_loss_exponent must be >= 1")
         if self.tx_antennas < 1 or self.rx_antennas < 1:
             raise ValueError("antenna counts must be >= 1")
+        if self.uplink_sinr is not None and self.uplink_sinr < 0:
+            raise ValueError(f"uplink_sinr must be >= 0, got {self.uplink_sinr!r}")
 
     def sinr(self) -> float:
         received = (
@@ -80,9 +82,24 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+class ChannelError(ValueError):
+    """A channel that gives no usable link."""
+
+
 def link_from_channel(cfg: ChannelConfig) -> LinkParams:
-    sinr = cfg.sinr()
+    """The channel's link. ``ChannelError`` names a SINR that overflows and a
+    downlink rate that is not positive and finite (the SINR underflows to 0,
+    or the rate overflows)."""
+    try:
+        sinr = cfg.sinr()
+    except OverflowError as exc:
+        raise ChannelError("the SINR's received power, tx_power * distance ** "
+                           f"-path_loss_exponent * min(tx_antennas, rx_antennas), "
+                           f"overflows: {exc}") from None
     rate = cfg.bandwidth * math.log2(1.0 + sinr)
+    if not 0.0 < rate < math.inf:
+        raise ChannelError(f"the downlink rate, bandwidth * log2(1 + SINR), is {rate!r} "
+                           f"for SINR {sinr!r}; it must be positive and finite")
     uplink_sinr = cfg.uplink_sinr if cfg.uplink_sinr is not None else sinr
     ber = q_function(math.sqrt(2.0 * uplink_sinr))
     return LinkParams(downlink_rate=rate, uplink_ber=ber)

@@ -372,6 +372,10 @@ def attention_from_gaze(pixel_counts, gaze_masses) -> float:
 
 
 def check_user(world: World, user: int) -> None:
+    """Raise ``ValueError`` naming ``user`` unless it is an integer (numpy's
+    too, not a bool) in ``0..num_users - 1``."""
+    if isinstance(user, bool) or not isinstance(user, (int, np.integer)):
+        raise ValueError(f"user id {user!r} is not an integer")
     if not 0 <= user < world.num_users:
         raise ValueError(f"user {user} outside 0..{world.num_users - 1}")
 

@@ -4,13 +4,15 @@ successive sampler, which the vectorized image draw is checked against, the
 dense images x objects pixel matrix that the world once held and the draw
 that filled it, the ``csv.writer`` loop that the CSV writers are checked
 against, the frozenset records with their per-row loader, the row loop and
-the per-entry world loader that the bulk-checked readers replaced, dict-loop
-baseline, set-based holdout and pair set that the sorted records table
+the per-entry world loader that the bulk-checked readers replaced, the
+dict-loop baseline (one pair per call, as the array baseline's gather
+replaced it), set-based holdout and pair set that the sorted records table
 replaced, and the list-of-pairs quantizer and dict-path sparsify that the
 attention arrays replaced, the per-record ``bincount`` ALS half-sweep that
 the dense masked product replaced, the one-row quantizer and per-user
-sparsify loop that the row-wise ranking pass replaced, and the model
-document as plain lists."""
+sparsify loop that the row-wise ranking pass replaced, the per-user scene
+draw that the one-pass scene build replaced, and the model document as
+plain lists."""
 
 import csv
 import io
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from attnalloc.allocate import AllocationProblem, AllocationResult
-from attnalloc.mf import MODEL_FORMAT_VERSION, BaselineModel
+from attnalloc.experiment import _SCENE_STREAM
+from attnalloc.mf import MODEL_FORMAT_VERSION
 from attnalloc.records import CSV_HEADER, MAX_LEVEL, MIN_LEVEL, InvalidRecordError
 from attnalloc.records import RecordsParseError, SparseAttentionRecords
 from attnalloc.schema import is_number, require
@@ -294,7 +297,25 @@ def row_loop_load_records(path) -> SparseAttentionRecords:
         raise RecordsParseError(f"line {lines[err.index]}: {err}") from None
 
 
-def dict_fit_baseline(records) -> BaselineModel:
+@dataclass(frozen=True)
+class DictBaseline:
+    """The mean-imputation baseline on dicts keyed by id, one pair per
+    ``predict`` call; test oracle only."""
+
+    mu: float
+    user_means: dict
+    object_means: dict
+
+    def predict(self, user: int, object_id: int) -> float:
+        score = self.mu
+        if user in self.user_means:
+            score += self.user_means[user] - self.mu
+        if object_id in self.object_means:
+            score += self.object_means[object_id] - self.mu
+        return float(min(max(score, MIN_LEVEL), MAX_LEVEL))
+
+
+def dict_fit_baseline(records) -> DictBaseline:
     """Per-id means collected in dict lists; test oracle only."""
     user_acc: dict = {}
     object_acc: dict = {}
@@ -303,11 +324,27 @@ def dict_fit_baseline(records) -> BaselineModel:
         user_acc.setdefault(user, []).append(level)
         object_acc.setdefault(object_id, []).append(level)
         total += level
-    return BaselineModel(
+    return DictBaseline(
         mu=total / len(records),
         user_means={u: float(np.mean(v)) for u, v in user_acc.items()},
         object_means={o: float(np.mean(v)) for o, v in object_acc.items()},
     )
+
+
+def loop_scene_objects(config, world, user: int) -> list:
+    """One user's evaluated scene drawn on its own: the same generator calls
+    as ``ExperimentRunner.scene_objects``, then ``np.unique`` of the retained
+    images' objects; test oracle only."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.master_seed, spawn_key=(_SCENE_STREAM, user))
+    )
+    group = int(rng.integers(world.num_groups))
+    pct = int(rng.integers(config.scene_retain_lo, config.scene_retain_hi + 1))
+    ids = np.flatnonzero(world.group_of == group)
+    keep = max(1, round(pct * len(ids) / 100))
+    chosen = ids[np.sort(rng.choice(len(ids), size=keep, replace=False))]
+    return np.unique(np.concatenate([world.objects[world.indptr[i]:world.indptr[i + 1]]
+                                     for i in chosen])).tolist()
 
 
 def set_holdout_mask(records, num_users: int, num_objects: int,

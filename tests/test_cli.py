@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import argparse
+import configparser
 import dataclasses
 import json
 import os
@@ -281,15 +282,46 @@ def test_memory_error_exits_2_naming_the_command(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
-def test_arithmetic_overflow_exits_2_naming_the_command(tmp_path, capsys, command):
-    # the link's SINR, tx_power * distance ** -2, overflows when the reports
-    # are scored; the config is not yet rejected when it is read
-    path = tmp_path / "near.cfg"
-    path.write_text("[channel]\ndistance = 1e-200\n")
-    code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+def test_arithmetic_overflow_exits_2_naming_the_command(tmp_path, capsys, monkeypatch, command):
+    # no config reaches an overflow now that the link and the budgets are
+    # checked when the config is read (see the next test), so one is raised
+    # where the reports are scored; the backstop still names the command
+    def overflow(terms):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr("attnalloc.experiment.qoe", overflow)
+    code, out, err = run(capsys, command, "--out", str(tmp_path / "out"))
     assert (code, out) == (EXIT_DATA, "")
     assert err.startswith(f"error: {command} failed on arithmetic: OverflowError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[channel]\ndistance = 1e-200\n",
+     "invalid [channel] section: the SINR's received power, tx_power * distance ** "
+     "-path_loss_exponent * min(tx_antennas, rx_antennas), overflows: "
+     "(34, 'Numerical result out of range')"),
+    ("[channel]\ndistance = 1e300\n", "invalid [channel] section: the downlink rate, "
+     "bandwidth * log2(1 + SINR), is 0.0 for SINR 0.0; it must be positive and finite"),
+    ("[channel]\ntx_power = 1e308\ndistance = 0.001\n",
+     "invalid [channel] section: the downlink rate, bandwidth * log2(1 + SINR), is inf"),
+    ("[channel]\nuplink_sinr = -1\n", "invalid [channel] section: uplink_sinr must be >= 0"),
+    ("[experiment]\nbudget_per_object_k = 1e308\n", "invalid [experiment] section: "
+     "budget_per_object_k 1e+308 times world.num_objects 96 is not finite"),
+    ("[experiment]\nsweep_factors = 20, 1e308\n", "invalid [experiment] section: "
+     "sweep factor 1e+308 times world.num_objects 96 is not finite"),
+])
+@pytest.mark.parametrize("command", ["generate", "experiment", "sweep"])
+def test_link_and_budget_faults_exit_when_the_config_is_read(tmp_path, capsys, command, text,
+                                                             message):
+    # each used to exit after the fit: through the arithmetic backstop, or
+    # with a message that named neither the section nor the key
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
     assert not list(tmp_path.glob("out*"))
 
 
@@ -1080,6 +1112,36 @@ _CONFIG_FAULTS_EXIT_2 = ("percent value", "DEFAULT section")
 _WRONG_FILE = {"config": "model", "world": "records", "model": "records", "records": "world"}
 
 
+# the [channel] and [experiment] floats that a drawn config sets
+_CONFIG_FLOATS = (*(("channel", key) for key in ("bandwidth", "tx_power", "distance",
+                                                 "path_loss_exponent", "interference_power",
+                                                 "noise_psd", "uplink_sinr")),
+                  *(("experiment", key) for key in ("floor_k", "budget_per_object_k",
+                                                    "sweep_factors")))
+# a positive float whose binary exponent is uniform over float64's range,
+# subnormals included (a log-uniform magnitude), and one of either sign
+_magnitude = st.builds(lambda mantissa, exponent: mantissa * 2.0 ** exponent,
+                       st.floats(1, 2, exclude_max=True), st.integers(-1074, 1023))
+_any_float = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from([1.0, -1.0]),
+                       _magnitude)
+
+
+def _drawn_config(folder, overrides) -> str:
+    """The path of SMALL_CONFIG with the drawn ``{(section, key): value}``
+    floats set; ``sweep_factors`` gets the value and twice it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(SMALL_CONFIG)
+    for (section, key), value in overrides.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        values = (value, value * 2) if key == "sweep_factors" else (value,)
+        parser[section][key] = ", ".join(map(repr, values))
+    path = folder / "drawn.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return str(path)
+
+
 def _faulty_file(folder, good_files, name, fault, at):
     """The path of a ``name`` file with ``fault``, made from the good one;
     ``at`` places a cut or an inserted byte."""
@@ -1108,17 +1170,28 @@ def _faulty_file(folder, good_files, name, fault, at):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_faults_exit_by_name(tmp_path_factory, capsys, good_files, data):
     # any command, on good files, with one faulty input file or out of memory
-    # in its main step: exit 0, 1 or 2, no traceback, and exit 2 prints one
-    # "error:" line
+    # in its main step, or a config that sets [channel] and [experiment]
+    # floats drawn over the whole float64 range: exit 0, 1 or 2, no
+    # traceback, and exit 2 prints one "error:" line
     command = data.draw(st.sampled_from(sorted(_COMMAND_FILES)))
     files = _COMMAND_FILES[command]
-    target = data.draw(st.sampled_from(files)) if files else None
+    # half the runs of a command that reads a config draw its floats, and
+    # have no other fault: every [channel] float as a positive magnitude,
+    # so that most draws get past the sign checks to the link, and any
+    # [experiment] float of either sign
+    overrides = data.draw(st.fixed_dictionaries(
+        {key: _magnitude for key in _CONFIG_FLOATS if key[0] == "channel"},
+        optional={key: _any_float for key in _CONFIG_FLOATS if key[0] == "experiment"})) \
+        if "config" in files and data.draw(st.booleans()) else {}
+    target = data.draw(st.sampled_from(files)) if files and not overrides else None
     faults_exit_2 = _FILE_FAULTS_EXIT_2 + (_CONFIG_FAULTS_EXIT_2 if target == "config" else ())
     faults = ["truncated", "nul byte", *faults_exit_2]
     fault = data.draw(st.sampled_from([None, *faults])) if target else None
-    out_of_memory = data.draw(st.booleans())
+    out_of_memory = not overrides and data.draw(st.booleans())
     folder = tmp_path_factory.mktemp("cli")
     paths = dict(good_files)
+    if overrides:
+        paths["config"] = _drawn_config(folder, overrides)
     if fault:
         paths[target] = str(_faulty_file(folder, good_files, target, fault,
                                          data.draw(st.integers(0, 10**6))))
@@ -1144,4 +1217,5 @@ def test_cli_faults_exit_by_name(tmp_path_factory, capsys, good_files, data):
     if fault in ("missing path", "directory", "invalid utf-8 byte"):
         assert str(paths[target]) in err
     if fault is None and not out_of_memory:
-        assert (code, err) == (EXIT_OK, "")
+        # drawn floats may be rejected, by name, but never end in a traceback
+        assert (code, err) == (EXIT_OK, "") or (code == EXIT_DATA and overrides)

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnalloc import (
+    ChannelConfig,
     ExperimentConfig,
     ExperimentRunner,
     LinkParams,
     SweepReport,
     UserReport,
+    link_from_channel,
     run_sweep,
 )
 from attnalloc.experiment import (
@@ -24,7 +26,8 @@ from attnalloc.experiment import (
     sweep_to_csv,
 )
 from attnalloc.world import raw_attention_values
-from oracles import csv_writer_text
+from conftest import SMALL_WORLD
+from oracles import csv_writer_text, loop_scene_objects
 
 
 def test_config_validation():
@@ -85,6 +88,68 @@ def test_scene_objects_stable_and_grouped(default_runner):
     assert scene == sorted(set(scene))
     assert 1 <= len(scene) <= default_runner.world.num_objects
     assert scene == default_runner.scene_objects(1)
+
+
+def test_scene_objects_check_the_user_first(default_runner):
+    runner = ExperimentRunner(default_runner.config)
+    for user, message in ((-1, "user -1 outside"), (30, "user 30 outside"),
+                          (True, "user id True is not an integer"),
+                          (1.0, "user id 1.0 is not an integer")):
+        with pytest.raises(ValueError, match=message):
+            runner.scene_objects(user)
+    assert runner.scene_objects(np.int64(1)) == default_runner.scene_objects(1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5), st.integers(1, 100),
+       st.integers(0, 99))
+def test_scenes_match_per_user_draws(seed, users, groups, lo, span):
+    # all_reports builds every scene in one pass; a lone scene_objects call
+    # draws one user; both equal each user's draw on its own
+    config = ExperimentConfig(
+        world=dataclasses.replace(SMALL_WORLD, num_users=users, num_groups=groups),
+        master_seed=seed, scene_retain_lo=lo, scene_retain_hi=min(lo + span, 100))
+    runner = ExperimentRunner(config)
+    reports = runner.all_reports()
+    for user in range(users):
+        expected = loop_scene_objects(config, runner.world, user)
+        assert runner.scene_objects(user) == expected
+        assert reports[user].n_objects == len(expected)
+        assert ExperimentRunner(config).scene_objects(user) == expected
+
+
+def test_default_scenes_match_per_user_draws(default_runner):
+    world = default_runner.world
+    default_runner.all_reports()
+    for user in range(world.num_users):
+        assert default_runner.scene_objects(user) \
+            == loop_scene_objects(default_runner.config, world, user)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"budget_per_object_k": 1e308},
+     r"budget_per_object_k 1e\+308 times world.num_objects 96 is not finite"),
+    ({"sweep_factors": (20.0, 1e307)},
+     r"sweep factor 1e\+307 times world.num_objects 96 is not finite"),
+    ({"channel": ChannelConfig(distance=1e-200)}, "SINR's received power.* overflows"),
+    ({"channel": ChannelConfig(distance=1e300)}, r"downlink rate.* is 0\.0 for SINR 0\.0"),
+    ({"channel": ChannelConfig(tx_power=1e308, distance=0.001)}, "downlink rate.* is inf"),
+    ({"channel": ChannelConfig(noise_psd=1e300, bandwidth=1e300)}, "downlink rate.* is 0.0"),
+])
+def test_config_rejects_a_budget_or_link_that_overflows(fields, message):
+    # each used to fail only when the reports were scored, after the fit
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**fields)
+
+
+def test_link_is_built_once_and_overrides_the_channel():
+    config = ExperimentConfig()
+    assert config.link_params() is config.link_params()
+    assert config.link_params() == link_from_channel(config.channel)
+    # the channel is not used, so it is not checked
+    link = LinkParams(2.0, 0.25)
+    assert ExperimentConfig(link=link, channel=ChannelConfig(distance=1e-200)).link_params() \
+        is link
 
 
 def test_truth_raw_is_all_image_attention(default_runner):

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnalloc import (
-    BaselineModel,
+    ExperimentConfig,
+    ExperimentRunner,
     FactorModel,
     FitConfig,
     SparseAttentionRecords,
+    WorldConfig,
     evaluate,
     fit_baseline,
     fit_mf,
@@ -141,6 +143,59 @@ def test_predict_index_errors():
         predict(model, 0, -1)
 
 
+def test_predictor_index_errors():
+    predict_pairs = zero_model().predictor()
+    assert predict_pairs(np.array([1, 0]), np.array([0, 1])).tolist() == [3.0, 3.0]
+    assert predict_pairs([], []).shape == (0,)
+    # the first faulty pair is named, and a negative id is never wrapped
+    for users, objects, pair in (([0, 2, -1], [0, 0, 0], r"\(2, 0\)"),
+                                 ([1, 0], [0, -1], r"\(0, -1\)"),
+                                 ([-1], [1], r"\(-1, 1\)")):
+        with pytest.raises(IndexError, match=f"pair {pair} outside model dimensions"):
+            predict_pairs(np.array(users), np.array(objects))
+    with pytest.raises(IndexError, match="ids must be integers"):
+        predict_pairs(np.array([0.0]), np.array([1]))
+    with pytest.raises(IndexError, match="ids must be integers"):
+        predict_pairs(np.array([True, False]), np.array([0, 1]))  # not a mask
+    with pytest.raises(ValueError, match="equal length"):
+        predict_pairs(np.array([0, 1]), np.array([0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 8), st.floats(-30, 30),
+       st.floats(0.1, 10), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_predictor_matches_per_pair_predict(users, objects, f, mu, scale, seed, pairs):
+    # factors up to +-10 push many scores past the clamp; ids run one beyond
+    # each side of the model, so some draws hold a faulty pair
+    rng = np.random.default_rng(seed)
+    model = FactorModel(user_factors=rng.uniform(-scale, scale, (users, f)),
+                        object_factors=rng.uniform(-scale, scale, (objects, f)),
+                        user_bias=rng.uniform(-scale, scale, users),
+                        object_bias=rng.uniform(-scale, scale, objects), mu=mu)
+    u, o = rng.integers(-1, users + 1, pairs), rng.integers(-1, objects + 1, pairs)
+    bad = (u < 0) | (u >= users) | (o < 0) | (o >= objects)
+    if bad.any():
+        i = int(np.argmax(bad))
+        with pytest.raises(IndexError, match=rf"pair \({u[i]}, {o[i]}\) outside"):
+            model.predictor()(u, o)
+    else:
+        expected = [predict(model, a, b) for a, b in zip(u.tolist(), o.tolist())]
+        assert model.predictor()(u, o).tolist() == expected
+
+
+def test_predictor_matches_per_pair_predict_on_twenty_worlds():
+    # every pair of the fitted models of master seeds 0-9 at gaze noise 0
+    # and 0.1, bit for bit
+    for noise in (0.0, 0.1):
+        for seed in range(10):
+            model = ExperimentRunner(ExperimentConfig(
+                world=WorldConfig(gaze_noise=noise), master_seed=seed)).model
+            users, objects = (ids.ravel() for ids in np.indices((model.num_users,
+                                                                 model.num_objects)))
+            expected = [predict(model, u, o) for u, o in zip(users.tolist(), objects.tolist())]
+            assert model.predictor()(users, objects).tolist() == expected
+
+
 def test_predict_scene_order_and_duplicates():
     model = zero_model(mu=3.0)
     out = predict_scene(model, 0, [1, 0, 1])
@@ -175,7 +230,8 @@ def test_baseline_rules():
     assert model.predict(5, 7) == 4.0
 
     model = fit_baseline(SparseAttentionRecords(frozenset({(0, 0, 1), (0, 1, 5)})))
-    assert model.user_means[0] == 3.0
+    assert model.user_shift.tolist() == [0.0]  # user 0's mean 3.0 equals mu
+    assert model.object_shift.tolist() == [-2.0, 2.0]
     assert model.predict(0, 9) == 3.0
     with pytest.raises(FitError):
         fit_baseline(SparseAttentionRecords())
@@ -191,19 +247,23 @@ def test_baseline_additive_blend():
 
 def test_evaluate_metrics():
     truth = GroundTruthLevels(np.full((2, 2), 5))
-    metrics = evaluate(lambda u, o: 3.0, truth, (np.array([0, 1]), np.array([0, 1])))
+    threes = lambda u, o: np.full(len(u), 3.0)
+    metrics = evaluate(threes, truth, (np.array([0, 1]), np.array([0, 1])))
     assert metrics.rmse == pytest.approx(2.0)
     assert metrics.mae == pytest.approx(2.0)
     assert metrics.count == 2
 
     calls = []
-    perfect = evaluate(lambda u, o: calls.append((u, o)) or 5.0, truth,
-                       (np.array([0, 1]), np.array([1, 0])))
+    perfect = evaluate(lambda u, o: calls.append((u.tolist(), o.tolist())) or np.full(2, 5.0),
+                       truth, (np.array([0, 1]), np.array([1, 0])))
     assert perfect.rmse == 0.0 and perfect.mae == 0.0
-    assert calls == [(0, 1), (1, 0)]  # once per pair, in the arrays' order
+    assert calls == [([0, 1], [1, 0])]  # once, with the mask's arrays
 
     with pytest.raises(EvaluationError, match="holdout mask is empty"):
-        evaluate(lambda u, o: 3.0, truth, np.nonzero(np.zeros((2, 2), dtype=bool)))
+        evaluate(threes, truth, np.nonzero(np.zeros((2, 2), dtype=bool)))
+    # one prediction per pair, not a scalar broadcast over them
+    with pytest.raises(ValueError, match=r"gave shape \(\) for 2 held-out pairs"):
+        evaluate(lambda u, o: 3.0, truth, (np.array([0, 1]), np.array([0, 1])))
 
 
 def _pairs(mask) -> list:
@@ -239,15 +299,28 @@ def test_baseline_and_holdout_match_dict_and_set_oracles(rows, num_users, num_ob
     # some records may lie outside num_users x num_objects; the holdout skips them
     records = SparseAttentionRecords(rows)
     oracle = FrozensetRecords(frozenset(rows))
-    assert fit_baseline(records) == dict_fit_baseline(oracle)
+    _assert_baseline_matches(fit_baseline(records), dict_fit_baseline(oracle), 13, 31)
     assert set(_pairs(holdout_mask(records, num_users, num_objects, fraction, seed))) \
         == set_holdout_mask(oracle, num_users, num_objects, fraction, seed)
+
+
+def _assert_baseline_matches(model, oracle, num_users, num_objects):
+    """The array baseline's gather and its scalar ``predict`` equal the dict
+    oracle's per-pair prediction, bit for bit, on every pair of ids from -2
+    to two beyond the given dimensions (absent, negative and beyond-table
+    ids included)."""
+    users, objects = (ids.ravel() for ids in np.meshgrid(np.arange(-2, num_users + 2),
+                                                         np.arange(-2, num_objects + 2)))
+    expected = [oracle.predict(u, o) for u, o in zip(users.tolist(), objects.tolist())]
+    assert model.predictor()(users, objects).tolist() == expected
+    assert [model.predict(u, o) for u, o in zip(users.tolist(), objects.tolist())] == expected
 
 
 def test_baseline_and_holdout_match_oracles_on_default_records(default_runner):
     records, world = default_runner.records, default_runner.world
     oracle = FrozensetRecords(records.records)
-    assert fit_baseline(records) == dict_fit_baseline(oracle)
+    _assert_baseline_matches(fit_baseline(records), dict_fit_baseline(oracle),
+                             world.num_users, world.num_objects)
     assert set(_pairs(holdout_mask(records, world.num_users, world.num_objects))) \
         == set_holdout_mask(oracle, world.num_users, world.num_objects)
 

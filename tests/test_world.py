@@ -777,6 +777,21 @@ def test_raw_attention_rejects_user_outside_world(gaze_noise):
             sparsify(world, user, 0)
 
 
+def test_user_ids_must_be_integers():
+    # a bool or a float used to reach numpy's indexing or the seed sequence
+    world = make_manual_world([[0.2], [0.5], [0.8]], [((0, 10),), ((0, 5),)], groups=[0, 1])
+    for user, shown in ((True, "True"), (1.5, "1.5"), (1.0, "1.0"),
+                        (np.float64(2), "np.float64(2.0)"), ("1", "'1'"), (None, "None")):
+        for call in (lambda: raw_attention_values(world, user, [0]),
+                     lambda: sparsify(world, user, 0), lambda: sparsify(world, [0, user], 0)):
+            with pytest.raises(ValueError, match=rf"user id {re.escape(shown)} is not an integer"):
+                call()
+    for user in (np.int64(2), np.uint8(1)):
+        assert np.array_equal(raw_attention_values(world, user, [0])[1],
+                              raw_attention_values(world, int(user), [0])[1])
+        assert sparsify(world, user, 0).records == sparsify(world, int(user), 0).records
+
+
 def test_raw_attention_rejects_non_integer_image_ids():
     world = make_manual_world([[0.5, 0.4]], [((0, 10),), ((1, 20),), ((0, 5),)])
     cases = [([1.7], "1.7"), ([True], "True"), ([0, 2, False], "False"),
