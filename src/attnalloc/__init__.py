@@ -37,7 +37,6 @@ from .world import (
     GroundTruthLevels,
     World,
     WorldConfig,
-    attention_from_gaze,
     generate_world,
     ground_truth_levels,
     load_world,

@@ -63,11 +63,12 @@ def _section_values(parser, section, types) -> dict:
 @contextlib.contextmanager
 def _naming(section):
     """Raise a config's ValueError as a ConfigFileError naming ``section``, or
-    [channel] for the link that ``ExperimentConfig`` builds from it."""
+    the section of the link that ``ExperimentConfig`` checks ([channel] or
+    [link])."""
     try:
         yield
     except ChannelError as exc:
-        raise ConfigFileError(f"invalid [channel] section: {exc}") from None
+        raise ConfigFileError(f"invalid [{exc.section}] section: {exc}") from None
     except ValueError as exc:
         raise ConfigFileError(f"invalid [{section}] section: {exc}") from None
 

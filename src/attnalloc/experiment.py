@@ -18,7 +18,7 @@ import numpy as np
 
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
-from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel, qoe
+from .qoe import ChannelConfig, ChannelError, LinkParams, QoETerms, link_from_channel, qoe
 from .schema import check_fields, write_json, write_text
 from .world import WorldConfig, attention_matrix, check_user, generate_world, sparsify
 
@@ -68,8 +68,17 @@ class ExperimentConfig:
         # built once, here, so that a channel that gives no link fails when
         # the config is read; an attribute, not a field, so asdict and the
         # config file leave it out
-        object.__setattr__(self, "_link", self.link if self.link is not None
-                           else link_from_channel(self.channel))
+        link = self.link if self.link is not None else link_from_channel(self.channel)
+        # attention weights are at most 1, so no QoE exceeds the link factor
+        # times n times the log of the largest budget (one of 1 K or less
+        # fails when it is allocated)
+        budget = n * max(self.budget_per_object_k, self.sweep_factors[-1])
+        if budget > 1 and not math.isfinite(link.factor * (n * math.log(budget))):
+            raise ChannelError(
+                f"the link factor downlink_rate * (1 - uplink_ber), {link.factor!r}, times "
+                f"world.num_objects {n} times the log of the largest budget {budget!r} is not "
+                "finite, so a QoE would overflow", "channel" if self.link is None else "link")
+        object.__setattr__(self, "_link", link)
 
     def link_params(self) -> LinkParams:
         return self._link

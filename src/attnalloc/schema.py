@@ -139,11 +139,17 @@ def read_text(path, newline=None) -> str:
     return text
 
 
-def read_json(path):
-    """The JSON document in the file at ``path``; a fault in it names the file."""
+def parse_json(text: str, path):
+    """The JSON document ``text``, read from the file at ``path``; a syntax
+    fault or too deep a nesting names the file."""
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
     except RecursionError:
         raise ValueError(f"{path}: nested too deeply to parse") from None
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a fault in it names the file."""
+    return parse_json(read_text(path), path)

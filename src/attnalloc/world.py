@@ -20,7 +20,7 @@ import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
 from .schema import (check_fields, field_types, first_non_number_row, json_layout, json_text,
-                     read_json, require, write_text)
+                     parse_json, read_text, require, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -212,7 +212,7 @@ class World:
 
     @property
     def num_groups(self) -> int:
-        return int(self.group_of.max()) + 1
+        return len(self._group_images)  # the group ids cover 0..max
 
     def group_image_ids(self, group_id: int) -> np.ndarray:
         """The group's image ids, ascending (read-only); none for an id that
@@ -357,20 +357,6 @@ def _gaze_factors(world: World, user: int, count: int) -> np.ndarray:
     return 1.0 + rng.uniform(-g, g, size=count)
 
 
-def attention_from_gaze(pixel_counts, gaze_masses) -> float:
-    """Attention value from observed occurrences of one object: the ratio of
-    total gaze mass to total pixels occupied, capped at 1."""
-    pixels = [float(px) for px in pixel_counts]
-    masses = [float(m) for m in gaze_masses]
-    if len(pixels) != len(masses) or not pixels:
-        raise ValueError("need equally many pixel counts and gaze masses, at least one")
-    if any(px <= 0 for px in pixels):
-        raise ValueError("pixel counts must be positive")
-    if any(m < 0 for m in masses):
-        raise ValueError("gaze masses must be non-negative")
-    return min(sum(masses) / sum(pixels), 1.0)
-
-
 def check_user(world: World, user: int) -> None:
     """Raise ``ValueError`` naming ``user`` unless it is an integer (numpy's
     too, not a bool) in ``0..num_users - 1``."""
@@ -396,9 +382,9 @@ def raw_attention_values(world: World, user: int, image_ids):
     ``(objects, values)`` arrays in ascending object id.
 
     Value = (sum of gaze mass over occurrences) / (sum of pixels over
-    occurrences), capped at 1 as in ``attention_from_gaze``. The noise of an
-    occurrence is the user's draw at its CSR position, so an image listed
-    twice counts twice with the same noise.
+    occurrences), capped at 1. The noise of an occurrence is the user's draw
+    at its CSR position, so an image listed twice counts twice with the same
+    noise.
     """
     check_user(world, user)
     ids = _image_id_array(image_ids)
@@ -614,6 +600,12 @@ def world_from_dict(doc: dict) -> World:
     if not images:
         raise ValueError("world file: 'images' must list at least one image")
     arrays = _image_arrays(images, len(labels)) or _raise_image_fault(images, len(labels))
+    return _world(doc, labels, arrays)
+
+
+def _world(doc: dict, labels: tuple, arrays) -> World:
+    """The world of a document whose catalog is ``labels`` and whose images
+    are ``arrays``: its interest rows, user count, seed and gaze noise."""
     rows = require(doc, "interest", "world file", list)
     user = first_non_number_row(rows)
     if user is not None:
@@ -628,10 +620,11 @@ def world_from_dict(doc: dict) -> World:
 
 
 def _image_arrays(images: list, num_objects: int):
-    """``(indptr, objects, counts, group_of)`` of a document's ``images``,
-    each image's entries in ascending object id, or None when one of the
-    checks that ``_raise_image_fault`` makes entry by entry fails. An image
-    without objects is left to ``World``."""
+    """``(indptr, objects, counts, group_of)`` of a document's ``images`` (see
+    ``_sorted_images``), or None when one of the checks that
+    ``_raise_image_fault`` makes entry by entry fails. This part checks the
+    JSON types: every image a dict with an int id, an int group and a list
+    of two-int lists."""
     n = len(images)
     if not set(map(type, images)) <= {dict}:
         return None
@@ -641,28 +634,40 @@ def _image_arrays(images: list, num_objects: int):
         compositions = [image["composition"] for image in images]
     except KeyError:
         return None
-    if not (set(map(type, ids)) <= {int} and ids == list(range(n))
-            and set(map(type, groups)) <= {int} and set(map(type, compositions)) <= {list}):
+    if not set(map(type, compositions)) <= {list}:
         return None
     entries = list(chain.from_iterable(compositions))
     if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
         return None
-    values = groups + list(chain.from_iterable(entries))
+    values = ids + groups + list(chain.from_iterable(entries))
     if not set(map(type, values)) <= {int}:
         return None
     try:
         values = np.array(values, dtype=np.int64)
     except OverflowError:
         return None
-    group_of, objects, counts = values[:n], values[n::2], values[n + 1::2]
-    lengths = list(map(len, compositions))
+    lengths = np.fromiter(map(len, compositions), dtype=np.int64, count=n)
+    return _sorted_images(values[:n], values[n:2 * n], lengths,
+                          values[2 * n::2], values[2 * n + 1::2], num_objects)
+
+
+def _sorted_images(ids, group_of, lengths, objects, counts, num_objects: int):
+    """``(indptr, objects, counts, group_of)`` of images given as int64
+    arrays in document order (``lengths`` entries each), each image's
+    entries sorted by object id; None unless the ids run 0..n-1, every group
+    lies in 0..n-1, object id in the catalog and pixel count in
+    1..2**31-1, and no image repeats an object. Both world file readers
+    share it; an image without objects is left to ``World``."""
+    n = ids.size
+    if not (np.array_equal(ids, np.arange(n))
+            and ((group_of >= 0) & (group_of < n)).all()
+            and ((objects >= 0) & (objects < num_objects)).all()
+            and ((counts >= 1) & (counts <= _MAX_PIXEL_COUNT)).all()):
+        return None
     keys = np.repeat(np.arange(n), lengths) * num_objects + objects
     order = np.argsort(keys, kind="stable")
     # with every object id in range, a repeated one is two equal keys side by side
-    if not (((group_of >= 0) & (group_of < n)).all()
-            and ((objects >= 0) & (objects < num_objects)).all()
-            and ((counts >= 1) & (counts <= _MAX_PIXEL_COUNT)).all()
-            and np.diff(keys[order]).all()):
+    if not np.diff(keys[order]).all():
         return None
     return np.concatenate(([0], np.cumsum(lengths))), objects[order], counts[order], group_of
 
@@ -728,5 +733,97 @@ def save_world(world: World, path) -> None:
     }, ',\n "images": ' + body), path)
 
 
+# the text around save_world's images block: its first image follows the
+# first marker, and the second ends the list
+_IMAGES_OPEN = ',\n "images": [\n  '
+_IMAGES_CLOSE = "\n ],\n"
+_DIGIT_FLAGS = bytes(48 <= c < 58 for c in range(256))  # translate: 1 for a digit, else 0
+
+
 def load_world(path) -> World:
-    return world_from_dict(read_json(path))
+    """The world in the file at ``path``. A file whose images block has
+    exactly the layout that ``save_world`` writes is read without building a
+    JSON tree for the block (``_saved_world``); any other text, and a file
+    that fails any of that path's checks, goes through ``world_from_dict``,
+    which alone names a fault."""
+    text = read_text(path)
+    try:
+        world = _saved_world(text, path)
+    except ValueError:  # the json path names the fault
+        world = None
+    return world if world is not None else world_from_dict(parse_json(text, path))
+
+
+def _saved_world(text: str, path):
+    """The world of ``text`` when its images block is exactly what
+    ``save_world`` writes (``_saved_images``), else None. The members before
+    and after the block are parsed as JSON objects of their own; when both
+    hold a member, the text is a JSON object whose members are theirs plus
+    the block, a repeated key keeping its last value as ``json.loads`` does."""
+    start = text.find(_IMAGES_OPEN)
+    end = text.find(_IMAGES_CLOSE, start)
+    if start < 0 or end < 0:
+        return None
+    # a block that is not ASCII raises UnicodeEncodeError, a ValueError
+    arrays = _saved_images(text[start + len(_IMAGES_OPEN):end].encode("ascii"))
+    if arrays is None:
+        return None
+    head = parse_json(text[:start] + "}", path)
+    tail = parse_json("{" + text[end + len(_IMAGES_CLOSE):], path)
+    if not head or not tail or "images" in tail:  # a later "images" replaces the block
+        return None
+    doc = {**head, **tail}
+    labels = doc.get("catalog")
+    if doc.get("version") != WORLD_FORMAT_VERSION or type(labels) is not list:
+        return None
+    arrays = _sorted_images(*arrays, len(labels))
+    return None if arrays is None else _world(doc, tuple(labels), arrays)
+
+
+def _saved_images(block: bytes):
+    """``(ids, groups, lengths, objects, counts)`` as int64 arrays when
+    ``block`` is ``save_world``'s text of its images: each image
+    ``_image_layout(k) % (id, group, object, count, ...)``, joined by
+    ``",\n  "``, with every integer a plain decimal of at most 10 digits;
+    None for any other text.
+
+    Structure first, then the numbers in bulk (Langdale and Lemire,
+    "Parsing Gigabytes of JSON per Second", 2019). Every run of digits must
+    follow a space and precede a comma or a line end; the runs must be two
+    per image and two per entry; and deleting the digits must leave the
+    skeleton, the join of the images' layouts with their ``%d``s emptied. In
+    the skeleton a space meets a comma or a line end only where a ``%d``
+    was, and no two runs lie at one place, so each ``%d`` holds exactly one
+    run. The runs are then parsed as one array, with no leading zero."""
+    if not (block.startswith(b"{") and block.endswith(b"}")):  # a non-digit on each side
+        return None
+    chars = np.frombuffer(block, dtype=np.uint8)
+    digit = np.frombuffer(block.translate(_DIGIT_FLAGS), dtype=bool)
+    first = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # where each run starts
+    after = np.flatnonzero(digit[:-1] > digit[1:]) + 1
+    sizes = after - first
+    if not (first.size and (chars[first - 1] == ord(" ")).all()
+            and ((chars[after] == ord(",")) | (chars[after] == ord("\n"))).all()):
+        return None
+    # an image's runs are its id and group, each after ": ", then two per entry
+    image_starts = np.flatnonzero(chars[first - 2] == ord(":"))[::2]
+    lengths = np.diff(image_starts, append=first.size) // 2 - 1
+    if 2 * (image_starts.size + lengths.sum()) != first.size \
+            or block.translate(None, b"0123456789") != b",\n  ".join(
+                map(_image_skeleton, lengths.tolist())):
+        return None
+    if sizes.max() > 10 or ((chars[first] == ord("0")) & (sizes > 1)).any():
+        return None  # 10 digits hold 2**31-1
+    values = np.zeros(first.size, dtype=np.int64)
+    for k in range(sizes.max()):  # Horner's rule, the k-th digit of every run at once
+        values = np.where(sizes > k, values * 10 + (chars[first + k] - ord("0")), values)
+    entry = np.ones(first.size, dtype=bool)
+    entry[image_starts] = entry[image_starts + 1] = False
+    pairs = values[entry]
+    return values[image_starts], values[image_starts + 1], lengths, pairs[::2], pairs[1::2]
+
+
+@functools.lru_cache(maxsize=128)
+def _image_skeleton(num_entries: int) -> bytes:
+    """``_image_layout(num_entries)`` with its ``%d``s emptied."""
+    return _image_layout(num_entries).replace("%d", "").encode("ascii")

@@ -11,8 +11,10 @@ replaced, and the list-of-pairs quantizer and dict-path sparsify that the
 attention arrays replaced, the per-record ``bincount`` ALS half-sweep that
 the dense masked product replaced, the one-row quantizer and per-user
 sparsify loop that the row-wise ranking pass replaced, the per-user scene
-draw that the one-pass scene build replaced, and the model document as
-plain lists."""
+draw that the one-pass scene build replaced, the model document as plain
+lists, and the paper's attention value of one object's occurrences as a
+list formula (the per-image reference loop that ``raw_attention_values`` is
+checked against caps its values with it)."""
 
 import csv
 import io
@@ -30,6 +32,20 @@ from attnalloc.schema import is_number, require
 from attnalloc.world import (_MAX_PIXEL_COUNT, _SPARSIFY_STREAM, WORLD_FORMAT_VERSION,
                              ConfigurationError, World, _generate_interest, _popularity,
                              _run_ids, raw_attention_values)
+
+
+def attention_from_gaze(pixel_counts, gaze_masses) -> float:
+    """Attention value from observed occurrences of one object: the ratio of
+    total gaze mass to total pixels occupied, capped at 1."""
+    pixels = [float(px) for px in pixel_counts]
+    masses = [float(m) for m in gaze_masses]
+    if len(pixels) != len(masses) or not pixels:
+        raise ValueError("need equally many pixel counts and gaze masses, at least one")
+    if any(px <= 0 for px in pixels):
+        raise ValueError("pixel counts must be positive")
+    if any(m < 0 for m in masses):
+        raise ValueError("gaze masses must be non-negative")
+    return min(sum(masses) / sum(pixels), 1.0)
 
 
 class SearchSpaceError(ValueError):

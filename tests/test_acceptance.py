@@ -19,7 +19,6 @@ from attnalloc import (
     WorldConfig,
     allocate_uniform,
     allocate_weighted,
-    attention_from_gaze,
     fit_baseline,
     generate_world,
     ground_truth_levels,
@@ -30,7 +29,7 @@ from attnalloc.experiment import aggregate, report_summary_json, reports_to_csv
 from attnalloc.mf import evaluate, holdout_mask, save_model
 from attnalloc.records import save_records
 from attnalloc.world import save_world, sparsify_with_info
-from oracles import brute_force_allocate
+from oracles import attention_from_gaze, brute_force_allocate
 
 ENVELOPE_PATH = pathlib.Path(__file__).resolve().parent.parent / "calibration" / "envelope.json"
 

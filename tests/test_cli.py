@@ -311,6 +311,12 @@ def test_arithmetic_overflow_exits_2_naming_the_command(tmp_path, capsys, monkey
      "budget_per_object_k 1e+308 times world.num_objects 96 is not finite"),
     ("[experiment]\nsweep_factors = 20, 1e308\n", "invalid [experiment] section: "
      "sweep factor 1e+308 times world.num_objects 96 is not finite"),
+    # every QoE was inf: experiment wrote inf and nan rows, then failed on its JSON
+    ("[link]\ndownlink_rate = 1e307\nuplink_ber = 0\n", "invalid [link] section: the link "
+     "factor downlink_rate * (1 - uplink_ber), 1e+307, times world.num_objects 96 times the "
+     "log of the largest budget 3840 is not finite, so a QoE would overflow"),
+    ("[channel]\nbandwidth = 1e305\ntx_power = 1e306\nnoise_psd = 1e-320\n",
+     "invalid [channel] section: the link factor downlink_rate * (1 - uplink_ber), "),
 ])
 @pytest.mark.parametrize("command", ["generate", "experiment", "sweep"])
 def test_link_and_budget_faults_exit_when_the_config_is_read(tmp_path, capsys, command, text,

@@ -14,7 +14,6 @@ from scipy.stats import chi2_contingency
 from attnalloc import (
     World,
     WorldConfig,
-    attention_from_gaze,
     generate_world,
     ground_truth_levels,
     load_world,
@@ -29,6 +28,7 @@ from attnalloc.world import (
     _generate_images,
     _generate_interest,
     _rank_levels,
+    _saved_world,
     attention_matrix,
     raw_attention_values,
     sparsify_with_info,
@@ -36,10 +36,12 @@ from attnalloc.world import (
     world_to_dict,
 )
 from attnalloc.records import InvalidRecordError, SparseAttentionRecords
+from attnalloc.schema import parse_json, read_text
 from conftest import SMALL_WORLD
-from oracles import (dense_generate_images, dense_generate_world, dense_pixels, dict_sparsify,
-                     loop_sparsify, loop_world_from_dict, quantize_pairs, row_quantize_levels,
-                     successive_sampling_images, world_from_pixels)
+from oracles import (attention_from_gaze, dense_generate_images, dense_generate_world,
+                     dense_pixels, dict_sparsify, loop_sparsify, loop_world_from_dict,
+                     quantize_pairs, row_quantize_levels, successive_sampling_images,
+                     world_from_pixels)
 
 
 def _raw_dict(world, user, image_ids) -> dict:
@@ -485,9 +487,18 @@ def test_world_version_check(tmp_path, small_world):
 
 def _assert_saved_as_json_dump(world, path):
     """``save_world`` writes the bytes of ``json.dump(indent=1)`` on
-    ``world_to_dict``'s document, the writer it replaced."""
-    save_world(world, path)
+    ``world_to_dict``'s document, the writer it replaced, and ``load_world``
+    reads them on its fast path."""
+    _assert_read_on_the_fast_path(world, path)
     assert path.read_bytes() == (json.dumps(world_to_dict(world), indent=1) + "\n").encode()
+
+
+def _assert_read_on_the_fast_path(world, path):
+    """``load_world``'s fast path reads the file that ``save_world`` writes
+    for ``world`` back to ``world``, without the JSON path."""
+    save_world(world, path)
+    loaded = _saved_world(read_text(path), path)
+    assert loaded is not None and world_to_dict(loaded) == world_to_dict(world)
 
 
 @pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
@@ -1037,6 +1048,130 @@ def test_world_from_dict_names_each_fault_as_oracle(default_world, fault):
     outcome = _load_outcome(world_from_dict, doc)
     assert outcome == _load_outcome(loop_world_from_dict, doc)
     assert outcome[0] is ValueError and "image 3" in outcome[1]
+
+
+def _edit_match(pattern, replacement, where=lambda text: (0, len(text))):
+    """A text edit that rewrites the ``k``-th match of ``pattern`` between
+    the bounds that ``where(text)`` gives, if there is one."""
+    def edit(text, k):
+        start, end = where(text)
+        matches = list(re.compile(pattern).finditer(text, start, end))
+        if not matches:
+            return text
+        m = matches[k % len(matches)]
+        new = replacement(m) if callable(replacement) else m.expand(replacement)
+        return text[:m.start()] + new + text[m.end():]
+    return edit
+
+
+def _images_block(text):
+    start = text.find('\n "images": [')
+    end = text.find("\n ],\n", start)
+    return (start, end) if 0 <= start < end else (0, 0)
+
+
+def _edit_number(replace):
+    """A text edit that rewrites the ``k``-th integer of the images block."""
+    return _edit_match(r"[0-9]+", lambda m: replace(m[0]), _images_block)
+
+
+# edits of a saved world's text, ``edit(text, k)``: each gives text that
+# json.loads reads differently from the layout save_world writes, rejects,
+# or reads the same with other bytes
+_TEXT_EDITS = {
+    "leading zero": _edit_number(lambda s: "0" + s),
+    "minus sign": _edit_number(lambda s: "-" + s),
+    "19 digits past int64": _edit_number(lambda s: "9223372036854775808"),
+    "19 digits": _edit_number(lambda s: "1" + s.zfill(18)),
+    "20 digits": _edit_number(lambda s: "1" + s.zfill(19)),
+    "11 digits": _edit_number(lambda s: "1" + s.zfill(10)),
+    "fraction": _edit_number(lambda s: s + ".0"),
+    "exponent": _edit_number(lambda s: "1e3"),
+    "space before a number": _edit_number(lambda s: " " + s),
+    "space after a number": _edit_number(lambda s: s + " "),
+    "no number": _edit_number(lambda s: ""),
+    "bool": _edit_number(lambda s: "true"),
+    "non-ASCII digit": _edit_number(lambda s: s + "\u0663"),
+    "non-ASCII letter": _edit_number(lambda s: "\u00e9" + s),
+    "object id moved into a key": _edit_match(r'"composition": \[\n    \[\n     ([0-9]+),',
+                                              r'"compo\1sition": [\n    [\n     ,'),
+    "image id moved into its key": _edit_match(r'"id": ([0-9]+),', r'"i\1d": ,'),
+    "image of an id alone": _edit_match(r'"group": [0-9]+,\n   "composition": \[[^}]*?\n   \]',
+                                        r'"group": ,\n   "composition": [\n    \n   ]'),
+    "renamed key": _edit_match(r'"group"', '"grp"'),
+    "number after the last image": _edit_match(r"\}\n \],\n", "} 5\n ],\n"),
+    "numbers around the images": _edit_match(r'("images": \[\n  )([\s\S]*?\})(\n \],\n)',
+                                             r"\g<1>5 \2 5\3"),
+    "CRLF line ends": lambda text, k: text.replace("\n", "\r\n"),
+    "non-ASCII label": _edit_match(r'"o([0-9]+)"', '"o\\1\u00e9"'),
+    "images key before the block": _edit_match(r'\n "catalog"', '\n "images": [],\n "catalog"'),
+    "images key after the block": lambda text, k: text[:-3] + ',\n "images": 7' + text[-3:],
+    "interest key before the block": _edit_match(r'\n "catalog"',
+                                                 '\n "interest": 7,\n "catalog"'),
+    "interest key after the block": lambda text, k: text[:-3] + ',\n "interest": [[1]]'
+                                                    + text[-3:],
+    "no members before the block": _edit_match(r'\{[\s\S]*?(?=,\n "images")', "{"),
+    "no members after the block": _edit_match(r'(?<=\n \],\n)[\s\S]*\Z', "}\n"),
+    # a member list that json.loads rejects but splits into two that it reads
+    "members before the block moved after it": _edit_match(
+        r'\A\{([\s\S]*?)(,\n "images"[\s\S]*)\n\}\n\Z', r"{\2,\1\n}\n"),
+    "members after the block moved before it": _edit_match(
+        r'(,\n "images"[\s\S]*?\n \],\n)([\s\S]*)\n\}\n\Z', r",\n\2\1}\n"),
+}
+
+
+def _json_load_world(path):
+    """``load_world`` without its fast path: the one that names faults."""
+    return world_from_dict(parse_json(read_text(path), path))
+
+
+def _manual_world_text():
+    # two users, three images in two groups, pixel counts of 1 to 4 digits
+    return json.dumps(world_to_dict(make_manual_world(
+        [[0.5, 1.0, 0.25, 0.75], [1.0, 0.125, 0.5, 1.0]],
+        [((0, 10), (2, 4000)), ((1, 7),), ((0, 300), (1, 25), (3, 1))], groups=[0, 1, 1])),
+        indent=1) + "\n"
+
+
+@pytest.mark.parametrize("edit", sorted(_TEXT_EDITS))
+def test_load_world_matches_json_path_on_each_text_edit(tmp_path, edit):
+    path = tmp_path / "world.json"
+    text = _manual_world_text()
+    for k in range(16):  # each integer of the block
+        path.write_bytes(_TEXT_EDITS[edit](text, k).encode("utf-8"))
+        assert _load_outcome(load_world, path) == _load_outcome(_json_load_world, path)
+
+
+@given(st.data(), _small_worlds())
+@settings(max_examples=25, deadline=None)
+def test_load_world_matches_json_path_on_edited_texts(tmp_path_factory, data, world):
+    # in half the runs a document fault or a reversed composition, rendered
+    # in save_world's layout; then each text edit, alone or with a second one
+    doc = world_to_dict(world)
+    if data.draw(st.booleans()):
+        fault = data.draw(st.sampled_from(["reversed composition", "id out of order",
+                                           *_DOCUMENT_FAULTS]))
+        position = data.draw(st.integers(0, len(doc["images"]) - 1))
+        if fault == "reversed composition":
+            doc["images"][position]["composition"].reverse()
+        else:
+            _break_document(doc, fault, position, data.draw(st.integers(0, 20)))
+    text = json.dumps(doc, indent=1) + "\n"
+    path = tmp_path_factory.mktemp("edited") / "world.json"
+    for edit in _TEXT_EDITS.values():
+        edited = edit(text, data.draw(st.integers(0, 100)))
+        if data.draw(st.booleans()):
+            second = _TEXT_EDITS[data.draw(st.sampled_from(sorted(_TEXT_EDITS)))]
+            edited = second(edited, data.draw(st.integers(0, 100)))
+        path.write_bytes(edited.encode("utf-8"))
+        assert _load_outcome(load_world, path) == _load_outcome(_json_load_world, path)
+
+
+@pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
+def test_load_world_reads_saved_default_worlds_on_the_fast_path(tmp_path, gaze_noise):
+    for seed in range(10):
+        world = generate_world(dataclasses.replace(WorldConfig(), gaze_noise=gaze_noise), seed)
+        _assert_read_on_the_fast_path(world, tmp_path / "world.json")
 
 
 def _generation_outcome(generate, config, seed):
