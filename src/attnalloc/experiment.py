@@ -11,6 +11,7 @@ truth rather than the model's own beliefs. Everything is a pure function of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from itertools import chain
 
@@ -69,6 +70,7 @@ class ExperimentConfig:
         # the config is read; an attribute, not a field, so asdict and the
         # config file leave it out
         link = self.link if self.link is not None else link_from_channel(self.channel)
+        section = "channel" if self.link is None else "link"
         # attention weights are at most 1, so no QoE exceeds the link factor
         # times n times the log of the largest budget (one of 1 K or less
         # fails when it is allocated)
@@ -77,7 +79,14 @@ class ExperimentConfig:
             raise ChannelError(
                 f"the link factor downlink_rate * (1 - uplink_ber), {link.factor!r}, times "
                 f"world.num_objects {n} times the log of the largest budget {budget!r} is not "
-                "finite, so a QoE would overflow", "channel" if self.link is None else "link")
+                "finite, so a QoE would overflow", section)
+        # and no log term is below log(floor_k), so a subnormal product
+        # would leave every QoE a few ulps
+        if self.floor_k > 1 and link.factor * math.log(self.floor_k) < sys.float_info.min:
+            raise ChannelError(
+                f"the link factor downlink_rate * (1 - uplink_ber), {link.factor!r}, times the "
+                f"log of floor_k {self.floor_k!r} is below the smallest normal float "
+                f"{sys.float_info.min!r}, so a QoE would lose its precision", section)
         object.__setattr__(self, "_link", link)
 
     def link_params(self) -> LinkParams:

@@ -152,8 +152,8 @@ def load_records(path) -> SparseAttentionRecords:
     """Load a records CSV, or a dense ground-truth dump (same schema); a
     faulty row raises RecordsParseError naming the file and the row's line.
     Text that is exactly what ``save_records`` writes is parsed in one pass;
-    any other text goes through ``csv.reader``, with the same result for
-    every text both accept."""
+    any other text goes through ``csv.reader`` row by row, with the same
+    result for every text both accept."""
     text = read_text(path, newline="")
     try:
         table, lines = _canonical_table(text) or _csv_table(text)
@@ -180,10 +180,9 @@ def _canonical_table(text: str):
 
 
 def _csv_table(text: str):
-    """``(table, lines)`` of the rows ``csv.reader`` reads from ``text``:
-    line ``n`` is the ``n``-th row it returns, and blank rows are skipped.
-    The rows are checked in bulk; only when a check fails is the first
-    faulty row looked up."""
+    """``(table, lines)`` of the rows ``csv.reader`` reads from ``text``,
+    each checked as it is read: line ``n`` is the ``n``-th row it returns,
+    and blank rows are skipped."""
     reader = csv.reader(io.StringIO(text, newline=""))
     header, rows = None, []
     try:
@@ -196,34 +195,20 @@ def _csv_table(text: str):
     except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
         line = 1 if header is None else len(rows) + 2
         raise RecordsParseError(f"line {line}: {err}") from None
-    lengths = set(map(len, rows))
-    if 0 in lengths:
-        lines = [n for n, row in enumerate(rows, start=2) if row]
-        rows = list(filter(None, rows))
-    else:
-        lines = range(2, len(rows) + 2)
-    if lengths - {0, 3}:
-        _raise_row_fault(rows, lines)
+    values, lines = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        try:
+            values.extend(map(int, row))
+        except ValueError:
+            raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
+        lines.append(lineno)
     try:
-        values = list(map(int, chain.from_iterable(rows)))
-    except ValueError:
-        _raise_row_fault(rows, lines)
-    try:
-        return np.array(values, dtype=np.int64).reshape(len(rows), 3), lines
+        return np.array(values, dtype=np.int64).reshape(len(lines), 3), lines
     except OverflowError:
         i = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63) // 3
         raise RecordsParseError(f"line {lines[i]}: field outside the 64-bit integer range "
                                 f"in {values[3 * i:3 * i + 3]}") from None
-
-
-def _raise_row_fault(rows, lines) -> NoReturn:
-    """Raise the RecordsParseError of the first row that has not three
-    integer fields."""
-    for lineno, row in zip(lines, rows):
-        if len(row) != 3:
-            raise RecordsParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            list(map(int, row))
-        except ValueError:
-            raise RecordsParseError(f"line {lineno}: non-integer field in {row!r}") from None
-    raise AssertionError("a bulk row check failed, but every row is well formed")

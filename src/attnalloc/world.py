@@ -12,9 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import typing
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -455,11 +453,13 @@ def _rank_levels(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def quantize_levels(values) -> np.ndarray:
-    """Equal-frequency quintile levels 1..5 of attention values given in
-    ascending object id: the value of rank ``r`` among ``n`` gets level
-    ``r * 5 // n + 1``. Ties rank by ascending object id (the sort is
-    stable); a constant row maps to level 3."""
+    """Equal-frequency quintile levels 1..5 of one row (a 1-D array) of
+    attention values given in ascending object id: the value of rank ``r``
+    among ``n`` gets level ``r * 5 // n + 1``. Ties rank by ascending object
+    id (the sort is stable); a constant row maps to level 3."""
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"quantize_levels takes one row of values, got shape {values.shape}")
     _check_unit_interval(values)
     if not values.size:
         return np.empty(0, dtype=np.int64)
@@ -473,16 +473,6 @@ def ground_truth_levels(world: World) -> GroundTruthLevels:
     values = attention_matrix(world)
     _check_unit_interval(values)
     return GroundTruthLevels(_rank_levels(values, np.full(len(values), values.shape[1])))
-
-
-@dataclass(frozen=True)
-class SparsifyInfo:
-    """Diagnostics of one sparsification draw (for statistics tests)."""
-
-    ran1: int
-    ran2: int
-    selected_groups: tuple
-    retained_images: tuple
 
 
 def _draw_images(world: World, user: int, seed: int):
@@ -524,21 +514,12 @@ def sparsify(world: World, users, seed: int) -> SparseAttentionRecords:
     users = list(users) if np.iterable(users) else [users]
     if not users:
         return SparseAttentionRecords()
-    _check_sparsifiable(world, users)
-    return _ranked_records(world, users, [_draw_images(world, user, seed)[3] for user in users])
-
-
-def _check_sparsifiable(world: World, users) -> None:
     for user in users:
         check_user(world, user)
     if world.num_groups < 2:
         raise ValueError("sparsify requires a world with at least 2 groups")
-
-
-def _ranked_records(world: World, users: list, retained: list) -> SparseAttentionRecords:
-    """The merged records of each user's attention values over its retained
-    images, ranked in one pass and checked as one table."""
-    drawn = [raw_attention_values(world, user, ids) for user, ids in zip(users, retained)]
+    drawn = [raw_attention_values(world, user, _draw_images(world, user, seed)[3])
+             for user in users]
     if len(drawn) == 1:  # one row needs no padding
         (objects, values), = drawn
         levels = quantize_levels(values)
@@ -554,15 +535,6 @@ def _ranked_records(world: World, users: list, retained: list) -> SparseAttentio
         levels = _rank_levels(padded, sizes)[rows, objects]
         user_ids = np.repeat(users, sizes)
     return SparseAttentionRecords(np.column_stack((user_ids, objects, levels)))
-
-
-def sparsify_with_info(world: World, user: int, seed: int):
-    """``sparsify(world, user, seed)`` for one user, plus the draw's
-    diagnostics."""
-    _check_sparsifiable(world, [user])
-    ran1, ran2, groups, retained = _draw_images(world, user, seed)
-    records = _ranked_records(world, [user], [retained])
-    return records, SparsifyInfo(ran1, ran2, tuple(groups), tuple(retained.tolist()))
 
 
 def world_to_dict(world: World) -> dict:
@@ -590,8 +562,8 @@ def world_from_dict(doc: dict) -> World:
     interest entries that are not numbers, and an image that repeats an
     object. The type checks are exact: a JSON integer
     loads as ``int`` and any other number as ``float``; a bool is neither.
-    Everything is checked in bulk; only when a check fails is the first
-    faulty entry in document order looked up, to name it."""
+    The images are read in one pass that checks each entry as it reads it,
+    so the first faulty entry in document order is named."""
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")
@@ -599,8 +571,36 @@ def world_from_dict(doc: dict) -> World:
     images = require(doc, "images", "world file", list)
     if not images:
         raise ValueError("world file: 'images' must list at least one image")
-    arrays = _image_arrays(images, len(labels)) or _raise_image_fault(images, len(labels))
-    return _world(doc, labels, arrays)
+    n, num_objects = len(images), len(labels)
+    group_of, lengths, objects, counts = [], [], [], []
+    for position, image in enumerate(images):
+        where = f"image {position}"
+        image_id = require(image, "id", where)
+        if type(image_id) is not int or image_id != position:
+            raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
+        group = require(image, "group", where)
+        if type(group) is not int or not 0 <= group < n:
+            raise ValueError(f"{where} has group {group!r}, not an integer in 0..{n - 1}")
+        composition = require(image, "composition", where, list)
+        seen = set()
+        for entry in composition:
+            if type(entry) is not list or len(entry) != 2 \
+                    or type(entry[0]) is not int or type(entry[1]) is not int:
+                raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
+            o, px = entry
+            if not 0 <= o < num_objects:
+                raise ValueError(f"{where}: object id {o} outside 0..{num_objects - 1}")
+            if o in seen:
+                raise ValueError(f"{where} repeats object {o}")
+            if not 1 <= px <= _MAX_PIXEL_COUNT:
+                raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
+            seen.add(o)
+            objects.append(o)
+            counts.append(px)
+        group_of.append(group)
+        lengths.append(len(composition))
+    arrays = [np.array(a, dtype=np.int64) for a in (group_of, lengths, objects, counts)]
+    return _world(doc, labels, _sorted_images(*arrays, num_objects))
 
 
 def _world(doc: dict, labels: tuple, arrays) -> World:
@@ -619,84 +619,15 @@ def _world(doc: dict, labels: tuple, arrays) -> World:
                  gaze_noise=require(doc, "gaze_noise", "world file"))
 
 
-def _image_arrays(images: list, num_objects: int):
-    """``(indptr, objects, counts, group_of)`` of a document's ``images`` (see
-    ``_sorted_images``), or None when one of the checks that
-    ``_raise_image_fault`` makes entry by entry fails. This part checks the
-    JSON types: every image a dict with an int id, an int group and a list
-    of two-int lists."""
-    n = len(images)
-    if not set(map(type, images)) <= {dict}:
-        return None
-    try:
-        ids = [image["id"] for image in images]
-        groups = [image["group"] for image in images]
-        compositions = [image["composition"] for image in images]
-    except KeyError:
-        return None
-    if not set(map(type, compositions)) <= {list}:
-        return None
-    entries = list(chain.from_iterable(compositions))
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
-        return None
-    values = ids + groups + list(chain.from_iterable(entries))
-    if not set(map(type, values)) <= {int}:
-        return None
-    try:
-        values = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
-    lengths = np.fromiter(map(len, compositions), dtype=np.int64, count=n)
-    return _sorted_images(values[:n], values[n:2 * n], lengths,
-                          values[2 * n::2], values[2 * n + 1::2], num_objects)
-
-
-def _sorted_images(ids, group_of, lengths, objects, counts, num_objects: int):
+def _sorted_images(group_of, lengths, objects, counts, num_objects: int):
     """``(indptr, objects, counts, group_of)`` of images given as int64
     arrays in document order (``lengths`` entries each), each image's
-    entries sorted by object id; None unless the ids run 0..n-1, every group
-    lies in 0..n-1, object id in the catalog and pixel count in
-    1..2**31-1, and no image repeats an object. Both world file readers
-    share it; an image without objects is left to ``World``."""
-    n = ids.size
-    if not (np.array_equal(ids, np.arange(n))
-            and ((group_of >= 0) & (group_of < n)).all()
-            and ((objects >= 0) & (objects < num_objects)).all()
-            and ((counts >= 1) & (counts <= _MAX_PIXEL_COUNT)).all()):
-        return None
-    keys = np.repeat(np.arange(n), lengths) * num_objects + objects
+    entries in a stable sort by object id; ``World`` checks the result.
+    Both world file readers share it. An object id outside the catalog can
+    sort into another image, but ``World`` rejects it wherever it lands."""
+    keys = np.repeat(np.arange(group_of.size), lengths) * num_objects + objects
     order = np.argsort(keys, kind="stable")
-    # with every object id in range, a repeated one is two equal keys side by side
-    if not np.diff(keys[order]).all():
-        return None
     return np.concatenate(([0], np.cumsum(lengths))), objects[order], counts[order], group_of
-
-
-def _raise_image_fault(images: list, num_objects: int) -> typing.NoReturn:
-    """Raise the ValueError that names the first faulty image entry of a
-    document, in document order."""
-    for position, image in enumerate(images):
-        where = f"image {position}"
-        image_id = require(image, "id", where)
-        if type(image_id) is not int or image_id != position:
-            raise ValueError(f"{where} has id {image_id!r}; ids must run 0, 1, 2, ...")
-        group = require(image, "group", where)
-        if type(group) is not int or not 0 <= group < len(images):
-            raise ValueError(f"{where} has group {group!r}, not an integer in 0..{len(images) - 1}")
-        seen = set()
-        for entry in require(image, "composition", where, list):
-            if type(entry) is not list or len(entry) != 2 \
-                    or type(entry[0]) is not int or type(entry[1]) is not int:
-                raise ValueError(f"{where}: composition entry {entry!r} is not two integers")
-            o, px = entry
-            if not 0 <= o < num_objects:
-                raise ValueError(f"{where}: object id {o} outside 0..{num_objects - 1}")
-            if o in seen:
-                raise ValueError(f"{where} repeats object {o}")
-            if not 1 <= px <= _MAX_PIXEL_COUNT:
-                raise ValueError(f"{where}: object {o} has {px} pixels, not 1..2**31-1")
-            seen.add(o)
-    raise AssertionError("a bulk image check failed, but no image entry is faulty")
 
 
 @functools.lru_cache(maxsize=128)
@@ -745,7 +676,7 @@ def load_world(path) -> World:
     exactly the layout that ``save_world`` writes is read without building a
     JSON tree for the block (``_saved_world``); any other text, and a file
     that fails any of that path's checks, goes through ``world_from_dict``,
-    which alone names a fault."""
+    which names a fault."""
     text = read_text(path)
     try:
         world = _saved_world(text, path)
@@ -759,7 +690,11 @@ def _saved_world(text: str, path):
     ``save_world`` writes (``_saved_images``), else None. The members before
     and after the block are parsed as JSON objects of their own; when both
     hold a member, the text is a JSON object whose members are theirs plus
-    the block, a repeated key keeping its last value as ``json.loads`` does."""
+    the block, a repeated key keeping its last value as ``json.loads`` does.
+    Only the image ids are checked here; ``World`` rejects a group, object
+    id or pixel count out of range and a repeated object, and its
+    ``ValueError`` sends ``load_world`` to the JSON path, which names the
+    fault."""
     start = text.find(_IMAGES_OPEN)
     end = text.find(_IMAGES_CLOSE, start)
     if start < 0 or end < 0:
@@ -776,8 +711,10 @@ def _saved_world(text: str, path):
     labels = doc.get("catalog")
     if doc.get("version") != WORLD_FORMAT_VERSION or type(labels) is not list:
         return None
-    arrays = _sorted_images(*arrays, len(labels))
-    return None if arrays is None else _world(doc, tuple(labels), arrays)
+    ids, *images = arrays
+    if not np.array_equal(ids, np.arange(ids.size)):
+        return None
+    return _world(doc, tuple(labels), _sorted_images(*images, len(labels)))
 
 
 def _saved_images(block: bytes):

@@ -3,8 +3,9 @@ budget simplex, which the exact allocator is checked against, the per-image
 successive sampler, which the vectorized image draw is checked against, the
 dense images x objects pixel matrix that the world once held and the draw
 that filled it, the ``csv.writer`` loop that the CSV writers are checked
-against, the frozenset records with their per-row loader, the row loop and
-the per-entry world loader that the bulk-checked readers replaced, the
+against, the frozenset records with their per-row loader, the row loop over
+the open file and the per-entry world loader into a pixel matrix that the
+general readers are checked against, the
 dict-loop baseline (one pair per call, as the array baseline's gather
 replaced it), set-based holdout and pair set that the sorted records table
 replaced, and the list-of-pairs quantizer and dict-path sparsify that the
@@ -282,9 +283,9 @@ def frozenset_load_records(path) -> FrozensetRecords:
 
 
 def row_loop_load_records(path) -> SparseAttentionRecords:
-    """The row loop that ``records.load_records``' bulk checks replaced:
-    the field count and the integers of each row are checked as it is read,
-    then the table; test oracle only."""
+    """The row loop over the open file that ``records.load_records`` is
+    checked against: the field count and the integers of each row are
+    checked as it is read, then the table; test oracle only."""
     rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -433,7 +434,7 @@ def loop_sparsify(world, users, seed: int) -> SparseAttentionRecords:
 
 def _retained_images(world, user: int, seed: int) -> list:
     """One user's retained image ids, drawn with the same generator calls
-    as ``sparsify_with_info``, as a list."""
+    as ``world._draw_images``, as a list."""
     for attempt in range(100):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_SPARSIFY_STREAM, user, attempt))
@@ -497,9 +498,10 @@ def bincount_solve_side(ids, size, others, other_factors, other_bias, target, la
 
 
 def loop_world_from_dict(doc: dict) -> World:
-    """The per-entry loader that ``world.world_from_dict``'s bulk checks
-    replaced: every check runs on each image entry as it is read, so the
-    first faulty entry in document order is named; test oracle only."""
+    """The per-entry loader into a dense pixel matrix that
+    ``world.world_from_dict`` is checked against: every check runs on each
+    image entry as it is read, so the first faulty entry in document order
+    is named; test oracle only."""
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != WORLD_FORMAT_VERSION:
         raise ValueError(f"unsupported world file version {version!r}")

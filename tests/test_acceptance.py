@@ -28,7 +28,7 @@ from attnalloc.allocate import objective_value
 from attnalloc.experiment import aggregate, report_summary_json, reports_to_csv
 from attnalloc.mf import evaluate, holdout_mask, save_model
 from attnalloc.records import save_records
-from attnalloc.world import save_world, sparsify_with_info
+from attnalloc.world import _draw_images, save_world
 from oracles import attention_from_gaze, brute_force_allocate
 
 ENVELOPE_PATH = pathlib.Path(__file__).resolve().parent.parent / "calibration" / "envelope.json"
@@ -210,12 +210,10 @@ def test_criterion_8_sparsification_statistics():
     ran1_counts = {2: 0, 3: 0, 4: 0}
     fractions = []
     for seed in range(1000):
-        _, info = sparsify_with_info(world, user=0, seed=seed)
-        ran1_counts[info.ran1] += 1
-        selected_total = sum(
-            len(world.group_image_ids(g)) for g in info.selected_groups
-        )
-        fractions.append(len(info.retained_images) / selected_total)
+        ran1, _, groups, retained = _draw_images(world, 0, seed)
+        ran1_counts[ran1] += 1
+        selected_total = sum(len(world.group_image_ids(g)) for g in groups)
+        fractions.append(len(retained) / selected_total)
 
     counts = [ran1_counts[k] for k in (2, 3, 4)]
     p_value = stats.chisquare(counts).pvalue

@@ -317,6 +317,13 @@ def test_arithmetic_overflow_exits_2_naming_the_command(tmp_path, capsys, monkey
      "log of the largest budget 3840 is not finite, so a QoE would overflow"),
     ("[channel]\nbandwidth = 1e305\ntx_power = 1e306\nnoise_psd = 1e-320\n",
      "invalid [channel] section: the link factor downlink_rate * (1 - uplink_ber), "),
+    # every QoE was a few subnormal ulps: experiment exited 0 with improvements
+    # that were ratios of small integers
+    ("[link]\ndownlink_rate = 5e-324\nuplink_ber = 0\n", "invalid [link] section: the link "
+     "factor downlink_rate * (1 - uplink_ber), 5e-324, times the log of floor_k 2.0 is below "
+     "the smallest normal float 2.2250738585072014e-308, so a QoE would lose its precision"),
+    ("[channel]\nbandwidth = 1e-310\n",
+     "invalid [channel] section: the link factor downlink_rate * (1 - uplink_ber), "),
 ])
 @pytest.mark.parametrize("command", ["generate", "experiment", "sweep"])
 def test_link_and_budget_faults_exit_when_the_config_is_read(tmp_path, capsys, command, text,

@@ -1,5 +1,6 @@
 """Record container invariants and the CSV interchange format."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -312,15 +313,18 @@ def test_empty_table_is_valid(records):
 
 
 def _saved_tables():
-    """Tables that ``save_records`` writes: the records of seeds 0-2, the
-    30 x 96 dense dump, an empty table and 18-digit ids."""
-    config = WorldConfig()
-    for seed in range(3):
-        world = generate_world(config, seed)
-        yield f"seed {seed}", sparsify(world, range(world.num_users), seed)
-    levels = ground_truth_levels(generate_world(config, 7)).levels
-    users, objects = np.indices(levels.shape).reshape(2, -1)
-    yield "dense", SparseAttentionRecords(np.column_stack((users, objects, levels.ravel())))
+    """Tables that ``save_records`` writes: the records and the 30 x 96
+    dense dump of the default world at master seeds 0-9 and gaze noise 0
+    and 0.1, an empty table and 18-digit ids."""
+    for gaze_noise in 0.0, 0.1:
+        config = dataclasses.replace(WorldConfig(), gaze_noise=gaze_noise)
+        for seed in range(10):
+            world = generate_world(config, seed)
+            yield f"seed {seed}, noise {gaze_noise}", sparsify(world, range(world.num_users), seed)
+            levels = ground_truth_levels(world).levels
+            users, objects = np.indices(levels.shape).reshape(2, -1)
+            yield f"dense, seed {seed}, noise {gaze_noise}", SparseAttentionRecords(
+                np.column_stack((users, objects, levels.ravel())))
     yield "empty", SparseAttentionRecords()
     big = 10**18 - 1
     yield "18 digits", SparseAttentionRecords([(big, big, 5), (0, big, 1), (big - 7, 0, 3)])
@@ -334,8 +338,10 @@ def no_csv_reader(monkeypatch):
 
 
 def test_saved_records_load_without_csv_reader(tmp_path, no_csv_reader):
+    # a saved file that fell through to csv.reader would load about twice
+    # as slowly
     tables = dict(_saved_tables())
-    assert len(tables["dense"]) == 30 * 96
+    assert len(tables) == 42 and len(tables["dense, seed 0, noise 0.0"]) == 30 * 96
     for name, records in tables.items():
         path = tmp_path / f"{name}.csv"
         save_records(records, path)

@@ -24,6 +24,7 @@ from attnalloc import (
 from attnalloc.world import (
     ConfigurationError,
     _GAZE_STREAM,
+    _draw_images,
     _gaze_factors,
     _generate_images,
     _generate_interest,
@@ -31,7 +32,6 @@ from attnalloc.world import (
     _saved_world,
     attention_matrix,
     raw_attention_values,
-    sparsify_with_info,
     world_from_dict,
     world_to_dict,
 )
@@ -323,6 +323,9 @@ def test_quantize_rejects_out_of_range():
     for values in ([1.5], [0.2, -0.1], [float("nan")]):
         with pytest.raises(ValueError, match="outside"):
             quantize_levels(values)
+    # two rows used to be ranked as one
+    with pytest.raises(ValueError, match=r"one row of values, got shape \(2, 2\)"):
+        quantize_levels([[0.2, 0.1], [0.3, 0.4]])
     levels = quantize_levels([])
     assert levels.size == 0 and levels.dtype == np.int64
 
@@ -431,13 +434,12 @@ def test_ground_truth_rejects_absent_object():
 
 def test_sparsify_draw_ranges(small_world):
     for seed in range(5):
-        records, info = sparsify_with_info(small_world, user=0, seed=seed)
-        assert info.ran1 in (2, 3)  # capped by the 3-group small world
-        assert 30 <= info.ran2 <= 70
-        assert len(info.selected_groups) == info.ran1
-        retained = dense_pixels(small_world)[list(info.retained_images)]
-        present = set(np.flatnonzero(retained.any(axis=0)))
-        assert {o for _, o, _ in records} <= present
+        ran1, ran2, groups, retained = _draw_images(small_world, 0, seed)
+        assert ran1 in (2, 3)  # capped by the 3-group small world
+        assert 30 <= ran2 <= 70
+        assert len(groups) == ran1
+        present = set(np.flatnonzero(dense_pixels(small_world)[retained].any(axis=0)))
+        assert {o for _, o, _ in sparsify(small_world, 0, seed)} <= present
 
 
 def test_sparsify_deterministic(small_world):
@@ -460,9 +462,9 @@ def test_sparsify_requires_two_groups():
 def test_sparsify_matches_full_raw_values_on_shared_subset(small_world):
     # raw attention over identical retained subsets is identical whether
     # reached via sparsify or directly
-    _, info = sparsify_with_info(small_world, user=2, seed=9)
-    direct = raw_attention_values(small_world, 2, info.retained_images)
-    again = raw_attention_values(small_world, 2, list(info.retained_images))
+    retained = _draw_images(small_world, 2, 9)[3]
+    direct = raw_attention_values(small_world, 2, retained)
+    again = raw_attention_values(small_world, 2, retained.tolist())
     for a, b in zip(direct, again):
         assert np.array_equal(a, b)
 
@@ -632,9 +634,9 @@ def _assert_matches_reference(world, master_seed, users):
     shuffled = np.random.default_rng(master_seed).permutation(n)[: n // 3].tolist()
     shuffled.append(shuffled[0])
     for user in users:
-        _, info = sparsify_with_info(world, user, master_seed)
+        retained = _draw_images(world, user, master_seed)[3].tolist()
         factors = _reference_gaze_factors(world, user)
-        for ids in (every, list(info.retained_images), shuffled):
+        for ids in (every, retained, shuffled):
             assert _raw_dict(world, user, ids) == \
                 _reference_raw_attention_values(images, world, user, ids, factors)
 
@@ -1041,13 +1043,18 @@ def test_world_from_dict_matches_per_entry_oracle(data, world):
 
 
 @pytest.mark.parametrize("fault", [*_DOCUMENT_FAULTS, "id out of order", "image not a dict"])
-def test_world_from_dict_names_each_fault_as_oracle(default_world, fault):
-    # each fault alone in image 3 of the default world
+def test_world_from_dict_names_each_fault_as_oracle(tmp_path, default_world, fault):
+    # each fault alone in image 3 of the default world; written in
+    # save_world's layout, load_world names it as the JSON path does, also
+    # where its fast path leaves the check to World
     doc = world_to_dict(default_world)
     _break_document(doc, fault, 3, 0)
     outcome = _load_outcome(world_from_dict, doc)
     assert outcome == _load_outcome(loop_world_from_dict, doc)
     assert outcome[0] is ValueError and "image 3" in outcome[1]
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    assert _load_outcome(load_world, path) == _load_outcome(_json_load_world, path)
 
 
 def _edit_match(pattern, replacement, where=lambda text: (0, len(text))):
