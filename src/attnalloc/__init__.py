@@ -19,7 +19,6 @@ from .experiment import (
     SweepReport,
     UserReport,
     run_all,
-    run_sweep,
 )
 from .mf import (
     BaselineModel,

@@ -188,7 +188,7 @@ def _cmd_experiment(args):
 
 def _cmd_sweep(args):
     cfg = _load_experiment_config(args)
-    report = exp_mod.run_sweep(cfg, args.user)
+    report = exp_mod.ExperimentRunner(cfg).sweep(args.user)
     out = args.out or "sweep.csv"
     exp_mod.sweep_to_csv(report, out)
     print(f"wrote {out}")

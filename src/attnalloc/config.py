@@ -61,14 +61,14 @@ def _section_values(parser, section, types) -> dict:
 
 
 @contextlib.contextmanager
-def _naming(section):
+def _naming(section, link_section="channel"):
     """Raise a config's ValueError as a ConfigFileError naming ``section``, or
-    the section of the link that ``ExperimentConfig`` checks ([channel] or
-    [link])."""
+    a ChannelError naming ``link_section``, the section that sets the link
+    ``ExperimentConfig`` checks ([channel] or [link])."""
     try:
         yield
     except ChannelError as exc:
-        raise ConfigFileError(f"invalid [{exc.section}] section: {exc}") from None
+        raise ConfigFileError(f"invalid [{link_section}] section: {exc}") from None
     except ValueError as exc:
         raise ConfigFileError(f"invalid [{section}] section: {exc}") from None
 
@@ -119,7 +119,7 @@ def parse_config(text: str) -> ExperimentConfig:
                              else dataclasses.replace(current, **values))
     if parser.has_section("experiment"):
         updates.update(_section_values(parser, "experiment", _EXPERIMENT_TYPES))
-    with _naming("experiment"):
+    with _naming("experiment", "link" if "link" in updates else "channel"):
         return dataclasses.replace(defaults, **updates)
 
 

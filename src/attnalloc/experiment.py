@@ -70,7 +70,6 @@ class ExperimentConfig:
         # the config is read; an attribute, not a field, so asdict and the
         # config file leave it out
         link = self.link if self.link is not None else link_from_channel(self.channel)
-        section = "channel" if self.link is None else "link"
         # attention weights are at most 1, so no QoE exceeds the link factor
         # times n times the log of the largest budget (one of 1 K or less
         # fails when it is allocated)
@@ -79,14 +78,14 @@ class ExperimentConfig:
             raise ChannelError(
                 f"the link factor downlink_rate * (1 - uplink_ber), {link.factor!r}, times "
                 f"world.num_objects {n} times the log of the largest budget {budget!r} is not "
-                "finite, so a QoE would overflow", section)
+                "finite, so a QoE would overflow")
         # and no log term is below log(floor_k), so a subnormal product
         # would leave every QoE a few ulps
         if self.floor_k > 1 and link.factor * math.log(self.floor_k) < sys.float_info.min:
             raise ChannelError(
                 f"the link factor downlink_rate * (1 - uplink_ber), {link.factor!r}, times the "
                 f"log of floor_k {self.floor_k!r} is below the smallest normal float "
-                f"{sys.float_info.min!r}, so a QoE would lose its precision", section)
+                f"{sys.float_info.min!r}, so a QoE would lose its precision")
         object.__setattr__(self, "_link", link)
 
     def link_params(self) -> LinkParams:
@@ -174,6 +173,7 @@ class ExperimentRunner:
     def scene_objects(self, user: int) -> list:
         """The evaluated scene: objects of a random retained subset of one
         randomly selected service group (seeded per user), ascending."""
+        check_user(self.world, user)  # before the cache, where True finds user 1's scene
         if user not in self._scenes:
             self._draw_scenes([user])
         return self._scenes[user]
@@ -184,8 +184,6 @@ class ExperimentRunner:
         if not users:
             return
         world, cfg = self.world, self.config
-        for user in users:
-            check_user(world, user)  # before a negative id reaches the seed sequence
         images = []
         for user in users:
             rng = np.random.default_rng(
@@ -265,10 +263,6 @@ def run_all(config: ExperimentConfig):
     """All per-user reports (sorted by user id) plus aggregate statistics."""
     reports = ExperimentRunner(config).all_reports()
     return reports, aggregate(reports)
-
-
-def run_sweep(config: ExperimentConfig, user: int | None = None) -> SweepReport:
-    return ExperimentRunner(config).sweep(user)
 
 
 def reports_to_csv(reports, path) -> None:

@@ -16,8 +16,8 @@ from itertools import chain
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (all_numbers, check_fields, first_non_number_row, is_number, json_layout,
-                     json_text, read_json, require, write_text)
+from .schema import (all_numbers, check_fields, first_non_number_row, integer_ids, is_number,
+                     json_layout, json_text, parse_json, read_text, require, write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -122,16 +122,13 @@ class FactorModel:
 
 
 def _id_arrays(users, objects) -> tuple:
-    """``(users, objects)`` as 1-D integer arrays of equal length; a float or
-    bool id raises ``IndexError`` instead of being cast or read as a mask."""
-    users, objects = np.asarray(users), np.asarray(objects)
-    if users.ndim != 1 or users.shape != objects.shape:
+    """``(users, objects)`` as 1-D ``intp`` arrays of equal length; a float or
+    bool id raises ``IndexError`` naming it instead of being cast or read as
+    a mask."""
+    if np.ndim(users) != 1 or np.shape(users) != np.shape(objects):
         raise ValueError(f"users and objects must be 1-D arrays of equal length, got shapes "
-                         f"{users.shape} and {objects.shape}")
-    if users.size and not (users.dtype.kind in "iu" and objects.dtype.kind in "iu"):
-        raise IndexError(f"ids must be integers, got {users.dtype} users and "
-                         f"{objects.dtype} objects")
-    return users.astype(np.intp, copy=False), objects.astype(np.intp, copy=False)
+                         f"{np.shape(users)} and {np.shape(objects)}")
+    return integer_ids(users, "user id", IndexError), integer_ids(objects, "object id", IndexError)
 
 
 def _solve_side(observed, target, other_factors, other_bias, lam):
@@ -371,16 +368,6 @@ def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: i
     return np.nonzero(held)
 
 
-def _model_header(model: FactorModel) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "num_users": model.num_users,
-        "num_objects": model.num_objects,
-        "f": model.f,
-        "mu": model.mu,
-    }
-
-
 def model_from_dict(doc: dict) -> FactorModel:
     """Build the model from an ``attn-mf/1`` document, naming a missing key.
     ``mu`` and the entries of the four arrays must be JSON numbers, checked
@@ -428,8 +415,10 @@ def save_model(model: FactorModel, path) -> None:
     layout = "".join(f',\n "{name}": ' + json_layout(array.shape, 1)
                      for name, array in zip(_MODEL_ARRAYS, arrays))
     values = tuple(chain.from_iterable(array.ravel().tolist() for array in arrays))
-    write_text(json_text(_model_header(model), layout % values), path)
+    header = {"version": MODEL_FORMAT_VERSION, "num_users": model.num_users,
+              "num_objects": model.num_objects, "f": model.f, "mu": model.mu}
+    write_text(json_text(header, layout % values), path)
 
 
 def load_model(path) -> FactorModel:
-    return model_from_dict(read_json(path))
+    return model_from_dict(parse_json(read_text(path), path))

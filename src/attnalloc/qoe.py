@@ -83,12 +83,7 @@ def q_function(x: float) -> float:
 
 
 class ChannelError(ValueError):
-    """A channel or link that gives no usable QoE; ``section`` names the
-    config section that set it."""
-
-    def __init__(self, message: str, section: str = "channel"):
-        super().__init__(message)
-        self.section = section
+    """A channel or link that gives no usable QoE."""
 
 
 def link_from_channel(cfg: ChannelConfig) -> LinkParams:

@@ -16,7 +16,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .schema import read_text, write_text
+from .schema import integer_type, read_text, write_text
 
 CSV_HEADER = ("user_id", "object_id", "level")
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
@@ -57,15 +57,11 @@ def _table(records) -> np.ndarray:
     rows = list(records)
     try:
         flat = list(chain.from_iterable(rows))
-        if set(map(len, rows)) <= {3} and all(map(_is_int_type, set(map(type, flat)))):
+        if set(map(len, rows)) <= {3} and all(map(integer_type, set(map(type, flat)))):
             return np.fromiter(flat, np.int64, len(flat)).reshape(len(rows), 3)
     except (TypeError, OverflowError):  # a record that is no sequence; a field beyond int64
         pass
     _raise_record_fault(rows)
-
-
-def _is_int_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
 def _raise_record_fault(rows: list) -> NoReturn:
@@ -77,13 +73,13 @@ def _raise_record_fault(rows: list) -> NoReturn:
             fields = tuple(record)
         except TypeError:  # not a sequence: one field
             fields = (record,)
-        bad = [f for f in fields if not _is_int_type(type(f)) or not -2**63 <= f < 2**63]
+        bad = [f for f in fields if not integer_type(type(f)) or not -2**63 <= f < 2**63]
         if len(fields) == 3 and not bad:
             continue
         _sorted_valid(np.array(rows[:i], dtype=np.int64).reshape(i, 3))
         if len(fields) != 3:
             cause = f"expected 3 fields, got {len(fields)},"
-        elif _is_int_type(type(bad[0])):
+        elif integer_type(type(bad[0])):
             cause = f"field {bad[0]} outside the 64-bit integer range"
         else:
             cause = f"non-integer field {bad[0]!r}"

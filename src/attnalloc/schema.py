@@ -1,6 +1,7 @@
-"""The rules of the package's files: UTF-8 text, the indent-1 JSON layout
-and exact-type JSON numbers, and config fields checked by their annotations.
-Every file goes through ``read_text`` (which names it on a fault) or ``write_text``."""
+"""The rules of the package's files and values: UTF-8 text, the indent-1
+JSON layout and exact-type JSON numbers, the integer rule of every id, and
+config fields checked by their annotations. Every file goes through
+``read_text`` (which names it on a fault) or ``write_text``."""
 
 from __future__ import annotations
 
@@ -48,15 +49,35 @@ def first_non_number_row(rows: list):
                 if type(row) is not list or not all(map(is_number, row)))
 
 
+def integer_type(kind: type) -> bool:
+    """Whether values of the type ``kind`` are integers: Python's or numpy's,
+    never a bool. It takes a type, so a bulk check calls it once per type in
+    ``set(map(type, values))``."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def integer_ids(ids, what: str, error=ValueError) -> np.ndarray:
+    """``ids`` as an ``intp`` array. An array of an integer dtype passes on
+    its dtype; anything else is read entry by entry, and the first entry that
+    is not an integer (by ``integer_type``; a float or bool is never cast)
+    raises ``error`` naming it as a ``what``."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return ids.astype(np.intp, copy=False)
+    ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+    if not all(map(integer_type, set(map(type, ids)))):
+        bad = next(entry for entry in ids if not integer_type(type(entry)))
+        raise error(f"{what} {bad!r} is not an integer")
+    return np.array(ids, dtype=np.intp)
+
+
 @functools.cache
 def field_rule(kind):
     """``(accepts, what)`` for values of the resolved annotation ``kind``:
-    an ``int`` takes an integer (numpy's too) and a ``float`` a finite real
-    (an integer too), neither a bool; ``tuple[float, ...]`` takes a tuple of
+    an ``int`` takes an integer (by ``integer_type``) and a ``float`` a finite
+    real (an integer too), neither a bool; ``tuple[float, ...]`` takes a tuple of
     such reals, ``X | None`` None too and a class its instances."""
     if kind is int:
-        return (lambda v: isinstance(v, (int, np.integer))
-                and not isinstance(v, bool)), "an integer"
+        return (lambda v: integer_type(type(v))), "an integer"
     if kind is float:  # the bounds exclude NaN and infinities; a numpy scalar is compared
         # as the Python number it holds, since a float32 overflows casting them
         return (lambda v: isinstance(v, (int, float, np.integer, np.floating))
@@ -148,8 +169,3 @@ def parse_json(text: str, path):
         raise ValueError(f"{path}: {err}") from None
     except RecursionError:
         raise ValueError(f"{path}: nested too deeply to parse") from None
-
-
-def read_json(path):
-    """The JSON document in the file at ``path``; a fault in it names the file."""
-    return parse_json(read_text(path), path)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_fields, field_types, first_non_number_row, json_layout, json_text,
-                     parse_json, read_text, require, write_text)
+from .schema import (check_fields, field_rule, field_types, first_non_number_row, integer_ids,
+                     integer_type, json_layout, json_text, parse_json, read_text, require,
+                     write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -135,8 +135,8 @@ class World:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if isinstance(self.gaze_noise, bool) or not isinstance(self.gaze_noise, numbers.Real) \
-                or not 0.0 <= self.gaze_noise < 1.0:
+        is_real, _ = field_rule(float)
+        if not is_real(self.gaze_noise) or not 0.0 <= self.gaze_noise < 1.0:
             raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
         # numpy scalars become Python numbers, which the world file can hold
         object.__setattr__(self, "seed", int(self.seed))
@@ -242,7 +242,7 @@ class World:
 
 
 def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not integer_type(type(seed)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -358,7 +358,7 @@ def _gaze_factors(world: World, user: int, count: int) -> np.ndarray:
 def check_user(world: World, user: int) -> None:
     """Raise ``ValueError`` naming ``user`` unless it is an integer (numpy's
     too, not a bool) in ``0..num_users - 1``."""
-    if isinstance(user, bool) or not isinstance(user, (int, np.integer)):
+    if not integer_type(type(user)):
         raise ValueError(f"user id {user!r} is not an integer")
     if not 0 <= user < world.num_users:
         raise ValueError(f"user {user} outside 0..{world.num_users - 1}")
@@ -385,7 +385,7 @@ def raw_attention_values(world: World, user: int, image_ids):
     noise.
     """
     check_user(world, user)
-    ids = _image_id_array(image_ids)
+    ids = integer_ids(image_ids, "image id")
     if not ids.size:
         return np.empty(0, dtype=np.intp), np.empty(0)
     if ids.min() < 0 or ids.max() >= world.num_images:
@@ -396,18 +396,6 @@ def raw_attention_values(world: World, user: int, image_ids):
     pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
     present = np.flatnonzero(pixel_sum)
     return present, np.minimum(gaze[present] / pixel_sum[present], 1.0)
-
-
-def _image_id_array(image_ids) -> np.ndarray:
-    """Image ids as an ``intp`` array; a float or bool id raises
-    ``ValueError`` by name instead of being cast to an image."""
-    if isinstance(image_ids, np.ndarray) and image_ids.dtype.kind in "iu":
-        return image_ids.astype(np.intp, copy=False)
-    ids = image_ids.tolist() if isinstance(image_ids, np.ndarray) else list(image_ids)
-    bad = [i for i in ids if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
-    if bad:
-        raise ValueError(f"image id {bad[0]!r} is not an integer")
-    return np.array(ids, dtype=np.intp)
 
 
 def attention_matrix(world: World) -> np.ndarray:
@@ -537,17 +525,19 @@ def sparsify(world: World, users, seed: int) -> SparseAttentionRecords:
     return SparseAttentionRecords(np.column_stack((user_ids, objects, levels)))
 
 
+def _header(world: World) -> dict:
+    """The members of the world document before its images."""
+    return {"version": WORLD_FORMAT_VERSION, "seed": world.seed, "num_users": world.num_users,
+            "gaze_noise": world.gaze_noise, "catalog": list(world.labels)}
+
+
 def world_to_dict(world: World) -> dict:
     """The ``uoal-sim/1`` document; each composition lists its objects in
     ascending id."""
     entries = [[o, px] for o, px in zip(world.objects.tolist(), world.counts.tolist())]
     bounds = world.indptr.tolist()
     return {
-        "version": WORLD_FORMAT_VERSION,
-        "seed": world.seed,
-        "num_users": world.num_users,
-        "gaze_noise": world.gaze_noise,
-        "catalog": list(world.labels),
+        **_header(world),
         "images": [
             {"id": i, "group": g, "composition": entries[bounds[i]:bounds[i + 1]]}
             for i, g in enumerate(world.group_of.tolist())
@@ -655,13 +645,7 @@ def save_world(world: World, path) -> None:
     layout = ("[\n  " + ",\n  ".join(map(_image_layout, lengths.tolist()))
               + '\n ],\n "interest": ' + json_layout(world.interest.shape, 1))
     body = layout % tuple(ints.tolist() + world.interest.ravel().tolist())
-    write_text(json_text({
-        "version": WORLD_FORMAT_VERSION,
-        "seed": world.seed,
-        "num_users": world.num_users,
-        "gaze_noise": world.gaze_noise,
-        "catalog": list(world.labels),
-    }, ',\n "images": ' + body), path)
+    write_text(json_text(_header(world), ',\n "images": ' + body), path)
 
 
 # the text around save_world's images block: its first image follows the

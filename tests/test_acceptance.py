@@ -16,13 +16,13 @@ from scipy import stats
 from attnalloc import (
     AllocationProblem,
     ExperimentConfig,
+    ExperimentRunner,
     WorldConfig,
     allocate_uniform,
     allocate_weighted,
     fit_baseline,
     generate_world,
     ground_truth_levels,
-    run_sweep,
 )
 from attnalloc.allocate import objective_value
 from attnalloc.experiment import aggregate, report_summary_json, reports_to_csv
@@ -142,7 +142,7 @@ def test_criterion_5_end_to_end_improvement(multi_seed_runners, runner_cache):
 
 
 def test_criterion_6_capacity_sweep_trend():
-    sweep = run_sweep(ExperimentConfig())
+    sweep = ExperimentRunner(ExperimentConfig()).sweep()
     factors = np.array([f for f, _ in sweep.points])
     improvements = np.array([i for _, i in sweep.points])
     slope = float(np.polyfit(factors, improvements, 1)[0])
@@ -163,7 +163,6 @@ def test_criterion_7_determinism_round_trip(tmp_path):
     )
 
     def produce(tag):
-        from attnalloc import ExperimentRunner
         from attnalloc.experiment import aggregate as agg_fn
         runner = ExperimentRunner(config)
         base = tmp_path / tag

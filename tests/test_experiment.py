@@ -16,7 +16,6 @@ from attnalloc import (
     SweepReport,
     UserReport,
     link_from_channel,
-    run_sweep,
 )
 from attnalloc.experiment import (
     Aggregate,
@@ -91,13 +90,17 @@ def test_scene_objects_stable_and_grouped(default_runner):
 
 
 def test_scene_objects_check_the_user_first(default_runner):
-    runner = ExperimentRunner(default_runner.config)
-    for user, message in ((-1, "user -1 outside"), (30, "user 30 outside"),
-                          (True, "user id True is not an integer"),
-                          (1.0, "user id 1.0 is not an integer")):
-        with pytest.raises(ValueError, match=message):
-            runner.scene_objects(user)
-    assert runner.scene_objects(np.int64(1)) == default_runner.scene_objects(1)
+    # a runner whose scenes are drawn checks the user before its cache too,
+    # where True and 1.0 would find user 1's scene
+    drawn = ExperimentRunner(default_runner.config)
+    drawn.all_reports()
+    for runner in (ExperimentRunner(default_runner.config), drawn):
+        for user, message in ((-1, "user -1 outside"), (30, "user 30 outside"),
+                              (True, "user id True is not an integer"),
+                              (1.0, "user id 1.0 is not an integer")):
+            with pytest.raises(ValueError, match=message):
+                runner.scene_objects(user)
+        assert runner.scene_objects(np.int64(1)) == default_runner.scene_objects(1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,7 +180,7 @@ def test_sweep_matches_single_runs(default_runner):
     config = dataclasses.replace(
         default_runner.config, sweep_factors=(18.0, 24.0), sweep_user=5
     )
-    report = run_sweep(config)
+    report = ExperimentRunner(config).sweep()
     assert report.user_id == 5
     runner = ExperimentRunner(config)
     for factor, improvement in report.points:
@@ -188,7 +191,7 @@ def test_sweep_matches_single_runs(default_runner):
 
 def test_sweep_near_floor_budget(default_runner):
     config = dataclasses.replace(default_runner.config, floor_k=15.0, sweep_factors=(15.1,))
-    point = run_sweep(config, 3).points[0]
+    point = ExperimentRunner(config).sweep(3).points[0]
     # 0.1 K above a 15 K floor leaves almost no slack: aware and uniform
     # nearly coincide
     assert abs(point[1]) < 1.0

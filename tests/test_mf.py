@@ -153,12 +153,18 @@ def test_predictor_index_errors():
                                  ([-1], [1], r"\(-1, 1\)")):
         with pytest.raises(IndexError, match=f"pair {pair} outside model dimensions"):
             predict_pairs(np.array(users), np.array(objects))
-    with pytest.raises(IndexError, match="ids must be integers"):
+    with pytest.raises(IndexError, match="user id 0.0 is not an integer"):
         predict_pairs(np.array([0.0]), np.array([1]))
-    with pytest.raises(IndexError, match="ids must be integers"):
+    with pytest.raises(IndexError, match="user id True is not an integer"):
         predict_pairs(np.array([True, False]), np.array([0, 1]))  # not a mask
     with pytest.raises(ValueError, match="equal length"):
         predict_pairs(np.array([0, 1]), np.array([0]))
+    # a bool in a list is named, not cast to user 1 as np.asarray([0, True]) is
+    baseline = fit_baseline(SparseAttentionRecords([(0, 0, 3)]))
+    for model in (zero_model(), baseline):
+        for users, objects in (([0, True], [1, 0]), ([True, 2], [0, 1])):
+            with pytest.raises(IndexError, match="user id True is not an integer"):
+                model.predictor()(users, objects)
 
 
 @settings(max_examples=60, deadline=None)

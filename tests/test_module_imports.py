@@ -1,6 +1,6 @@
 """The package's modules use one another only through public names, the
 file rules do not depend on the synthetic world, and ``schema`` is the one
-module that opens a file or formats JSON."""
+module that opens a file or formats JSON or spells the integer rule."""
 
 import ast
 from pathlib import Path
@@ -59,4 +59,21 @@ def test_only_schema_opens_files_or_formats_json():
     allowed = {"open": {"schema"}, "json": {"schema"}, "csv": {"records"}}
     stray = [f"{module}.py:{line}: {what}" for module, line, what in _file_format_uses()
              if module not in allowed[what]]
+    assert not stray, "\n".join(stray)
+
+
+def test_only_schema_spells_the_value_rules():
+    # the integer rule (integer_type, integer_ids) and the finite-real rule
+    # (field_rule) have one home, so no copy of them drifts into a cast
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "schema":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "integer" \
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                stray.append(f"{path.stem}.py:{node.lineno}: np.integer")
+            elif isinstance(node, ast.Import) and "numbers" in (a.name for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                stray.append(f"{path.stem}.py:{node.lineno}: numbers")
     assert not stray, "\n".join(stray)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -750,7 +751,8 @@ def test_world_rejects_bad_seed():
 
 def test_world_rejects_gaze_noise_outside_unit_interval():
     base = make_manual_world([[0.5]], [((0, 10),)])
-    for gaze_noise in (-0.1, 1.0, float("nan"), None, "0.1", False, True):
+    # a Fraction is a real number that the world file cannot hold
+    for gaze_noise in (-0.1, 1.0, float("nan"), None, "0.1", False, True, Fraction(1, 10)):
         with pytest.raises(ValueError, match="gaze_noise"):
             dataclasses.replace(base, gaze_noise=gaze_noise)
 
