@@ -15,12 +15,12 @@ weight vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .schema import write_text
+from .schema import field_rule, integer_type, real_vector, write_text
 
 WEIGHT_EPS = 1e-9
 
@@ -33,11 +33,16 @@ class InfeasibleError(ValueError):
     """Budget cannot cover the per-object floors; message names the deficit."""
 
 
+_finite, _FINITE = field_rule(float)
+
+
 def _check_feasible(n: int, budget: float, floor: float) -> None:
-    """Reject non-finite inputs, a floor of 1 K or less, and budgets below n floors."""
+    """Reject a budget or floor that is not a finite real (schema's float
+    rule, so never a str or bool), a floor of 1 K or less, and budgets below
+    n floors."""
     for name, value in (("budget", budget), ("floor", floor)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not _finite(value):
+            raise ValueError(f"{name} must be {_FINITE}, got {value!r}")
     if floor <= 1.0:
         raise ValueError("floor must exceed 1 K so log terms stay positive")
     deficit = n * floor - budget
@@ -50,17 +55,22 @@ def _check_feasible(n: int, budget: float, floor: float) -> None:
 
 @dataclass(frozen=True)
 class AllocationProblem:
+    """The weights are real numbers by ``schema.real_vector`` (a str or bool
+    weight raises), finite and non-negative; their canonical ratios, which
+    are all that the allocation reads of them but the multiplier, are taken
+    once, here, by the same pass that checks them."""
+
     weights: np.ndarray
     budget: float   # C_total, K units
     floor: float    # c_min, K units
+    ratios: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size < 1:
+        weights = real_vector(self.weights, "weight")
+        if not weights.size:
             raise ValueError("weights must be a non-empty 1-D vector")
-        if (weights < 0).any() or not np.isfinite(weights).all():
-            raise ValueError("weights must be finite and non-negative")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ratios", _canonical_ratios(weights))
         _check_feasible(self.n, self.budget, self.floor)
 
     @property
@@ -93,12 +103,17 @@ def objective_value(weights, capacities) -> float:
 
 
 def _canonical_ratios(weights: np.ndarray) -> np.ndarray:
-    w = np.maximum(weights, WEIGHT_EPS)
-    r = w / w.max()
+    """Each weight (at least ``WEIGHT_EPS``) over the largest, rounded to
+    ``_RATIO_DIGITS`` significant digits; a ValueError unless every weight
+    is finite and non-negative, which NaN fails by both comparisons."""
+    top = weights.max()
+    if not (weights.min() >= 0 and top < np.inf):
+        raise ValueError("weights must be finite and non-negative")
+    r = np.maximum(weights, WEIGHT_EPS) / max(top, WEIGHT_EPS)
     # capped so the scale stays finite: a ratio below 1e-300 rounds to a few
     # digits or to 0, and its object sits at the floor either way
-    scale = 10.0 ** (_RATIO_DIGITS - 1 - np.maximum(np.floor(np.log10(r)), -300))
-    return np.round(r * scale) / scale
+    scale = 10.0 ** (_RATIO_DIGITS - 1.0 - np.maximum(np.floor(np.log10(r)), -300.0))
+    return np.rint(r * scale) / scale
 
 
 def _multiplier(free_weights: np.ndarray, available: float):
@@ -118,7 +133,7 @@ def allocate_weighted(problem: AllocationProblem) -> AllocationResult:
     n = problem.n
     floor = problem.floor
     budget = problem.budget
-    r = _canonical_ratios(problem.weights)
+    r = problem.ratios
 
     capacities = np.full(n, floor)
     lam_orig = None
@@ -127,18 +142,21 @@ def allocate_weighted(problem: AllocationProblem) -> AllocationResult:
         # floor; a ratio that fails to clear the floor fails for every longer
         # prefix, and tied ratios pass or fail together
         desc = np.sort(r)[::-1]
-        lam = np.cumsum(desc) / (budget - floor * np.arange(n - 1, -1, -1))
-        clears = np.flatnonzero(desc / lam >= floor)
+        lam = desc.cumsum() / (budget - floor * np.arange(n - 1, -1, -1))
+        clears = (desc / lam >= floor).nonzero()[0]
         if clears.size:
             free = r >= desc[clears[-1]]
-            available = budget - (n - np.count_nonzero(free)) * floor
-            capacities[free] = r[free] / (r[free].sum() / available)
+            free_r = r[free]
+            available = budget - (n - free_r.size) * floor
+            capacities[free] = free_r / (free_r.sum() / available)
             lam_orig = _multiplier(problem.weights[free], available)
     return AllocationResult(capacities=capacities, lagrange_multiplier=lam_orig)
 
 
 def allocate_uniform(n_objects: int, budget: float, floor: float) -> AllocationResult:
     """Every object gets budget / n (feasibility guarantees this meets the floor)."""
+    if not integer_type(type(n_objects)):
+        raise ValueError(f"n_objects must be an integer, got {n_objects!r}")
     if n_objects < 1:
         raise ValueError("n_objects must be >= 1")
     _check_feasible(n_objects, budget, floor)

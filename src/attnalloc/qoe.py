@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_fields
+from .schema import check_fields, real_vector
 
 
 @dataclass(frozen=True)
@@ -107,23 +107,34 @@ def link_from_channel(cfg: ChannelConfig) -> LinkParams:
 
 @dataclass(frozen=True)
 class QoETerms:
+    """Weights and capacities are real numbers by ``schema.real_vector`` (a
+    str or bool entry raises). A NaN weight fails the positivity check, since
+    a NaN minimum compares false."""
+
     weights: np.ndarray     # per-object attention values, positive
     capacities: np.ndarray  # per-object rendering capacity, K units, each > 1
     link: LinkParams
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        capacities = np.asarray(self.capacities, dtype=np.float64)
-        if weights.shape != capacities.shape or weights.ndim != 1 or weights.size < 1:
+        weights = real_vector(self.weights, "attention weight")
+        capacities = real_vector(self.capacities, "capacity")
+        if weights.shape != capacities.shape or not weights.size:
             raise ValueError("weights and capacities must be equal-length 1-D vectors")
-        if (weights <= 0).any():
+        if not weights.min() > 0:
             raise ValueError("attention weights must be positive")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "capacities", capacities)
 
 
 def qoe(terms: QoETerms) -> float:
-    """Sum over objects of connection coefficient times ln(capacity in K)."""
-    if (terms.capacities <= 1.0).any():
+    """Sum over objects of connection coefficient times ln(capacity in K). A
+    NaN capacity fails the 1 K check as a NaN weight fails QoETerms'; an
+    infinite weight or capacity, or a sum beyond float64, raises a ValueError
+    instead of an infinite score."""
+    if not terms.capacities.min() > 1.0:
         raise ValueError("every capacity must exceed 1 K for a positive log term")
-    return float(terms.link.factor * (terms.weights * np.log(terms.capacities)).sum())
+    score = float(terms.link.factor * (terms.weights * np.log(terms.capacities)).sum())
+    if not math.isfinite(score):
+        raise ValueError(f"the QoE is {score!r}: an infinite weight or capacity, or a sum that "
+                         "overflows float64")
+    return score

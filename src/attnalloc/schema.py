@@ -1,7 +1,8 @@
 """The rules of the package's files and values: UTF-8 text, the indent-1
-JSON layout and exact-type JSON numbers, the integer rule of every id, and
-config fields checked by their annotations. Every file goes through
-``read_text`` (which names it on a fault) or ``write_text``."""
+JSON layout and exact-type JSON numbers, the integer rule of every id, the
+real rule of every weight and capacity vector, and config fields checked by
+their annotations. Every file goes through ``read_text`` (which names it on
+a fault) or ``write_text``."""
 
 from __future__ import annotations
 
@@ -56,34 +57,75 @@ def integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
+def real_type(kind: type) -> bool:
+    """Whether values of the type ``kind`` are real numbers: integers or
+    floats, Python's or numpy's; never a bool, a str or a complex.
+    Type-level, as ``integer_type`` is."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
+
+
+def _vector(values, what: str, kinds: str, entry_type, noun: str, dtype, error) -> np.ndarray:
+    """``values`` as a 1-D ``dtype`` array. An array whose dtype kind is in
+    ``kinds`` passes on its dtype; anything else is read entry by entry, and
+    the first entry whose type fails ``entry_type`` raises ``error`` naming
+    it as a ``what`` that is not ``noun``. A scalar or an array that is not
+    1-D raises a ValueError naming its shape."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"{what} values must form a 1-D vector, got shape {values.shape}")
+        if values.dtype.kind in kinds:
+            return values.astype(dtype, copy=False)
+        entries = values.tolist()
+    else:
+        try:
+            entries = list(values)
+        except TypeError:  # not iterable, so a scalar
+            raise ValueError(f"{what} values must form a 1-D vector, got shape () "
+                             f"for {values!r}") from None
+    if not all(map(entry_type, set(map(type, entries)))):
+        bad = next(entry for entry in entries if not entry_type(type(entry)))
+        raise error(f"{what} {bad!r} is not {noun}")
+    return np.array(entries, dtype=dtype)
+
+
 def integer_ids(ids, what: str, error=ValueError) -> np.ndarray:
-    """``ids`` as an ``intp`` array. An array of an integer dtype passes on
-    its dtype; anything else is read entry by entry, and the first entry that
-    is not an integer (by ``integer_type``; a float or bool is never cast)
-    raises ``error`` naming it as a ``what``."""
-    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
-        return ids.astype(np.intp, copy=False)
-    ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-    if not all(map(integer_type, set(map(type, ids)))):
-        bad = next(entry for entry in ids if not integer_type(type(entry)))
-        raise error(f"{what} {bad!r} is not an integer")
-    return np.array(ids, dtype=np.intp)
+    """``ids`` as a 1-D ``intp`` array. An array of an integer dtype passes
+    on its dtype; anything else is read entry by entry, and the first entry
+    that is not an integer (by ``integer_type``; a float or bool is never
+    cast) raises ``error`` naming it as a ``what``. A scalar, a 0-d array
+    or an array of more dimensions raises a ValueError naming its shape."""
+    return _vector(ids, what, "iu", integer_type, "an integer", np.intp, error)
+
+
+def real_vector(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D ``float64`` array, by the rules of ``integer_ids``:
+    an array of an integer or float dtype passes on its dtype, and any other
+    input is read entry by entry, so that a str, bool or complex entry raises
+    a ValueError naming it as a ``what`` instead of being cast. The caller
+    checks the values' range, NaN and the infinities included."""
+    return _vector(values, what, "iuf", real_type, "a real number", np.float64, ValueError)
+
+
+def _finite_real(value) -> bool:
+    # a numpy scalar is compared as the Python number it holds, since a
+    # float32 overflows casting the bounds; a float skips the type tests
+    if type(value) is float:
+        return -MAX_FLOAT <= value <= MAX_FLOAT
+    return real_type(type(value)) and -MAX_FLOAT <= (
+        value.item() if isinstance(value, np.generic) else value) <= MAX_FLOAT
 
 
 @functools.cache
 def field_rule(kind):
     """``(accepts, what)`` for values of the resolved annotation ``kind``:
     an ``int`` takes an integer (by ``integer_type``) and a ``float`` a finite
-    real (an integer too), neither a bool; ``tuple[float, ...]`` takes a tuple of
-    such reals, ``X | None`` None too and a class its instances."""
+    real (by ``real_type``, so an integer too), neither a bool;
+    ``tuple[float, ...]`` takes a tuple of such reals, ``X | None`` None too
+    and a class its instances."""
     if kind is int:
         return (lambda v: integer_type(type(v))), "an integer"
-    if kind is float:  # the bounds exclude NaN and infinities; a numpy scalar is compared
-        # as the Python number it holds, since a float32 overflows casting them
-        return (lambda v: isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool)
-                and -MAX_FLOAT <= (v.item() if isinstance(v, np.generic) else v) <= MAX_FLOAT
-                ), "finite"
+    if kind is float:  # the bounds exclude NaN and infinities
+        return _finite_real, "finite"
     args = typing.get_args(kind)
     if typing.get_origin(kind) is tuple:
         item, what = field_rule(args[0])

@@ -1,5 +1,6 @@
 """Test oracles kept out of the package: an exhaustive grid search over the
-budget simplex, which the exact allocator is checked against, the per-image
+budget simplex, which the exact allocator is checked against, its canonical
+weight ratios as first written, the per-image
 successive sampler, which the vectorized image draw is checked against, the
 dense images x objects pixel matrix that the world once held and the draw
 that filled it, the ``csv.writer`` loop that the CSV writers are checked
@@ -93,6 +94,17 @@ def brute_force_allocate(problem: AllocationProblem, grid_step: float) -> Alloca
         best = np.array([float(np.atleast_1d(col)[idx]) for col in cols])
 
     return AllocationResult(capacities=best, lagrange_multiplier=None)
+
+
+def canonical_ratios(weights) -> np.ndarray:
+    """The allocator's canonical weight ratios as first written, with its
+    constants spelled out: each weight, at least 1e-9, over the largest such,
+    rounded by ``np.round`` to 9 significant digits at a decimal exponent of
+    at least -300."""
+    w = np.maximum(np.asarray(weights, dtype=np.float64), 1e-9)
+    r = w / w.max()
+    scale = 10.0 ** (9 - 1 - np.maximum(np.floor(np.log10(r)), -300))
+    return np.round(r * scale) / scale
 
 
 def successive_sampling_images(config, rng):

@@ -1,9 +1,11 @@
 """Water-filling allocator: exact cases, KKT invariants, the grid oracle,
 and a differential test against the active-set loop it replaced."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnalloc import (
@@ -19,7 +21,7 @@ from attnalloc.allocate import (
     objective_value,
     save_allocation,
 )
-from oracles import SearchSpaceError, brute_force_allocate, csv_writer_text
+from oracles import SearchSpaceError, brute_force_allocate, canonical_ratios, csv_writer_text
 
 
 
@@ -258,6 +260,12 @@ def test_allocation_csv_matches_csv_writer(tmp_path_factory, weights, data):
     (float("inf"), 15.0, "budget"),
     (40.0, float("nan"), "floor"),
     (40.0, float("inf"), "floor"),
+    # not reals: a str raised a TypeError that named neither
+    ("40", 15.0, "budget"),
+    (40.0, "15", "floor"),
+    (True, 15.0, "budget"),
+    (40.0, None, "floor"),
+    (40.0, 15 + 0j, "floor"),
 ])
 def test_non_finite_budget_or_floor_rejected(budget, floor, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -326,3 +334,82 @@ def test_matches_reference_loop_on_floor_boundaries(
     np.testing.assert_allclose(new.capacities, ref.capacities, rtol=1e-12, atol=0)
     assert objective_value(problem.weights, new.capacities) == pytest.approx(
         objective_value(problem.weights, ref.capacities), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("weights, bad", [
+    (np.array(["1", "3"]), "'1'"),                  # solved to [15, 25]
+    ([True, False, True], "True"),                  # solved to [22.5, 15, 22.5]
+    (np.array([True, False]), "True"),
+    ([1.0, "2"], "'2'"),
+    (np.array([1 + 0j, 2 + 0j]), r"\(1\+0j\)"),
+])
+def test_str_bool_or_complex_weights_are_not_cast(weights, bad):
+    with pytest.raises(ValueError, match=f"weight {bad} is not a real number"):
+        AllocationProblem(weights, 60.0, 15.0)
+
+
+def test_weights_must_form_one_vector():
+    for weights, shape in ((np.ones((2, 2)), r"\(2, 2\)"), (np.array(4.0), r"\(\)"),
+                           (4.0, r"\(\)")):
+        with pytest.raises(ValueError, match=f"weight values must form a 1-D vector, "
+                                             f"got shape {shape}"):
+            AllocationProblem(weights, 60.0, 15.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        AllocationProblem([], 60.0, 15.0)
+
+
+@pytest.mark.parametrize("weights", [[1.0, float("nan")], [1.0, float("inf")], [1.0, -0.5],
+                                     [float("nan")] * 2])
+def test_weights_must_be_finite_and_non_negative(weights):
+    for w in (weights, np.array(weights)):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            AllocationProblem(w, 60.0, 15.0)
+
+
+@pytest.mark.parametrize("n_objects", [2.5, 2.0, True, "3", None, np.float64(3)])
+def test_uniform_object_count_must_be_an_integer(n_objects):
+    with pytest.raises(ValueError, match=f"n_objects must be an integer, got "
+                                         f"{re.escape(repr(n_objects))}"):
+        allocate_uniform(n_objects, 60.0, 15.0)
+
+
+def test_integer_like_inputs_still_solve():
+    # integer weights and budgets, numpy scalars and an int64 count are reals
+    # and an integer by schema's rules, and solve as their float values do
+    want = allocate_weighted(AllocationProblem(np.array([4.0, 1.0]), 40.0, 15.0)).capacities
+    for weights in ([4, 1], np.array([4, 1], dtype=np.uint8), [np.float32(4), np.int64(1)]):
+        problem = AllocationProblem(weights, np.float64(40), 15)
+        assert problem.weights.dtype == np.float64
+        assert np.array_equal(allocate_weighted(problem).capacities, want)
+    assert np.array_equal(allocate_uniform(np.int64(3), 60, 15.0).capacities, [20.0] * 3)
+
+
+@st.composite
+def _ratio_weights(draw):
+    """Weights spread over up to 608 decades (1e-300 to 1e308), with zeros and
+    ties: beside the 1e-9 weight floor, ratios below 1e-300 reach the cap on
+    the decimal exponent."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = sorted(x + 0.0 for x in draw(st.lists(st.floats(-300.0, 308.0),
+                                                   min_size=2, max_size=2)))
+    w = 10.0 ** rng.uniform(lo, hi, size=n)
+    if draw(st.booleans()):
+        w = rng.choice(w[:draw(st.integers(1, 3))], size=n)
+    w[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return w
+
+
+@given(_ratio_weights())
+@example(np.array([1e308, 1e-300, 0.0, 1.0]))      # ratios 1e-317 and 1e-308: the cap
+@example(np.array([2.5, 2.5, 1.0]))
+@example(np.array([1024.0, 105.0]))  # 105 / 1024 * 1e9 = 102539062.5, rounded to even
+@example(np.zeros(3))
+@example(np.array([1.0, 1.0 + 2 ** -52, 0.123456789012345]))
+@settings(max_examples=300, deadline=None)
+def test_canonical_ratios_match_the_reference(weights):
+    # the reference-loop tests share _canonical_ratios with the solver, so
+    # this is the test that sees an edit to it
+    got = _canonical_ratios(weights)
+    assert got.dtype == np.float64
+    assert got.tobytes() == canonical_ratios(weights).tobytes()

@@ -159,6 +159,10 @@ def test_predictor_index_errors():
         predict_pairs(np.array([True, False]), np.array([0, 1]))  # not a mask
     with pytest.raises(ValueError, match="equal length"):
         predict_pairs(np.array([0, 1]), np.array([0]))
+    for users, objects, what in ((np.array([[0, 1]]), np.array([[0, 1]]), "user id"),
+                                 ([0], np.array(1), "object id"), (0, 1, "user id")):
+        with pytest.raises(ValueError, match=f"{what} values must form a 1-D vector"):
+            predict_pairs(users, objects)
     # a bool in a list is named, not cast to user 1 as np.asarray([0, True]) is
     baseline = fit_baseline(SparseAttentionRecords([(0, 0, 3)]))
     for model in (zero_model(), baseline):

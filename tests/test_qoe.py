@@ -132,3 +132,37 @@ def test_channel_validation():
         ChannelConfig(path_loss_exponent=0.5)
     with pytest.raises(ValueError):
         ChannelConfig(tx_antennas=0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("weights, capacities, match", [
+    ([NAN, 2.0], [2.0, 3.0], "attention weights must be positive"),  # was nan
+    ([1.0, 2.0], [NAN, 3.0], "must exceed 1 K"),                     # was nan
+    ([1.0, 2.0], [INF, 3.0], "the QoE is inf"),                      # was inf
+    ([INF, 2.0], [2.0, 3.0], "the QoE is inf"),
+])
+def test_qoe_is_never_nan_or_infinite(weights, capacities, match):
+    with pytest.raises(ValueError, match=match):
+        qoe(QoETerms(np.array(weights), np.array(capacities), IDENTITY_LINK))
+
+
+def test_qoe_names_a_sum_that_overflows():
+    # each term is finite, their sum is not; numpy's own overflow warning is
+    # silenced so that the ValueError is what the test sees
+    terms = QoETerms(np.array([1e308, 1e308]), np.array([math.e, math.e]), IDENTITY_LINK)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows float64"):
+        qoe(terms)
+
+
+@pytest.mark.parametrize("weights, capacities, match", [
+    (np.array(["1", "2"]), [2.0, 3.0], "attention weight '1' is not a real number"),
+    ([1.0, True], [2.0, 3.0], "attention weight True is not a real number"),
+    ([1.0, 2.0], np.array(["2", "3"]), "capacity '2' is not a real number"),
+    ([1.0, 2.0], np.array([True, True]), "capacity True is not a real number"),
+    (np.ones((1, 2)), np.ones((1, 2)), r"must form a 1-D vector, got shape \(1, 2\)"),
+])
+def test_qoe_terms_are_not_cast(weights, capacities, match):
+    with pytest.raises(ValueError, match=match):
+        QoETerms(weights, capacities, IDENTITY_LINK)

@@ -824,6 +824,17 @@ def test_raw_attention_rejects_non_integer_image_ids():
         assert objects.size == values.size == 0
 
 
+def test_raw_attention_image_ids_must_form_one_vector():
+    # np.array(2) read image 2, a bare 3 was "'int' object is not iterable"
+    # and a 2-D array numpy's "object too deep for desired array"
+    world = make_manual_world([[0.5, 0.4]], [((0, 10),), ((1, 20),), ((0, 5),)])
+    for ids, shape in ((np.array(2), "()"), (3, "()"), (np.array(2.0), "()"),
+                       (np.array([[0, 1]]), "(1, 2)"), (np.zeros((2, 0), dtype=int), "(2, 0)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"image id values must form a 1-D vector, got shape {shape}")):
+            raw_attention_values(world, 0, ids)
+
+
 def test_sparsify_merges_per_user_draws(small_world):
     merged = sparsify(small_world, range(small_world.num_users), 5)
     expected = frozenset().union(
