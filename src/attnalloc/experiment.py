@@ -136,7 +136,7 @@ class ExperimentRunner:
         self._records = None
         self._model = None
         self._truth = None
-        self._scenes = {}  # user id -> scene object ids
+        self._scenes = None  # every user's scene: (indptr, object ids), drawn at once
 
     @property
     def world(self):
@@ -172,20 +172,19 @@ class ExperimentRunner:
 
     def scene_objects(self, user: int) -> list:
         """The evaluated scene: objects of a random retained subset of one
-        randomly selected service group (seeded per user), ascending."""
-        check_user(self.world, user)  # before the cache, where True finds user 1's scene
-        if user not in self._scenes:
-            self._draw_scenes([user])
-        return self._scenes[user]
+        randomly selected service group (seeded per user), ascending; drawn for all at once."""
+        check_user(self.world, user)  # before the row read, where True reads user 1's scene
+        if self._scenes is None:
+            self._scenes = self._draw_scenes()
+        indptr, flat = self._scenes
+        return flat[indptr[user]:indptr[user + 1]]
 
-    def _draw_scenes(self, users) -> None:
-        """Draw the scenes of ``users``, each from its own substream, then
-        find every scene's objects in one pass over their images' occurrences."""
-        if not users:
-            return
+    def _draw_scenes(self) -> tuple:
+        """Every user's scene as CSR lists ``(indptr, object ids)``: each drawn
+        from its own substream, all found in one pass over their images' occurrences."""
         world, cfg = self.world, self.config
         images = []
-        for user in users:
+        for user in range(world.num_users):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(_SCENE_STREAM, user))
             )
@@ -196,15 +195,13 @@ class ExperimentRunner:
             images.append(ids[np.sort(rng.choice(len(ids), size=keep, replace=False))])
         ids = np.concatenate(images)
         _, objects, _ = world.occurrences(ids)
-        # row r of the users x objects presence matrix holds users[r]'s scene
-        rows = np.repeat(np.repeat(np.arange(len(users)), [i.size for i in images]),
+        # row u of the users x objects presence matrix holds user u's scene
+        rows = np.repeat(np.repeat(np.arange(world.num_users), [i.size for i in images]),
                          world.indptr[ids + 1] - world.indptr[ids])
-        present = np.zeros((len(users), world.num_objects), dtype=bool)
+        present = np.zeros((world.num_users, world.num_objects), dtype=bool)
         present[rows, objects] = True
         indptr = np.concatenate(([0], np.cumsum(present.sum(1)))).tolist()
-        flat = np.nonzero(present)[1].tolist()
-        for r, user in enumerate(users):
-            self._scenes[user] = flat[indptr[r]:indptr[r + 1]]
+        return indptr, np.nonzero(present)[1].tolist()
 
     def user_report(self, user: int, budget_factor_k: float | None = None) -> UserReport:
         cfg = self.config
@@ -237,9 +234,7 @@ class ExperimentRunner:
         )
 
     def all_reports(self) -> list:
-        users = range(self.world.num_users)
-        self._draw_scenes([u for u in users if u not in self._scenes])
-        return [self.user_report(u) for u in users]
+        return [self.user_report(u) for u in range(self.world.num_users)]
 
     def sweep(self, user: int | None = None) -> SweepReport:
         user = self.config.sweep_user if user is None else user

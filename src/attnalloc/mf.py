@@ -16,8 +16,9 @@ from itertools import chain
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (all_numbers, check_fields, first_non_number_row, integer_ids, is_number,
-                     json_layout, json_text, parse_json, read_text, require, write_text)
+from .schema import (all_numbers, check_fields, check_seed, first_non_number_row, integer_ids,
+                     is_number, json_layout, json_text, parse_json, read_text, require,
+                     write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -355,6 +356,7 @@ def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: i
                  fraction: float = 0.25, seed: int = 0) -> tuple:
     """Sample unobserved pairs, stratified per user, skipping records outside the
     dimensions; returns ``(users, objects)`` int arrays in ascending pair order."""
+    check_seed(seed)
     observed = np.zeros((num_users, num_objects), dtype=bool)
     inside = (records.users < num_users) & (records.objects < num_objects)
     observed[records.users[inside], records.objects[inside]] = True

@@ -57,6 +57,13 @@ def integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
+def check_seed(seed) -> None:
+    """Raise a ValueError naming ``seed`` unless it is a non-negative integer
+    (by ``integer_type``): the rule of every seed the package draws from."""
+    if not integer_type(type(seed)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def real_type(kind: type) -> bool:
     """Whether values of the type ``kind`` are real numbers: integers or
     floats, Python's or numpy's; never a bool, a str or a complex.
@@ -66,14 +73,17 @@ def real_type(kind: type) -> bool:
 
 def _vector(values, what: str, kinds: str, entry_type, noun: str, dtype, error) -> np.ndarray:
     """``values`` as a 1-D ``dtype`` array. An array whose dtype kind is in
-    ``kinds`` passes on its dtype; anything else is read entry by entry, and
-    the first entry whose type fails ``entry_type`` raises ``error`` naming
-    it as a ``what`` that is not ``noun``. A scalar or an array that is not
-    1-D raises a ValueError naming its shape."""
+    ``kinds`` passes on its dtype, unless it is unsigned and holds a value
+    beyond ``dtype``'s range; anything else is read entry by entry, and the
+    first entry whose type fails ``entry_type`` raises ``error`` naming it as
+    a ``what`` that is not ``noun``, as does the first that ``dtype`` cannot
+    hold. A scalar or an array that is not 1-D raises a ValueError naming
+    its shape."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"{what} values must form a 1-D vector, got shape {values.shape}")
-        if values.dtype.kind in kinds:
+        kind = values.dtype.kind
+        if kind in kinds and (kind != "u" or _unsigned_fits(values, dtype)):
             return values.astype(dtype, copy=False)
         entries = values.tolist()
     else:
@@ -85,7 +95,28 @@ def _vector(values, what: str, kinds: str, entry_type, noun: str, dtype, error) 
     if not all(map(entry_type, set(map(type, entries)))):
         bad = next(entry for entry in entries if not entry_type(type(entry)))
         raise error(f"{what} {bad!r} is not {noun}")
-    return np.array(entries, dtype=dtype)
+    try:
+        return np.array(entries, dtype=dtype)
+    except OverflowError:  # an integer beyond the dtype's range
+        bad = next(entry for entry in entries if not _entry_fits(entry, dtype))
+        shown = repr(bad) if len(repr(bad)) <= 32 else f"of {len(str(abs(int(bad))))} digits"
+        raise error(f"{what} {shown} is outside the range of {np.dtype(dtype).name}") from None
+
+
+def _unsigned_fits(values: np.ndarray, dtype) -> bool:
+    """Whether the unsigned array ``values`` casts to ``dtype`` without
+    wrapping: a uint64 above the int64 maximum would turn negative."""
+    return np.can_cast(values.dtype, dtype) or not values.size \
+        or values.max() <= np.iinfo(dtype).max
+
+
+def _entry_fits(entry, dtype) -> bool:
+    # a list, since a 0-d array wraps a numpy integer instead of raising
+    try:
+        np.array([entry], dtype=dtype)
+    except OverflowError:
+        return False
+    return True
 
 
 def integer_ids(ids, what: str, error=ValueError) -> np.ndarray:

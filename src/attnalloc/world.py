@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_fields, field_rule, field_types, first_non_number_row, integer_ids,
-                     integer_type, json_layout, json_text, parse_json, read_text, require,
-                     write_text)
+from .schema import (check_fields, check_seed, field_rule, field_types, first_non_number_row,
+                     integer_ids, integer_type, json_layout, json_text, parse_json, read_text,
+                     require, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -134,7 +134,7 @@ class World:
     gaze_noise: float = 0.0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        check_seed(self.seed)
         is_real, _ = field_rule(float)
         if not is_real(self.gaze_noise) or not 0.0 <= self.gaze_noise < 1.0:
             raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
@@ -241,11 +241,6 @@ class World:
         return at, self.objects[at], self.counts[at]
 
 
-def _check_seed(seed) -> None:
-    if not integer_type(type(seed)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _reject_images(images, problem: str) -> None:
     """Raise a ValueError naming the first of ``images``, ascending image ids."""
     if images.size:
@@ -254,7 +249,7 @@ def _reject_images(images, problem: str) -> None:
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Build a deterministic synthetic world from a seed."""
-    _check_seed(seed)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     interest = _generate_interest(config, rng)
     occurrences, group_of = _generate_images(config, rng)
@@ -499,6 +494,7 @@ def sparsify(world: World, users, seed: int) -> SparseAttentionRecords:
     ranked into quintile levels in one row-wise sort (``quantize_levels``
     per user, bit for bit), and the merged table is checked once.
     """
+    check_seed(seed)
     users = list(users) if np.iterable(users) else [users]
     if not users:
         return SparseAttentionRecords()
@@ -508,21 +504,16 @@ def sparsify(world: World, users, seed: int) -> SparseAttentionRecords:
         raise ValueError("sparsify requires a world with at least 2 groups")
     drawn = [raw_attention_values(world, user, _draw_images(world, user, seed)[3])
              for user in users]
-    if len(drawn) == 1:  # one row needs no padding
-        (objects, values), = drawn
-        levels = quantize_levels(values)
-        user_ids = np.full(objects.size, users[0])
-    else:  # each user's row holds its values at their object ids, +inf elsewhere
-        sizes = np.array([objects.size for objects, _ in drawn])
-        objects = np.concatenate([objects for objects, _ in drawn])
-        values = np.concatenate([values for _, values in drawn])
-        _check_unit_interval(values)
-        rows = np.repeat(np.arange(len(drawn)), sizes)
-        padded = np.full((len(drawn), world.num_objects), np.inf)
-        padded[rows, objects] = values
-        levels = _rank_levels(padded, sizes)[rows, objects]
-        user_ids = np.repeat(users, sizes)
-    return SparseAttentionRecords(np.column_stack((user_ids, objects, levels)))
+    # each user's row holds its values at their object ids, +inf elsewhere
+    sizes = np.array([objects.size for objects, _ in drawn])
+    objects = np.concatenate([objects for objects, _ in drawn])
+    values = np.concatenate([values for _, values in drawn])
+    _check_unit_interval(values)
+    rows = np.repeat(np.arange(len(drawn)), sizes)
+    padded = np.full((len(drawn), world.num_objects), np.inf)
+    padded[rows, objects] = values
+    levels = _rank_levels(padded, sizes)[rows, objects]
+    return SparseAttentionRecords(np.column_stack((np.repeat(users, sizes), objects, levels)))
 
 
 def _header(world: World) -> dict:

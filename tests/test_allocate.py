@@ -348,6 +348,12 @@ def test_str_bool_or_complex_weights_are_not_cast(weights, bad):
         AllocationProblem(weights, 60.0, 15.0)
 
 
+def test_weights_beyond_float64_are_named():
+    # an unnamed OverflowError: int too large to convert to float
+    with pytest.raises(ValueError, match="weight of 401 digits is outside the range of float64"):
+        AllocationProblem([10**400, 1], 100.0, 15.0)
+
+
 def test_weights_must_form_one_vector():
     for weights, shape in ((np.ones((2, 2)), r"\(2, 2\)"), (np.array(4.0), r"\(\)"),
                            (4.0, r"\(\)")):

@@ -742,6 +742,18 @@ def test_sparsify_rejects_bad_world_seed(tmp_path, capsys, config_file, seed, ga
     assert not records.exists()
 
 
+def test_sparsify_rejects_negative_seed_with_a_world(tmp_path, capsys, config_file):
+    # with --world, --seed reaches sparsify alone; numpy's "expected
+    # non-negative integer" did not name it
+    world, records = tmp_path / "world.json", tmp_path / "records.csv"
+    assert run(capsys, "generate", "--config", config_file, "--out", str(world))[0] == EXIT_OK
+    code, _, err = run(capsys, "sparsify", "--config", config_file, "--world", str(world),
+                       "--seed", "-1", "--out", str(records))
+    assert code == EXIT_DATA
+    assert "seed must be a non-negative integer, got -1" in err
+    assert not records.exists()
+
+
 @pytest.mark.parametrize("gaze_noise", [False, True])
 def test_sparsify_rejects_bool_world_gaze_noise(tmp_path, capsys, config_file, gaze_noise):
     code, err, records = _sparsify_world_doc(

@@ -90,8 +90,8 @@ def test_scene_objects_stable_and_grouped(default_runner):
 
 
 def test_scene_objects_check_the_user_first(default_runner):
-    # a runner whose scenes are drawn checks the user before its cache too,
-    # where True and 1.0 would find user 1's scene
+    # a runner whose scenes are drawn checks the user before it reads a row
+    # too, where True and 1.0 would read user 1's scene
     drawn = ExperimentRunner(default_runner.config)
     drawn.all_reports()
     for runner in (ExperimentRunner(default_runner.config), drawn):
@@ -107,8 +107,8 @@ def test_scene_objects_check_the_user_first(default_runner):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5), st.integers(1, 100),
        st.integers(0, 99))
 def test_scenes_match_per_user_draws(seed, users, groups, lo, span):
-    # all_reports builds every scene in one pass; a lone scene_objects call
-    # draws one user; both equal each user's draw on its own
+    # the first scene_objects call, from all_reports or alone, builds every
+    # scene in one pass; each equals the user's draw on its own
     config = ExperimentConfig(
         world=dataclasses.replace(SMALL_WORLD, num_users=users, num_groups=groups),
         master_seed=seed, scene_retain_lo=lo, scene_retain_hi=min(lo + span, 100))

@@ -1,5 +1,6 @@
-"""Golden digests: the SHA-256 of the dataset files that the CLI writes and of
-the dense ground-truth levels, for master seeds 0-2 at gaze noise 0 and 0.1.
+"""Golden digests: the SHA-256 of the dataset files that the CLI writes (with
+one user's records too) and of the dense ground-truth levels, for master seeds
+0-2 at gaze noise 0 and 0.1, and of every user's evaluated scene.
 
 These outputs are integers or come from integer-exact, host-stable draws, so
 their bytes may only change on purpose. The report and sweep files are not
@@ -16,9 +17,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from attnalloc import ground_truth_levels, load_world
+from attnalloc import ExperimentConfig, ExperimentRunner, ground_truth_levels, load_world
 from attnalloc.cli import EXIT_OK, cli_main
 
 # (gaze_noise, seed): (world.json, records.csv, levels as little-endian int64)
@@ -43,6 +45,23 @@ GOLDEN = {
                "88e9d0f089997f644c2a2ff4f6f10af6198378c95b4c463c4a9e65ae0308dbf2"),
 }
 
+# (gaze_noise, seed): records.csv of sparsify --user 3
+GOLDEN_ONE_USER = {
+    (0.0, 0): "cab9df26e36c6cc1f4d3609a48f15cadf16fb13751c5d51174eceea6da3f764a",
+    (0.0, 1): "416653cc46e4ddba862c108c1a750b5c36dd6d2b77335bd18bc14717ae150985",
+    (0.0, 2): "ca5191fe5ad43651d375602279e528c8fd36cb16889cfb00e77d6c4d8afb72ef",
+    (0.1, 0): "bd6cda335899ba20fad8ac9a90c03f241675030a37bd6411c2e8db4619e597b9",
+    (0.1, 1): "20519abc1aa54ffc666dc3736e33f502269ba4e0680431f7d7f46c4704f463c6",
+    (0.1, 2): "3ef192efaee0766a058e7b46e557cf6eda9059bf748ee9e629e36cb0258e4cfd",
+}
+
+# master seed of the default config: every user's scene, in user order, each
+# as little-endian int64 led by its length
+GOLDEN_SCENES = {
+    0: "da6e4a57ed2421943c9fe0721391ffc05c6210fc1dfbe17813b027de7497cb5d",
+    1: "359103a73c68acec74b79bbf3d1a6b91579278704f50966f031a95645daaec04",
+    2: "12b6d10de828c6a28a07339e54612e99e709751d66918416f4d781d5eed77efd",
+}
 
 # allocate's (--weights, --budget, --floor): (stdout summary without its
 # "objective" line, allocation.csv); README's example, three objects clamped
@@ -73,6 +92,18 @@ def test_dataset_digests(tmp_path, gaze_noise, seed):
     levels = ground_truth_levels(load_world(world)).levels.astype("<i8").tobytes()
     assert (_sha256(world.read_bytes()), _sha256(records.read_bytes()),
             _sha256(levels)) == GOLDEN[gaze_noise, seed]
+    one_user = tmp_path / "user3.csv"
+    assert cli_main(["sparsify", *common, "--world", str(world), "--user", "3",
+                     "--out", str(one_user)]) == EXIT_OK
+    assert _sha256(one_user.read_bytes()) == GOLDEN_ONE_USER[gaze_noise, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SCENES))
+def test_scene_digests(seed):
+    runner = ExperimentRunner(ExperimentConfig(master_seed=seed))
+    scenes = [runner.scene_objects(u) for u in range(runner.world.num_users)]
+    data = b"".join(np.array([len(s), *s], dtype="<i8").tobytes() for s in scenes)
+    assert _sha256(data) == GOLDEN_SCENES[seed]
 
 
 @pytest.mark.parametrize("weights, budget, floor", sorted(GOLDEN_ALLOCATE))

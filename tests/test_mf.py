@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,9 @@ def test_predictor_index_errors():
         predict_pairs(np.array([0.0]), np.array([1]))
     with pytest.raises(IndexError, match="user id True is not an integer"):
         predict_pairs(np.array([True, False]), np.array([0, 1]))  # not a mask
+    # a uint64 id above the int64 maximum wrapped to -1, the last user
+    with pytest.raises(IndexError, match=f"object id {2**64 - 1} is outside the range of int64"):
+        predict_pairs(np.array([0]), np.array([2**64 - 1], dtype=np.uint64))
     with pytest.raises(ValueError, match="equal length"):
         predict_pairs(np.array([0, 1]), np.array([0]))
     for users, objects, what in ((np.array([[0, 1]]), np.array([[0, 1]]), "user id"),
@@ -291,6 +295,13 @@ def test_holdout_mask_excludes_observed():
     assert not (set(pairs) & record_pairs(records))
     again = holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=0)
     assert _pairs(again) == pairs
+    # True drew as seed 1 and None from fresh entropy; 1.5 and -1 raised
+    # numpy's errors, which did not name the seed
+    for seed in (True, None, 1.5, -1, "0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=seed)
+    assert _pairs(holdout_mask(records, 3, 20, 0.5, seed=np.uint8(0))) == pairs
 
 
 def test_observed_mask_marks_the_record_pairs():

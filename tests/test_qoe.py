@@ -162,6 +162,9 @@ def test_qoe_names_a_sum_that_overflows():
     ([1.0, 2.0], np.array(["2", "3"]), "capacity '2' is not a real number"),
     ([1.0, 2.0], np.array([True, True]), "capacity True is not a real number"),
     (np.ones((1, 2)), np.ones((1, 2)), r"must form a 1-D vector, got shape \(1, 2\)"),
+    # an unnamed OverflowError: int too large to convert to float
+    ([1, 2], [10**400, 3], "capacity of 401 digits is outside the range of float64"),
+    ([2 * 10**308, 1], [2.0, 3.0], "attention weight of 309 digits is outside the range"),
 ])
 def test_qoe_terms_are_not_cast(weights, capacities, match):
     with pytest.raises(ValueError, match=match):

@@ -747,6 +747,15 @@ def test_world_rejects_bad_seed():
         generate_world(SMALL_WORLD, seed=-1)
     # seeds of several entropy words stay valid
     assert _raw_dict(dataclasses.replace(base, seed=2**40), 0, [0])[0] != 0.5
+    # sparsify's seed has the same rule: True drew as seed 1, None from fresh
+    # entropy, and 1.5 or -1 raised numpy's errors, which did not name the seed
+    world = make_manual_world([[0.2], [0.5]], [((0, 10),), ((0, 5),)], groups=[0, 1])
+    for seed in (True, None, 1.5, -1, "3"):
+        for users in ([0], [], range(2)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be a non-negative integer, got {seed!r}")):
+                sparsify(world, users, seed)
+    assert sparsify(world, [0], np.int64(3)).records == sparsify(world, [0], 3).records
 
 
 def test_world_rejects_gaze_noise_outside_unit_interval():
@@ -815,8 +824,17 @@ def test_raw_attention_rejects_non_integer_image_ids():
     for ids, bad in cases:
         with pytest.raises(ValueError, match=rf"image id {re.escape(bad)} is not an integer"):
             raw_attention_values(world, 0, ids)
+    # an integer beyond int64 raised an unnamed OverflowError, and a uint64
+    # array wrapped 2**64 - 1 to image -1
+    for ids, bad in (([10**30], str(10**30)), ([0, -10**400], "of 401 digits"),
+                     (np.array([0, 2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+                     ([np.uint64(2**63)], f"np.uint64({2**63})")):
+        with pytest.raises(ValueError, match=rf"image id {re.escape(bad)} is outside the "
+                                             "range of int64"):
+            raw_attention_values(world, 0, ids)
     want = raw_attention_values(world, 0, [0, 1])
-    for ids in ([0, 1], range(2), np.array([0, 1], dtype=np.uint8), [np.int64(0), 1]):
+    for ids in ([0, 1], range(2), np.array([0, 1], dtype=np.uint8), [np.int64(0), 1],
+                np.array([0, 1], dtype=np.uint64)):
         got = raw_attention_values(world, 0, ids)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for ids in ([], np.array([])):
