@@ -73,17 +73,17 @@ def real_type(kind: type) -> bool:
 
 def _vector(values, what: str, kinds: str, entry_type, noun: str, dtype, error) -> np.ndarray:
     """``values`` as a 1-D ``dtype`` array. An array whose dtype kind is in
-    ``kinds`` passes on its dtype, unless it is unsigned and holds a value
-    beyond ``dtype``'s range; anything else is read entry by entry, and the
-    first entry whose type fails ``entry_type`` raises ``error`` naming it as
-    a ``what`` that is not ``noun``, as does the first that ``dtype`` cannot
-    hold. A scalar or an array that is not 1-D raises a ValueError naming
+    ``kinds`` passes on its dtype, unless it is unsigned and ``dtype``
+    cannot hold all of its values; anything else is read entry by entry, and
+    the first entry whose type fails ``entry_type`` raises ``error`` naming
+    it as a ``what`` that is not ``noun``, as does the first that ``dtype``
+    cannot hold. A scalar or an array that is not 1-D raises a ValueError naming
     its shape."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"{what} values must form a 1-D vector, got shape {values.shape}")
         kind = values.dtype.kind
-        if kind in kinds and (kind != "u" or _unsigned_fits(values, dtype)):
+        if kind in kinds and (kind != "u" or np.can_cast(values.dtype, dtype)):
             return values.astype(dtype, copy=False)
         entries = values.tolist()
     else:
@@ -101,13 +101,6 @@ def _vector(values, what: str, kinds: str, entry_type, noun: str, dtype, error) 
         bad = next(entry for entry in entries if not _entry_fits(entry, dtype))
         shown = repr(bad) if len(repr(bad)) <= 32 else f"of {len(str(abs(int(bad))))} digits"
         raise error(f"{what} {shown} is outside the range of {np.dtype(dtype).name}") from None
-
-
-def _unsigned_fits(values: np.ndarray, dtype) -> bool:
-    """Whether the unsigned array ``values`` casts to ``dtype`` without
-    wrapping: a uint64 above the int64 maximum would turn negative."""
-    return np.can_cast(values.dtype, dtype) or not values.size \
-        or values.max() <= np.iinfo(dtype).max
 
 
 def _entry_fits(entry, dtype) -> bool:
