@@ -17,8 +17,8 @@ import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
 from .schema import (all_numbers, check_fields, check_seed, first_non_number_row, integer_ids,
-                     is_number, json_layout, json_text, parse_json, read_text, require,
-                     write_text)
+                     integer_type, is_number, json_layout, json_text, parse_json, read_text,
+                     real_type, require, write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -58,8 +58,7 @@ class FitConfig:
             raise FitError("epochs must be >= 1")
         if self.init_scale <= 0:
             raise FitError("init_scale must be positive")
-        if self.seed < 0:
-            raise FitError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, FitError)
 
 
 @dataclass(frozen=True)
@@ -242,32 +241,48 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     )
 
 
-def raw_score(model: FactorModel, user: int, object_id: int) -> float:
-    if not (0 <= user < model.num_users) or not (0 <= object_id < model.num_objects):
-        raise IndexError(f"pair ({user}, {object_id}) outside model dimensions")
-    return float(
-        model.mu + model.user_bias[user] + model.object_bias[object_id]
-        + model.user_factors[user] @ model.object_factors[object_id]
-    )
-
-
 def predict(model: FactorModel, user: int, object_id: int) -> float:
-    lo, hi = LEVEL_CLAMP
-    return float(min(max(raw_score(model, user, object_id), lo), hi))
+    """The clamped prediction of one pair: ``predict_scene``'s one-object case."""
+    return float(predict_scene(model, user, [object_id])[0])
 
 
 def predict_scene(model: FactorModel, user: int, objects) -> np.ndarray:
-    """Clamped predictions for a scene's objects, in input order.
+    """Clamped predictions of ``user``'s attention to each of ``objects``,
+    in input order: ``min(max(((mu + b_u) + b_o) + p_u @ q_o, 1), 5)`` per
+    object, the package's one scalar formula, with ``mu + b_u`` and ``p_u``
+    read once per scene.
 
-    Still one ``predict`` per object: the benchmark's ``serve`` workload
-    keeps every request's result, and with ``model.predictor()``'s gather
-    here its peak RSS rose from 63-66 to 87-92 MB (+40%, 20-s runs on a
-    2-core host), past its 15% bound. Gather here once that harness is
-    fixed, then drop ``raw_score`` and ``predict``."""
+    A user or object id that is not an integer (by ``integer_type``; a
+    float or bool is never cast) raises ``IndexError`` naming it, and a
+    negative or out-of-range id one naming the first such pair. The types
+    are checked once per call, the ranges once per object.
+
+    It works object by object rather than as ``model.predictor()``'s gather
+    because of the benchmark's ``serve`` workload: its harness keeps every
+    request's result, so a faster ``serve`` holds more of them, and with the
+    gather here its peak RSS rose 25-40%, past its 15% bound. Gather here
+    once the harness is fixed (ROADMAP directions 1a and 2)."""
     objects = list(objects)
     if not objects:
         raise ValueError("scene object list must be non-empty")
-    return np.array([predict(model, user, o) for o in objects])
+    if not integer_type(type(user)):
+        raise IndexError(f"user id {user!r} is not an integer")
+    if not all(map(integer_type, set(map(type, objects)))):
+        bad = next(o for o in objects if not integer_type(type(o)))
+        raise IndexError(f"object id {bad!r} is not an integer")
+    if not 0 <= user < model.num_users:
+        raise IndexError(f"pair ({user}, {objects[0]}) outside model dimensions")
+    lo, hi = LEVEL_CLAMP
+    num_objects, object_bias, object_factors = \
+        model.num_objects, model.object_bias, model.object_factors
+    base = model.mu + model.user_bias[user]
+    p = model.user_factors[user]
+    out = []
+    for o in objects:
+        if not 0 <= o < num_objects:
+            raise IndexError(f"pair ({user}, {o}) outside model dimensions")
+        out.append(min(max(float(base + object_bias[o] + p @ object_factors[o]), lo), hi))
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -355,7 +370,11 @@ def evaluate(predict_fn, truth, mask) -> Metrics:
 def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: int,
                  fraction: float = 0.25, seed: int = 0) -> tuple:
     """Sample unobserved pairs, stratified per user, skipping records outside the
-    dimensions; returns ``(users, objects)`` int arrays in ascending pair order."""
+    dimensions; returns ``(users, objects)`` int arrays in ascending pair order.
+    ``fraction``, the share of each user's unobserved pairs held out (at least
+    one), must be a real in (0, 1], not a bool."""
+    if not (real_type(type(fraction)) and 0 < fraction <= 1):  # NaN fails the bounds
+        raise ValueError(f"fraction must be a real number in (0, 1], got {fraction!r}")
     check_seed(seed)
     observed = np.zeros((num_users, num_objects), dtype=bool)
     inside = (records.users < num_users) & (records.objects < num_objects)

@@ -57,11 +57,11 @@ def integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
-def check_seed(seed) -> None:
-    """Raise a ValueError naming ``seed`` unless it is a non-negative integer
+def check_seed(seed, error=ValueError) -> None:
+    """Raise ``error`` naming ``seed`` unless it is a non-negative integer
     (by ``integer_type``): the rule of every seed the package draws from."""
     if not integer_type(type(seed)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise error(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def real_type(kind: type) -> bool:

@@ -14,9 +14,10 @@ attention arrays replaced, the per-record ``bincount`` ALS half-sweep that
 the dense masked product replaced, the one-row quantizer and per-user
 sparsify loop that the row-wise ranking pass replaced, the per-user scene
 draw that the one-pass scene build replaced, the model document as plain
-lists, and the paper's attention value of one object's occurrences as a
-list formula (the per-image reference loop that ``raw_attention_values`` is
-checked against caps its values with it)."""
+lists, the per-pair score that ``predict_scene`` is checked against, and
+the paper's attention value of one object's occurrences as a list formula
+(the per-image reference loop that ``raw_attention_values`` is checked
+against caps its values with it)."""
 
 import csv
 import io
@@ -483,6 +484,19 @@ def model_to_dict(model) -> dict:
             "user_bias": model.user_bias.tolist(), "object_bias": model.object_bias.tolist(),
             "user_factors": model.user_factors.tolist(),
             "object_factors": model.object_factors.tolist()}
+
+
+def raw_score(model, user: int, object_id: int) -> float:
+    """The unclamped score of one pair, ``((mu + b_u) + b_o) + p_u @ q_o``
+    with every term read per pair, as ``predict`` once computed it; an
+    out-of-range pair raises ``IndexError`` naming it. Clamped to [1, 5],
+    it is the per-pair reference of ``predict_scene``; test oracle only."""
+    if not (0 <= user < model.num_users) or not (0 <= object_id < model.num_objects):
+        raise IndexError(f"pair ({user}, {object_id}) outside model dimensions")
+    return float(
+        model.mu + model.user_bias[user] + model.object_bias[object_id]
+        + model.user_factors[user] @ model.object_factors[object_id]
+    )
 
 
 def bincount_solve_side(ids, size, others, other_factors, other_bias, target, lam):

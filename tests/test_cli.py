@@ -261,6 +261,18 @@ def test_negative_sweep_user_rejected_when_config_is_built(tmp_path, capsys):
     assert "invalid [experiment] section: sweep_user must be >= 0, got -1" in err
 
 
+def test_negative_master_seed_rejected_when_config_is_built(tmp_path, capsys, monkeypatch):
+    # with no generate_world, only a check when the config is built names the seed
+    monkeypatch.setattr(attnalloc.experiment, "generate_world", None)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        attnalloc.ExperimentConfig(master_seed=-1)
+    out = tmp_path / "experiment"
+    code, _, err = run(capsys, "experiment", "--seed", "-1", "--out", str(out))
+    assert code == EXIT_DATA
+    assert "seed must be a non-negative integer, got -1" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, detail, expected", [
     ("experiment", ("Unable to allocate 22.4 GiB for an array",),
      "error: experiment ran out of memory: Unable to allocate 22.4 GiB for an array\n"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -31,12 +32,12 @@ from attnalloc.mf import (
     load_model,
     model_from_dict,
     observed_mask,
-    raw_score,
     save_model,
+    LEVEL_CLAMP,
 )
 from attnalloc.world import GroundTruthLevels
 from oracles import (FrozensetRecords, bincount_solve_side, dict_fit_baseline, model_to_dict,
-                     record_pairs, set_holdout_mask)
+                     raw_score, record_pairs, set_holdout_mask)
 
 
 # constant_records' users x objects, the model's dimensions in fits on them
@@ -86,7 +87,7 @@ def test_fit_rejects_empty_and_bad_config():
     for lam in (0.0, -1.0):
         with pytest.raises(FitError, match="regularization must be positive"):
             fit_mf(constant_records(), FitConfig(regularization=lam), **CONSTANT_DIMS)
-    with pytest.raises(FitError, match="seed must be >= 0, got -1"):
+    with pytest.raises(FitError, match="seed must be a non-negative integer, got -1"):
         fit_mf(constant_records(), FitConfig(seed=-1), **CONSTANT_DIMS)
     with pytest.raises(FitError, match=r"record pair \(0, 2\) lies outside the model's "
                                        r"2 users x 2 objects"):
@@ -173,6 +174,19 @@ def test_predictor_index_errors():
         for users, objects in (([0, True], [1, 0]), ([True, 2], [0, 1])):
             with pytest.raises(IndexError, match="user id True is not an integer"):
                 model.predictor()(users, objects)
+    # the scalar path names a bool or float id too, where numpy read a bool
+    # user as a mask and raised an unnamed TypeError
+    model = zero_model()
+    for call, message in (
+            (lambda: predict_scene(model, True, [0, 1]), "user id True"),
+            (lambda: predict_scene(model, np.float64(0.0), [0]), r"user id np\.float64\(0\.0\)"),
+            (lambda: predict(model, 1.0, 0), "user id 1.0"),
+            (lambda: predict_scene(model, 0, [1, 0, True]), "object id True"),
+            (lambda: predict_scene(model, 0, np.array([0.5])), r"object id np\.float64\(0\.5\)"),
+            (lambda: predict(model, 0, 1.0), "object id 1.0"),
+            (lambda: predict(model, 0, np.bool_(False)), "object id np.False_")):
+        with pytest.raises(IndexError, match=f"^{message} is not an integer$"):
+            call()
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,6 +222,56 @@ def test_predictor_matches_per_pair_predict_on_twenty_worlds():
                                                                  model.num_objects)))
             expected = [predict(model, u, o) for u, o in zip(users.tolist(), objects.tolist())]
             assert model.predictor()(users, objects).tolist() == expected
+
+
+def _per_pair_scene(model, user, objects) -> np.ndarray:
+    lo, hi = LEVEL_CLAMP
+    return np.array([min(max(raw_score(model, user, o), lo), hi) for o in objects])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 60), st.integers(1, 8), st.floats(-4, 10),
+       st.floats(0.1, 3), st.integers(0, 2**32 - 1), st.integers(1, 3000),
+       st.sampled_from(["int", "numpy int", "array"]), st.integers(0, 2))
+def test_predict_scene_matches_per_pair_reference(users, objects, f, mu, scale, seed, n,
+                                                  ids, faults):
+    # objects 0 and 1 score far above 5 and below 1, and a scene of two or
+    # more objects holds both, so it clamps at both ends; ``faults`` puts
+    # up to two out-of-range ids in, the user's included
+    rng = np.random.default_rng(seed)
+    object_bias = rng.uniform(-scale, scale, objects)
+    object_bias[:2] = 100.0, -100.0
+    model = FactorModel(user_factors=rng.uniform(-scale, scale, (users, f)),
+                        object_factors=rng.uniform(-scale, scale, (objects, f)),
+                        user_bias=rng.uniform(-scale, scale, users),
+                        object_bias=object_bias, mu=mu)
+    user = int(rng.integers(users))
+    scene = rng.integers(objects, size=n)  # with repeats
+    if n >= 2:
+        scene[rng.choice(n, 2, replace=False)] = 0, 1
+    for _ in range(faults):
+        if rng.random() < 0.25:
+            user = int(rng.choice([-1, users, users + 7]))
+        else:
+            scene[rng.integers(n)] = rng.choice([-1, objects, objects + 7])
+    if ids == "int":
+        scene = scene.tolist()
+    elif ids == "numpy int":
+        user, scene = np.intp(user), list(scene)
+    bad = [o for o in scene if not (0 <= user < users and 0 <= o < objects)]
+    if bad:
+        with pytest.raises(IndexError) as reference:
+            _per_pair_scene(model, user, scene)
+        assert str(reference.value) == f"pair ({user}, {bad[0]}) outside model dimensions"
+        with pytest.raises(IndexError, match=re.escape(str(reference.value))):
+            predict_scene(model, user, scene)
+        return
+    expected = _per_pair_scene(model, user, scene)
+    out = predict_scene(model, user, scene)
+    assert out.dtype == np.float64 and out.shape == (n,)
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    if n >= 2:
+        assert {1.0, 5.0} <= set(out.tolist())
 
 
 def test_predict_scene_order_and_duplicates():
@@ -302,6 +366,23 @@ def test_holdout_mask_excludes_observed():
                 f"seed must be a non-negative integer, got {seed!r}")):
             holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=seed)
     assert _pairs(holdout_mask(records, 3, 20, 0.5, seed=np.uint8(0))) == pairs
+
+
+@pytest.mark.parametrize("fraction, accepted", [
+    (math.nan, False), (-1.0, False), (0.0, False), (2.0, False), (True, False),
+    (0.25, True), (1.0, True)])
+def test_holdout_fraction_is_a_real_in_the_unit_interval(default_runner, fraction, accepted):
+    # NaN raised an unnamed "cannot convert float NaN to integer", -1.0 and
+    # 0.0 held out one pair per user, and 2.0 and True every unobserved pair
+    records, world = default_runner.records, default_runner.world
+    dims = world.num_users, world.num_objects
+    if accepted:
+        assert set(_pairs(holdout_mask(records, *dims, fraction))) \
+            == set_holdout_mask(FrozensetRecords(records.records), *dims, fraction)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"fraction must be a real number in (0, 1], got {fraction!r}")):
+            holdout_mask(records, *dims, fraction)
 
 
 def test_observed_mask_marks_the_record_pairs():
