@@ -16,9 +16,9 @@ from itertools import chain
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (all_numbers, check_fields, check_seed, first_non_number_row, integer_ids,
-                     integer_type, is_number, json_layout, json_text, parse_json, read_text,
-                     real_type, require, write_text)
+from .schema import (check_fields, check_seed, integer_ids, integer_type, is_number, json_layout,
+                     json_text, number_array, parse_json, read_text, real_type, require,
+                     write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -172,8 +172,17 @@ def _objective(observed, target, U, bu, V, bo, lam) -> float:
     return float(np.square(err).sum() + lam * ridge)
 
 
+def _check_dimensions(num_users, num_objects) -> None:
+    """Raise ``ValueError`` naming ``num_users`` or ``num_objects`` unless it
+    is a non-negative integer (by ``integer_type``)."""
+    for name, value in (("num_users", num_users), ("num_objects", num_objects)):
+        if not integer_type(type(value)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def observed_mask(records: SparseAttentionRecords, num_users: int, num_objects: int) -> np.ndarray:
     """The records' pairs as a users x objects bool matrix; FitError names one outside."""
+    _check_dimensions(num_users, num_objects)
     outside = (records.users >= num_users) | (records.objects >= num_objects)
     if outside.any():
         i = int(np.argmax(outside))
@@ -205,7 +214,8 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     bit-portable across BLAS builds. ``training_curve`` holds the objective
     per record after each sweep. Raises ``FitError`` on empty records, a
     record outside the requested dimensions (naming the pair) or a solve
-    that is not finite.
+    that is not finite, and ``ValueError`` on a negative or non-integer
+    dimension.
     """
     if len(records) == 0:
         raise FitError("cannot fit on empty records")
@@ -373,6 +383,7 @@ def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: i
     dimensions; returns ``(users, objects)`` int arrays in ascending pair order.
     ``fraction``, the share of each user's unobserved pairs held out (at least
     one), must be a real in (0, 1], not a bool."""
+    _check_dimensions(num_users, num_objects)
     if not (real_type(type(fraction)) and 0 < fraction <= 1):  # NaN fails the bounds
         raise ValueError(f"fraction must be a real number in (0, 1], got {fraction!r}")
     check_seed(seed)
@@ -393,17 +404,16 @@ def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: i
 
 def model_from_dict(doc: dict) -> FactorModel:
     """Build the model from an ``attn-mf/1`` document, naming a missing key.
-    ``mu`` and the entries of the four arrays must be JSON numbers, checked
-    by exact type (a bool or a string is not one); an array is a list of
-    numbers or a list of rows that are lists of numbers, and a faulty one is
-    named with its first faulty row. ``FactorModel`` checks the shapes and
+    ``mu`` must be a JSON number (by ``is_number``) and the four arrays are
+    read by ``number_array``; ``FactorModel`` checks the shapes and
     finiteness. ``num_users``, ``num_objects`` and ``f`` must be ``int``s that
     equal the factor shapes."""
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, not a {type(doc).__name__}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    arrays = {name: _number_array(doc, name) for name in _MODEL_ARRAYS}
+    arrays = {name: number_array(require(doc, name, "model file", list), f"model file: {name!r}")
+              for name in _MODEL_ARRAYS}
     mu = require(doc, "mu", "model file")
     if not is_number(mu):
         raise ValueError(f"model file: 'mu' must be a number, got {mu!r}")
@@ -414,20 +424,6 @@ def model_from_dict(doc: dict) -> FactorModel:
             raise ValueError(f"model file: {key!r} is {value!r}, but the factors give "
                              f"{getattr(model, key)}")
     return model
-
-
-def _number_array(doc: dict, name: str) -> np.ndarray:
-    """The model file's array ``name``, a list of numbers or of lists of
-    numbers, as float64."""
-    value = require(doc, name, "model file", list)
-    if value and type(value[0]) is list:
-        row = first_non_number_row(value)
-        if row is not None:
-            raise ValueError(f"model file: {name!r} row {row} is not a list of numbers")
-    elif not all_numbers(value):
-        row = next(i for i, entry in enumerate(value) if not is_number(entry))
-        raise ValueError(f"model file: {name!r} row {row} is {value[row]!r}, not a number")
-    return np.array(value, dtype=np.float64)
 
 
 def save_model(model: FactorModel, path) -> None:

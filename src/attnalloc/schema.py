@@ -1,8 +1,8 @@
 """The rules of the package's files and values: UTF-8 text, the indent-1
-JSON layout and exact-type JSON numbers, the integer rule of every id, the
-real rule of every weight and capacity vector, and config fields checked by
-their annotations. Every file goes through ``read_text`` (which names it on
-a fault) or ``write_text``."""
+JSON layout, exact-type JSON numbers and their arrays (``number_array``),
+the integer rule of every id, the real rule of every weight and capacity
+vector, and config fields checked by their annotations. Every file goes
+through ``read_text`` (which names it on a fault) or ``write_text``."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-MAX_FLOAT = float(np.finfo(np.float64).max)
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 def require(mapping, key: str, where: str, kind=object):
@@ -31,23 +31,24 @@ def is_number(value) -> bool:
     """Whether a loaded JSON value is a number that a float64 holds: any
     ``float`` (the callers reject NaN and infinities by name) or an ``int``
     within range; a bool is neither."""
-    return type(value) is float or (type(value) is int and -MAX_FLOAT <= value <= MAX_FLOAT)
+    return type(value) is float or (type(value) is int and -_MAX_FLOAT <= value <= _MAX_FLOAT)
 
 
-def all_numbers(values: list) -> bool:
-    """Whether every entry of ``values`` is a number by ``is_number``,
-    checked by type in bulk."""
-    types = set(map(type, values))
-    return types <= {float} or (types <= {float, int} and all(map(is_number, values)))
-
-
-def first_non_number_row(rows: list):
-    """The position of the first entry of ``rows`` that is not a list of
-    numbers (by ``is_number``), or None when all are."""
-    if set(map(type, rows)) <= {list} and all_numbers(list(chain.from_iterable(rows))):
-        return None
-    return next(i for i, row in enumerate(rows)
-                if type(row) is not list or not all(map(is_number, row)))
+def number_array(values: list, where: str) -> np.ndarray:
+    """The JSON list ``values`` as float64: a list of numbers (by
+    ``is_number``), or, when its first entry is a list, a list of rows that
+    are lists of numbers. The entries' types are checked in bulk; a
+    ValueError names ``where`` and the first faulty row."""
+    rows = bool(values) and type(values[0]) is list
+    entries = list(chain.from_iterable(values)) \
+        if rows and set(map(type, values)) <= {list} else values
+    types = set(map(type, entries))
+    if types <= {float} or (types <= {float, int} and all(map(is_number, entries))):
+        return np.array(values, dtype=np.float64)
+    fits = (lambda row: type(row) is list and all(map(is_number, row))) if rows else is_number
+    row = next(i for i, entry in enumerate(values) if not fits(entry))
+    raise ValueError(f"{where} row {row} is not a list of numbers" if rows
+                     else f"{where} row {row} is {values[row]!r}, not a number")
 
 
 def integer_type(kind: type) -> bool:
@@ -134,9 +135,9 @@ def _finite_real(value) -> bool:
     # a numpy scalar is compared as the Python number it holds, since a
     # float32 overflows casting the bounds; a float skips the type tests
     if type(value) is float:
-        return -MAX_FLOAT <= value <= MAX_FLOAT
-    return real_type(type(value)) and -MAX_FLOAT <= (
-        value.item() if isinstance(value, np.generic) else value) <= MAX_FLOAT
+        return -_MAX_FLOAT <= value <= _MAX_FLOAT
+    return real_type(type(value)) and -_MAX_FLOAT <= (
+        value.item() if isinstance(value, np.generic) else value) <= _MAX_FLOAT
 
 
 @functools.cache

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_fields, check_seed, field_rule, field_types, first_non_number_row,
-                     integer_ids, integer_type, json_layout, json_text, parse_json, read_text,
+from .schema import (check_fields, check_seed, field_rule, field_types, integer_ids,
+                     integer_type, json_layout, json_text, number_array, parse_json, read_text,
                      require, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
@@ -214,7 +214,10 @@ class World:
 
     def group_image_ids(self, group_id: int) -> np.ndarray:
         """The group's image ids, ascending (read-only); none for an id that
-        is no group."""
+        is no group. An id that is not an integer (by ``integer_type``; a
+        float or bool is never cast) raises ``ValueError`` naming it."""
+        if not integer_type(type(group_id)):
+            raise ValueError(f"group id {group_id!r} is not an integer")
         if not 0 <= group_id < len(self._group_images):
             return np.empty(0, dtype=np.intp)
         return self._group_images[group_id]
@@ -586,14 +589,13 @@ def world_from_dict(doc: dict) -> World:
 
 def _world(doc: dict, labels: tuple, arrays) -> World:
     """The world of a document whose catalog is ``labels`` and whose images
-    are ``arrays``: its interest rows, user count, seed and gaze noise."""
+    are ``arrays``: its interest rows, ``int`` user count, seed and gaze noise."""
     rows = require(doc, "interest", "world file", list)
-    user = first_non_number_row(rows)
-    if user is not None:
-        raise ValueError(f"world file: interest row {user} is not a list of numbers")
-    interest = np.array(rows, dtype=np.float64)
+    if rows and type(rows[0]) is not list:  # not a matrix, which number_array would read
+        raise ValueError("world file: interest row 0 is not a list of numbers")
+    interest = number_array(rows, "world file: interest")
     num_users = require(doc, "num_users", "world file")
-    if interest.shape[:1] != (num_users,):
+    if type(num_users) is not int or interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
     return World(*arrays, labels=labels, interest=interest,
                  seed=require(doc, "seed", "world file"),

@@ -564,7 +564,7 @@ def loop_world_from_dict(doc: dict) -> World:
             raise ValueError(f"world file: interest row {user} is not a list of numbers")
     interest = np.array(rows, dtype=np.float64)
     num_users = require(doc, "num_users", "world file")
-    if interest.shape[:1] != (num_users,):
+    if type(num_users) is not int or interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
     return world_from_pixels(
         pixels,

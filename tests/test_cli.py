@@ -776,6 +776,20 @@ def test_sparsify_rejects_bool_world_gaze_noise(tmp_path, capsys, config_file, g
     assert not records.exists()
 
 
+@pytest.mark.parametrize("layout", ["save_world", "json"])
+@pytest.mark.parametrize("num_users", [True, 1.0])
+def test_sparsify_rejects_non_int_world_num_users(tmp_path, capsys, num_users, layout):
+    # each used to load a one-user world silently, on both world readers
+    world, records = tmp_path / "world.json", tmp_path / "records.csv"
+    _save_world(world, [[10, 20]], num_users=1)
+    text = world.read_text().replace('"num_users": 1,', f'"num_users": {json.dumps(num_users)},')
+    world.write_text(text if layout == "save_world" else json.dumps(json.loads(text)))
+    code, _, err = run(capsys, "sparsify", "--world", str(world), "--out", str(records))
+    assert code == EXIT_DATA
+    assert f"interest matrix has shape (1, 2) for {num_users!r} users" in err
+    assert not records.exists()
+
+
 def test_sparsify_accepts_multi_word_world_seed(tmp_path, capsys, config_file):
     code, err, records = _sparsify_world_doc(
         tmp_path, capsys, config_file, lambda doc: doc.update(seed=2**40, gaze_noise=0.1)

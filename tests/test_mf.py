@@ -391,6 +391,22 @@ def test_observed_mask_marks_the_record_pairs():
                                                      [True, False]]
 
 
+@pytest.mark.parametrize("call", [observed_mask, holdout_mask,
+                                  lambda records, *dims: fit_mf(records, FitConfig(), *dims)],
+                         ids=["observed_mask", "holdout_mask", "fit_mf"])
+@pytest.mark.parametrize("dims, name", [
+    ((-1, 5), "num_users"), ((2.0, 5), "num_users"), ((True, 3), "num_users"),
+    ((2, -1), "num_objects"), ((2, np.float64(3.0)), "num_objects")])
+def test_dimensions_are_non_negative_integers(call, dims, name):
+    # numpy raised its own errors, naming neither argument
+    records = SparseAttentionRecords([(0, 0, 3)])
+    value = dims[name == "num_objects"]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a non-negative integer, got {value!r}")):
+        call(records, *dims)
+    assert observed_mask(records, np.int64(1), np.uint8(1)).tolist() == [[True]]
+
+
 @given(
     st.lists(st.tuples(st.integers(0, 12), st.integers(0, 30), st.integers(1, 5)),
              min_size=1, unique_by=lambda rec: rec[:2]),

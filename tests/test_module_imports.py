@@ -1,6 +1,7 @@
 """The package's modules use one another only through public names, the
-file rules do not depend on the synthetic world, and ``schema`` is the one
-module that opens a file or formats JSON or spells the integer rule."""
+file rules do not depend on the synthetic world, ``schema`` is the one
+module that opens a file or formats JSON or spells the integer rule, and
+every public rule it defines is used by another module."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,25 @@ def test_no_module_imports_a_private_name_of_another():
     private = [f"{module}.py:{line}: {name} from {source or 'the package'}"
                for module, line, source, name in _sibling_imports() if name.startswith("_")]
     assert not private, "\n".join(private)
+
+
+def test_every_public_schema_name_is_used_by_another_module():
+    # a rule that only schema itself reads should be private to it, and one
+    # that nothing reads should go
+    tree = ast.parse((PACKAGE / "schema.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    used = {name for module, _, source, name in _sibling_imports()
+            if source == "schema" and module != "schema"}
+    for path in sorted(PACKAGE.glob("*.py")):  # "from . import schema", then schema.name
+        if path.stem != "schema":
+            used |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "schema"}
+    unused = sorted(name for name in defined - used if not name.startswith("_"))
+    assert not unused, ", ".join(unused)
 
 
 def test_file_rules_qoe_and_factor_model_do_not_import_the_world():

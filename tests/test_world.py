@@ -89,6 +89,12 @@ def test_default_world_shape(default_world):
         assert ids.tolist() == np.flatnonzero(default_world.group_of == g).tolist()
     for g in (-1, 5):  # no group
         assert default_world.group_image_ids(g).size == 0
+    assert default_world.group_image_ids(np.int64(1)).tolist() \
+        == default_world.group_image_ids(1).tolist()
+    # True read group 1's images, and 1.0 raised an unnamed TypeError
+    for g in (True, 1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"group id {g!r} is not an integer")):
+            default_world.group_image_ids(g)
 
 
 def test_every_object_appears(default_world):
