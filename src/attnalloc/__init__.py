@@ -27,7 +27,6 @@ from .mf import (
     evaluate,
     fit_baseline,
     fit_mf,
-    predict,
     predict_scene,
 )
 from .qoe import ChannelConfig, LinkParams, QoETerms, link_from_channel

@@ -20,7 +20,7 @@ import numpy as np
 from .allocate import AllocationProblem, allocate_uniform, allocate_weighted
 from .mf import FitConfig, fit_mf, predict_scene
 from .qoe import ChannelConfig, ChannelError, LinkParams, QoETerms, link_from_channel, qoe
-from .schema import check_fields, check_seed, write_json, write_text
+from .schema import check_count, check_fields, write_json, write_text
 from .world import WorldConfig, attention_matrix, check_user, generate_world, sparsify
 
 REPORT_FORMAT_VERSION = "attnalloc-report/1"
@@ -46,7 +46,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        check_seed(self.master_seed)
+        check_count(self.master_seed, "seed")
         if self.budget_per_object_k <= self.floor_k:
             raise ValueError("budget_per_object_k must exceed floor_k")
         if not self.sweep_factors:

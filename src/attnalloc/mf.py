@@ -16,9 +16,9 @@ from itertools import chain
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_fields, check_seed, integer_ids, integer_type, is_number, json_layout,
-                     json_text, number_array, parse_json, read_text, real_type, require,
-                     write_text)
+from .schema import (check_count, check_fields, integer_ids, integer_type, is_number,
+                     json_layout, json_text, number_array, parse_json, read_text, real_type,
+                     require, write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -58,7 +58,7 @@ class FitConfig:
             raise FitError("epochs must be >= 1")
         if self.init_scale <= 0:
             raise FitError("init_scale must be positive")
-        check_seed(self.seed, FitError)
+        check_count(self.seed, "seed", FitError)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class FactorModel:
 
     def predictor(self):
         """A function of ``(users, objects)`` int arrays of equal length: the
-        pairs' clamped predictions as one gather, bit for bit ``predict``'s.
+        pairs' clamped predictions as one gather, bit for bit ``predict_scene``'s.
         A negative or out-of-range id raises ``IndexError`` naming the first
         such pair."""
         def predict_pairs(users, objects):
@@ -172,17 +172,11 @@ def _objective(observed, target, U, bu, V, bo, lam) -> float:
     return float(np.square(err).sum() + lam * ridge)
 
 
-def _check_dimensions(num_users, num_objects) -> None:
-    """Raise ``ValueError`` naming ``num_users`` or ``num_objects`` unless it
-    is a non-negative integer (by ``integer_type``)."""
-    for name, value in (("num_users", num_users), ("num_objects", num_objects)):
-        if not integer_type(type(value)) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 def observed_mask(records: SparseAttentionRecords, num_users: int, num_objects: int) -> np.ndarray:
-    """The records' pairs as a users x objects bool matrix; FitError names one outside."""
-    _check_dimensions(num_users, num_objects)
+    """The records' pairs as a users x objects bool matrix, shared by the fit,
+    the holdout and ``eval``; FitError names a pair outside the dimensions."""
+    check_count(num_users, "num_users")
+    check_count(num_objects, "num_objects")
     outside = (records.users >= num_users) | (records.objects >= num_objects)
     if outside.any():
         i = int(np.argmax(outside))
@@ -251,28 +245,29 @@ def fit_mf(records: SparseAttentionRecords, config: FitConfig,
     )
 
 
-def predict(model: FactorModel, user: int, object_id: int) -> float:
-    """The clamped prediction of one pair: ``predict_scene``'s one-object case."""
-    return float(predict_scene(model, user, [object_id])[0])
-
-
 def predict_scene(model: FactorModel, user: int, objects) -> np.ndarray:
     """Clamped predictions of ``user``'s attention to each of ``objects``,
     in input order: ``min(max(((mu + b_u) + b_o) + p_u @ q_o, 1), 5)`` per
     object, the package's one scalar formula, with ``mu + b_u`` and ``p_u``
     read once per scene.
 
-    A user or object id that is not an integer (by ``integer_type``; a
-    float or bool is never cast) raises ``IndexError`` naming it, and a
-    negative or out-of-range id one naming the first such pair. The types
-    are checked once per call, the ranges once per object.
+    A scalar scene (``objects`` not iterable) raises ``ValueError`` naming
+    it, as ``integer_ids`` does. A user or object id that is not an
+    integer (by ``integer_type``; a float or bool is never cast) raises
+    ``IndexError`` naming it, and a negative or out-of-range id one naming
+    the first such pair. The types are checked once per call, the ranges
+    once per object.
 
     It works object by object rather than as ``model.predictor()``'s gather
     because of the benchmark's ``serve`` workload: its harness keeps every
     request's result, so a faster ``serve`` holds more of them, and with the
     gather here its peak RSS rose 25-40%, past its 15% bound. Gather here
     once the harness is fixed (ROADMAP directions 1a and 2)."""
-    objects = list(objects)
+    try:
+        objects = list(objects)
+    except TypeError:  # not iterable, so a scalar
+        raise ValueError(f"object id values must form a 1-D vector, got shape () "
+                         f"for {objects!r}") from None
     if not objects:
         raise ValueError("scene object list must be non-empty")
     if not integer_type(type(user)):
@@ -379,17 +374,14 @@ def evaluate(predict_fn, truth, mask) -> Metrics:
 
 def holdout_mask(records: SparseAttentionRecords, num_users: int, num_objects: int,
                  fraction: float = 0.25, seed: int = 0) -> tuple:
-    """Sample unobserved pairs, stratified per user, skipping records outside the
-    dimensions; returns ``(users, objects)`` int arrays in ascending pair order.
-    ``fraction``, the share of each user's unobserved pairs held out (at least
-    one), must be a real in (0, 1], not a bool."""
-    _check_dimensions(num_users, num_objects)
+    """Sample pairs off ``observed_mask`` (whose FitError names a record outside
+    the dimensions), stratified per user; returns ``(users, objects)`` int
+    arrays in ascending pair order. ``fraction``, the share of each user's
+    unobserved pairs held out (at least one), must be a real in (0, 1], not a bool."""
+    observed = observed_mask(records, num_users, num_objects)
     if not (real_type(type(fraction)) and 0 < fraction <= 1):  # NaN fails the bounds
         raise ValueError(f"fraction must be a real number in (0, 1], got {fraction!r}")
-    check_seed(seed)
-    observed = np.zeros((num_users, num_objects), dtype=bool)
-    inside = (records.users < num_users) & (records.objects < num_objects)
-    observed[records.users[inside], records.objects[inside]] = True
+    check_count(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     held = np.zeros_like(observed)
     for user in range(num_users):

@@ -37,14 +37,21 @@ def is_number(value) -> bool:
 def number_array(values: list, where: str) -> np.ndarray:
     """The JSON list ``values`` as float64: a list of numbers (by
     ``is_number``), or, when its first entry is a list, a list of rows that
-    are lists of numbers. The entries' types are checked in bulk; a
-    ValueError names ``where`` and the first faulty row."""
+    are lists of numbers, all as long as row 0. The entries' types are
+    checked in bulk; a ValueError names ``where`` and the first faulty row,
+    a row of another length only when every row is a list of numbers."""
     rows = bool(values) and type(values[0]) is list
     entries = list(chain.from_iterable(values)) \
         if rows and set(map(type, values)) <= {list} else values
     types = set(map(type, entries))
     if types <= {float} or (types <= {float, int} and all(map(is_number, entries))):
-        return np.array(values, dtype=np.float64)
+        try:
+            return np.array(values, dtype=np.float64)
+        except ValueError:  # rows of unequal lengths
+            width = len(values[0])
+            row = next(i for i, entry in enumerate(values) if len(entry) != width)
+            raise ValueError(f"{where} row {row} has {len(values[row])} entries, "
+                             f"not {width}") from None
     fits = (lambda row: type(row) is list and all(map(is_number, row))) if rows else is_number
     row = next(i for i, entry in enumerate(values) if not fits(entry))
     raise ValueError(f"{where} row {row} is not a list of numbers" if rows
@@ -58,11 +65,11 @@ def integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
-def check_seed(seed, error=ValueError) -> None:
-    """Raise ``error`` naming ``seed`` unless it is a non-negative integer
-    (by ``integer_type``): the rule of every seed the package draws from."""
-    if not integer_type(type(seed)) or seed < 0:
-        raise error(f"seed must be a non-negative integer, got {seed!r}")
+def check_count(value, name: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a non-negative
+    integer (by ``integer_type``): the rule of every seed and dimension."""
+    if not integer_type(type(value)) or value < 0:
+        raise error(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def real_type(kind: type) -> bool:

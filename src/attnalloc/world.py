@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_fields, check_seed, field_rule, field_types, integer_ids,
+from .schema import (check_count, check_fields, field_rule, field_types, integer_ids,
                      integer_type, json_layout, json_text, number_array, parse_json, read_text,
                      require, write_text)
 
@@ -134,7 +134,7 @@ class World:
     gaze_noise: float = 0.0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_count(self.seed, "seed")
         is_real, _ = field_rule(float)
         if not is_real(self.gaze_noise) or not 0.0 <= self.gaze_noise < 1.0:
             raise ValueError(f"gaze_noise must lie in [0, 1), got {self.gaze_noise!r}")
@@ -252,7 +252,7 @@ def _reject_images(images, problem: str) -> None:
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Build a deterministic synthetic world from a seed."""
-    check_seed(seed)
+    check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     interest = _generate_interest(config, rng)
     occurrences, group_of = _generate_images(config, rng)
@@ -497,7 +497,7 @@ def sparsify(world: World, users, seed: int) -> SparseAttentionRecords:
     ranked into quintile levels in one row-wise sort (``quantize_levels``
     per user, bit for bit), and the merged table is checked once.
     """
-    check_seed(seed)
+    check_count(seed, "seed")
     users = list(users) if np.iterable(users) else [users]
     if not users:
         return SparseAttentionRecords()
@@ -621,6 +621,13 @@ def _image_layout(num_entries: int) -> str:
             + json_layout((num_entries, 2), 3, "%d") + "\n  }")
 
 
+# the text around save_world's images block: its first image follows the
+# first marker, and the second ends the list
+_IMAGES_OPEN = ',\n "images": [\n  '
+_IMAGES_CLOSE = "\n ],\n"
+_DIGIT_FLAGS = bytes(48 <= c < 58 for c in range(256))  # translate: 1 for a digit, else 0
+
+
 def save_world(world: World, path) -> None:
     """Write ``write_json(world_to_dict(world), path)``'s bytes from the
     arrays with one ``%``-template: with an indent, ``json.dump`` runs its
@@ -635,17 +642,10 @@ def save_world(world: World, path) -> None:
     ints[starts], ints[starts + 1] = np.arange(n), world.group_of
     at = 2 * (np.repeat(np.arange(1, n + 1), lengths) + np.arange(indptr[-1]))
     ints[at], ints[at + 1] = world.objects, world.counts
-    layout = ("[\n  " + ",\n  ".join(map(_image_layout, lengths.tolist()))
-              + '\n ],\n "interest": ' + json_layout(world.interest.shape, 1))
+    layout = (_IMAGES_OPEN + ",\n  ".join(map(_image_layout, lengths.tolist())) + _IMAGES_CLOSE
+              + ' "interest": ' + json_layout(world.interest.shape, 1))
     body = layout % tuple(ints.tolist() + world.interest.ravel().tolist())
-    write_text(json_text(_header(world), ',\n "images": ' + body), path)
-
-
-# the text around save_world's images block: its first image follows the
-# first marker, and the second ends the list
-_IMAGES_OPEN = ',\n "images": [\n  '
-_IMAGES_CLOSE = "\n ],\n"
-_DIGIT_FLAGS = bytes(48 <= c < 58 for c in range(256))  # translate: 1 for a digit, else 0
+    write_text(json_text(_header(world), body), path)
 
 
 def load_world(path) -> World:

@@ -562,6 +562,10 @@ def loop_world_from_dict(doc: dict) -> World:
     for user, row in enumerate(rows):
         if type(row) is not list or not all(map(is_number, row)):
             raise ValueError(f"world file: interest row {user} is not a list of numbers")
+    for user, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"world file: interest row {user} has {len(row)} entries, "
+                             f"not {len(rows[0])}")
     interest = np.array(rows, dtype=np.float64)
     num_users = require(doc, "num_users", "world file")
     if type(num_users) is not int or interest.shape[:1] != (num_users,):

@@ -878,8 +878,11 @@ def test_eval_rejects_model_missing_key(tmp_path, capsys, key):
     (lambda doc: doc.update(mu=True), "'mu' must be a number, got True"),
     (lambda doc: doc.update(mu=float("nan")), "mu must be finite, got nan"),
     (lambda doc: doc.update(mu=10**400), "'mu' must be a number"),  # was OverflowError
+    # numpy's "inhomogeneous shape" error named neither the array nor the row
+    (lambda doc: doc["user_factors"][1].append(0.0),
+     "model file: 'user_factors' row 1 has 2 entries, not 1"),
 ], ids=["5-entry user_bias", "1-D user_factors", "1-D object_factors", "JSON list",
-        "string mu", "bool mu", "NaN mu", "mu beyond float64"])
+        "string mu", "bool mu", "NaN mu", "mu beyond float64", "ragged user_factors"])
 def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
     code, err = _eval_model_doc(tmp_path, capsys, edit)
     assert code == EXIT_DATA
@@ -971,6 +974,15 @@ def test_sparsify_rejects_bad_world_interest(tmp_path, capsys, config_file, valu
     code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file, edit)
     assert code == EXIT_DATA
     assert message in err
+    assert not records.exists()
+
+
+def test_sparsify_names_a_ragged_interest_row(tmp_path, capsys, config_file):
+    # numpy's "inhomogeneous shape" error named no row
+    code, err, records = _sparsify_world_doc(tmp_path, capsys, config_file,
+                                             lambda doc: doc["interest"][2].pop())
+    assert code == EXIT_DATA
+    assert "world file: interest row 2 has 23 entries, not 24" in err  # SMALL_CONFIG's objects
     assert not records.exists()
 
 

@@ -20,7 +20,6 @@ from attnalloc import (
     evaluate,
     fit_baseline,
     fit_mf,
-    predict,
     predict_scene,
 )
 from attnalloc.mf import (
@@ -35,6 +34,7 @@ from attnalloc.mf import (
     save_model,
     LEVEL_CLAMP,
 )
+from attnalloc.schema import number_array
 from attnalloc.world import GroundTruthLevels
 from oracles import (FrozensetRecords, bincount_solve_side, dict_fit_baseline, model_to_dict,
                      raw_score, record_pairs, set_holdout_mask)
@@ -64,7 +64,7 @@ def test_constant_records_fit():
     model = fit_mf(constant_records(), dataclasses.replace(FitConfig(), epochs=50), **CONSTANT_DIMS)
     for u in range(4):
         for o in range(6):
-            assert abs(predict(model, u, o) - 3.0) < 0.1
+            assert abs(predict_scene(model, u, [o])[0] - 3.0) < 0.1
 
 
 def test_fit_deterministic():
@@ -123,16 +123,16 @@ def test_rank_one_structure_learned():
 
     model = fit_mf(records, FitConfig(f=2), num_users=8, num_objects=10)
     mu = np.mean([l for _, _, l in triples])
-    err_mf = [(predict(model, u, o) - l) ** 2 for u, o, l in held_out]
+    err_mf = [(predict_scene(model, u, [o])[0] - l) ** 2 for u, o, l in held_out]
     err_mu = [(mu - l) ** 2 for _, _, l in held_out]
     assert np.sqrt(np.mean(err_mf)) < np.sqrt(np.mean(err_mu))
 
 
 def test_predict_clamps():
     model = zero_model(mu=7.2)
-    assert predict(model, 0, 0) == 5.0
+    assert predict_scene(model, 0, [0])[0] == 5.0
     model = zero_model(mu=-0.4)
-    assert predict(model, 0, 0) == 1.0
+    assert predict_scene(model, 0, [0])[0] == 1.0
     assert raw_score(model, 0, 0) == pytest.approx(-0.4)
     assert raw_score(zero_model(mu=3.0), 1, 1) == 3.0
 
@@ -140,9 +140,9 @@ def test_predict_clamps():
 def test_predict_index_errors():
     model = zero_model()
     with pytest.raises(IndexError):
-        predict(model, 2, 0)
+        predict_scene(model, 2, [0])[0]
     with pytest.raises(IndexError):
-        predict(model, 0, -1)
+        predict_scene(model, 0, [-1])[0]
 
 
 def test_predictor_index_errors():
@@ -180,13 +180,18 @@ def test_predictor_index_errors():
     for call, message in (
             (lambda: predict_scene(model, True, [0, 1]), "user id True"),
             (lambda: predict_scene(model, np.float64(0.0), [0]), r"user id np\.float64\(0\.0\)"),
-            (lambda: predict(model, 1.0, 0), "user id 1.0"),
+            (lambda: predict_scene(model, 1.0, [0])[0], "user id 1.0"),
             (lambda: predict_scene(model, 0, [1, 0, True]), "object id True"),
             (lambda: predict_scene(model, 0, np.array([0.5])), r"object id np\.float64\(0\.5\)"),
-            (lambda: predict(model, 0, 1.0), "object id 1.0"),
-            (lambda: predict(model, 0, np.bool_(False)), "object id np.False_")):
+            (lambda: predict_scene(model, 0, [1.0])[0], "object id 1.0"),
+            (lambda: predict_scene(model, 0, [np.bool_(False)])[0], "object id np.False_")):
         with pytest.raises(IndexError, match=f"^{message} is not an integer$"):
             call()
+    # a scalar scene is named, where list() raised an unnamed TypeError
+    for scene in (3, np.array(1), None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"object id values must form a 1-D vector, got shape () for {scene!r}")):
+            predict_scene(model, 0, scene)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +212,7 @@ def test_predictor_matches_per_pair_predict(users, objects, f, mu, scale, seed, 
         with pytest.raises(IndexError, match=rf"pair \({u[i]}, {o[i]}\) outside"):
             model.predictor()(u, o)
     else:
-        expected = [predict(model, a, b) for a, b in zip(u.tolist(), o.tolist())]
+        expected = [predict_scene(model, a, [b])[0] for a, b in zip(u.tolist(), o.tolist())]
         assert model.predictor()(u, o).tolist() == expected
 
 
@@ -220,7 +225,8 @@ def test_predictor_matches_per_pair_predict_on_twenty_worlds():
                 world=WorldConfig(gaze_noise=noise), master_seed=seed)).model
             users, objects = (ids.ravel() for ids in np.indices((model.num_users,
                                                                  model.num_objects)))
-            expected = [predict(model, u, o) for u, o in zip(users.tolist(), objects.tolist())]
+            expected = [predict_scene(model, u, [o])[0]
+                        for u, o in zip(users.tolist(), objects.tolist())]
             assert model.predictor()(users, objects).tolist() == expected
 
 
@@ -391,9 +397,14 @@ def test_observed_mask_marks_the_record_pairs():
                                                      [True, False]]
 
 
-@pytest.mark.parametrize("call", [observed_mask, holdout_mask,
-                                  lambda records, *dims: fit_mf(records, FitConfig(), *dims)],
-                         ids=["observed_mask", "holdout_mask", "fit_mf"])
+# the three readers of observed_mask's one rule for the records and dimensions
+_OBSERVED_PAIRS_CALLS = pytest.mark.parametrize(
+    "call", [observed_mask, holdout_mask,
+             lambda records, *dims: fit_mf(records, FitConfig(), *dims)],
+    ids=["observed_mask", "holdout_mask", "fit_mf"])
+
+
+@_OBSERVED_PAIRS_CALLS
 @pytest.mark.parametrize("dims, name", [
     ((-1, 5), "num_users"), ((2.0, 5), "num_users"), ((True, 3), "num_users"),
     ((2, -1), "num_objects"), ((2, np.float64(3.0)), "num_objects")])
@@ -407,6 +418,17 @@ def test_dimensions_are_non_negative_integers(call, dims, name):
     assert observed_mask(records, np.int64(1), np.uint8(1)).tolist() == [[True]]
 
 
+@_OBSERVED_PAIRS_CALLS
+@pytest.mark.parametrize("dims, pair", [((2, 5), (2, 0)), ((3, 1), (0, 1))])
+def test_records_outside_the_dimensions_raise_one_fit_error(call, dims, pair):
+    # holdout_mask skipped such a record, where the fit and eval raised
+    records = SparseAttentionRecords([(2, 0, 5), (0, 0, 3), (0, 1, 4)])
+    with pytest.raises(FitError, match=re.escape(
+            f"record pair {pair} lies outside the model's {dims[0]} users x "
+            f"{dims[1]} objects")):
+        call(records, *dims)
+
+
 @given(
     st.lists(st.tuples(st.integers(0, 12), st.integers(0, 30), st.integers(1, 5)),
              min_size=1, unique_by=lambda rec: rec[:2]),
@@ -414,11 +436,17 @@ def test_dimensions_are_non_negative_integers(call, dims, name):
 )
 def test_baseline_and_holdout_match_dict_and_set_oracles(rows, num_users, num_objects,
                                                          fraction, seed):
-    # some records may lie outside num_users x num_objects; the holdout skips them
     records = SparseAttentionRecords(rows)
     oracle = FrozensetRecords(frozenset(rows))
     _assert_baseline_matches(fit_baseline(records), dict_fit_baseline(oracle), 13, 31)
-    assert set(_pairs(holdout_mask(records, num_users, num_objects, fraction, seed))) \
+    # a record outside num_users x num_objects raises, naming the first in
+    # pair order; the oracle skips it, so the records inside are compared
+    outside = sorted((u, o) for u, o, _ in rows if u >= num_users or o >= num_objects)
+    if outside:
+        with pytest.raises(FitError, match=re.escape(f"record pair {outside[0]} lies outside")):
+            holdout_mask(records, num_users, num_objects, fraction, seed)
+    inside = SparseAttentionRecords([r for r in rows if r[0] < num_users and r[1] < num_objects])
+    assert set(_pairs(holdout_mask(inside, num_users, num_objects, fraction, seed))) \
         == set_holdout_mask(oracle, num_users, num_objects, fraction, seed)
 
 
@@ -761,6 +789,25 @@ def test_model_entries_must_be_numbers(name, row, place, value):
     place(doc, value)
     kind = "not a number" if name.endswith("bias") else "is not a list of numbers"
     with pytest.raises(ValueError, match=rf"model file: '{name}' row {row} .*{kind}"):
+        model_from_dict(doc)
+
+
+def test_model_factor_rows_must_be_as_long_as_row_0():
+    # numpy raised its unnamed "inhomogeneous shape" error
+    with pytest.raises(ValueError, match=re.escape("factors row 1 has 1 entries, not 2")):
+        number_array([[1.0, 2.0], [3.0]], "factors")
+    doc = model_to_dict(zero_model(users=3, objects=3, f=2))
+    doc["user_factors"][2].append(0.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "model file: 'user_factors' row 2 has 3 entries, not 2")):
+        model_from_dict(doc)
+    doc["user_factors"][1] = []  # the first row of another length is named
+    with pytest.raises(ValueError, match=re.escape(
+            "model file: 'user_factors' row 1 has 0 entries, not 2")):
+        model_from_dict(doc)
+    doc["user_factors"][2][0] = True  # a row that is not numbers keeps its message
+    with pytest.raises(ValueError, match=re.escape(
+            "model file: 'user_factors' row 2 is not a list of numbers")):
         model_from_dict(doc)
 
 

@@ -1040,13 +1040,15 @@ def _break_document(doc, fault, position, k):
             images[position], images[other] = images[other], images[position]
     elif fault == "image not a dict":
         images[position] = [images[position]]
+    elif fault == "interest row not a list":
+        rows[position % len(rows)] = 0.5
+    elif fault == "interest row ragged":
+        rows[position % len(rows)].append(0.5)
     elif fault.startswith("interest "):
         row = rows[position % len(rows)]
         value = {"interest string": "0.5", "interest bool": True, "interest null": None,
                  "interest beyond float64": 10**400, "interest int": 1}[fault]
         row[k % len(row)] = value
-    elif fault == "interest row not a list":
-        rows[position % len(rows)] = 0.5
     else:
         image = images[position]
         _DOCUMENT_FAULTS[fault](image, image["composition"][k % len(image["composition"])])
@@ -1067,7 +1069,7 @@ def test_world_from_dict_matches_per_entry_oracle(data, world):
     doc = world_to_dict(world)
     faults = [*_DOCUMENT_FAULTS, "id out of order", "image not a dict", "interest string",
               "interest bool", "interest null", "interest beyond float64", "interest int",
-              "interest row not a list"]
+              "interest row not a list", "interest row ragged"]
     for _ in range(data.draw(st.integers(0, 2))):
         position = data.draw(st.integers(0, len(doc["images"]) - 1))
         try:
