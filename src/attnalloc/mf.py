@@ -251,41 +251,31 @@ def predict_scene(model: FactorModel, user: int, objects) -> np.ndarray:
     object, the package's one scalar formula, with ``mu + b_u`` and ``p_u``
     read once per scene.
 
-    A scalar scene (``objects`` not iterable) raises ``ValueError`` naming
-    it, as ``integer_ids`` does. A user or object id that is not an
-    integer (by ``integer_type``; a float or bool is never cast) raises
-    ``IndexError`` naming it, and a negative or out-of-range id one naming
-    the first such pair. The types are checked once per call, the ranges
-    once per object.
+    The objects are read by ``integer_ids``, so a scene that is not one 1-D
+    vector of integers is named, never cast; a user id that is not an
+    integer (by ``integer_type``) raises ``IndexError`` naming it, and one
+    array pass names the first pair outside the model.
 
     It works object by object rather than as ``model.predictor()``'s gather
     because of the benchmark's ``serve`` workload: its harness keeps every
     request's result, so a faster ``serve`` holds more of them, and with the
     gather here its peak RSS rose 25-40%, past its 15% bound. Gather here
     once the harness is fixed (ROADMAP directions 1a and 2)."""
-    try:
-        objects = list(objects)
-    except TypeError:  # not iterable, so a scalar
-        raise ValueError(f"object id values must form a 1-D vector, got shape () "
-                         f"for {objects!r}") from None
-    if not objects:
+    objects = integer_ids(objects, "object id", IndexError)
+    if not objects.size:
         raise ValueError("scene object list must be non-empty")
     if not integer_type(type(user)):
         raise IndexError(f"user id {user!r} is not an integer")
-    if not all(map(integer_type, set(map(type, objects)))):
-        bad = next(o for o in objects if not integer_type(type(o)))
-        raise IndexError(f"object id {bad!r} is not an integer")
-    if not 0 <= user < model.num_users:
-        raise IndexError(f"pair ({user}, {objects[0]}) outside model dimensions")
+    outside = (objects < 0) | (objects >= model.num_objects) | (not 0 <= user < model.num_users)
+    if outside.any():
+        raise IndexError(f"pair ({user}, {objects[int(np.argmax(outside))]}) outside model "
+                         "dimensions")
     lo, hi = LEVEL_CLAMP
-    num_objects, object_bias, object_factors = \
-        model.num_objects, model.object_bias, model.object_factors
+    object_bias, object_factors = model.object_bias, model.object_factors
     base = model.mu + model.user_bias[user]
     p = model.user_factors[user]
     out = []
-    for o in objects:
-        if not 0 <= o < num_objects:
-            raise IndexError(f"pair ({user}, {o}) outside model dimensions")
+    for o in objects.tolist():
         out.append(min(max(float(base + object_bias[o] + p @ object_factors[o]), lo), hi))
     return np.array(out)
 
@@ -432,4 +422,4 @@ def save_model(model: FactorModel, path) -> None:
 
 
 def load_model(path) -> FactorModel:
-    return model_from_dict(parse_json(read_text(path), path))
+    return parse_json(read_text(path), path, model_from_dict)

@@ -86,7 +86,10 @@ def _vector(values, what: str, kinds: str, entry_type, noun: str, dtype, error) 
     the first entry whose type fails ``entry_type`` raises ``error`` naming
     it as a ``what`` that is not ``noun``, as does the first that ``dtype``
     cannot hold. A scalar or an array that is not 1-D raises a ValueError naming
-    its shape."""
+    its shape, and a whole str, bytes or bytearray one naming its type."""
+    if isinstance(values, (str, bytes, bytearray)):  # list() would read its characters
+        raise ValueError(f"{what} values must form a 1-D vector, got {type(values).__name__} "
+                         f"{values!r}")
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"{what} values must form a 1-D vector, got shape {values.shape}")
@@ -125,7 +128,8 @@ def integer_ids(ids, what: str, error=ValueError) -> np.ndarray:
     on its dtype; anything else is read entry by entry, and the first entry
     that is not an integer (by ``integer_type``; a float or bool is never
     cast) raises ``error`` naming it as a ``what``. A scalar, a 0-d array
-    or an array of more dimensions raises a ValueError naming its shape."""
+    or an array of more dimensions raises a ValueError naming its shape, and
+    a whole str, bytes or bytearray one naming its type."""
     return _vector(ids, what, "iu", integer_type, "an integer", np.intp, error)
 
 
@@ -234,12 +238,17 @@ def read_text(path, newline=None) -> str:
     return text
 
 
-def parse_json(text: str, path):
-    """The JSON document ``text``, read from the file at ``path``; a syntax
-    fault or too deep a nesting names the file."""
+def parse_json(text: str, path, build=None):
+    """The JSON document ``text``, read from the file at ``path``, or ``build``
+    of it; a syntax fault, too deep a nesting and a ValueError of ``build``
+    name the file, once."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
     except RecursionError:
         raise ValueError(f"{path}: nested too deeply to parse") from None
+    try:
+        return doc if build is None else build(doc)
+    except ValueError as err:
+        raise type(err)(f"{path}: {err}") from None

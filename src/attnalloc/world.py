@@ -653,13 +653,13 @@ def load_world(path) -> World:
     exactly the layout that ``save_world`` writes is read without building a
     JSON tree for the block (``_saved_world``); any other text, and a file
     that fails any of that path's checks, goes through ``world_from_dict``,
-    which names a fault."""
+    which names a fault after the path (``parse_json``)."""
     text = read_text(path)
     try:
         world = _saved_world(text, path)
     except ValueError:  # the json path names the fault
         world = None
-    return world if world is not None else world_from_dict(parse_json(text, path))
+    return world if world is not None else parse_json(text, path, world_from_dict)
 
 
 def _saved_world(text: str, path):

@@ -1,7 +1,6 @@
 """Water-filling allocator: exact cases, KKT invariants, the grid oracle,
 and a differential test against the active-set loop it replaced."""
 
-import re
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from attnalloc import (
     AllocationProblem,
-    InfeasibleError,
     allocate_uniform,
     allocate_weighted,
 )
@@ -22,6 +20,7 @@ from attnalloc.allocate import (
     save_allocation,
 )
 from oracles import SearchSpaceError, brute_force_allocate, canonical_ratios, csv_writer_text
+from test_faults import former_tests
 
 
 
@@ -80,18 +79,6 @@ def test_uniform_baseline():
     assert np.allclose(result.capacities, [20.0, 20.0, 20.0])
     assert result.lagrange_multiplier is None
     assert allocate_uniform(1, 37.5, 15.0).capacities[0] == 37.5
-
-
-def test_infeasible_budget_names_deficit():
-    with pytest.raises(InfeasibleError, match="deficit"):
-        AllocationProblem(np.ones(4), 50.0, 15.0)
-    with pytest.raises(InfeasibleError):
-        allocate_uniform(4, 50.0, 15.0)
-
-
-def test_floor_must_exceed_one():
-    with pytest.raises(ValueError):
-        AllocationProblem(np.ones(2), 10.0, 1.0)
 
 
 def test_zero_weight_gets_exactly_floor():
@@ -255,25 +242,6 @@ def test_allocation_csv_matches_csv_writer(tmp_path_factory, weights, data):
     assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("budget, floor, name", [
-    (float("nan"), 15.0, "budget"),
-    (float("inf"), 15.0, "budget"),
-    (40.0, float("nan"), "floor"),
-    (40.0, float("inf"), "floor"),
-    # not reals: a str raised a TypeError that named neither
-    ("40", 15.0, "budget"),
-    (40.0, "15", "floor"),
-    (True, 15.0, "budget"),
-    (40.0, None, "floor"),
-    (40.0, 15 + 0j, "floor"),
-])
-def test_non_finite_budget_or_floor_rejected(budget, floor, name):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        AllocationProblem(np.array([1.0, 2.0]), budget, floor)
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        allocate_uniform(2, budget, floor)
-
-
 # differential problems: weights drawn from a numpy stream so N can reach 1e4;
 # a spread of s decades puts weight ratios anywhere in 1e-s..1e+s
 _DIFF_SETTINGS = settings(max_examples=300, deadline=None)
@@ -336,49 +304,6 @@ def test_matches_reference_loop_on_floor_boundaries(
         objective_value(problem.weights, ref.capacities), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("weights, bad", [
-    (np.array(["1", "3"]), "'1'"),                  # solved to [15, 25]
-    ([True, False, True], "True"),                  # solved to [22.5, 15, 22.5]
-    (np.array([True, False]), "True"),
-    ([1.0, "2"], "'2'"),
-    (np.array([1 + 0j, 2 + 0j]), r"\(1\+0j\)"),
-])
-def test_str_bool_or_complex_weights_are_not_cast(weights, bad):
-    with pytest.raises(ValueError, match=f"weight {bad} is not a real number"):
-        AllocationProblem(weights, 60.0, 15.0)
-
-
-def test_weights_beyond_float64_are_named():
-    # an unnamed OverflowError: int too large to convert to float
-    with pytest.raises(ValueError, match="weight of 401 digits is outside the range of float64"):
-        AllocationProblem([10**400, 1], 100.0, 15.0)
-
-
-def test_weights_must_form_one_vector():
-    for weights, shape in ((np.ones((2, 2)), r"\(2, 2\)"), (np.array(4.0), r"\(\)"),
-                           (4.0, r"\(\)")):
-        with pytest.raises(ValueError, match=f"weight values must form a 1-D vector, "
-                                             f"got shape {shape}"):
-            AllocationProblem(weights, 60.0, 15.0)
-    with pytest.raises(ValueError, match="non-empty"):
-        AllocationProblem([], 60.0, 15.0)
-
-
-@pytest.mark.parametrize("weights", [[1.0, float("nan")], [1.0, float("inf")], [1.0, -0.5],
-                                     [float("nan")] * 2])
-def test_weights_must_be_finite_and_non_negative(weights):
-    for w in (weights, np.array(weights)):
-        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
-            AllocationProblem(w, 60.0, 15.0)
-
-
-@pytest.mark.parametrize("n_objects", [2.5, 2.0, True, "3", None, np.float64(3)])
-def test_uniform_object_count_must_be_an_integer(n_objects):
-    with pytest.raises(ValueError, match=f"n_objects must be an integer, got "
-                                         f"{re.escape(repr(n_objects))}"):
-        allocate_uniform(n_objects, 60.0, 15.0)
-
-
 def test_integer_like_inputs_still_solve():
     # integer weights and budgets, numpy scalars and an int64 count are reals
     # and an integer by schema's rules, and solve as their float values do
@@ -419,3 +344,7 @@ def test_canonical_ratios_match_the_reference(weights):
     got = _canonical_ratios(weights)
     assert got.dtype == np.float64
     assert got.tobytes() == canonical_ratios(weights).tobytes()
+
+
+# the former fault tests of this module, which run rows of the catalogue
+globals().update(former_tests("test_allocate"))

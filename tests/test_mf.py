@@ -23,7 +23,6 @@ from attnalloc import (
     predict_scene,
 )
 from attnalloc.mf import (
-    EvaluationError,
     FitError,
     _objective,
     _solve_side,
@@ -34,10 +33,10 @@ from attnalloc.mf import (
     save_model,
     LEVEL_CLAMP,
 )
-from attnalloc.schema import number_array
 from attnalloc.world import GroundTruthLevels
 from oracles import (FrozensetRecords, bincount_solve_side, dict_fit_baseline, model_to_dict,
                      raw_score, record_pairs, set_holdout_mask)
+from test_faults import former_tests
 
 
 # constant_records' users x objects, the model's dimensions in fits on them
@@ -77,21 +76,6 @@ def test_fit_deterministic():
     assert a.training_curve == b.training_curve
     c = fit_mf(records, FitConfig(epochs=10, seed=1), **RANDOM_DIMS)
     assert not np.array_equal(a.user_factors, c.user_factors)
-
-
-def test_fit_rejects_empty_and_bad_config():
-    with pytest.raises(FitError):
-        fit_mf(SparseAttentionRecords(), FitConfig(), **CONSTANT_DIMS)
-    with pytest.raises(FitError):
-        fit_mf(constant_records(), FitConfig(epochs=0), **CONSTANT_DIMS)
-    for lam in (0.0, -1.0):
-        with pytest.raises(FitError, match="regularization must be positive"):
-            fit_mf(constant_records(), FitConfig(regularization=lam), **CONSTANT_DIMS)
-    with pytest.raises(FitError, match="seed must be a non-negative integer, got -1"):
-        fit_mf(constant_records(), FitConfig(seed=-1), **CONSTANT_DIMS)
-    with pytest.raises(FitError, match=r"record pair \(0, 2\) lies outside the model's "
-                                       r"2 users x 2 objects"):
-        fit_mf(constant_records(), FitConfig(), num_users=2, num_objects=2)
 
 
 def test_training_loss_trend():
@@ -137,61 +121,17 @@ def test_predict_clamps():
     assert raw_score(zero_model(mu=3.0), 1, 1) == 3.0
 
 
-def test_predict_index_errors():
-    model = zero_model()
-    with pytest.raises(IndexError):
-        predict_scene(model, 2, [0])[0]
-    with pytest.raises(IndexError):
-        predict_scene(model, 0, [-1])[0]
-
-
 def test_predictor_index_errors():
+    # the model's id faults are rows of the catalogue (tests/test_faults.py);
+    # the baseline's predictor shares their rule
     predict_pairs = zero_model().predictor()
     assert predict_pairs(np.array([1, 0]), np.array([0, 1])).tolist() == [3.0, 3.0]
     assert predict_pairs([], []).shape == (0,)
-    # the first faulty pair is named, and a negative id is never wrapped
-    for users, objects, pair in (([0, 2, -1], [0, 0, 0], r"\(2, 0\)"),
-                                 ([1, 0], [0, -1], r"\(0, -1\)"),
-                                 ([-1], [1], r"\(-1, 1\)")):
-        with pytest.raises(IndexError, match=f"pair {pair} outside model dimensions"):
-            predict_pairs(np.array(users), np.array(objects))
-    with pytest.raises(IndexError, match="user id 0.0 is not an integer"):
-        predict_pairs(np.array([0.0]), np.array([1]))
-    with pytest.raises(IndexError, match="user id True is not an integer"):
-        predict_pairs(np.array([True, False]), np.array([0, 1]))  # not a mask
-    # a uint64 id above the int64 maximum wrapped to -1, the last user
-    with pytest.raises(IndexError, match=f"object id {2**64 - 1} is outside the range of int64"):
-        predict_pairs(np.array([0]), np.array([2**64 - 1], dtype=np.uint64))
-    with pytest.raises(ValueError, match="equal length"):
-        predict_pairs(np.array([0, 1]), np.array([0]))
-    for users, objects, what in ((np.array([[0, 1]]), np.array([[0, 1]]), "user id"),
-                                 ([0], np.array(1), "object id"), (0, 1, "user id")):
-        with pytest.raises(ValueError, match=f"{what} values must form a 1-D vector"):
-            predict_pairs(users, objects)
     # a bool in a list is named, not cast to user 1 as np.asarray([0, True]) is
     baseline = fit_baseline(SparseAttentionRecords([(0, 0, 3)]))
-    for model in (zero_model(), baseline):
-        for users, objects in (([0, True], [1, 0]), ([True, 2], [0, 1])):
-            with pytest.raises(IndexError, match="user id True is not an integer"):
-                model.predictor()(users, objects)
-    # the scalar path names a bool or float id too, where numpy read a bool
-    # user as a mask and raised an unnamed TypeError
-    model = zero_model()
-    for call, message in (
-            (lambda: predict_scene(model, True, [0, 1]), "user id True"),
-            (lambda: predict_scene(model, np.float64(0.0), [0]), r"user id np\.float64\(0\.0\)"),
-            (lambda: predict_scene(model, 1.0, [0])[0], "user id 1.0"),
-            (lambda: predict_scene(model, 0, [1, 0, True]), "object id True"),
-            (lambda: predict_scene(model, 0, np.array([0.5])), r"object id np\.float64\(0\.5\)"),
-            (lambda: predict_scene(model, 0, [1.0])[0], "object id 1.0"),
-            (lambda: predict_scene(model, 0, [np.bool_(False)])[0], "object id np.False_")):
-        with pytest.raises(IndexError, match=f"^{message} is not an integer$"):
-            call()
-    # a scalar scene is named, where list() raised an unnamed TypeError
-    for scene in (3, np.array(1), None):
-        with pytest.raises(ValueError, match=re.escape(
-                f"object id values must form a 1-D vector, got shape () for {scene!r}")):
-            predict_scene(model, 0, scene)
+    for users, objects in (([0, True], [1, 0]), ([True, 2], [0, 1])):
+        with pytest.raises(IndexError, match="^user id True is not an integer$"):
+            baseline.predictor()(users, objects)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,8 +224,6 @@ def test_predict_scene_order_and_duplicates():
     model = zero_model(mu=3.0)
     out = predict_scene(model, 0, [1, 0, 1])
     assert np.array_equal(out, [3.0, 3.0, 3.0])
-    with pytest.raises(ValueError):
-        predict_scene(model, 0, [])
 
 
 def test_huge_regularization_shrinks_factors():
@@ -317,8 +255,6 @@ def test_baseline_rules():
     assert model.user_shift.tolist() == [0.0]  # user 0's mean 3.0 equals mu
     assert model.object_shift.tolist() == [-2.0, 2.0]
     assert model.predict(0, 9) == 3.0
-    with pytest.raises(FitError):
-        fit_baseline(SparseAttentionRecords())
 
 
 def test_baseline_additive_blend():
@@ -343,12 +279,6 @@ def test_evaluate_metrics():
     assert perfect.rmse == 0.0 and perfect.mae == 0.0
     assert calls == [([0, 1], [1, 0])]  # once, with the mask's arrays
 
-    with pytest.raises(EvaluationError, match="holdout mask is empty"):
-        evaluate(threes, truth, np.nonzero(np.zeros((2, 2), dtype=bool)))
-    # one prediction per pair, not a scalar broadcast over them
-    with pytest.raises(ValueError, match=r"gave shape \(\) for 2 held-out pairs"):
-        evaluate(lambda u, o: 3.0, truth, (np.array([0, 1]), np.array([0, 1])))
-
 
 def _pairs(mask) -> list:
     """A holdout mask's (user, object) pairs, in the order of its arrays."""
@@ -365,12 +295,6 @@ def test_holdout_mask_excludes_observed():
     assert not (set(pairs) & record_pairs(records))
     again = holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=0)
     assert _pairs(again) == pairs
-    # True drew as seed 1 and None from fresh entropy; 1.5 and -1 raised
-    # numpy's errors, which did not name the seed
-    for seed in (True, None, 1.5, -1, "0"):
-        with pytest.raises(ValueError, match=re.escape(
-                f"seed must be a non-negative integer, got {seed!r}")):
-            holdout_mask(records, num_users=3, num_objects=20, fraction=0.5, seed=seed)
     assert _pairs(holdout_mask(records, 3, 20, 0.5, seed=np.uint8(0))) == pairs
 
 
@@ -395,38 +319,6 @@ def test_observed_mask_marks_the_record_pairs():
     records = SparseAttentionRecords([(0, 1, 3), (2, 0, 5)])
     assert observed_mask(records, 3, 2).tolist() == [[False, True], [False, False],
                                                      [True, False]]
-
-
-# the three readers of observed_mask's one rule for the records and dimensions
-_OBSERVED_PAIRS_CALLS = pytest.mark.parametrize(
-    "call", [observed_mask, holdout_mask,
-             lambda records, *dims: fit_mf(records, FitConfig(), *dims)],
-    ids=["observed_mask", "holdout_mask", "fit_mf"])
-
-
-@_OBSERVED_PAIRS_CALLS
-@pytest.mark.parametrize("dims, name", [
-    ((-1, 5), "num_users"), ((2.0, 5), "num_users"), ((True, 3), "num_users"),
-    ((2, -1), "num_objects"), ((2, np.float64(3.0)), "num_objects")])
-def test_dimensions_are_non_negative_integers(call, dims, name):
-    # numpy raised its own errors, naming neither argument
-    records = SparseAttentionRecords([(0, 0, 3)])
-    value = dims[name == "num_objects"]
-    with pytest.raises(ValueError, match=re.escape(
-            f"{name} must be a non-negative integer, got {value!r}")):
-        call(records, *dims)
-    assert observed_mask(records, np.int64(1), np.uint8(1)).tolist() == [[True]]
-
-
-@_OBSERVED_PAIRS_CALLS
-@pytest.mark.parametrize("dims, pair", [((2, 5), (2, 0)), ((3, 1), (0, 1))])
-def test_records_outside_the_dimensions_raise_one_fit_error(call, dims, pair):
-    # holdout_mask skipped such a record, where the fit and eval raised
-    records = SparseAttentionRecords([(2, 0, 5), (0, 0, 3), (0, 1, 4)])
-    with pytest.raises(FitError, match=re.escape(
-            f"record pair {pair} lies outside the model's {dims[0]} users x "
-            f"{dims[1]} objects")):
-        call(records, *dims)
 
 
 @given(
@@ -479,15 +371,6 @@ def test_model_roundtrip(tmp_path):
     assert model_to_dict(loaded) == model_to_dict(model)
     save_model(loaded, tmp_path / "model2.json")
     assert (tmp_path / "model2.json").read_bytes() == path.read_bytes()
-
-
-def test_model_version_check(tmp_path):
-    model = fit_mf(constant_records(), FitConfig(epochs=1), **CONSTANT_DIMS)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    path.write_text(path.read_text().replace("attn-mf/1", "attn-mf/9"))
-    with pytest.raises(ValueError, match="version"):
-        load_model(path)
 
 
 def _reference_fit_mf(records, config, num_users, num_objects):
@@ -671,21 +554,6 @@ def test_objective_never_rises_between_half_sweeps(levels, f, lam, init_scale, s
     assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(values, values[1:])), values
 
 
-# the message wording; tests/test_config.py checks every field of every config
-@pytest.mark.parametrize("name", ["regularization", "init_scale"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_fit_config_rejects_non_finite(name, value):
-    with pytest.raises(FitError, match=f"^{name} must be finite, got {value!r}$"):
-        FitConfig(**{name: value})
-
-
-@pytest.mark.parametrize("name", ["f", "epochs", "seed"])
-@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
-def test_fit_config_rejects_non_integer_counts(name, value):
-    with pytest.raises(FitError, match=f"^{name} must be an integer, got {value!r}$"):
-        FitConfig(**{name: value})
-
-
 def _assert_fit_fails_in_first_sweep(config, message):
     records = SparseAttentionRecords(frozenset({(0, 0, 5), (0, 1, 1), (1, 0, 2)}))
     with pytest.raises(FitError, match="not finite in sweep 1 of 15") as err:
@@ -703,30 +571,6 @@ def test_singular_solve_fails_fast():
     # a ridge of 1e-300 leaves user 1's one-record system singular
     _assert_fit_fails_in_first_sweep(
         FitConfig(regularization=1e-300), "regularization 1e-300 is too small or init_scale 1.0")
-
-
-def test_model_rejects_inconsistent_shapes():
-    base = zero_model(users=2, objects=3)
-    with pytest.raises(ValueError, match="user_factors must be a 2-D matrix"):
-        dataclasses.replace(base, user_factors=np.zeros(2))
-    with pytest.raises(ValueError, match=r"user_bias has shape \(5,\) for 2 rows"):
-        dataclasses.replace(base, user_bias=np.zeros(5))
-    with pytest.raises(ValueError, match=r"object_bias has shape \(2,\) for 3 rows"):
-        dataclasses.replace(base, object_bias=np.zeros(2))
-    for mu in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="mu must be finite"):
-            dataclasses.replace(base, mu=mu)
-
-
-@pytest.mark.parametrize("key", ["num_users", "num_objects", "f"])
-def test_model_dimensions_must_match_factors(key):
-    doc = model_to_dict(zero_model(users=2, objects=3, f=4))
-    assert model_from_dict(doc).num_objects == 3
-    for value in (7, 99, 2.0, True, "3", None):
-        with pytest.raises(ValueError, match=f"'{key}' is {value!r}, but the factors give"):
-            model_from_dict({**doc, key: value})
-    with pytest.raises(ValueError, match=f"model file has no '{key}'"):
-        model_from_dict({k: v for k, v in doc.items() if k != key})
 
 
 def _assert_saved_as_write_json(model, path):
@@ -766,61 +610,15 @@ def test_save_model_matches_write_json(tmp_path_factory, model):
     assert model_to_dict(load_model(path)) == model_to_dict(model)
 
 
-@pytest.mark.parametrize("users, objects, name", [(0, 2, "user_factors"),
-                                                   (2, 0, "object_factors")])
-def test_model_rejects_factors_without_rows(users, objects, name):
-    # such a model would save "[]", which loads as a 1-D array
-    with pytest.raises(ValueError, match=rf"{name} must be a 2-D matrix with at least one row, "
-                                         r"got shape \(0, 2\)"):
-        zero_model(users=users, objects=objects)
-
-
-@pytest.mark.parametrize("value", [True, "0.25", None, 10**400, [0.5]],
-                         ids=["bool", "string", "null", "int beyond float64", "list"])
-@pytest.mark.parametrize("name, row, place", [
-    ("user_bias", 1, lambda doc, value: doc["user_bias"].__setitem__(1, value)),
-    ("object_bias", 2, lambda doc, value: doc["object_bias"].__setitem__(2, value)),
-    ("user_factors", 1, lambda doc, value: doc["user_factors"][1].__setitem__(3, value)),
-    ("object_factors", 2, lambda doc, value: doc["object_factors"][2].__setitem__(0, value)),
-], ids=["user_bias", "object_bias", "user_factors", "object_factors"])
-def test_model_entries_must_be_numbers(name, row, place, value):
-    # true loaded as 1.0 and "0.25" as 0.25
-    doc = model_to_dict(zero_model(users=2, objects=3, f=4))
-    place(doc, value)
-    kind = "not a number" if name.endswith("bias") else "is not a list of numbers"
-    with pytest.raises(ValueError, match=rf"model file: '{name}' row {row} .*{kind}"):
-        model_from_dict(doc)
-
-
-def test_model_factor_rows_must_be_as_long_as_row_0():
-    # numpy raised its unnamed "inhomogeneous shape" error
-    with pytest.raises(ValueError, match=re.escape("factors row 1 has 1 entries, not 2")):
-        number_array([[1.0, 2.0], [3.0]], "factors")
-    doc = model_to_dict(zero_model(users=3, objects=3, f=2))
-    doc["user_factors"][2].append(0.0)
-    with pytest.raises(ValueError, match=re.escape(
-            "model file: 'user_factors' row 2 has 3 entries, not 2")):
-        model_from_dict(doc)
-    doc["user_factors"][1] = []  # the first row of another length is named
-    with pytest.raises(ValueError, match=re.escape(
-            "model file: 'user_factors' row 1 has 0 entries, not 2")):
-        model_from_dict(doc)
-    doc["user_factors"][2][0] = True  # a row that is not numbers keeps its message
-    with pytest.raises(ValueError, match=re.escape(
-            "model file: 'user_factors' row 2 is not a list of numbers")):
-        model_from_dict(doc)
-
-
 def test_model_rows_must_be_lists():
-    doc = model_to_dict(zero_model(users=3, objects=3, f=2))
-    doc["object_factors"][1] = 0.5
-    with pytest.raises(ValueError, match="'object_factors' row 1 is not a list of numbers"):
-        model_from_dict(doc)
-    with pytest.raises(ValueError, match="'user_bias' must be a list"):
-        model_from_dict({**doc, "user_bias": 0.5})
-    # ints within float64 are numbers
+    # a row or an array that is not a list is a row of the catalogue; ints
+    # within float64 are numbers
     doc = model_to_dict(zero_model(users=2, objects=2, f=1))
     doc["user_bias"][0] = 2
     doc["user_factors"][1][0] = -3
     loaded = model_from_dict(doc)
     assert loaded.user_bias[0] == 2.0 and loaded.user_factors[1, 0] == -3.0
+
+
+# the former fault tests of this module, which run rows of the catalogue
+globals().update(former_tests("test_mf"))

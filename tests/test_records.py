@@ -14,6 +14,7 @@ from attnalloc.world import sparsify
 from attnalloc.records import CSV_HEADER, InvalidRecordError, RecordsParseError
 from oracles import (FrozensetRecords, csv_writer_text, frozenset_load_records,
                      record_pairs, row_loop_load_records)
+from test_faults import former_tests
 
 record_sets = st.sets(
     st.tuples(st.integers(0, 9), st.integers(0, 30), st.integers(1, 5))
@@ -23,30 +24,11 @@ record_sets = st.sets(
 )
 
 
-def test_rejects_out_of_range_level():
-    with pytest.raises(ValueError, match="level"):
-        SparseAttentionRecords(frozenset({(0, 1, 6)}))
-    with pytest.raises(ValueError, match="level"):
-        SparseAttentionRecords(frozenset({(0, 1, 0)}))
-
-
-def test_rejects_duplicate_pair():
-    with pytest.raises(ValueError, match="duplicate"):
-        SparseAttentionRecords(frozenset({(0, 1, 2), (0, 1, 3)}))
-
-
 def test_accessors():
     records = SparseAttentionRecords(frozenset({(1, 0, 5), (0, 0, 2), (0, 3, 1)}))
     assert len(records) == 3
     assert records.sorted_list() == [(0, 0, 2), (0, 3, 1), (1, 0, 5)]
     assert record_pairs(records) == {(1, 0), (0, 0), (0, 3)}
-
-
-def test_merge_conflicting_levels_rejected():
-    a = SparseAttentionRecords(frozenset({(0, 0, 1)}))
-    b = SparseAttentionRecords(frozenset({(0, 0, 2)}))
-    with pytest.raises(ValueError):
-        SparseAttentionRecords(a.records | b.records)
 
 
 @given(record_sets)
@@ -88,46 +70,6 @@ def test_empty_file_with_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("user_id,object_id,level\n")
     assert len(load_records(path)) == 0
-
-
-@pytest.mark.parametrize(
-    "body,fragment",
-    [
-        ("3,12,6\n", "level 6"),
-        ("3,12,0\n", "level 0"),
-        ("a,2,3\n", "non-integer"),
-        ("1,2\n", "3 fields"),
-        ("1,2,3\n1,2,4\n", "duplicate"),
-        ("99999999999999999999,2,3\n", "outside the 64-bit integer range"),
-        ("1,-99999999999999999999,3\n", "outside the 64-bit integer range"),
-    ],
-)
-def test_malformed_rows_name_line(tmp_path, body, fragment):
-    path = tmp_path / "bad.csv"
-    path.write_text("user_id,object_id,level\n" + body)
-    with pytest.raises(RecordsParseError, match="line 2|line 3") as err:
-        load_records(path)
-    assert fragment in str(err.value)
-
-
-def test_missing_header(tmp_path):
-    path = tmp_path / "no_header.csv"
-    path.write_text("0,1,2\n")
-    with pytest.raises(RecordsParseError, match="line 1"):
-        load_records(path)
-
-
-def test_rejects_negative_ids():
-    for record in ((-1, 0, 3), (0, -1, 3)):
-        with pytest.raises(ValueError, match="negative"):
-            SparseAttentionRecords(frozenset({record}))
-
-
-def test_load_rejects_negative_ids(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text("user_id,object_id,level\n0,0,1\n1,-2,3\n")
-    with pytest.raises(RecordsParseError, match="line 3: negative"):
-        load_records(path)
 
 
 @st.composite
@@ -239,17 +181,6 @@ def test_loader_matches_row_loop_oracle_on_examples(tmp_path, body):
     path = tmp_path / "r.csv"
     path.write_text("user_id,object_id,level\n" + body)
     assert _load_outcome(load_records, path) == _load_outcome(row_loop_load_records, path)
-
-
-def test_load_names_line_of_overlong_field(tmp_path):
-    # csv.Error used to escape as a traceback
-    path = tmp_path / "r.csv"
-    path.write_text("user_id,object_id,level\n0,1,2\n\n1," + "9" * 200_000 + ",3\n")
-    with pytest.raises(RecordsParseError, match=r"line 4: field larger than field limit"):
-        load_records(path)
-    path.write_text("user_id," + "x" * 200_000 + "\n")
-    with pytest.raises(RecordsParseError, match=r"line 1: field larger than field limit"):
-        load_records(path)
 
 
 @pytest.mark.parametrize("rows", [[], [(u, o, (u + o) % 5 + 1) for u in range(30)
@@ -410,3 +341,7 @@ def test_loader_matches_row_loop_oracle_on_near_canonical_text(tmp_path_factory,
     path = tmp_path_factory.mktemp("records") / "r.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _load_outcome(load_records, path) == _load_outcome(row_loop_load_records, path)
+
+
+# the former fault tests of this module, which run rows of the catalogue
+globals().update(former_tests("test_records"))
