@@ -135,7 +135,7 @@ def allocate_weighted(problem: AllocationProblem) -> AllocationResult:
     budget = problem.budget
     r = problem.ratios
 
-    capacities = np.full(n, floor)
+    capacities = np.full(n, floor, dtype=np.float64)  # an integer floor takes no int dtype
     lam_orig = None
     if budget - n * floor > 0:
         # lambda of each largest-ratio prefix, with every other object at the

@@ -128,6 +128,7 @@ def _cmd_fit(args):
         fit_cfg = dataclasses.replace(fit_cfg, seed=args.seed)
     records = rec_mod.load_records(args.records)
     world = world_mod.load_world(args.world)
+    _observed(args.records, records, world, fit=True)
     model = mf_mod.fit_mf(records, fit_cfg, world.num_users, world.num_objects)
     out = args.out or "model.json"
     mf_mod.save_model(model, out)
@@ -147,7 +148,7 @@ def _cmd_eval(args):
     truth = world_mod.ground_truth_levels(world)
     records = (rec_mod.load_records(args.records) if args.records
                else rec_mod.SparseAttentionRecords())
-    observed = mf_mod.observed_mask(records, *shape)
+    observed = _observed(args.records, records, world)
     metrics = mf_mod.evaluate(model.predictor(), truth, np.nonzero(~observed))
     doc = {"rmse": metrics.rmse, "mae": metrics.mae, "count": metrics.count}
     if args.out:
@@ -156,6 +157,19 @@ def _cmd_eval(args):
     else:
         print(schema.json_text(doc), end="")
     return EXIT_OK
+
+
+def _observed(path, records, world, fit: bool = False) -> np.ndarray:
+    """``mf.observed_mask`` of the records read from ``path`` in the world's
+    dimensions; with ``fit``, empty records fail too, as ``fit_mf`` fails
+    them. These are faults of the file that loading it cannot see, so the
+    FitError names the file."""
+    try:
+        if fit and not len(records):
+            raise mf_mod.FitError("cannot fit on empty records")
+        return mf_mod.observed_mask(records, world.num_users, world.num_objects)
+    except mf_mod.FitError as err:
+        raise mf_mod.FitError(f"{path}: {err}") from None
 
 
 def _cmd_allocate(args):

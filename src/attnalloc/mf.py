@@ -259,8 +259,10 @@ def predict_scene(model: FactorModel, user: int, objects) -> np.ndarray:
     It works object by object rather than as ``model.predictor()``'s gather
     because of the benchmark's ``serve`` workload: its harness keeps every
     request's result, so a faster ``serve`` holds more of them, and with the
-    gather here its peak RSS rose 25-40%, past its 15% bound. Gather here
-    once the harness is fixed (ROADMAP directions 1a and 2)."""
+    gather here its peak RSS rose 27% in 20 s runs on a 2-core host (69.8
+    to 88.4 MB, as its requests went from about 36k to 65k), past its 15%
+    bound. Gather here once the harness is fixed (ROADMAP directions 1a
+    and 2)."""
     objects = integer_ids(objects, "object id", IndexError)
     if not objects.size:
         raise ValueError("scene object list must be non-empty")

@@ -2,7 +2,8 @@
 JSON layout, exact-type JSON numbers and their arrays (``number_array``),
 the integer rule of every id, the real rule of every weight and capacity
 vector, and config fields checked by their annotations. Every file goes
-through ``read_text`` (which names it on a fault) or ``write_text``."""
+through ``read_bytes`` or ``read_text`` (which names it on a fault) or
+``write_text``."""
 
 from __future__ import annotations
 
@@ -194,7 +195,13 @@ def json_text(doc: dict, members: str = "") -> str:
     """The package's JSON text of the non-empty object ``doc``: indent 1 and a final
     newline, with ``members`` (more members' text, led by a comma) before the closing
     brace. NaN and the infinities, which JSON has no number for, raise a ValueError."""
-    return json.dumps(doc, indent=1, allow_nan=False)[:-2] + members + "\n}\n"
+    return json_members(doc) + members + "\n}\n"
+
+
+def json_members(doc: dict) -> str:
+    """``json_text(doc)`` up to its last member: the text that more members,
+    then ``"\n}\n"``, complete."""
+    return json.dumps(doc, indent=1, allow_nan=False)[:-2]
 
 
 def write_json(doc: dict, path) -> None:
@@ -202,9 +209,11 @@ def write_json(doc: dict, path) -> None:
     write_text(json_text(doc), path)
 
 
-def write_text(text: str, path) -> None:
+def write_text(text, path) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8 with ``\n`` line ends:
+    a str, or an iterable of them, each written as it is made."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 @functools.lru_cache(maxsize=16)
@@ -223,11 +232,21 @@ def json_layout(shape: tuple, depth: int, entry: str = "%r") -> str:
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + " " * depth + "]"
 
 
-def read_text(path, newline=None) -> str:
-    """The text of the UTF-8 file at ``path``, line ends as ``open`` reads them
-    with ``newline`` None or ""; a ValueError names the file and line of a bad byte."""
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def read_text(path, newline=None) -> str:
+    """The text of the UTF-8 file at ``path`` (``decode_text``)."""
+    return decode_text(read_bytes(path), path, newline)
+
+
+def decode_text(data: bytes, path, newline=None) -> str:
+    """``data``, read from the file at ``path``, as UTF-8 text, line ends as
+    ``open`` reads them with ``newline`` None or ""; a ValueError names the
+    file and line of a bad byte."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

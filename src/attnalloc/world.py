@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_count, check_fields, field_rule, field_types, integer_ids,
-                     integer_type, json_layout, json_text, number_array, parse_json, read_text,
-                     require, write_text)
+from .schema import (check_count, check_fields, decode_text, field_rule, field_types,
+                     integer_ids, integer_type, json_layout, json_members, number_array,
+                     parse_json, read_bytes, read_text, require, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -291,6 +292,15 @@ def _run_ids(n: int, parts: int) -> np.ndarray:
     return np.repeat(np.arange(parts), [len(run) for run in np.array_split(np.arange(n), parts)])
 
 
+# about this many exponential keys are drawn and sorted at a time
+_KEY_BLOCK = 1 << 15
+
+
+def _key_block_rows(num_objects: int) -> int:
+    """The image rows of one block of keys: at least one, whatever the catalog."""
+    return max(1, _KEY_BLOCK // num_objects)
+
+
 def _generate_images(config: WorldConfig, rng):
     """The images' occurrences before missing objects are placed, as
     ``(image, object, pixel count)`` arrays in key order, and their group
@@ -298,7 +308,10 @@ def _generate_images(config: WorldConfig, rng):
     ``E`` standard exponential and ``w`` the group's weight: successive
     weighted sampling without replacement (Efraimidis and Spirakis, 2006).
     Keys are compared as logarithms, so no tiny weight overflows its key;
-    a 0 weight gets +inf."""
+    a 0 weight gets +inf. The keys are drawn in blocks of image rows, so
+    memory stays bounded whatever the world's size; the draws are those of
+    one images x objects matrix, since the generator fills a draw in order,
+    and each row's stable ``argsort`` reads that row alone."""
     n_img, n_obj = config.num_images, config.num_objects
     # shuffled so popularity is not correlated with the group blocks
     popularity = rng.permutation(_popularity(config))
@@ -310,8 +323,15 @@ def _generate_images(config: WorldConfig, rng):
 
     hi = config.max_objects_per_image
     k = rng.integers(config.min_objects_per_image, hi + 1, size=n_img)
-    keys = np.log(rng.standard_exponential((n_img, n_obj))) - group_log_weight[group_of]
-    objects = np.argsort(keys, axis=1)[:, :hi][np.arange(hi) < k[:, None]]
+    smallest = np.empty((n_img, hi), dtype=np.intp)
+    rows = _key_block_rows(n_obj)
+    for start in range(0, n_img, rows):
+        block = slice(start, start + rows)
+        keys = rng.standard_exponential((smallest[block].shape[0], n_obj))
+        np.log(keys, out=keys)
+        keys -= group_log_weight[group_of[block]]
+        smallest[block] = np.argsort(keys, axis=1)[:, :hi]
+    objects = smallest[np.arange(hi) < k[:, None]]
     counts = rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1,
                           size=objects.size)
     return (np.repeat(np.arange(n_img), k), objects, counts), group_of
@@ -583,13 +603,15 @@ def world_from_dict(doc: dict) -> World:
             counts.append(px)
         group_of.append(group)
         lengths.append(len(composition))
-    arrays = [np.array(a, dtype=np.int64) for a in (group_of, lengths, objects, counts)]
-    return _world(doc, labels, _sorted_images(*arrays, num_objects))
+    return _world(doc, labels, *(np.array(a, dtype=np.int64)
+                                 for a in (group_of, lengths, objects, counts)))
 
 
-def _world(doc: dict, labels: tuple, arrays) -> World:
+def _world(doc: dict, labels: tuple, *images) -> World:
     """The world of a document whose catalog is ``labels`` and whose images
-    are ``arrays``: its interest rows, ``int`` user count, seed and gaze noise."""
+    are ``images``, the arrays that ``_sorted_images`` takes: its interest
+    rows, ``int`` user count, seed and gaze noise. Both world file readers
+    share it."""
     rows = require(doc, "interest", "world file", list)
     if rows and type(rows[0]) is not list:  # not a matrix, which number_array would read
         raise ValueError("world file: interest row 0 is not a list of numbers")
@@ -597,17 +619,17 @@ def _world(doc: dict, labels: tuple, arrays) -> World:
     num_users = require(doc, "num_users", "world file")
     if type(num_users) is not int or interest.shape[:1] != (num_users,):
         raise ValueError(f"interest matrix has shape {interest.shape} for {num_users!r} users")
-    return World(*arrays, labels=labels, interest=interest,
+    return World(*_sorted_images(*images, len(labels)), labels=labels, interest=interest,
                  seed=require(doc, "seed", "world file"),
                  gaze_noise=require(doc, "gaze_noise", "world file"))
 
 
 def _sorted_images(group_of, lengths, objects, counts, num_objects: int):
-    """``(indptr, objects, counts, group_of)`` of images given as int64
+    """``(indptr, objects, counts, group_of)`` of images given as integer
     arrays in document order (``lengths`` entries each), each image's
-    entries in a stable sort by object id; ``World`` checks the result.
-    Both world file readers share it. An object id outside the catalog can
-    sort into another image, but ``World`` rejects it wherever it lands."""
+    entries in a stable sort by object id; ``World`` checks the result. An
+    object id outside the catalog can sort into another image, but
+    ``World`` rejects it wherever it lands."""
     keys = np.repeat(np.arange(group_of.size), lengths) * num_objects + objects
     order = np.argsort(keys, kind="stable")
     return np.concatenate(([0], np.cumsum(lengths))), objects[order], counts[order], group_of
@@ -622,84 +644,127 @@ def _image_layout(num_entries: int) -> str:
 
 
 # the text around save_world's images block: its first image follows the
-# first marker, and the second ends the list
+# first marker, the second ends the list, and the third lies between two images
 _IMAGES_OPEN = ',\n "images": [\n  '
 _IMAGES_CLOSE = "\n ],\n"
-_DIGIT_FLAGS = bytes(48 <= c < 58 for c in range(256))  # translate: 1 for a digit, else 0
+_IMAGES_JOIN = ",\n  "
+# the images formatted, or the bytes parsed, at a time
+_IMAGES_PER_CHUNK = 1024
+_CHUNK_BYTES = 1 << 17
 
 
 def save_world(world: World, path) -> None:
     """Write ``write_json(world_to_dict(world), path)``'s bytes from the
-    arrays with one ``%``-template: with an indent, ``json.dump`` runs its
+    arrays with ``%``-templates: with an indent, ``json.dump`` runs its
     pure-Python encoder, which is several times slower. The header goes
-    through ``json_text`` (label escapes, an int ``gaze_noise`` stay json's
+    through ``json_members`` (label escapes, an int ``gaze_noise`` stay json's
     own); every image has at least one entry, the world at least one user,
-    and its interest values are finite."""
-    n, indptr, lengths = world.num_images, world.indptr, np.diff(world.indptr)
-    # image i's integers, [i, group, object, count, ...], start at 2 * (i + indptr[i])
-    ints = np.empty(2 * (n + indptr[-1]), dtype=np.int64)
-    starts = 2 * (np.arange(n) + indptr[:-1])
-    ints[starts], ints[starts + 1] = np.arange(n), world.group_of
-    at = 2 * (np.repeat(np.arange(1, n + 1), lengths) + np.arange(indptr[-1]))
-    ints[at], ints[at + 1] = world.objects, world.counts
-    layout = (_IMAGES_OPEN + ",\n  ".join(map(_image_layout, lengths.tolist())) + _IMAGES_CLOSE
-              + ' "interest": ' + json_layout(world.interest.shape, 1))
-    body = layout % tuple(ints.tolist() + world.interest.ravel().tolist())
-    write_text(json_text(_header(world), body), path)
+    and its interest values are finite. The header and the interest are
+    formatted before the file is opened; the images follow them there a
+    chunk at a time, so memory stays bounded whatever their number."""
+    head = json_members(_header(world)) + _IMAGES_OPEN
+    tail = (_IMAGES_CLOSE + ' "interest": ' + json_layout(world.interest.shape, 1)
+            % tuple(world.interest.ravel().tolist()) + "\n}\n")
+    chunks = (_images_text(world, start, min(start + _IMAGES_PER_CHUNK, world.num_images))
+              for start in range(0, world.num_images, _IMAGES_PER_CHUNK))
+    write_text(chain([head], chunks, [tail]), path)
+
+
+def _images_text(world: World, start: int, stop: int) -> str:
+    """The text of images ``start..stop - 1`` in the images block, led by
+    the join unless ``start`` is the first image, from one ``%``-template."""
+    indptr = world.indptr[start:stop + 1]
+    n, m, lengths = stop - start, indptr[-1] - indptr[0], np.diff(indptr)
+    # image i's integers, [id, group, object, count, ...], start at 2 * (i + its offset)
+    ints = np.empty(2 * (n + m), dtype=np.int64)
+    starts = 2 * (np.arange(n) + indptr[:-1] - indptr[0])
+    ints[starts], ints[starts + 1] = np.arange(start, stop), world.group_of[start:stop]
+    at = 2 * (np.repeat(np.arange(1, n + 1), lengths) + np.arange(m))
+    occurrences = slice(indptr[0], indptr[-1])
+    ints[at], ints[at + 1] = world.objects[occurrences], world.counts[occurrences]
+    layout = _IMAGES_JOIN * bool(start) + _IMAGES_JOIN.join(map(_image_layout, lengths.tolist()))
+    return layout % tuple(ints.tolist())
 
 
 def load_world(path) -> World:
     """The world in the file at ``path``. A file whose images block has
-    exactly the layout that ``save_world`` writes is read without building a
-    JSON tree for the block (``_saved_world``); any other text, and a file
+    exactly the layout that ``save_world`` writes is read from its bytes
+    without building a JSON tree for the block (``_saved_world``), and the
+    bytes are freed before the world is built; any other text, and a file
     that fails any of that path's checks, goes through ``world_from_dict``,
     which names a fault after the path (``parse_json``)."""
-    text = read_text(path)
     try:
-        world = _saved_world(text, path)
+        saved = _saved_world(read_bytes(path), path)
+        world = _world(*saved) if saved else None
     except ValueError:  # the json path names the fault
         world = None
-    return world if world is not None else parse_json(text, path, world_from_dict)
+    return world if world is not None else parse_json(read_text(path), path, world_from_dict)
 
 
-def _saved_world(text: str, path):
-    """The world of ``text`` when its images block is exactly what
-    ``save_world`` writes (``_saved_images``), else None. The members before
-    and after the block are parsed as JSON objects of their own; when both
-    hold a member, the text is a JSON object whose members are theirs plus
-    the block, a repeated key keeping its last value as ``json.loads`` does.
-    Only the image ids are checked here; ``World`` rejects a group, object
-    id or pixel count out of range and a repeated object, and its
-    ``ValueError`` sends ``load_world`` to the JSON path, which names the
-    fault."""
-    start = text.find(_IMAGES_OPEN)
-    end = text.find(_IMAGES_CLOSE, start)
+def _saved_world(data: bytes, path):
+    """``_world``'s arguments for the file bytes ``data`` when its images
+    block is exactly what ``save_world`` writes (``_saved_images``), else
+    None. The block starts at the first open marker and ends at the last
+    close marker, found from the back, since only the interest follows it.
+    The members before and after the block are decoded and parsed as JSON
+    objects of their own; when both hold a member, the text is a JSON object
+    whose members are theirs plus the block, a repeated key keeping its last
+    value as ``json.loads`` does. Only the image ids are checked here;
+    ``World`` rejects a group, object id or pixel count out of range and a
+    repeated object, and its ``ValueError`` sends ``load_world`` to the JSON
+    path, which names the fault."""
+    start = data.find(_IMAGES_OPEN.encode())
+    end = data.rfind(_IMAGES_CLOSE.encode(), start + 1)
     if start < 0 or end < 0:
         return None
-    # a block that is not ASCII raises UnicodeEncodeError, a ValueError
-    arrays = _saved_images(text[start + len(_IMAGES_OPEN):end].encode("ascii"))
-    if arrays is None:
+    images = _saved_images(data, start + len(_IMAGES_OPEN), end)
+    if images is None:
         return None
-    head = parse_json(text[:start] + "}", path)
-    tail = parse_json("{" + text[end + len(_IMAGES_CLOSE):], path)
+    # a member that is not UTF-8 raises UnicodeDecodeError, a ValueError
+    head = parse_json(decode_text(data[:start], path) + "}", path)
+    tail = parse_json("{" + decode_text(data[end + len(_IMAGES_CLOSE):], path), path)
     if not head or not tail or "images" in tail:  # a later "images" replaces the block
         return None
     doc = {**head, **tail}
     labels = doc.get("catalog")
     if doc.get("version") != WORLD_FORMAT_VERSION or type(labels) is not list:
         return None
-    ids, *images = arrays
+    ids, *images = images
     if not np.array_equal(ids, np.arange(ids.size)):
         return None
-    return _world(doc, tuple(labels), _sorted_images(*images, len(labels)))
+    return doc, tuple(labels), *images
 
 
-def _saved_images(block: bytes):
-    """``(ids, groups, lengths, objects, counts)`` as int64 arrays when
-    ``block`` is ``save_world``'s text of its images: each image
+def _saved_images(data: bytes, start: int, end: int):
+    """``(ids, groups, lengths, objects, counts)`` as integer arrays when
+    ``data[start:end]`` is ``save_world``'s images block, else None. The
+    block is parsed in chunks of whole images (``_saved_chunk``), read
+    through views of ``data``: a chunk ends at the first join of two images
+    past ``_CHUNK_BYTES``, where an image's closing brace meets the next
+    one's opening brace. No image holds that text, so the chunks of a block
+    pass exactly when the whole block does. Each array is joined from its
+    chunks' parts and then freed of them, one array at a time."""
+    columns, between = [[] for _ in range(5)], b"}" + _IMAGES_JOIN.encode() + b"{"
+    while start < end:
+        stop = data.find(between, min(start + _CHUNK_BYTES, end), end) + 1
+        stop = stop if stop else end
+        arrays = _saved_chunk(np.frombuffer(data, np.uint8, stop - start, start))
+        if arrays is None:
+            return None
+        for column, array in zip(columns, arrays):
+            column.append(array)
+        start = stop + len(_IMAGES_JOIN)
+    if not columns[0]:
+        return None
+    return [np.concatenate(columns.pop(0)) for _ in range(5)]
+
+
+def _saved_chunk(chars: np.ndarray):
+    """``(ids, groups, lengths, objects, counts)`` as integer arrays when the
+    bytes ``chars`` are ``save_world``'s text of some images: each image
     ``_image_layout(k) % (id, group, object, count, ...)``, joined by
-    ``",\n  "``, with every integer a plain decimal of at most 10 digits;
-    None for any other text.
+    ``_IMAGES_JOIN``, with every integer a plain decimal of at most 10
+    digits; None for any other text.
 
     Structure first, then the numbers in bulk (Langdale and Lemire,
     "Parsing Gigabytes of JSON per Second", 2019). Every run of digits must
@@ -708,11 +773,11 @@ def _saved_images(block: bytes):
     skeleton, the join of the images' layouts with their ``%d``s emptied. In
     the skeleton a space meets a comma or a line end only where a ``%d``
     was, and no two runs lie at one place, so each ``%d`` holds exactly one
-    run. The runs are then parsed as one array, with no leading zero."""
-    if not (block.startswith(b"{") and block.endswith(b"}")):  # a non-digit on each side
+    run. The runs are then parsed as one array, with no leading zero, and
+    kept as int32 until every chunk is read."""
+    if not (chars.size and chars[0] == ord("{") and chars[-1] == ord("}")):  # non-digits
         return None
-    chars = np.frombuffer(block, dtype=np.uint8)
-    digit = np.frombuffer(block.translate(_DIGIT_FLAGS), dtype=bool)
+    digit = (chars - ord("0")) < 10  # uint8 arithmetic wraps every other byte past 9
     first = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # where each run starts
     after = np.flatnonzero(digit[:-1] > digit[1:]) + 1
     sizes = after - first
@@ -723,7 +788,7 @@ def _saved_images(block: bytes):
     image_starts = np.flatnonzero(chars[first - 2] == ord(":"))[::2]
     lengths = np.diff(image_starts, append=first.size) // 2 - 1
     if 2 * (image_starts.size + lengths.sum()) != first.size \
-            or block.translate(None, b"0123456789") != b",\n  ".join(
+            or chars[~digit].tobytes() != _IMAGES_JOIN.encode().join(
                 map(_image_skeleton, lengths.tolist())):
         return None
     if sizes.max() > 10 or ((chars[first] == ord("0")) & (sizes > 1)).any():
@@ -731,10 +796,14 @@ def _saved_images(block: bytes):
     values = np.zeros(first.size, dtype=np.int64)
     for k in range(sizes.max()):  # Horner's rule, the k-th digit of every run at once
         values = np.where(sizes > k, values * 10 + (chars[first + k] - ord("0")), values)
+    if values.max() > _MAX_PIXEL_COUNT:  # a later check fails such an id, group or count
+        return None
+    values = values.astype(np.int32)
     entry = np.ones(first.size, dtype=bool)
     entry[image_starts] = entry[image_starts + 1] = False
-    pairs = values[entry]
-    return values[image_starts], values[image_starts + 1], lengths, pairs[::2], pairs[1::2]
+    pairs = np.flatnonzero(entry)  # separate arrays, which free apart
+    return (values[image_starts], values[image_starts + 1], lengths,
+            values[pairs[::2]], values[pairs[1::2]])
 
 
 @functools.lru_cache(maxsize=128)

@@ -2,8 +2,9 @@
 budget simplex, which the exact allocator is checked against, its canonical
 weight ratios as first written, the per-image
 successive sampler, which the vectorized image draw is checked against, the
-dense images x objects pixel matrix that the world once held and the draw
-that filled it, the ``csv.writer`` loop that the CSV writers are checked
+one-matrix key draw that the block draw is checked against, the dense
+images x objects pixel matrix that the world once held and the draw that
+filled it, the ``csv.writer`` loop that the CSV writers are checked
 against, the frozenset records with their per-row loader, the row loop over
 the open file and the per-entry world loader into a pixel matrix that the
 general readers are checked against, the
@@ -158,11 +159,11 @@ def world_from_pixels(pixels, **fields) -> World:
     return World(indptr=indptr, objects=objects, counts=pixels[rows, objects], **fields)
 
 
-def dense_generate_images(config, rng):
-    """The images drawn into a pixel matrix, as ``world._generate_images``
-    did before the world held its occurrences only: the same draws, with each
-    count written at its (image, object) entry. Returns (pixels, group_of)
-    before missing objects are placed; test oracle only."""
+def matrix_generate_images(config, rng):
+    """``world._generate_images`` as it was before it drew its keys in
+    blocks of image rows: one images x objects matrix of keys, each row
+    sorted whole. The same ``(image, object, pixel count)`` arrays and group
+    ids, from the same draws; test oracle only."""
     n_img, n_obj = config.num_images, config.num_objects
     popularity = rng.permutation(_popularity(config))
     log_weight = np.log(popularity, out=np.full(n_obj, -np.inf), where=popularity > 0)
@@ -173,12 +174,21 @@ def dense_generate_images(config, rng):
     hi = config.max_objects_per_image
     k = rng.integers(config.min_objects_per_image, hi + 1, size=n_img)
     keys = np.log(rng.standard_exponential((n_img, n_obj))) - group_log_weight[group_of]
-    smallest = np.argsort(keys, axis=1)[:, :hi]
-    taken = np.arange(hi) < k[:, None]
-    pixels = np.zeros((n_img, n_obj), dtype=np.int32)
-    pixels[np.nonzero(taken)[0], smallest[taken]] = rng.integers(
-        config.min_pixels_per_object, config.max_pixels_per_object + 1, size=int(k.sum())
-    )
+    objects = np.argsort(keys, axis=1)[:, :hi][np.arange(hi) < k[:, None]]
+    counts = rng.integers(config.min_pixels_per_object, config.max_pixels_per_object + 1,
+                          size=objects.size)
+    return (np.repeat(np.arange(n_img), k), objects, counts), group_of
+
+
+def dense_generate_images(config, rng):
+    """The images drawn into a pixel matrix, as ``world._generate_images``
+    did before the world held its occurrences only: the one-matrix draw
+    (``matrix_generate_images``), with each count written at its (image,
+    object) entry. Returns (pixels, group_of) before missing objects are
+    placed; test oracle only."""
+    (rows, objects, counts), group_of = matrix_generate_images(config, rng)
+    pixels = np.zeros((config.num_images, config.num_objects), dtype=np.int32)
+    pixels[rows, objects] = counts
     return pixels, group_of
 
 

@@ -81,6 +81,18 @@ def test_uniform_baseline():
     assert allocate_uniform(1, 37.5, 15.0).capacities[0] == 37.5
 
 
+@pytest.mark.parametrize("floor", [2, np.int64(2)], ids=["int", "np.int64"])
+def test_integer_floor_gives_the_float_floors_bits(floor):
+    # np.full took an integer floor's dtype, so the free capacities were
+    # truncated: [52, 29, 11, 5], which sums to 97
+    weights = [0.9, 0.5, 0.2, 0.1]
+    expected = allocate_weighted(AllocationProblem(weights, 100, 2.0))
+    result = allocate_weighted(AllocationProblem(weights, 100, floor))
+    assert result.capacities.dtype == np.float64 and result.capacities.sum() == 100.0
+    assert result.capacities.tobytes() == expected.capacities.tobytes()
+    assert result.lagrange_multiplier == expected.lagrange_multiplier
+
+
 def test_zero_weight_gets_exactly_floor():
     result = allocate_weighted(AllocationProblem(np.array([3.0, 0.0]), 60.0, 15.0))
     assert result.capacities[1] == 15.0

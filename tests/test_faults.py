@@ -6,7 +6,10 @@ library's arguments. A row is an edit of a known-good input, the error class
 it must raise and its full message. A file row runs through the library
 loader, which must raise ``<path>: <message>``, and through the CLI command
 that reads the file, which must exit 2 with empty stdout, the one line
-``error: <path>: <message>`` on stderr and no output file. An argument row
+``error: <path>: <message>`` on stderr and no output file. A file row that
+names a command holds a fault that loading cannot see: the loader must read
+the file, and that command, whose later stage finds the fault, must exit as
+above. An argument row
 runs through its library call, and through the CLI where a flag carries the
 argument (exit 2, empty stdout, ``error: <message>``, nothing written).
 Edits are applied without catching anything, and every unedited input must
@@ -51,7 +54,9 @@ class Row(NamedTuple):
     edit: object
     error: type
     message: str
-    cli: dict = None  # an argument row's CLI flags, where flags carry its arguments
+    # an argument row's CLI flags, where flags carry its arguments; a file row's
+    # command that finds a fault the loader cannot see (its error is then None)
+    cli: object = None
 
 
 class Bytes(NamedTuple):
@@ -243,6 +248,7 @@ MODEL_ROWS = [
 ]
 
 _HEADER = "user_id,object_id,level\n"
+_FIT = ("fit", "--config", "config", "--world", "world")
 # the small world's records, as sparsify writes them
 RECORDS_ROWS = [
     *(Row(f"rows {body!r}", _HEADER + body, RecordsParseError, message) for body, message in (
@@ -275,6 +281,11 @@ RECORDS_ROWS = [
         "line 1: expected header 'user_id,object_id,level', got ['{']"),
     Row("level out of range", lambda text: text.replace("\n", "\n0,0,9\n", 1),
         RecordsParseError, "line 2: level 9 out of range 1..5 in record (0, 0, 9)"),
+    # faults of files that load, found by the fit or the evaluation
+    Row("header only", _HEADER, None, "cannot fit on empty records", cli=_FIT),
+    *(Row(f"record outside the world, {command[0]}", lambda text: text + "4,1,3\n", None,
+          "record pair (4, 1) lies outside the model's 4 users x 24 objects", cli=command)
+      for command in (_FIT, ("eval", "--model", "model", "--world", "world"))),
 ]
 
 CONFIG_ROWS = [
@@ -356,8 +367,7 @@ class FileSurface(NamedTuple):
 FILES = {
     "world": (FileSurface(load_world, ("sparsify", "--config", "config")), WORLD_ROWS),
     "model": (FileSurface(load_model, ("eval", "--world", "world")), MODEL_ROWS),
-    "records": (FileSurface(load_records, ("fit", "--config", "config", "--world", "world")),
-                RECORDS_ROWS),
+    "records": (FileSurface(load_records, _FIT), RECORDS_ROWS),
     "config": (FileSurface(load_config, ("generate",)), CONFIG_ROWS),
 }
 
@@ -385,10 +395,10 @@ def run_cli(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
-def _file_argv(name: str, path, files, out) -> list:
-    """The CLI command that reads file ``name`` from ``path``, with the good
-    files it needs and ``--out``."""
-    command, *rest = FILES[name][0].command
+def _file_argv(name: str, path, files, out, command=None) -> list:
+    """The CLI command (by default the one of file ``name``) that reads file
+    ``name`` from ``path``, with the good files it needs and ``--out``."""
+    command, *rest = command or FILES[name][0].command
     return [command, *(files.get(arg, arg) for arg in rest), f"--{name}", str(path),
             "--out", str(out)]
 
@@ -396,10 +406,13 @@ def _file_argv(name: str, path, files, out) -> list:
 def check_file_row(name, row, files, folder, capsys):
     path, out = folder / f"bad.{name}", folder / "out"
     path.write_bytes(_edited(name, row.edit, files))
-    with pytest.raises(row.error) as raised:
+    if row.cli:  # a fault that loading cannot see
         FILES[name][0].load(path)
-    assert (type(raised.value), str(raised.value)) == (row.error, f"{path}: {row.message}")
-    assert run_cli(capsys, _file_argv(name, path, files, out)) \
+    else:
+        with pytest.raises(row.error) as raised:
+            FILES[name][0].load(path)
+        assert (type(raised.value), str(raised.value)) == (row.error, f"{path}: {row.message}")
+    assert run_cli(capsys, _file_argv(name, path, files, out, row.cli)) \
         == (EXIT_DATA, "", f"error: {path}: {row.message}\n")
     assert not list(folder.glob("out*"))
 

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from attnalloc import (
     save_world,
     sparsify,
 )
+from attnalloc import world as world_module
 from attnalloc.world import (
     ConfigurationError,
     _GAZE_STREAM,
@@ -28,8 +31,10 @@ from attnalloc.world import (
     _gaze_factors,
     _generate_images,
     _generate_interest,
+    _key_block_rows,
     _rank_levels,
     _saved_world,
+    _world,
     attention_matrix,
     raw_attention_values,
     world_from_dict,
@@ -40,8 +45,8 @@ from attnalloc.schema import parse_json, read_text
 from conftest import SMALL_WORLD
 from oracles import (attention_from_gaze, dense_generate_images, dense_generate_world,
                      dense_pixels, dict_sparsify, loop_sparsify, loop_world_from_dict,
-                     quantize_pairs, row_quantize_levels, successive_sampling_images,
-                     world_from_pixels)
+                     matrix_generate_images, quantize_pairs, row_quantize_levels,
+                     successive_sampling_images, world_from_pixels)
 from test_faults import former_tests
 
 
@@ -448,8 +453,8 @@ def _assert_read_on_the_fast_path(world, path):
     """``load_world``'s fast path reads the file that ``save_world`` writes
     for ``world`` back to ``world``, without the JSON path."""
     save_world(world, path)
-    loaded = _saved_world(read_text(path), path)
-    assert loaded is not None and world_to_dict(loaded) == world_to_dict(world)
+    saved = _saved_world(path.read_bytes(), path)
+    assert saved is not None and world_to_dict(_world(*saved)) == world_to_dict(world)
 
 
 @pytest.mark.parametrize("gaze_noise", [0.0, 0.1])
@@ -546,6 +551,32 @@ def test_interest_plateau_shape():
     # large near-floor cold baseline
     assert (hot >= 8).all() and (hot <= 22).all()
     assert (cold >= 48).all()
+
+
+def _traced_peak(call) -> tuple:
+    """``call()``'s result and the peak bytes that it held in Python and
+    numpy allocations, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_world_stage_memory_stays_below_its_whole_arrays(tmp_path):
+    # 20,000 images x 96 objects: the whole key matrix is 15.4 MB and the file
+    # 6.0 MB. Drawing every key at once, formatting the file as one string and
+    # parsing it from one decoded text peaked at 33.6, 28.1 and 38.5 MB
+    config = WorldConfig(num_images=20_000)
+    path = tmp_path / "world.json"
+    world, generated = _traced_peak(lambda: generate_world(config, 0))
+    assert generated < config.num_images * config.num_objects * 8
+    _, saved = _traced_peak(lambda: save_world(world, path))
+    assert saved < path.stat().st_size
+    loaded, peak = _traced_peak(lambda: load_world(path))
+    assert peak < 2 * path.stat().st_size
+    assert _saved_world(path.read_bytes(), path) is not None  # the fast path read it
+    assert world_to_dict(loaded) == world_to_dict(world)
 
 
 def _reference_raw_attention_values(images, world, user, image_ids, factors):
@@ -1052,6 +1083,28 @@ def test_load_world_matches_json_path_on_each_text_edit(tmp_path, edit):
         assert _load_outcome(load_world, path) == _load_outcome(_json_load_world, path)
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 150])
+def test_load_world_matches_json_path_on_text_edits_across_chunks(tmp_path, monkeypatch,
+                                                                   chunk_bytes):
+    # each image, or each pair of images, is a chunk of its own, so the edits
+    # meet the ends of chunks
+    monkeypatch.setattr(world_module, "_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "world.json"
+    text = _manual_world_text()
+    for edit in _TEXT_EDITS.values():
+        for k in range(16):
+            path.write_bytes(edit(text, k).encode("utf-8"))
+            assert _load_outcome(load_world, path) == _load_outcome(_json_load_world, path)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 5000])
+def test_load_world_reads_saved_worlds_in_small_chunks_on_the_fast_path(tmp_path, monkeypatch,
+                                                                         chunk_bytes):
+    monkeypatch.setattr(world_module, "_CHUNK_BYTES", chunk_bytes)
+    for seed in range(3):
+        _assert_read_on_the_fast_path(generate_world(WorldConfig(), seed), tmp_path / "world.json")
+
+
 @given(st.data(), _small_worlds())
 @settings(max_examples=25, deadline=None)
 def test_load_world_matches_json_path_on_edited_texts(tmp_path_factory, data, world):
@@ -1113,6 +1166,39 @@ def test_generate_world_matches_dense_oracle_where_placement_runs(config, seed):
     assert not drawn.any(axis=0).all()  # some object is left for the placement
     assert _generation_outcome(generate_world, config, seed) \
         == _generation_outcome(dense_generate_world, config, seed)
+
+
+@st.composite
+def _block_configs(draw):
+    """Worlds whose images end one short of, at or one past a block of key
+    rows, or past two, over a narrow, the default and a wide catalog."""
+    num_objects = draw(st.sampled_from([24, 96, 960]))
+    rows = _key_block_rows(num_objects)
+    return WorldConfig(num_users=draw(st.integers(1, 3)), num_objects=num_objects,
+                       num_images=draw(st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 1])),
+                       num_groups=draw(st.integers(1, 5)),
+                       gaze_noise=draw(st.sampled_from([0.0, 0.1])))
+
+
+@given(st.one_of(_block_configs(), _world_configs()), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_key_draws_match_one_matrix_oracle(config, seed):
+    # the keys drawn a block of rows at a time give the images of one matrix,
+    # leave the generator where it leaves it, and so give the same world
+    drawn, expected = (_stream_after_interest(config, seed) for _ in range(2))
+    (occurrences, group_of), (oracle, oracle_groups) = (
+        _generate_images(config, drawn), matrix_generate_images(config, expected))
+    for array, oracle_array in zip((*occurrences, group_of), (*oracle, oracle_groups)):
+        assert np.array_equal(array, oracle_array)
+    assert drawn.bit_generator.state == expected.bit_generator.state
+    try:
+        world = generate_world(config, seed)
+    except ConfigurationError:  # a tight budget can leave no room
+        return
+    with mock.patch("attnalloc.world._generate_images", matrix_generate_images):
+        oracle_world = generate_world(config, seed)
+    for name in ("indptr", "objects", "counts", "group_of", "interest"):
+        assert np.array_equal(getattr(world, name), getattr(oracle_world, name))
 
 
 @st.composite
