@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from itertools import chain
 from typing import NoReturn
 
 import numpy as np
 
-from .schema import integer_type, read_text, write_text
+from .schema import decode_text, digit_runs, integer_type, read_bytes, run_values, write_text
 
 CSV_HEADER = ("user_id", "object_id", "level")
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-# a line of the body that is not three plain decimal fields of 1 to 18
-# digits, so each fits in int64; [0-9], since \d also matches other
-# scripts' digits, which int() reads and numpy does not
-_NON_CANONICAL_LINE = re.compile(r"^(?![0-9]{1,18},[0-9]{1,18},[0-9]{1,18}$).", re.M | re.S)
 
 MIN_LEVEL = 1
 MAX_LEVEL = 5
@@ -88,31 +83,40 @@ def _raise_record_fault(rows: list) -> NoReturn:
 
 
 def _sorted_valid(table: np.ndarray) -> np.ndarray:
-    """The n x 3 ``table`` sorted by (user, object), or InvalidRecordError
-    naming its first faulty record in input order. The sort is stable, so a
-    repeated pair is the later of two adjacent rows."""
+    """A copy of the n x 3 ``table`` sorted by (user, object), or
+    InvalidRecordError naming its first faulty record in input order. One
+    linear pass tells whether the pairs already strictly ascend, as in every
+    table that ``sparsify`` builds and every file that ``save_records``
+    writes; such a table holds no repeated pair and is only copied. Any
+    other is sorted, stably, so a repeated pair is the later of two adjacent
+    rows."""
     users, objects, levels = table.T
-    order = np.lexsort((objects, users))
-    repeated = np.zeros(len(table), dtype=bool)
-    repeated[order[1:]] = (np.diff(users[order]) == 0) & (np.diff(objects[order]) == 0)
     negative = (users < 0) | (objects < 0)
     out_of_range = (levels < MIN_LEVEL) | (levels > MAX_LEVEL)
-    faulty = np.flatnonzero(negative | out_of_range | repeated)
-    if faulty.size:
-        i = int(faulty[0])
+    faulty = negative | out_of_range
+    rising = (users[1:] > users[:-1]) | (users[1:] == users[:-1]) & (objects[1:] > objects[:-1])
+    order = None if rising.all() else np.lexsort((objects, users))
+    if order is not None:
+        faulty[order[1:]] |= (np.diff(users[order]) == 0) & (np.diff(objects[order]) == 0)
+    if faulty.any():
+        i = int(np.flatnonzero(faulty)[0])
         record = tuple(table[i].tolist())
         cause = ("negative user or object id" if negative[i] else
                  f"level {record[2]} out of range 1..5" if out_of_range[i] else
                  f"duplicate pair {record[:2]}")
         raise InvalidRecordError(i, f"{cause} in record {record}")
-    return table[order]
+    return table.copy() if order is None else table[order]
 
 
 class SparseAttentionRecords:
     """A set of (user_id, object_id, level) observations, held as one
     read-only int64 table of shape n x 3 sorted by (user, object);
-    ``users``, ``objects`` and ``levels`` are views of its columns. A faulty
-    record raises InvalidRecordError, naming the first in input order."""
+    ``users``, ``objects`` and ``levels`` are views of its columns. The
+    table is the constructor's own copy: records whose pairs already
+    strictly ascend are checked in linear passes and copied, any others
+    sorted (``_sorted_valid``). A faulty record raises InvalidRecordError,
+    naming the first in input order. Iteration yields ``(user, object,
+    level)`` tuples of Python ints, zipped from the three columns' lists."""
 
     def __init__(self, records=()):
         self.table = _sorted_valid(_table(records))
@@ -123,7 +127,7 @@ class SparseAttentionRecords:
         return len(self.table)
 
     def __iter__(self):
-        return map(tuple, self.table.tolist())
+        return zip(self.users.tolist(), self.objects.tolist(), self.levels.tolist())
 
     def __eq__(self, other):
         return isinstance(other, SparseAttentionRecords) and np.array_equal(self.table, other.table)
@@ -147,12 +151,14 @@ def save_records(records: SparseAttentionRecords, path) -> None:
 def load_records(path) -> SparseAttentionRecords:
     """Load a records CSV, or a dense ground-truth dump (same schema); a
     faulty row raises RecordsParseError naming the file and the row's line.
-    Text that is exactly what ``save_records`` writes is parsed in one pass;
-    any other text goes through ``csv.reader`` row by row, with the same
+    A file that is exactly what ``save_records`` writes is parsed from its
+    bytes in bulk (``_canonical_table``), with no text decoded; any other
+    file is decoded (``decode_text``, which names the line of a byte that is
+    not UTF-8) and goes through ``csv.reader`` row by row, with the same
     result for every text both accept."""
-    text = read_text(path, newline="")
+    data = read_bytes(path)
     try:
-        table, lines = _canonical_table(text) or _csv_table(text)
+        table, lines = _canonical_table(data) or _csv_table(decode_text(data, path, newline=""))
         return SparseAttentionRecords(table)
     except InvalidRecordError as err:
         raise RecordsParseError(f"{path}: line {lines[err.index]}: {err}") from None
@@ -160,19 +166,25 @@ def load_records(path) -> SparseAttentionRecords:
         raise RecordsParseError(f"{path}: {err}") from None
 
 
-def _canonical_table(text: str):
-    """``(table, lines)`` of ``text`` when it is the header line and then
-    lines of three plain decimal fields, each line ending in LF; None for
-    any other text. The grammar check is one search for a line that breaks
-    it, which keeps no backtracking state per row; one ``np.fromstring``
-    then parses every field."""
-    body = text[len(_HEADER_LINE):]
-    if not text.startswith(_HEADER_LINE) or body and not body.endswith("\n") \
-            or _NON_CANONICAL_LINE.search(body):
+def _canonical_table(data: bytes):
+    """``(table, lines)`` of the file bytes ``data`` when they are the header
+    line and then lines of three plain decimal fields of 1 to 18 ASCII
+    digits (so each fits in int64), each line ending in LF; None for any
+    other bytes. One pass finds the runs of digits in the bytes from the
+    header's LF on (``schema.digit_runs``): there must be three runs per
+    line, and the other bytes must be exactly that LF and then two commas
+    and an LF per line, so each byte between two runs is one separator and
+    each line holds three runs. Horner's rule then reads every run at once
+    (``schema.run_values``)."""
+    if not data.startswith(_HEADER_LINE.encode()) or not data.endswith(b"\n"):
         return None
-    n = body.count("\n")
-    values = np.fromstring(body[:-1].replace("\n", ","), dtype=np.int64, sep=",")
-    return (values.reshape(n, 3), range(2, n + 2)) if values.size == 3 * n else None
+    chars = np.frombuffer(data, np.uint8, offset=len(_HEADER_LINE) - 1)
+    digit, first, sizes = digit_runs(chars)
+    n = first.size // 3
+    if first.size != 3 * n or sizes.max(initial=0) > 18 \
+            or chars[~digit].tobytes() != b"\n" + b",,\n" * n:
+        return None
+    return run_values(chars, first, sizes).reshape(n, 3), range(2, n + 2)
 
 
 def _csv_table(text: str):

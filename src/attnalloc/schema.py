@@ -1,5 +1,6 @@
 """The rules of the package's files and values: UTF-8 text, the indent-1
-JSON layout, exact-type JSON numbers and their arrays (``number_array``),
+JSON layout, decimal runs read in bulk from a file's bytes (``digit_runs``,
+``run_values``), exact-type JSON numbers and their arrays (``number_array``),
 the integer rule of every id, the real rule of every weight and capacity
 vector, and config fields checked by their annotations. Every file goes
 through ``read_bytes`` or ``read_text`` (which names it on a fault) or
@@ -255,6 +256,29 @@ def decode_text(data: bytes, path, newline=None) -> str:
     if newline is None and "\r" in text:  # a two-character replace scans slowly
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def digit_runs(chars: np.ndarray):
+    """``(digit, first, sizes)`` of the bytes ``chars``, a uint8 array whose
+    first and last bytes are no ASCII digits: the mask of its ASCII digits
+    (``[0-9]`` alone, not another script's, which ``int`` would read), and
+    where each run of digits starts and how many it holds."""
+    digit = (chars - ord("0")) < 10  # uint8 arithmetic wraps every other byte past 9
+    first = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    after = np.flatnonzero(digit[:-1] > digit[1:]) + 1
+    return digit, first, after - first
+
+
+def run_values(chars: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The int64 values of the decimal runs of ``digit_runs``, each of at
+    most 18 digits, so none overflows: Horner's rule reads the ``k``-th
+    digit of every run at once."""
+    values, last = np.zeros(first.size, dtype=np.int64), first + sizes - 1
+    for k in range(sizes.max(initial=0)):
+        # a run of k digits or fewer keeps its value, and reads inside itself
+        digits = chars[np.minimum(first + k, last)] - ord("0")
+        values = np.where(sizes > k, values * 10 + digits, values)
+    return values
 
 
 def parse_json(text: str, path, build=None):

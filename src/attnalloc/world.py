@@ -17,9 +17,10 @@ from itertools import chain
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_count, check_fields, decode_text, field_rule, field_types,
-                     integer_ids, integer_type, json_layout, json_members, number_array,
-                     parse_json, read_bytes, read_text, require, write_text)
+from .schema import (check_count, check_fields, decode_text, digit_runs, field_rule,
+                     field_types, integer_ids, integer_type, json_layout, json_members,
+                     number_array, parse_json, read_bytes, read_text, require, run_values,
+                     write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -355,8 +356,9 @@ def _place_missing_objects(config: WorldConfig, rng, rows, objects, counts):
         image = room[rng.integers(room.size)]
         placed.append((image, missing, px))
         load[image] += px
-    added = np.array(placed, dtype=np.int64).reshape(-1, 3).T
-    rows, objects, counts = map(np.concatenate, zip((rows, objects, counts), added))
+    if placed:  # else the drawn arrays are kept, not copied
+        added = np.array(placed, dtype=np.int64).T
+        rows, objects, counts = map(np.concatenate, zip((rows, objects, counts), added))
     order = np.argsort(rows * config.num_objects + objects, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=config.num_images))))
     return indptr, objects[order], counts[order]
@@ -370,7 +372,9 @@ def _gaze_factors(world: World, user: int, count: int) -> np.ndarray:
     a prefix of a longer one."""
     g = world.gaze_noise
     rng = np.random.default_rng((world.seed, _GAZE_STREAM, user))
-    return 1.0 + rng.uniform(-g, g, size=count)
+    factors = rng.uniform(-g, g, size=count)
+    factors += 1.0
+    return factors
 
 
 def check_user(world: World, user: int) -> None:
@@ -382,13 +386,17 @@ def check_user(world: World, user: int) -> None:
         raise ValueError(f"user {user} outside 0..{world.num_users - 1}")
 
 
-def _gaze_mass(world: World, user: int, at, objects, px) -> np.ndarray:
+def _gaze_mass(world: World, user: int, objects, px, at=None) -> np.ndarray:
     """Per-object sums of gaze mass, interest * pixels * (1 + noise), over the
-    given occurrences. bincount's weighted loop adds them one after another,
-    so each sum is sequential in the given order (a pairwise sum, matmul or
-    reduceat would change the last bit of some values)."""
+    given occurrences: ``at`` holds their positions in the CSR layout, and
+    None stands for every occurrence in order. bincount's weighted loop adds
+    them one after another, so each sum is sequential in the given order (a
+    pairwise sum, matmul or reduceat would change the last bit of some
+    values)."""
     mass = world.interest[user][objects] * px
-    if world.gaze_noise > 0:
+    if world.gaze_noise > 0 and at is None:
+        mass *= _gaze_factors(world, user, objects.size)
+    elif world.gaze_noise > 0:
         mass *= _gaze_factors(world, user, int(at.max()) + 1)[at]
     return np.bincount(objects, weights=mass, minlength=world.num_objects)
 
@@ -409,7 +417,7 @@ def raw_attention_values(world: World, user: int, image_ids):
     if ids.min() < 0 or ids.max() >= world.num_images:
         raise KeyError(f"image ids must lie in 0..{world.num_images - 1}")
     at, objects, px = world.occurrences(ids)
-    gaze = _gaze_mass(world, user, at, objects, px)
+    gaze = _gaze_mass(world, user, objects, px, at)
     # float64 pixel sums are exact below 2**53
     pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
     present = np.flatnonzero(pixel_sum)
@@ -419,16 +427,18 @@ def raw_attention_values(world: World, user: int, image_ids):
 def attention_matrix(world: World) -> np.ndarray:
     """Every user's attention values over all images, users x objects: row
     ``u`` holds ``raw_attention_values(world, u, range(world.num_images))``'s
-    values bit for bit. An object that occurs in no image raises."""
-    at, objects, px = world.occurrences(np.arange(world.num_images))
+    values bit for bit. All images in order are the world's occurrences as
+    they lie, so they are read in place, and each user's gaze-noise draw is
+    used as drawn, with no gather. An object that occurs in no image
+    raises."""
+    objects, px = world.objects, world.counts
     pixel_sum = np.bincount(objects, weights=px, minlength=world.num_objects)
     absent = np.flatnonzero(pixel_sum == 0)
     if absent.size:
         o = absent[0]
         raise ValueError(f"object {o} ({world.labels[o]!r}) occurs in no image, "
                          "so it has no ground-truth level")
-    gaze = np.stack([_gaze_mass(world, user, at, objects, px)
-                     for user in range(world.num_users)])
+    gaze = np.stack([_gaze_mass(world, user, objects, px) for user in range(world.num_users)])
     return np.minimum(gaze / pixel_sum, 1.0)
 
 
@@ -773,14 +783,13 @@ def _saved_chunk(chars: np.ndarray):
     skeleton, the join of the images' layouts with their ``%d``s emptied. In
     the skeleton a space meets a comma or a line end only where a ``%d``
     was, and no two runs lie at one place, so each ``%d`` holds exactly one
-    run. The runs are then parsed as one array, with no leading zero, and
-    kept as int32 until every chunk is read."""
+    run (``schema.digit_runs``). The runs are then parsed as one array
+    (``schema.run_values``), with no leading zero, and kept as int32 until
+    every chunk is read."""
     if not (chars.size and chars[0] == ord("{") and chars[-1] == ord("}")):  # non-digits
         return None
-    digit = (chars - ord("0")) < 10  # uint8 arithmetic wraps every other byte past 9
-    first = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # where each run starts
-    after = np.flatnonzero(digit[:-1] > digit[1:]) + 1
-    sizes = after - first
+    digit, first, sizes = digit_runs(chars)
+    after = first + sizes
     if not (first.size and (chars[first - 1] == ord(" ")).all()
             and ((chars[after] == ord(",")) | (chars[after] == ord("\n"))).all()):
         return None
@@ -793,9 +802,7 @@ def _saved_chunk(chars: np.ndarray):
         return None
     if sizes.max() > 10 or ((chars[first] == ord("0")) & (sizes > 1)).any():
         return None  # 10 digits hold 2**31-1
-    values = np.zeros(first.size, dtype=np.int64)
-    for k in range(sizes.max()):  # Horner's rule, the k-th digit of every run at once
-        values = np.where(sizes > k, values * 10 + (chars[first + k] - ord("0")), values)
+    values = run_values(chars, first, sizes)
     if values.max() > _MAX_PIXEL_COUNT:  # a later check fails such an id, group or count
         return None
     values = values.astype(np.int32)

@@ -5,9 +5,10 @@ successive sampler, which the vectorized image draw is checked against, the
 one-matrix key draw that the block draw is checked against, the dense
 images x objects pixel matrix that the world once held and the draw that
 filled it, the ``csv.writer`` loop that the CSV writers are checked
-against, the frozenset records with their per-row loader, the row loop over
-the open file and the per-entry world loader into a pixel matrix that the
-general readers are checked against, the
+against, the frozenset records with their per-row loader, the record
+check that sorts every table, which the linear check of ordered tables is
+checked against, the row loop over the open file and the per-entry world
+loader into a pixel matrix that the general readers are checked against, the
 dict-loop baseline (one pair per call, as the array baseline's gather
 replaced it), set-based holdout and pair set that the sorted records table
 replaced, and the list-of-pairs quantizer and dict-path sparsify that the
@@ -271,6 +272,29 @@ def record_pairs(records) -> set:
     """The (user, object) pairs of ``records`` as a set, which ``eval`` once
     took from the set of every pair in the world; test oracle only."""
     return set(zip(records.users.tolist(), records.objects.tolist()))
+
+
+def lexsort_sorted_valid(table: np.ndarray) -> np.ndarray:
+    """``records._sorted_valid`` with no linear check for pairs that already
+    ascend: every n x 3 ``table`` is sorted by (user, object) with a stable
+    ``np.lexsort``, and a repeated pair is the later of two adjacent rows in
+    that order; the first faulty record in input order raises
+    InvalidRecordError. Test oracle only."""
+    users, objects, levels = table.T
+    order = np.lexsort((objects, users))
+    repeated = np.zeros(len(table), dtype=bool)
+    repeated[order[1:]] = (np.diff(users[order]) == 0) & (np.diff(objects[order]) == 0)
+    negative = (users < 0) | (objects < 0)
+    out_of_range = (levels < MIN_LEVEL) | (levels > MAX_LEVEL)
+    faulty = np.flatnonzero(negative | out_of_range | repeated)
+    if faulty.size:
+        i = int(faulty[0])
+        record = tuple(table[i].tolist())
+        cause = ("negative user or object id" if negative[i] else
+                 f"level {record[2]} out of range 1..5" if out_of_range[i] else
+                 f"duplicate pair {record[:2]}")
+        raise InvalidRecordError(i, f"{cause} in record {record}")
+    return table[order]
 
 
 def frozenset_load_records(path) -> FrozensetRecords:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from attnalloc import (SparseAttentionRecords, WorldConfig, generate_world, ground_truth_levels,
                        load_records, save_records)
 from attnalloc.world import sparsify
-from attnalloc.records import CSV_HEADER, InvalidRecordError, RecordsParseError
+from attnalloc.records import CSV_HEADER, InvalidRecordError, RecordsParseError, _canonical_table
 from oracles import (FrozensetRecords, csv_writer_text, frozenset_load_records,
-                     record_pairs, row_loop_load_records)
+                     lexsort_sorted_valid, record_pairs, row_loop_load_records)
 from test_faults import former_tests
 
 record_sets = st.sets(
@@ -46,7 +46,7 @@ record_lists = st.lists(
 )
 
 
-@given(record_lists)
+@given(st.one_of(record_lists, record_lists.map(sorted)))  # in any order, and ascending
 def test_save_matches_csv_writer(tmp_path_factory, rows):
     # the frozenset records the table replaced, written by the csv.writer loop
     path = tmp_path_factory.mktemp("records") / "r.csv"
@@ -114,6 +114,49 @@ def test_loader_names_the_frozenset_oracles_line_and_cause(tmp_path_factory, tex
     assert _line_and_cause(_unnamed(err.value, path)) == _line_and_cause(oracle_err.value)
 
 
+@st.composite
+def int_tables(draw):
+    """An n x 3 int64 table of one of five kinds: records whose pairs
+    strictly ascend; such records with one adjacent repeat of a pair, one
+    negative id or one level outside 1..5; or such records shuffled."""
+    rows = [list(record) for record in sorted(draw(record_sets))]
+    kind = draw(st.sampled_from(["ordered", "repeat", "negative id", "level", "shuffled"]))
+    if rows and kind != "ordered":
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "repeat":
+            rows.insert(i + 1, [*rows[i][:2], draw(st.integers(1, 5))])
+        elif kind == "negative id":
+            rows[i][draw(st.integers(0, 1))] = -draw(st.integers(1, 3))
+        elif kind == "level":
+            rows[i][2] = draw(st.sampled_from([-1, 0, 6, 2**62]))
+        else:
+            rows = draw(st.permutations(rows))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _table_or_fault(check, table):
+    """The table that ``check`` returns for ``table``, or its fault's record
+    index and message."""
+    try:
+        return check(table).tolist()
+    except InvalidRecordError as err:
+        return err.index, str(err)
+
+
+def _constructor_table(table):
+    records = SparseAttentionRecords(table)
+    assert not np.shares_memory(records.table, table)  # the constructor's own copy
+    return records.table
+
+
+@given(int_tables())
+def test_record_check_matches_the_lexsort_oracle(table):
+    # ordered tables skip the sort; every kind must give the sorting
+    # oracle's table, or its fault with the same index and message
+    assert _table_or_fault(_constructor_table, table) \
+        == _table_or_fault(lexsort_sorted_valid, table)
+
+
 def test_constructor_names_first_faulty_record_in_input_order():
     with pytest.raises(ValueError, match=r"level 9 out of range 1\.\.5 in record \(0, 2, 9\)"):
         SparseAttentionRecords([(0, 1, 3), (0, 2, 9), (-1, 0, 3), (0, 1, 4)])
@@ -166,21 +209,44 @@ def test_loader_matches_row_loop_oracle(tmp_path_factory, text):
     assert _load_outcome(load_records, path) == _load_outcome(row_loop_load_records, path)
 
 
-@pytest.mark.parametrize("body", [
-    "0,1,2\n\n\n1,1,3\n",  # blank lines
-    '"0","1","2"\n1," 1",+3\n',  # quoted fields, a space and a sign
-    "0,1,2\na,1,2\n1,2\n",  # a short row after a bad integer
-    "1,2\n0,a,2\n",  # a bad integer after a short row
-    "0,1,2\n\n1,9223372036854775808,3\n",  # beyond int64 after a blank line
-    "0,1,2\n-9223372036854775809,1,3\n",
-    "0,1,2\n\n0,1,3\n",  # a repeated pair after a blank line
-    "0,1,7\n1,1,1,1\n",  # a bad level before a long row
+_HEADER = b"user_id,object_id,level\n"
+
+
+@pytest.mark.parametrize("data, canonical", [
+    (_HEADER + b"0,1,2\n\n\n1,1,3\n", False),  # blank lines
+    (_HEADER + b'"0","1","2"\n1," 1",+3\n', False),  # quoted fields, a space and a sign
+    (_HEADER + b"0,1,2\na,1,2\n1,2\n", False),  # a short row after a bad integer
+    (_HEADER + b"1,2\n0,a,2\n", False),  # a bad integer after a short row
+    (_HEADER + b"0,1,2\n\n1,9223372036854775808,3\n", False),  # beyond int64, blank line
+    (_HEADER + b"0,1,2\n-9223372036854775809,1,3\n", False),
+    (_HEADER + b"0,1,2\n\n0,1,3\n", False),  # a repeated pair after a blank line
+    (_HEADER + b"0,1,7\n1,1,1,1\n", False),  # a bad level before a long row
+    (_HEADER, True),
+    (_HEADER + b"007,0,3\n1,00,05\n", True),
+    (_HEADER + b"999999999999999999,0,3\n", True),
+    (_HEADER + b"1000000000000000000,0,3\n", False),  # 19 digits, within int64
+    (_HEADER + b"0,1,2\n1,1,3", False),
+    (_HEADER.replace(b"\n", b"\r\n") + b"0,1,2\r\n1,1,3\r\n", False),
+    (_HEADER + b"0,1,2\n\n", False),
+    (_HEADER + b"0,+1,2\n-0,1,3\n", False),
+    (_HEADER + b"0,-1,2\n", False),
+    (_HEADER + "0,\u0661,2\n".encode(), False),
+    (_HEADER + b"0,1,2\n\xff,1,2\n", False),
 ], ids=["blank lines", "quoted", "short after bad int", "bad int after short",
-        "int64 overflow", "int64 underflow", "repeat", "bad level then long row"])
-def test_loader_matches_row_loop_oracle_on_examples(tmp_path, body):
+        "int64 overflow", "int64 underflow", "repeat", "bad level then long row",
+        "header only", "leading zeros", "18 digits", "19 digits", "no final lf", "crlf",
+        "trailing blank line", "plus and minus signs", "negative id", "arabic-indic digit",
+        "not utf-8"])
+def test_loader_matches_row_loop_oracle_on_examples(tmp_path, data, canonical):
+    # the bulk parse reads exactly the canonical bytes; the rest goes to csv.reader
     path = tmp_path / "r.csv"
-    path.write_text("user_id,object_id,level\n" + body)
-    assert _load_outcome(load_records, path) == _load_outcome(row_loop_load_records, path)
+    path.write_bytes(data)
+    assert (_canonical_table(data) is not None) == canonical
+    expected = _load_outcome(row_loop_load_records, path)
+    if isinstance(expected, tuple) and expected[0] is UnicodeDecodeError:  # names no line
+        line = data.count(b"\n", 0, data.index(b"\xff")) + 1
+        expected = ValueError, f"line {line} is not UTF-8 ({expected[1]})"
+    assert _load_outcome(load_records, path) == expected
 
 
 @pytest.mark.parametrize("rows", [[], [(u, o, (u + o) % 5 + 1) for u in range(30)
@@ -234,7 +300,12 @@ def test_constructor_names_first_faulty_record_of_any_kind_in_input_order():
     np.array([[1, 2, 3], [0, 5, 1]], dtype=np.int64),
 ], ids=["python and numpy ints", "int8 array", "uint32 array", "int64 array"])
 def test_constructor_takes_integers_of_any_integer_type(records):
-    assert SparseAttentionRecords(records).sorted_list() == [(0, 5, 1), (1, 2, 3)]
+    records = SparseAttentionRecords(records)
+    assert records.sorted_list() == [(0, 5, 1), (1, 2, 3)]
+    # a numpy int compares equal to an int, so the types are checked apart
+    for rows in (list(records), records.sorted_list(), records.records):
+        assert {type(row) for row in rows} == {tuple}
+        assert {type(field) for row in rows for field in row} == {int}
 
 
 @pytest.mark.parametrize("records", [(), [], np.zeros((0, 3)), np.zeros(0, dtype=np.int64)],
