@@ -162,14 +162,12 @@ def _cmd_eval(args):
 def _observed(path, records, world, fit: bool = False) -> np.ndarray:
     """``mf.observed_mask`` of the records read from ``path`` in the world's
     dimensions; with ``fit``, empty records fail too, as ``fit_mf`` fails
-    them. These are faults of the file that loading it cannot see, so the
-    FitError names the file."""
-    try:
+    them. These are faults of the file that loading it cannot see, so
+    ``schema.naming`` names the file."""
+    with schema.naming(path):
         if fit and not len(records):
             raise mf_mod.FitError("cannot fit on empty records")
         return mf_mod.observed_mask(records, world.num_users, world.num_objects)
-    except mf_mod.FitError as err:
-        raise mf_mod.FitError(f"{path}: {err}") from None
 
 
 def _cmd_allocate(args):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .experiment import ExperimentConfig
 from .qoe import ChannelError
-from .schema import field_types, read_text
+from .schema import decode_text, field_types, naming, read_bytes
 
 
 class ConfigFileError(ValueError):
@@ -124,11 +124,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """The config in the file at ``path``; every fault names the file."""
-    try:
-        return parse_config(read_text(path))
-    except ConfigFileError as exc:
-        raise ConfigFileError(f"{path}: {exc}") from None
+    """The config in the file at ``path``; every fault names the file (``naming``)."""
+    with naming(path):
+        return parse_config(decode_text(read_bytes(path)))
 
 
 def _format(value) -> str:

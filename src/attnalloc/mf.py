@@ -17,8 +17,8 @@ import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
 from .schema import (check_count, check_fields, integer_ids, integer_type, is_number,
-                     json_layout, json_text, number_array, parse_json, read_text, real_type,
-                     require, write_text)
+                     json_layout, json_text, naming, number_array, parse_json, read_bytes,
+                     real_type, require, write_text)
 
 MODEL_FORMAT_VERSION = "attn-mf/1"
 # the model file's arrays, in file order
@@ -424,4 +424,5 @@ def save_model(model: FactorModel, path) -> None:
 
 
 def load_model(path) -> FactorModel:
-    return parse_json(read_text(path), path, model_from_dict)
+    with naming(path):
+        return model_from_dict(parse_json(read_bytes(path)))

@@ -15,7 +15,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .schema import decode_text, digit_runs, integer_type, read_bytes, run_values, write_text
+from .schema import (decode_text, digit_runs, integer_type, naming, read_bytes, run_values,
+                     write_text)
 
 CSV_HEADER = ("user_id", "object_id", "level")
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
@@ -150,20 +151,19 @@ def save_records(records: SparseAttentionRecords, path) -> None:
 
 def load_records(path) -> SparseAttentionRecords:
     """Load a records CSV, or a dense ground-truth dump (same schema); a
-    faulty row raises RecordsParseError naming the file and the row's line.
+    faulty row raises RecordsParseError naming the file (``naming``) and the row's line.
     A file that is exactly what ``save_records`` writes is parsed from its
     bytes in bulk (``_canonical_table``), with no text decoded; any other
     file is decoded (``decode_text``, which names the line of a byte that is
     not UTF-8) and goes through ``csv.reader`` row by row, with the same
     result for every text both accept."""
-    data = read_bytes(path)
-    try:
-        table, lines = _canonical_table(data) or _csv_table(decode_text(data, path, newline=""))
-        return SparseAttentionRecords(table)
-    except InvalidRecordError as err:
-        raise RecordsParseError(f"{path}: line {lines[err.index]}: {err}") from None
-    except RecordsParseError as err:
-        raise RecordsParseError(f"{path}: {err}") from None
+    with naming(path):
+        data = read_bytes(path)
+        table, lines = _canonical_table(data) or _csv_table(decode_text(data, newline=""))
+        try:
+            return SparseAttentionRecords(table)
+        except InvalidRecordError as err:
+            raise RecordsParseError(f"line {lines[err.index]}: {err}") from None
 
 
 def _canonical_table(data: bytes):

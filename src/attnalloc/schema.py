@@ -3,11 +3,12 @@ JSON layout, decimal runs read in bulk from a file's bytes (``digit_runs``,
 ``run_values``), exact-type JSON numbers and their arrays (``number_array``),
 the integer rule of every id, the real rule of every weight and capacity
 vector, and config fields checked by their annotations. Every file goes
-through ``read_bytes`` or ``read_text`` (which names it on a fault) or
-``write_text``."""
+through ``read_bytes`` or ``write_text``, and ``naming`` puts its path
+before a fault of its contents."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import typing
@@ -239,20 +240,24 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
-def read_text(path, newline=None) -> str:
-    """The text of the UTF-8 file at ``path`` (``decode_text``)."""
-    return decode_text(read_bytes(path), path, newline)
+@contextlib.contextmanager
+def naming(path):
+    """Re-raise a ValueError of the block as its class with ``path`` before
+    its message: the one place that names a file in a fault."""
+    try:
+        yield
+    except ValueError as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
-def decode_text(data: bytes, path, newline=None) -> str:
-    """``data``, read from the file at ``path``, as UTF-8 text, line ends as
-    ``open`` reads them with ``newline`` None or ""; a ValueError names the
-    file and line of a bad byte."""
+def decode_text(data: bytes, newline=None) -> str:
+    """``data``, a file's bytes, as UTF-8 text, line ends as ``open`` reads them
+    with ``newline`` None or ""; a ValueError names the line of a bad byte."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
-        raise ValueError(f"{path}: line {line} is not UTF-8 ({err})") from None
+        raise ValueError(f"line {line} is not UTF-8 ({err})") from None
     if newline is None and "\r" in text:  # a two-character replace scans slowly
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -281,17 +286,12 @@ def run_values(chars: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.nd
     return values
 
 
-def parse_json(text: str, path, build=None):
-    """The JSON document ``text``, read from the file at ``path``, or ``build``
-    of it; a syntax fault, too deep a nesting and a ValueError of ``build``
-    name the file, once."""
+def parse_json(data: bytes):
+    """The JSON document in the file bytes ``data`` (``decode_text``); a syntax
+    fault and too deep a nesting raise a plain ValueError, which ``naming`` rebuilds."""
     try:
-        doc = json.loads(text)
+        return json.loads(decode_text(data))
     except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise ValueError(str(err)) from None
     except RecursionError:
-        raise ValueError(f"{path}: nested too deeply to parse") from None
-    try:
-        return doc if build is None else build(doc)
-    except ValueError as err:
-        raise type(err)(f"{path}: {err}") from None
+        raise ValueError("nested too deeply to parse") from None

@@ -17,10 +17,9 @@ from itertools import chain
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_count, check_fields, decode_text, digit_runs, field_rule,
-                     field_types, integer_ids, integer_type, json_layout, json_members,
-                     number_array, parse_json, read_bytes, read_text, require, run_values,
-                     write_text)
+from .schema import (check_count, check_fields, digit_runs, field_rule, field_types,
+                     integer_ids, integer_type, json_layout, json_members, naming,
+                     number_array, parse_json, read_bytes, require, run_values, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -701,28 +700,31 @@ def load_world(path) -> World:
     exactly the layout that ``save_world`` writes is read from its bytes
     without building a JSON tree for the block (``_saved_world``), and the
     bytes are freed before the world is built; any other text, and a file
-    that fails any of that path's checks, goes through ``world_from_dict``,
-    which names a fault after the path (``parse_json``)."""
+    that fails any of that path's checks, goes through ``world_from_dict``
+    within ``naming``, so that its fault names the path."""
     try:
-        saved = _saved_world(read_bytes(path), path)
+        saved = _saved_world(read_bytes(path))
         world = _world(*saved) if saved else None
     except ValueError:  # the json path names the fault
         world = None
-    return world if world is not None else parse_json(read_text(path), path, world_from_dict)
+    with naming(path):
+        return world if world is not None else world_from_dict(parse_json(read_bytes(path)))
 
 
-def _saved_world(data: bytes, path):
+def _saved_world(data: bytes):
     """``_world``'s arguments for the file bytes ``data`` when its images
     block is exactly what ``save_world`` writes (``_saved_images``), else
     None. The block starts at the first open marker and ends at the last
     close marker, found from the back, since only the interest follows it.
-    The members before and after the block are decoded and parsed as JSON
-    objects of their own; when both hold a member, the text is a JSON object
-    whose members are theirs plus the block, a repeated key keeping its last
-    value as ``json.loads`` does. Only the image ids are checked here;
-    ``World`` rejects a group, object id or pixel count out of range and a
-    repeated object, and its ``ValueError`` sends ``load_world`` to the JSON
-    path, which names the fault."""
+    The members before and after the block are parsed as JSON objects of
+    their own; when both hold a member, the text is a JSON object whose
+    members are theirs plus the block, a repeated key keeping its last
+    value as ``json.loads`` does. (One parse, with a stand-in value where
+    the block was, could not tell that value from another "images" member.)
+    Only the image ids are checked here; ``World`` rejects a group, object
+    id or pixel count out of range and a repeated object, and its
+    ``ValueError`` sends ``load_world`` to the JSON path, which names the
+    fault."""
     start = data.find(_IMAGES_OPEN.encode())
     end = data.rfind(_IMAGES_CLOSE.encode(), start + 1)
     if start < 0 or end < 0:
@@ -730,9 +732,9 @@ def _saved_world(data: bytes, path):
     images = _saved_images(data, start + len(_IMAGES_OPEN), end)
     if images is None:
         return None
-    # a member that is not UTF-8 raises UnicodeDecodeError, a ValueError
-    head = parse_json(decode_text(data[:start], path) + "}", path)
-    tail = parse_json("{" + decode_text(data[end + len(_IMAGES_CLOSE):], path), path)
+    # a member that is not UTF-8 or not JSON raises a ValueError
+    head = parse_json(data[:start] + b"}")
+    tail = parse_json(b"{" + data[end + len(_IMAGES_CLOSE):])
     if not head or not tail or "images" in tail:  # a later "images" replaces the block
         return None
     doc = {**head, **tail}

@@ -1,7 +1,8 @@
 """The package's modules use one another only through public names, the
 file rules do not depend on the synthetic world, ``schema`` is the one
-module that opens a file or formats JSON or spells the integer rule, and
-every public rule it defines is used by another module."""
+module that opens a file or formats JSON or spells the integer rule or
+names a file in a fault, and every public rule it defines is used by
+another module."""
 
 import ast
 from pathlib import Path
@@ -96,4 +97,21 @@ def test_only_schema_spells_the_value_rules():
             elif isinstance(node, ast.Import) and "numbers" in (a.name for a in node.names) \
                     or isinstance(node, ast.ImportFrom) and node.module == "numbers":
                 stray.append(f"{path.stem}.py:{node.lineno}: numbers")
+    assert not stray, "\n".join(stray)
+
+
+def test_only_schema_names_a_file_in_a_fault():
+    # schema.naming puts the path before a fault, so no other f-string
+    # starts with "{path}:"
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "schema":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr) and len(node.values) > 1:
+                first, second = node.values[:2]
+                if isinstance(first, ast.FormattedValue) and isinstance(first.value, ast.Name) \
+                        and first.value.id == "path" and isinstance(second, ast.Constant) \
+                        and second.value.startswith(":"):
+                    stray.append(f"{path.stem}.py:{node.lineno}")
     assert not stray, "\n".join(stray)
