@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field, asdict
 from itertools import chain
+from typing import Annotated
 
 import numpy as np
 
@@ -37,10 +38,10 @@ class ExperimentConfig:
     master_seed: int = 7
     # just above the 1 K that keeps every log term positive; a floor that
     # binds would leave little capacity to move when the budget is scarce
-    floor_k: float = 2.0
+    floor_k: Annotated[float, "(1, inf)"] = 2.0
     budget_per_object_k: float = 20.0
     sweep_factors: tuple[float, ...] = tuple(range(16, 41, 2))
-    sweep_user: int = 2
+    sweep_user: Annotated[int, "[0, inf)"] = 2
     scene_retain_lo: int = 30
     scene_retain_hi: int = 70
 
@@ -53,8 +54,6 @@ class ExperimentConfig:
             raise ValueError("sweep_factors must be non-empty")
         if any(b <= a for a, b in zip(self.sweep_factors, self.sweep_factors[1:])):
             raise ValueError(f"sweep_factors must be strictly increasing, got {self.sweep_factors}")
-        if self.sweep_user < 0:
-            raise ValueError(f"sweep_user must be >= 0, got {self.sweep_user}")
         if any(f <= self.floor_k for f in self.sweep_factors):
             raise ValueError("every sweep budget factor must exceed floor_k")
         if not (1 <= self.scene_retain_lo <= self.scene_retain_hi <= 100):
@@ -82,7 +81,7 @@ class ExperimentConfig:
                 "finite, so a QoE would overflow")
         # and no log term is below log(floor_k), so a subnormal product
         # would leave every QoE a few ulps
-        if self.floor_k > 1 and link.factor * math.log(self.floor_k) < sys.float_info.min:
+        if link.factor * math.log(self.floor_k) < sys.float_info.min:
             raise ChannelError(
                 f"the link factor downlink_rate * (1 - uplink_ber), {link.factor!r}, times the "
                 f"log of floor_k {self.floor_k!r} is below the smallest normal float "

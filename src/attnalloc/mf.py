@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Annotated
 
 import numpy as np
 
@@ -40,24 +41,16 @@ class FitConfig:
     """``epochs`` counts ALS sweeps (users, then objects); ``regularization``
     is the ALS-WR ridge weight per record."""
 
-    f: int = 6
-    regularization: float = 0.1
-    epochs: int = 15
-    init_scale: float = 1.0
+    f: Annotated[int, "[1, inf)"] = 6
+    # with no ridge, a user or object with fewer than f + 1 records has a
+    # singular normal matrix
+    regularization: Annotated[float, "(0, inf)"] = 0.1
+    epochs: Annotated[int, "[1, inf)"] = 15
+    init_scale: Annotated[float, "(0, inf)"] = 1.0
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self, FitError)
-        if self.f < 1:
-            raise FitError("latent dimension f must be >= 1")
-        if self.regularization <= 0:
-            # with no ridge, a user or object with fewer than f + 1 records
-            # has a singular normal matrix
-            raise FitError(f"regularization must be positive, got {self.regularization!r}")
-        if self.epochs < 1:
-            raise FitError("epochs must be >= 1")
-        if self.init_scale <= 0:
-            raise FitError("init_scale must be positive")
         check_count(self.seed, "seed", FitError)
 
 

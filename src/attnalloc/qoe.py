@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -22,15 +23,11 @@ from .schema import check_fields, real_vector
 
 @dataclass(frozen=True)
 class LinkParams:
-    downlink_rate: float  # bits/second
-    uplink_ber: float     # probability
+    downlink_rate: Annotated[float, "(0, inf)"]  # bits/second
+    uplink_ber: Annotated[float, "[0, 1)"]  # probability
 
     def __post_init__(self):
         check_fields(self)
-        if self.downlink_rate <= 0:
-            raise ValueError("downlink_rate must be positive")
-        if not (0.0 <= self.uplink_ber < 1.0):
-            raise ValueError("uplink_ber must lie in [0, 1)")
 
     @property
     def factor(self) -> float:
@@ -47,27 +44,18 @@ class ChannelConfig:
     with 1 dBW total co-channel interference, 10 m range, and path loss
     exponent 2."""
 
-    bandwidth: float = 10e6            # Hz
-    tx_power: float = 1.0              # W
-    distance: float = 10.0             # m
-    path_loss_exponent: float = 2.0
-    interference_power: float = dbw_to_watts(1.0)  # W, total over paths
-    noise_psd: float = 3.98e-21        # W/Hz, thermal at ~ -174 dBm/Hz
-    tx_antennas: int = 6
-    rx_antennas: int = 7
-    uplink_sinr: float | None = None   # defaults to the downlink SINR
+    bandwidth: Annotated[float, "(0, inf)"] = 10e6  # Hz
+    tx_power: Annotated[float, "(0, inf)"] = 1.0  # W
+    distance: Annotated[float, "(0, inf)"] = 10.0  # m
+    path_loss_exponent: Annotated[float, "[1, inf)"] = 2.0
+    interference_power: Annotated[float, "(0, inf)"] = dbw_to_watts(1.0)  # W, total over paths
+    noise_psd: Annotated[float, "(0, inf)"] = 3.98e-21  # W/Hz, thermal at ~ -174 dBm/Hz
+    tx_antennas: Annotated[int, "[1, inf)"] = 6
+    rx_antennas: Annotated[int, "[1, inf)"] = 7
+    uplink_sinr: Annotated[float | None, "[0, inf)"] = None  # defaults to the downlink SINR
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("bandwidth", "tx_power", "distance", "interference_power", "noise_psd"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.path_loss_exponent < 1:
-            raise ValueError("path_loss_exponent must be >= 1")
-        if self.tx_antennas < 1 or self.rx_antennas < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if self.uplink_sinr is not None and self.uplink_sinr < 0:
-            raise ValueError(f"uplink_sinr must be >= 0, got {self.uplink_sinr!r}")
 
     def sinr(self) -> float:
         received = (

@@ -2,7 +2,8 @@
 JSON layout, decimal runs read in bulk from a file's bytes (``digit_runs``,
 ``run_values``), exact-type JSON numbers and their arrays (``number_array``),
 the integer rule of every id, the real rule of every weight and capacity
-vector, and config fields checked by their annotations. Every file goes
+vector, and config fields checked by their annotations: the type, then
+the interval that ``Annotated`` declares on a field. Every file goes
 through ``read_bytes`` or ``write_text``, and ``naming`` puts its path
 before a fault of its contents."""
 
@@ -177,20 +178,50 @@ def field_rule(kind):
 
 @functools.cache
 def field_types(cls) -> dict:
-    """Each field of the dataclass ``cls`` by name, to its resolved annotation."""
+    """Each field of the dataclass ``cls`` by name, to its resolved annotation,
+    without the interval that ``Annotated`` may declare on it."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+def _interval_rule(text: str):
+    """``(inside, what)`` for the interval ``text``, as ``"[0, 1)"`` or
+    ``"(0, inf)"``: whether a number lies in it, and what a value must do to
+    (``lie in [0, 1)``, ``be positive``, ``be >= 1`` or ``be > 1``)."""
+    low, high = (bound.strip() for bound in text[1:-1].split(","))
+    lo, hi, closed_lo, closed_hi = float(low), float(high), text[0] == "[", text[-1] == "]"
+
+    def inside(v) -> bool:
+        return (lo <= v if closed_lo else lo < v) and (v <= hi if closed_hi else v < hi)
+    return inside, (f"lie in {text}" if hi < np.inf else f"be >= {low}" if closed_lo
+                    else "be positive" if lo == 0 else f"be > {low}")
+
+
+@functools.cache
+def _intervals(cls) -> dict:
+    """Each field of the dataclass ``cls`` that declares an interval, as in
+    ``Annotated[float, "[0, 1)"]``, by name, to its ``_interval_rule``."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return {f.name: _interval_rule(text) for f in fields(cls)
+            for text in getattr(hints[f.name], "__metadata__", ())}
+
+
 def check_fields(config, error=ValueError) -> None:
     """Raise ``error`` naming the first field of the dataclass ``config``
-    that its annotated type does not take (see ``field_rule``), before a
-    range rule or a derived quantity fails on it."""
-    for name, kind in field_types(type(config)).items():
+    that its annotated type does not take (see ``field_rule``), then the
+    first whose value lies outside the interval declared on it
+    (``_interval_rule``; None is never outside), before a rule across fields
+    or a derived quantity fails on it."""
+    cls = type(config)
+    for name, kind in field_types(cls).items():
         accepts, what = field_rule(kind)
         value = getattr(config, name)
         if not accepts(value):
             raise error(f"{name} must be {what}, got {value!r}")
+    for name, (inside, what) in _intervals(cls).items():
+        value = getattr(config, name)
+        if value is not None and not inside(value):
+            raise error(f"{name} must {what}, got {value!r}")
 
 
 def json_text(doc: dict, members: str = "") -> str:

@@ -13,13 +13,14 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Annotated
 
 import numpy as np
 
 from .records import MAX_LEVEL, MIN_LEVEL, SparseAttentionRecords
-from .schema import (check_count, check_fields, digit_runs, field_rule, field_types,
-                     integer_ids, integer_type, json_layout, json_members, naming,
-                     number_array, parse_json, read_bytes, require, run_values, write_text)
+from .schema import (check_count, check_fields, digit_runs, field_rule, integer_ids,
+                     integer_type, json_layout, json_members, naming, number_array, parse_json,
+                     read_bytes, require, run_values, write_text)
 
 WORLD_FORMAT_VERSION = "uoal-sim/1"
 
@@ -46,46 +47,29 @@ class WorldConfig:
     multiplicative noise applied after squashing.
     """
 
-    num_users: int = 30
-    num_objects: int = 96
-    num_images: int = 1000
-    num_groups: int = 5
-    latent_rank: int = 6
-    interest_noise: float = 0.1
-    interest_exponent: float = 16.0
-    interest_floor: float = 0.1
-    hot_fraction: float = 0.15
-    gaze_noise: float = 0.0
-    group_bias: float = 3.0
-    object_popularity_exponent: float = 2.5
-    min_objects_per_image: int = 3
-    max_objects_per_image: int = 12
-    min_pixels_per_object: int = 200
-    max_pixels_per_object: int = 5000
-    max_image_pixels: int = 360 * 640
+    num_users: Annotated[int, "[1, inf)"] = 30
+    num_objects: Annotated[int, "[1, inf)"] = 96
+    num_images: Annotated[int, "[1, inf)"] = 1000
+    num_groups: Annotated[int, "[1, inf)"] = 5
+    latent_rank: Annotated[int, "[1, inf)"] = 6
+    interest_noise: Annotated[float, "[0, 1)"] = 0.1
+    interest_exponent: Annotated[float, "(0, inf)"] = 16.0
+    interest_floor: Annotated[float, "[0, 1)"] = 0.1
+    hot_fraction: Annotated[float, "(0, 1]"] = 0.15
+    gaze_noise: Annotated[float, "[0, 1)"] = 0.0
+    group_bias: Annotated[float, "[1, inf)"] = 3.0
+    object_popularity_exponent: Annotated[float, "[0, inf)"] = 2.5
+    min_objects_per_image: Annotated[int, "[1, inf)"] = 3
+    max_objects_per_image: Annotated[int, "[1, inf)"] = 12
+    min_pixels_per_object: Annotated[int, "[1, inf)"] = 200
+    max_pixels_per_object: Annotated[int, "[1, inf)"] = 5000
+    max_image_pixels: Annotated[int, "[1, inf)"] = 360 * 640
 
     def __post_init__(self):
         check_fields(self, ConfigurationError)
-        for name, kind in field_types(WorldConfig).items():
-            if kind is int and getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_groups > self.num_images:
             raise ConfigurationError("num_groups cannot exceed num_images")
-        if not (0.0 <= self.interest_noise < 1.0):
-            raise ConfigurationError("interest_noise must be in [0, 1)")
-        if not (0.0 <= self.gaze_noise < 1.0):
-            raise ConfigurationError("gaze_noise must be in [0, 1)")
-        if self.interest_exponent <= 0:
-            raise ConfigurationError("interest_exponent must be positive")
-        if not (0.0 <= self.interest_floor < 1.0):
-            raise ConfigurationError("interest_floor must be in [0, 1)")
-        if not (0.0 < self.hot_fraction <= 1.0):
-            raise ConfigurationError("hot_fraction must be in (0, 1]")
-        if self.group_bias < 1.0:
-            raise ConfigurationError("group_bias must be >= 1")
-        if self.object_popularity_exponent < 0:
-            raise ConfigurationError("object_popularity_exponent must be >= 0")
-        if not (1 <= self.min_objects_per_image <= self.max_objects_per_image):
+        if self.min_objects_per_image > self.max_objects_per_image:
             raise ConfigurationError("invalid objects-per-image range")
         if self.max_objects_per_image > self.num_objects:
             raise ConfigurationError("max_objects_per_image exceeds num_objects")
@@ -96,7 +80,7 @@ class WorldConfig:
                 f"{positive} objects with positive weight, fewer than "
                 f"max_objects_per_image {self.max_objects_per_image}"
             )
-        if not (1 <= self.min_pixels_per_object <= self.max_pixels_per_object):
+        if self.min_pixels_per_object > self.max_pixels_per_object:
             raise ConfigurationError("invalid pixels-per-object range")
         if self.max_objects_per_image * self.max_pixels_per_object > self.max_image_pixels:
             raise ConfigurationError("pixel budget can be exceeded; shrink per-object pixels")
@@ -414,7 +398,8 @@ def raw_attention_values(world: World, user: int, image_ids):
     if not ids.size:
         return np.empty(0, dtype=np.intp), np.empty(0)
     if ids.min() < 0 or ids.max() >= world.num_images:
-        raise KeyError(f"image ids must lie in 0..{world.num_images - 1}")
+        bad = ids[(ids < 0) | (ids >= world.num_images)][0]
+        raise ValueError(f"image id {bad} outside 0..{world.num_images - 1}")
     at, objects, px = world.occurrences(ids)
     gaze = _gaze_mass(world, user, objects, px, at)
     # float64 pixel sums are exact below 2**53

@@ -2,6 +2,7 @@
 parsing, validation, and dump round-trip."""
 
 import dataclasses
+import math
 import typing
 
 import numpy as np
@@ -46,6 +47,39 @@ def test_config_field_checks_its_type(base, name):
         accepted = []
     for value in accepted:
         assert dataclasses.replace(base, **{name: value}) == base
+
+
+def _step(value, kind, direction):
+    """The next value of ``kind`` after ``value`` towards ``direction``."""
+    return value + direction if kind is int else math.nextafter(value, direction * INF)
+
+
+@pytest.mark.parametrize("base, name, interval", [
+    pytest.param(base, field.name, text, id=f"{type(base).__name__}.{field.name}")
+    for base in BASES for field in dataclasses.fields(base)
+    for text in getattr(typing.get_type_hints(type(base), include_extras=True)[field.name],
+                        "__metadata__", ())])
+def test_config_field_checks_its_declared_interval(base, name, interval):
+    # a value just outside a bound fails with the one message form; a value
+    # on a closed bound, or just inside an open one, passes the range rule
+    kind = int if typing.get_type_hints(type(base))[name] is int else float
+    low, high = interval[1:-1].split(", ")
+    what = (f"lie in {interval}" if high != "inf" else f"be >= {low}" if interval[0] == "["
+            else "be positive" if low == "0" else f"be > {low}")
+    bounds = [(kind(low), -1, interval[0] == "[")]
+    if high != "inf":
+        bounds.append((kind(high), 1, interval[-1] == "]"))
+    for bound, outward, closed in bounds:
+        outside, inside = (_step(bound, kind, outward), bound) if closed \
+            else (bound, _step(bound, kind, -outward))
+        with pytest.raises(ERRORS.get(type(base), ValueError)) as raised:
+            dataclasses.replace(base, **{name: outside})
+        assert (type(raised.value), str(raised.value)) == (
+            ERRORS.get(type(base), ValueError), f"{name} must {what}, got {outside!r}")
+        try:  # a rule across fields may still reject it
+            dataclasses.replace(base, **{name: inside})
+        except ValueError as err:
+            assert not str(err).startswith(f"{name} must"), err
 
 
 def test_empty_config_is_defaults():

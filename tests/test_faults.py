@@ -117,6 +117,13 @@ WORLD_ROWS = [
         "image 3: object 4 has 0 pixels, not 1..2**31-1"),
     Row("empty composition", _image_3(lambda image, entry: image.update(composition=[])),
         ValueError, "image 3 has no objects"),
+    # beyond int32, so the fast reader must not wrap them to 5, 0 and 1
+    Row("pixel count 2**32 + 5", _image_3(lambda image, entry: entry.__setitem__(1, 2**32 + 5)),
+        ValueError, "image 3: object 4 has 4294967301 pixels, not 1..2**31-1"),
+    Row("object id 2**32", _image_3(lambda image, entry: entry.__setitem__(0, 2**32)),
+        ValueError, "image 3: object id 4294967296 outside 0..23"),
+    Row("group 2**32 + 1", _image_3(lambda image, entry: image.update(group=2**32 + 1)),
+        ValueError, "image 3 has group 4294967297, not an integer in 0..59"),
     Row("id out of order", _swap_images_3_and_4, ValueError,
         "image 3 has id 4; ids must run 0, 1, 2, ..."),
     Row("fractional object id", _image_3(lambda image, entry: entry.__setitem__(0, 4.7)),
@@ -230,6 +237,8 @@ MODEL_ROWS = [
           f"model file: {name!r} row {row} is {value!r}, not a number" if name.endswith("bias")
           else f"model file: {name!r} row {row} is not a list of numbers")
       for name, row in _MODEL_ROWS.items() for kind, value in _NOT_NUMBERS.items()),
+    Row("NaN in user_factors", _put("user_factors", math.nan), ValueError,
+        "user_factors contains non-finite entries"),
     Row("object_factors row a number", lambda doc: doc["object_factors"].__setitem__(1, 0.5),
         ValueError, "model file: 'object_factors' row 1 is not a list of numbers"),
     Row("user_bias a number", lambda doc: doc.update(user_bias=0.5), ValueError,
@@ -329,7 +338,7 @@ CONFIG_ROWS = [
          "invalid [experiment] section: sweep_factors must be non-empty"),
         ("[link]\nrate = 1\n", "unknown key 'rate' in [link]"),
         ("[link]\ndownlink_rate = -2\nuplink_ber = 0\n",
-         "invalid [link] section: downlink_rate must be positive"),
+         "invalid [link] section: downlink_rate must be positive, got -2.0"),
         ("[link]\ndownlink_rate = 5.5\n", "[link] must set uplink_ber"),
         ("[link]\nuplink_ber = 0.125\n", "[link] must set downlink_rate"),
         ("[link]\n", "[link] must set downlink_rate and uplink_ber"),
@@ -345,9 +354,12 @@ CONFIG_ROWS = [
         ("[experiment]\nfloor_k = 15\nbudget_per_object_k = 5\n",
          "invalid [experiment] section: budget_per_object_k must exceed floor_k"),
         ("[world]\nnum_users = 0\n", "invalid [world] section: num_users must be >= 1, got 0"),
-        ("[fit]\nepochs = 0\n", "invalid [fit] section: epochs must be >= 1"),
-        ("[channel]\ntx_antennas = 0\n", "invalid [channel] section: antenna counts must be >= 1"),
+        ("[fit]\nepochs = 0\n", "invalid [fit] section: epochs must be >= 1, got 0"),
+        ("[channel]\ntx_antennas = 0\n",
+         "invalid [channel] section: tx_antennas must be >= 1, got 0"),
         ("[fit]\nepochs 3\n", "malformed config file: line 2: expected [section] or key = value"),
+        ("[experiment]\nfloor_k = 0.5\n",
+         "invalid [experiment] section: floor_k must be > 1, got 0.5"),
         ("[fit]\nepochs = 3\n[fit]\n", "malformed config file: line 3: duplicate section [fit]"),
         ("[fit]\nepochs = 3\nepochs = 4\n",
          "malformed config file: line 3: duplicate key 'epochs' in [fit]"),
@@ -489,6 +501,7 @@ CALLS = {
         seed=0)),
     "ground_truth_levels": Call(lambda files, world: ground_truth_levels(world),
                                 dict(world=_MANUAL_WORLD)),
+    "GroundTruthLevels": _build(GroundTruthLevels, levels=[[5, 1], [2, 3]]),
     "quantize_levels": Call(lambda files, values: quantize_levels(values),
                             dict(values=[0.2, 0.1])),
     "observed_mask": Call(lambda files, records, num_users, num_objects: observed_mask(
@@ -602,6 +615,7 @@ ARGUMENT_ROWS = {
         *(Row(f"n_objects {n!r}", dict(n_objects=n), ValueError,
               f"n_objects must be an integer, got {n!r}")
           for n in (2.5, 2.0, True, "3", None, np.float64(3))),
+        Row("n_objects 0", dict(n_objects=0), ValueError, "n_objects must be >= 1"),
         Row("deficit", dict(n_objects=4, budget=50.0), InfeasibleError,
             "budget 50.0 K cannot cover 4 floors of 15.0 K (deficit 10 K)"),
     ],
@@ -737,6 +751,9 @@ ARGUMENT_ROWS = {
               ("0-d array", np.array(2), "()"), ("3", 3, "() for 3"),
               ("0-d float array", np.array(2.0), "()"), ("2-D array", np.array([[0, 1]]), "(1, 2)"),
               ("empty 2-D array", np.zeros((2, 0), dtype=int), "(2, 0)"))),
+        Row("image id -1", dict(image_ids=[-1]), ValueError, "image id -1 outside 0..59"),
+        Row("image id 60 after a good one", dict(image_ids=[0, 60]), ValueError,
+            "image id 60 outside 0..59"),
     ],
     "sweep": [
         Row("user -1", dict(user=-1), ValueError, "user -1 outside 0..3", {"--user": "-1"}),
@@ -773,6 +790,8 @@ ARGUMENT_ROWS = {
             "negative user or object id in record (-1, 0, 3)"),
         Row("negative object", dict(records=[(0, -1, 3)]), InvalidRecordError,
             "negative user or object id in record (0, -1, 3)"),
+        Row("a record of one field", dict(records=[5]), InvalidRecordError,
+            "expected 3 fields, got 1, in record (5,)"),
     ],
     "World": [
         *(Row(f"seed {seed!r}", dict(seed=seed), ValueError,
@@ -815,6 +834,8 @@ ARGUMENT_ROWS = {
             "a world must have at least one user"),
         Row("no users, as a list", dict(interest=[]), ValueError,
             "a world must have at least one user"),
+        Row("interest of one object", dict(interest=[[0.5], [0.5]]), ValueError,
+            "interest matrix shape does not match users x objects"),
     ],
     "World fields": [
         Row("indptr [0.0, 1.0]", dict(indptr=[0.0, 1.0]), ValueError,
@@ -831,6 +852,10 @@ ARGUMENT_ROWS = {
             [[100, 200, 0], [50, 0, 0]], group_of=[0, 1], labels=("a", "b", "c"),
             interest=np.full((2, 3), 0.5), seed=0)), ValueError,
             "object 2 ('c') occurs in no image, so it has no ground-truth level"),
+    ],
+    "GroundTruthLevels": [
+        Row("level 6", dict(levels=[[5, 6], [2, 3]]), ValueError,
+            "levels must be a 2-D matrix with entries in 1..5"),
     ],
     "quantize_levels": [
         Row("value 1.5", dict(values=[1.5]), ValueError, "attention value 1.5 outside [0, 1]"),
@@ -893,6 +918,8 @@ ARGUMENT_ROWS = {
             "object_bias has shape (2,) for 24 rows of object_factors"),
         Row("NaN mu", dict(mu=_NAN), ValueError, "mu must be finite, got nan"),
         Row("infinite mu", dict(mu=_INF), ValueError, "mu must be finite, got inf"),
+        Row("user factors of 5 columns", dict(user_factors=np.zeros((4, 5))), ValueError,
+            "user and object factors disagree on latent dimension"),
     ],
     "FitConfig": [
         *(Row(f"{name} {value!r}", {name: value}, FitError, f"{name} must be an integer, got "
@@ -900,7 +927,7 @@ ARGUMENT_ROWS = {
           for value in (2.5, 2.0, True, "2", None)),
         *(Row(f"{name} {value!r}", {name: value}, FitError, f"{name} must be finite, got "
               f"{value!r}") for name in ("regularization", "init_scale") for value in (_NAN, _INF)),
-        Row("epochs 0", dict(epochs=0), FitError, "epochs must be >= 1"),
+        Row("epochs 0", dict(epochs=0), FitError, "epochs must be >= 1, got 0"),
         *(Row(f"regularization {lam!r}", dict(regularization=lam), FitError,
               f"regularization must be positive, got {lam!r}") for lam in (0.0, -1.0)),
         Row("seed -1", dict(seed=-1), FitError, "seed must be a non-negative integer, got -1"),
@@ -908,14 +935,22 @@ ARGUMENT_ROWS = {
     "WorldConfig": [
         Row("num_users 0", dict(num_users=0), ConfigurationError, "num_users must be >= 1, got 0"),
         Row("interest_noise 1.5", dict(interest_noise=1.5), ConfigurationError,
-            "interest_noise must be in [0, 1)"),
+            "interest_noise must lie in [0, 1), got 1.5"),
         Row("hot_fraction 0", dict(hot_fraction=0.0), ConfigurationError,
-            "hot_fraction must be in (0, 1]"),
+            "hot_fraction must lie in (0, 1], got 0.0"),
         Row("7 groups of 3 images", dict(num_groups=7, num_images=3), ConfigurationError,
             "num_groups cannot exceed num_images"),
         Row("object_popularity_exponent 400", dict(object_popularity_exponent=400.0),
             ConfigurationError, "object_popularity_exponent 400.0 leaves 6 objects with "
             "positive weight, fewer than max_objects_per_image 12"),
+        Row("13 to 12 objects per image", dict(min_objects_per_image=13), ConfigurationError,
+            "invalid objects-per-image range"),
+        Row("12 objects per image of 10", dict(num_objects=10), ConfigurationError,
+            "max_objects_per_image exceeds num_objects"),
+        Row("6000 to 5000 pixels per object", dict(min_pixels_per_object=6000),
+            ConfigurationError, "invalid pixels-per-object range"),
+        Row("12 objects of 20000 pixels", dict(max_pixels_per_object=20000),
+            ConfigurationError, "pixel budget can be exceeded; shrink per-object pixels"),
     ],
     "ExperimentConfig": [
         Row("budget below the floor", dict(floor_k=15.0, budget_per_object_k=10.0), ValueError,
@@ -945,20 +980,22 @@ ARGUMENT_ROWS = {
 "the downlink rate, bandwidth * log2(1 + SINR), is 0.0 for SINR 0.0; it must be positive and "
 "finite"),
         Row("sweep_user -1", dict(sweep_user=-1), ValueError, "sweep_user must be >= 0, got -1"),
+        Row("floor_k 0.5", dict(floor_k=0.5), ValueError, "floor_k must be > 1, got 0.5"),
         Row("master_seed -1", dict(master_seed=-1), ValueError,
             "seed must be a non-negative integer, got -1"),
     ],
     "ChannelConfig": [
-        Row("bandwidth 0", dict(bandwidth=0.0), ValueError, "bandwidth must be positive"),
+        Row("bandwidth 0", dict(bandwidth=0.0), ValueError,
+            "bandwidth must be positive, got 0.0"),
         Row("path_loss_exponent 0.5", dict(path_loss_exponent=0.5), ValueError,
-            "path_loss_exponent must be >= 1"),
-        Row("tx_antennas 0", dict(tx_antennas=0), ValueError, "antenna counts must be >= 1"),
+            "path_loss_exponent must be >= 1, got 0.5"),
+        Row("tx_antennas 0", dict(tx_antennas=0), ValueError, "tx_antennas must be >= 1, got 0"),
     ],
     "LinkParams": [
         Row("downlink_rate 0", dict(downlink_rate=0.0, uplink_ber=0.1), ValueError,
-            "downlink_rate must be positive"),
+            "downlink_rate must be positive, got 0.0"),
         Row("uplink_ber 1", dict(downlink_rate=1.0, uplink_ber=1.0), ValueError,
-            "uplink_ber must lie in [0, 1)"),
+            "uplink_ber must lie in [0, 1), got 1.0"),
     ],
 }
 
